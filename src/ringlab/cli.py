@@ -83,9 +83,19 @@ def _emit(payload: dict, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _read_json_object(path: str) -> dict:
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return data
+
+
 def cmd_reduce(args) -> int:
     try:
-        data = json.loads(open(args.matrix).read())
+        data = _read_json_object(args.matrix)
+        if not isinstance(data.get("ring"), str):
+            raise ParseError("the matrix file needs a ring spec string")
         ring = make_ring(data["ring"])
         A = RingMatrix.from_strings(ring, data["rows"])
     except (OSError, json.JSONDecodeError, KeyError, ValueError, ParseError) as exc:
@@ -100,12 +110,17 @@ def cmd_reduce(args) -> int:
 
     if args.verify:
         try:
-            cert_data = json.loads(open(args.verify).read())
-            cert = ReductionCertificate.from_json(ring, cert_data)
-        except (OSError, json.JSONDecodeError, KeyError, ParseError) as exc:
+            cert = ReductionCertificate.from_json(
+                ring, _read_json_object(args.verify))
+        except (OSError, json.JSONDecodeError, KeyError, ValueError,
+                ParseError) as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        res = verify_certificate(ring, A, cert)
+        try:
+            res = verify_certificate(ring, A, cert)
+        except TooLarge as exc:
+            print(f"too large: {exc}", file=sys.stderr)
+            return EXIT_TOO_LARGE
         print("certificate " + ("VERIFIED" if res.verdict
                                 else f"REJECTED: {res.counterexample}"))
         return EXIT_OK if res.verdict else EXIT_REDUCTION

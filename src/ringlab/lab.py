@@ -33,10 +33,12 @@ from .concrete import (
 )
 from .errors import ReductionFailed, RinglabError
 from .reduction import (
-    RingMatrix,
-    comax_triangular_reduce,
-    diagonal_reduce,
-    verify_certificate,
+    _box,
+    _comax_triangular_raw,
+    _reduce_raw,
+    _scalar_ops,
+    _verify_raw,
+    _violation,
 )
 from .rings import int_xgcd
 
@@ -168,28 +170,30 @@ def _entry(spec: str, verdict: bool, exercised=None, detail=None,
 
 
 def _matrix_battery(ctx: _RingCtx) -> dict:
-    """Reduce and verify a seeded battery of matrices over one finite ring."""
+    """Reduce and verify a seeded battery of matrices over one finite ring.
+
+    Matrices stay cache-index grids; only a failing one is formatted.
+    """
     if ctx._matrix_entry is not None:
         return ctx._matrix_entry
     cfg = ctx.config
-    ring, cache = ctx.ring, ctx.cache
-    n = cache.n
+    ops = _scalar_ops(ctx.ring)
+    n = ctx.cache.n
     failures = []
     total = 0
 
     def run_one(rows):
         nonlocal total
         total += 1
-        A = RingMatrix(ring, [[cache.element(v) for v in row] for row in rows])
         try:
-            cert = diagonal_reduce(ring, A)
+            bad = _verify_raw(ops, rows, *_reduce_raw(ops, rows))
         except ReductionFailed as exc:
-            failures.append({"matrix": A.to_strings(), "reason": exc.reason})
+            failures.append({"matrix": _box(ops, rows).to_strings(),
+                             "reason": exc.reason})
             return
-        res = verify_certificate(ring, A, cert)
-        if not res.verdict:
-            failures.append({"matrix": A.to_strings(),
-                             "violation": res.counterexample})
+        if bad is not None:
+            failures.append({"matrix": _box(ops, rows).to_strings(),
+                             "violation": _violation(*bad)})
 
     exhaustive = 0
     if n <= cfg.exhaustive_2x2_max:
@@ -528,6 +532,7 @@ def _check_t38(ctx: _RingCtx) -> dict:
         return _vacuous(ctx.spec, "beyond the exhaustive size bound")
     if not ctx.is_bezout() or not ctx.verdict("feckly_adequate_range_1"):
         return _vacuous(ctx.spec, "no feckly adequate range 1")
+    ops = _scalar_ops(ctx.ring)
     triples = step1_fail = step2_fail = 0
     for a in range(n):
         for b in range(n):
@@ -538,13 +543,9 @@ def _check_t38(ctx: _RingCtx) -> dict:
                 got = _step_one_row_reduction(ctx, a, b, c)
                 if got is None or not got[2]:
                     step1_fail += 1
-                A = RingMatrix(ctx.ring, [
-                    [cache.element(a), cache.element(cache.zero)],
-                    [cache.element(b), cache.element(c)],
-                ])
+                A = [[a, cache.zero], [b, c]]
                 try:
-                    cert = diagonal_reduce(ctx.ring, A)
-                    if not verify_certificate(ctx.ring, A, cert).verdict:
+                    if _verify_raw(ops, A, *_reduce_raw(ops, A)) is not None:
                         step2_fail += 1
                 except ReductionFailed:
                     step2_fail += 1
@@ -668,11 +669,19 @@ def check_example_2_11(seed: int = DEFAULT_SEED, samples: int = 1200) -> dict:
     }
 
 
+def _kernel_identity_holds(ops, a, b, c, r) -> bool:
+    """The kernel certificate of [[a, b], [0, c]] has D = diag(1, -a*c) and verifies."""
+    raw = _comax_triangular_raw(ops, a, b, c, r)
+    want = [[ops.one, ops.zero], [ops.zero, ops.neg(ops.mul(a, c))]]
+    return (raw[2] == want
+            and _verify_raw(ops, [[a, b], [ops.zero, c]], *raw) is None)
+
+
 def _check_l37_global(seed: int) -> list[dict]:
     """The 2x2 kernel identity: assembled product equals diag(1, -a*c)."""
     out = []
-    Z6 = make_ring("Zn:6")
-    cache = engine.build_cache(Z6)
+    ops = _scalar_ops(make_ring("Zn:6"))
+    cache = ops.c
     n = cache.n
     tuples = failures = 0
     for a in range(n):
@@ -683,19 +692,11 @@ def _check_l37_global(seed: int) -> list[dict]:
                     if not cache.comax[w][c]:
                         continue
                     tuples += 1
-                    els = [cache.element(v) for v in (a, b, c, r)]
-                    cert = comax_triangular_reduce(Z6, *els)
-                    want = RingMatrix(Z6, [
-                        [Z6.one, Z6.zero],
-                        [Z6.zero, Z6.neg(Z6.mul(els[0], els[2]))],
-                    ])
-                    A = RingMatrix(Z6, [[els[0], els[1]], [Z6.zero, els[2]]])
-                    if (cert.D != want
-                            or not verify_certificate(Z6, A, cert).verdict):
+                    if not _kernel_identity_holds(ops, a, b, c, r):
                         failures += 1
     out.append(_entry("Zn:6", failures == 0,
                       exercised={"valid_tuples": tuples}))
-    Z = make_ring("Z")
+    ops = _scalar_ops(make_ring("Z"))
     rng = random.Random(f"{seed}:l37")
     z_tuples = z_failures = 0
     from math import gcd
@@ -704,11 +705,7 @@ def _check_l37_global(seed: int) -> list[dict]:
         if gcd(b + a * r, c) != 1:
             continue
         z_tuples += 1
-        els = [Z.make(v) for v in (a, b, c, r)]
-        cert = comax_triangular_reduce(Z, *els)
-        want = RingMatrix.from_raw(Z, [[1, 0], [0, -a * c]])
-        A = RingMatrix.from_raw(Z, [[a, b], [0, c]])
-        if cert.D != want or not verify_certificate(Z, A, cert).verdict:
+        if not _kernel_identity_holds(ops, a, b, c, r):
             z_failures += 1
     out.append(_entry("Z", z_failures == 0,
                       exercised={"valid_tuples": z_tuples}))

@@ -23,6 +23,15 @@ pivoting), ``finite_search`` (any finite ring, kernel enabled), and
 ``zloc_structural`` (localized integers, where pivot ideals are governed
 by the valuations at the localized primes). Rings outside these kinds are
 not reducible here.
+
+Reduction, the 2x2 kernel and verification all run on raw grids (lists
+of rows) through one scalar adapter: cache indices on finite rings
+(``_FiniteOps``), canonical payloads on the others (``_ValueOps``). The
+raw core is ``_reduce_raw``, ``_comax_triangular_raw`` and
+``_verify_raw``. The public functions unbox their ``RingMatrix``
+arguments once, with the membership check, and box their results once;
+the corpus runner calls the raw core directly and formats a matrix only
+when it reports a failure.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .errors import (
     NoResidue,
     NotBezout,
     NotComaximal,
+    ParseError,
     ReductionFailed,
     UnsupportedSpec,
 )
@@ -68,6 +78,10 @@ class RingMatrix:
 
     @classmethod
     def from_strings(cls, ring: Ring, rows) -> "RingMatrix":
+        if not isinstance(rows, (list, tuple)) or not all(
+                isinstance(row, (list, tuple))
+                and all(isinstance(s, str) for s in row) for row in rows):
+            raise ParseError("a matrix is a list of rows of element strings")
         return cls(ring, [[ring.parse_element(s) for s in row] for row in rows])
 
     @classmethod
@@ -158,6 +172,7 @@ class _FiniteOps:
 
     def __init__(self, cache: EngineCache):
         self.c = cache
+        self.ring = cache.ring
         self.zero = cache.zero
         self.one = cache.one
 
@@ -179,8 +194,19 @@ class _FiniteOps:
     def neg(self, x):
         return self.c.neg[x]
 
+    def dot(self, xs, ys):
+        """Sum of the products x*y over the paired entries."""
+        add, mul, n = self.c.add, self.c.mul, self.c.n
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            acc = add[acc * n + mul[x * n + y]]
+        return acc
+
     def is_zero(self, x):
         return x == self.zero
+
+    def is_unit(self, x):
+        return self.c.units.get(x)
 
     def divides(self, x, y):
         return self.c.divides(x, y)
@@ -202,47 +228,65 @@ class _ValueOps:
     kernel = False
 
     def __init__(self, ring: Ring):
-        self.r = ring
+        self.ring = ring
         self.zero = ring._zero_raw()
         self.one = ring._one_raw()
 
     def from_elem(self, e: Element):
-        return self.r._member(e)
+        return self.ring._member(e)
 
     def to_elem(self, x) -> Element:
-        return Element(self.r, x)
+        return Element(self.ring, x)
 
     def add(self, x, y):
-        return self.r._add(x, y)
+        return self.ring._add(x, y)
 
     def sub(self, x, y):
-        return self.r._sub(x, y)
+        return self.ring._sub(x, y)
 
     def mul(self, x, y):
-        return self.r._mul(x, y)
+        return self.ring._mul(x, y)
 
     def neg(self, x):
-        return self.r._neg(x)
+        return self.ring._neg(x)
+
+    def dot(self, xs, ys):
+        """Sum of the products x*y over the paired entries."""
+        add, mul = self.ring._add, self.ring._mul
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
 
     def is_zero(self, x):
         return x == self.zero
 
+    def is_unit(self, x):
+        return self.ring._is_unit_raw(x)
+
     def divides(self, x, y):
-        return self.r._divides_raw(x, y)
+        return self.ring._divides_raw(x, y)
 
     def hermite(self, x, y):
-        d, gx, gy, a1, b1, u, v = self.r._bezout_raw(x, y)
+        d, gx, gy, a1, b1, u, v = self.ring._bezout_raw(x, y)
         return d, gx, gy, a1, b1
 
     def unit_canon(self, x):
-        return self.r._unit_canon_raw(x)
+        return self.ring._unit_canon_raw(x)
 
     def pivot_key(self, x):
-        if self.r.kind == "Z":
+        if self.ring.kind == "Z":
             return abs(x)
-        if self.r.kind == "zloc":
-            return self.r.prime_part(x)
+        if self.ring.kind == "zloc":
+            return self.ring.prime_part(x)
         return 0
+
+
+def _scalar_ops(ring: Ring):
+    """Index arithmetic on finite rings, payload arithmetic on the others."""
+    if ring.cardinality is not None:
+        return _FiniteOps(build_cache(ring))
+    return _ValueOps(ring)
 
 
 def _ops_for(ring: Ring, strategy: str | None):
@@ -256,16 +300,84 @@ def _ops_for(ring: Ring, strategy: str | None):
     if strategy == "finite_search":
         if not finite:
             raise UnsupportedSpec("finite_search needs a finite ring")
-        return _FiniteOps(build_cache(ring)), strategy
-    if strategy == "euclidean_Z":
+    elif strategy == "euclidean_Z":
         if ring.kind != "Z":
             raise UnsupportedSpec("euclidean_Z reduces integer matrices only")
-        return _ValueOps(ring), strategy
-    if strategy == "zloc_structural":
+    elif strategy == "zloc_structural":
         if ring.kind != "zloc":
             raise UnsupportedSpec("zloc_structural reduces zloc matrices only")
-        return _ValueOps(ring), strategy
-    raise UnsupportedSpec(f"unknown strategy {strategy!r}")
+    else:
+        raise UnsupportedSpec(f"unknown strategy {strategy!r}")
+    return _scalar_ops(ring), strategy
+
+
+# ---------------------------------------------------------------------------
+# raw matrices: lists of rows of payloads or cache indices
+# ---------------------------------------------------------------------------
+
+
+def _identity_raw(ops, n: int) -> list[list]:
+    z, o = ops.zero, ops.one
+    return [[o if i == j else z for j in range(n)] for i in range(n)]
+
+
+def _mat_mul_raw(ops, X, Y) -> list[list]:
+    cols = list(zip(*Y))
+    dot = ops.dot
+    return [[dot(row, col) for col in cols] for row in X]
+
+
+def _box(ops, grid) -> RingMatrix:
+    """Box a raw grid into a RingMatrix over ``ops.ring``.
+
+    The payloads come from ``ops`` arithmetic, so they belong to the ring
+    by construction and skip the membership checks of ``RingMatrix()``.
+    """
+    M = object.__new__(RingMatrix)
+    M.ring = ops.ring
+    M.entries = tuple(tuple(map(ops.to_elem, row)) for row in grid)
+    M.rows, M.cols = len(M.entries), len(M.entries[0])
+    return M
+
+
+def _unbox(ops, M: RingMatrix) -> list[list]:
+    """Raw grid of a RingMatrix; ``ops.from_elem`` checks membership."""
+    return [[ops.from_elem(e) for e in row] for row in M.entries]
+
+
+def _verify_raw(ops, A, P, Pinv, D, Q, Qinv):
+    """First violated certificate invariant as ``(invariant, position)``.
+
+    Shapes must already match: P and Pinv rows x rows, D rows x cols, Q
+    and Qinv cols x cols. Returns None when every invariant holds.
+    """
+    rows, cols = len(A), len(A[0])
+    prod = _mat_mul_raw(ops, _mat_mul_raw(ops, P, A), Q)
+    for i in range(rows):
+        for j in range(cols):
+            if prod[i][j] != D[i][j]:
+                return "product", [i, j]
+    z = ops.zero
+    for i in range(rows):
+        for j in range(cols):
+            if i != j and D[i][j] != z:
+                return "diagonal", [i, j]
+    for i in range(min(rows, cols) - 1):
+        if ops.divides(D[i][i], D[i + 1][i + 1]) is None:
+            return "divisibility_chain", i
+    if _mat_mul_raw(ops, P, Pinv) != _identity_raw(ops, rows):
+        return "P_invertible", None
+    if _mat_mul_raw(ops, Q, Qinv) != _identity_raw(ops, cols):
+        return "Q_invertible", None
+    return None
+
+
+def _violation(invariant: str, position=None) -> dict:
+    """Counterexample payload of a rejected certificate."""
+    payload = {"invariant": invariant}
+    if position is not None:
+        payload["position"] = position
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +391,10 @@ class _Reducer:
         self.A = grid
         self.rows = rows
         self.cols = cols
-        z, o = ops.zero, ops.one
-        self.P = [[o if i == j else z for j in range(rows)] for i in range(rows)]
-        self.Pinv = [[o if i == j else z for j in range(rows)] for i in range(rows)]
-        self.Q = [[o if i == j else z for j in range(cols)] for i in range(cols)]
-        self.Qinv = [[o if i == j else z for j in range(cols)] for i in range(cols)]
+        self.P = _identity_raw(ops, rows)
+        self.Pinv = _identity_raw(ops, rows)
+        self.Q = _identity_raw(ops, cols)
+        self.Qinv = _identity_raw(ops, cols)
 
     # -- elementary column operations (A <- A*E, Q <- Q*E, Qinv <- Einv*Qinv) --
 
@@ -498,12 +609,8 @@ class _Reducer:
         # A * antidiagonal swap
         self.col_swap(k, j)
 
-    def _block_matrix(self, k) -> "RingMatrix":
-        ops = self.ops
-        return RingMatrix(ops.c.ring if hasattr(ops, "c") else ops.r, [
-            [ops.to_elem(self.A[i][j]) for j in range(k, self.cols)]
-            for i in range(k, self.rows)
-        ])
+    def _block_matrix(self, k) -> RingMatrix:
+        return _box(self.ops, [row[k:] for row in self.A[k:]])
 
     def normalize_units(self):
         ops = self.ops
@@ -549,6 +656,49 @@ def _comax_cofactors(cache: EngineCache, g: int, va: int, vb: int, vc: int):
     return None
 
 
+def _reduce_raw(ops, grid):
+    """Reduce a raw grid; returns the raw (P, Pinv, D, Q, Qinv).
+
+    Raises ReductionFailed; a missing Bezout gcd carries the whole input
+    matrix as its witness.
+    """
+    red = _Reducer(ops, [list(row) for row in grid], len(grid), len(grid[0]))
+    try:
+        red.run(use_kernel=ops.kernel)
+    except NotBezout as exc:
+        raise ReductionFailed(str(exc), witness=_box(ops, grid)) from exc
+    return red.P, red.Pinv, red.A, red.Q, red.Qinv
+
+
+def _comax_triangular_raw(ops, a, b, c, r):
+    """Raw (P, Pinv, D, Q, Qinv) for [[a, b], [0, c]] with b + a*r comaximal c.
+
+    With w = b + a*r and w*x + c*y = 1, P = [[x, y], [-c, w]] and the right
+    transform [[1, r], [0, 1]] * [[1, 0], [-a*x, 1]] * [[0, 1], [1, 0]]
+    multiply out to Q = [[r, 1 - r*a*x], [1, -a*x]]; their inverses are
+    written down the same way, and D = P*A*Q.
+    """
+    w = ops.add(b, ops.mul(a, r))
+    d, gx, gy, _, _ = ops.hermite(w, c)
+    dinv = ops.is_unit(d)
+    if dinv is None:
+        raise NotComaximal(
+            f"({ops.to_elem(w)}, {ops.to_elem(c)}) generate a proper ideal")
+    x, y = ops.mul(gx, dinv), ops.mul(gy, dinv)
+    ax = ops.mul(a, x)
+    one, zero = ops.one, ops.zero
+    P = [[x, y], [ops.neg(c), w]]
+    Pinv = [[w, ops.neg(y)], [c, x]]
+    Q = [[r, ops.sub(one, ops.mul(r, ax))], [one, ops.neg(ax)]]
+    Qinv = [[ax, ops.sub(one, ops.mul(ax, r))], [one, ops.neg(r)]]
+    D = _mat_mul_raw(ops, _mat_mul_raw(ops, P, [[a, b], [zero, c]]), Q)
+    return P, Pinv, D, Q, Qinv
+
+
+def _certificate(ops, raw) -> ReductionCertificate:
+    return ReductionCertificate(*(_box(ops, M) for M in raw))
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -580,29 +730,9 @@ def comax_triangular_reduce(ring: Ring, a: Element, b: Element, c: Element,
     [[1, r], [0, 1]] * [[1, 0], [-a*x, 1]] * [[0, 1], [1, 0]]. Raises
     NotComaximal when no witness exists.
     """
-    w = ring.add(b, ring.mul(a, r))
-    data = ring.bezout_gcd(w, c)
-    dinv = ring.is_unit(data.d)
-    if dinv is None:
-        raise NotComaximal(
-            f"({ring.format_element(w)}, {ring.format_element(c)}) generate "
-            f"a proper ideal")
-    x = ring.mul(data.x, dinv)
-    y = ring.mul(data.y, dinv)
-    one, zero = ring.one, ring.zero
-    P = RingMatrix(ring, [[x, y], [ring.neg(c), w]])
-    Pinv = RingMatrix(ring, [[w, ring.neg(y)], [c, x]])
-    shear_r = RingMatrix(ring, [[one, r], [zero, one]])
-    shear_r_inv = RingMatrix(ring, [[one, ring.neg(r)], [zero, one]])
-    ax = ring.mul(a, x)
-    shear_ax = RingMatrix(ring, [[one, zero], [ring.neg(ax), one]])
-    shear_ax_inv = RingMatrix(ring, [[one, zero], [ax, one]])
-    swap = RingMatrix(ring, [[zero, one], [one, zero]])
-    Q = shear_r.mat_mul(shear_ax).mat_mul(swap)
-    Qinv = swap.mat_mul(shear_ax_inv).mat_mul(shear_r_inv)
-    A = RingMatrix(ring, [[a, b], [zero, c]])
-    D = P.mat_mul(A).mat_mul(Q)
-    return ReductionCertificate(P=P, Pinv=Pinv, D=D, Q=Q, Qinv=Qinv)
+    ops = _scalar_ops(ring)
+    raw = _comax_triangular_raw(ops, *(ops.from_elem(e) for e in (a, b, c, r)))
+    return _certificate(ops, raw)
 
 
 def solve_reduction_residue(ring: Ring, a: Element, b: Element, c: Element,
@@ -648,63 +778,33 @@ def diagonal_reduce(ring: Ring, A: RingMatrix,
     if A.ring is not ring:
         raise ValueError("matrix does not belong to the ring")
     ops, strategy = _ops_for(ring, strategy)
-    grid = [[ops.from_elem(e) for e in row] for row in A.entries]
-    red = _Reducer(ops, grid, A.rows, A.cols)
-    try:
-        red.run(use_kernel=ops.kernel)
-    except NotBezout as exc:
-        raise ReductionFailed(str(exc), witness=A) from exc
-    to = ops.to_elem
-    return ReductionCertificate(
-        P=RingMatrix(ring, [[to(v) for v in row] for row in red.P]),
-        Pinv=RingMatrix(ring, [[to(v) for v in row] for row in red.Pinv]),
-        D=RingMatrix(ring, [[to(v) for v in row] for row in red.A]),
-        Q=RingMatrix(ring, [[to(v) for v in row] for row in red.Q]),
-        Qinv=RingMatrix(ring, [[to(v) for v in row] for row in red.Qinv]),
-    )
+    return _certificate(ops, _reduce_raw(ops, _unbox(ops, A)))
 
 
 def verify_certificate(ring: Ring, A: RingMatrix,
                        cert: ReductionCertificate) -> PropertyResult:
     """Re-check every certificate invariant by direct arithmetic.
 
-    Verifies P*A*Q = D entrywise, diagonality of D, the divisibility chain
-    d_i | d_{i+1} (with d | 0 for every d), and P*Pinv = Q*Qinv = I. The
-    verdict names the first violated invariant and its position.
+    Checks the shapes of all five matrices, P*A*Q = D entrywise, diagonality
+    of D, the divisibility chain d_i | d_{i+1} (with d | 0 for every d), and
+    P*Pinv = Q*Qinv = I, on cache indices for finite rings and on payloads
+    otherwise. The verdict names the first violated invariant and its
+    position.
     """
-    def fail(invariant, position=None):
-        payload = {"invariant": invariant}
-        if position is not None:
-            payload["position"] = position
-        return PropertyResult("certificate", False, counterexample=payload)
-
-    if (cert.P.rows != A.rows or cert.P.cols != A.rows
-            or cert.Q.rows != A.cols or cert.Q.cols != A.cols
-            or cert.D.rows != A.rows or cert.D.cols != A.cols):
-        return fail("shape")
-    prod = cert.P.mat_mul(A).mat_mul(cert.Q)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            if prod.entries[i][j] != cert.D.entries[i][j]:
-                return fail("product", [i, j])
-    z = ring.zero
-    for i in range(A.rows):
-        for j in range(A.cols):
-            if i != j and cert.D.entries[i][j] != z:
-                return fail("diagonal", [i, j])
-    diag = cert.D.diagonal()
-    for i in range(len(diag) - 1):
-        if ring.divides(diag[i], diag[i + 1]) is None:
-            return fail("divisibility_chain", i)
-    ident_r = RingMatrix.identity(ring, A.rows)
-    if cert.P.mat_mul(cert.Pinv) != ident_r:
-        return fail("P_invertible")
-    ident_c = RingMatrix.identity(ring, A.cols)
-    if cert.Q.mat_mul(cert.Qinv) != ident_c:
-        return fail("Q_invertible")
+    mats = (cert.P, cert.Pinv, cert.D, cert.Q, cert.Qinv)
+    r, c = A.rows, A.cols
+    shapes = ((r, r), (r, r), (r, c), (c, c), (c, c))
+    if any((M.rows, M.cols) != shape for M, shape in zip(mats, shapes)):
+        return PropertyResult("certificate", False,
+                              counterexample=_violation("shape"))
+    ops = _scalar_ops(ring)
+    bad = _verify_raw(ops, *(_unbox(ops, M) for M in (A, *mats)))
+    if bad is not None:
+        return PropertyResult("certificate", False,
+                              counterexample=_violation(*bad))
     return PropertyResult("certificate", True,
                           witness={"diagonal": [ring.format_element(d)
-                                                for d in diag]})
+                                                for d in cert.D.diagonal()]})
 
 
 def matrix_to_json(A: RingMatrix) -> dict:

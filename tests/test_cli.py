@@ -51,12 +51,47 @@ def test_reduce_verify_rejects_tampered(z_matrix, tmp_path):
     assert "REJECTED" in res.stdout
 
 
+@pytest.fixture
+def z6_certificate(tmp_path):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"ring": "Zn:6",
+                                  "rows": [["2", "3"], ["0", "4"]]}))
+    out = tmp_path / "cert.json"
+    assert run_cli("reduce", str(matrix), "--out", str(out)).returncode == 0
+    return matrix, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("Q", [["1", "0"], ["0"]], 2),                  # ragged: parse error
+    ("P", 5, 2),                                    # not a list of rows
+    ("D", [[1, 0], [0, 1]], 2),                     # entries not strings
+    ("Pinv", [["1", "0"], ["0", "1"], ["0", "0"]], 3),  # 3x2: shape
+    ("Qinv", [["1"]], 3),                           # 1x1: shape
+])
+def test_reduce_verify_malformed_certificate(z6_certificate, tmp_path,
+                                             field, value, code):
+    matrix, cert = z6_certificate
+    cert[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cert))
+    res = run_cli("reduce", str(matrix), "--verify", str(bad))
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    if code == 3:
+        assert "REJECTED" in res.stdout and "'shape'" in res.stdout
+
+
 def test_reduce_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"ring": "wat:7", "rows": [["1"]]}')
     assert run_cli("reduce", str(bad)).returncode == 2
     bad.write_text("not json")
     assert run_cli("reduce", str(bad)).returncode == 2
+    for text in ('[1, 2]', '{"ring": 5, "rows": [["1"]]}',
+                 '{"ring": "Zn:6", "rows": 5}'):
+        bad.write_text(text)
+        res = run_cli("reduce", str(bad))
+        assert res.returncode == 2 and "Traceback" not in res.stderr, text
 
 
 def test_reduce_failure_exit_3(tmp_path):

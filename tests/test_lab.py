@@ -85,3 +85,44 @@ def test_worker_fanout_matches_sequential(monkeypatch):
     monkeypatch.setenv("RINGLAB_WORKERS", "2")
     par = lab.report_to_json(lab.run_corpus(cfg))
     assert seq == par
+
+
+def test_reduction_checks_report_bytes_pinned():
+    """sha256 of a report over the C2.6/C3.9 battery, T3.8 and L3.7.
+
+    Any drift in the reducer, the verifier or the battery's sampling changes
+    these bytes. No table spec, so no checkout path enters the report.
+    """
+    import hashlib
+
+    cfg = lab.CorpusConfig(
+        ring_specs=("Zn:6", "Zn:12", "prod(Zn:4,Zn:9)", "polyq:9:x^2-1"),
+        checks=("C2.6", "C3.9", "T3.8", "L3.7"))
+    text = lab.report_to_json(lab.run_corpus(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "72bc3f2b562548ff5f6b4cd6e9412e9f0e4bc49c7675a27666395fb050f5f592")
+
+
+def test_battery_failure_payloads(monkeypatch):
+    """A rejected certificate and a failed reduction are reported with the
+    matrix as element strings and the verifier's invariant and position."""
+    from ringlab.errors import ReductionFailed
+
+    def config():
+        return lab.CorpusConfig(ring_specs=("Zn:2",), checks=("C2.6",),
+                                sample_2x2=0, sample_3x3=0)
+
+    monkeypatch.setattr(lab, "_verify_raw", lambda ops, A, *cert: ("product", [0, 1]))
+    row = lab.run_corpus(config())["results"][0]["rings"][0]
+    assert row["verdict"] is False and row["exercised"]["matrices"] == 16
+    assert row["counterexample"][0] == {
+        "matrix": [["0", "0"], ["0", "0"]],
+        "violation": {"invariant": "product", "position": [0, 1]}}
+
+    def fail(ops, A):
+        raise ReductionFailed("no gcd")
+
+    monkeypatch.setattr(lab, "_reduce_raw", fail)
+    row = lab.run_corpus(config())["results"][0]["rings"][0]
+    assert row["counterexample"][1] == {"matrix": [["1", "0"], ["0", "0"]],
+                                        "reason": "no gcd"}
