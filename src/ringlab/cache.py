@@ -56,6 +56,8 @@ class EngineCache:
         self.one = idx[ring._one_raw()]
         self._bezout_memo: dict[tuple[int, int], tuple] = {}
         self._sum_memo: dict[tuple[int, int], int] = {}
+        self._comax_x_memo: dict[tuple[int, int], int] = {}
+        self._preimage_memo: dict[int, dict[int, list[int]]] = {}
         self._ext: dict = {}  # scratch memo space for the predicate engine
 
     # --- element/index conversion -------------------------------------------
@@ -72,6 +74,12 @@ class EngineCache:
 
     def sub(self, i: int, j: int) -> int:
         return self.add[i * self.n + self.neg[j]]
+
+    @cached_property
+    def names(self) -> list[str]:
+        """Formatted string of every element, in index order."""
+        fmt = self.ring._format
+        return [fmt(v) for v in self.vals]
 
     # --- basic structure ------------------------------------------------------
 
@@ -219,18 +227,26 @@ class EngineCache:
         return [[table[cls[i]][cls[j]] for j in range(self.n)] for i in range(self.n)]
 
     def comax_witness(self, i: int, j: int) -> tuple[int, int] | None:
-        """First (x, y) in scan order with i*x + j*y = 1, or None."""
+        """First (x, y) in scan order with i*x + j*y = 1, or None.
+
+        x is the first one with 1 - i*x in jR, so it is memoized per
+        (i, ideal class of j); y is then the first multiplier of j.
+        """
         if not self.comax[i][j]:
             return None
         n, mul, one = self.n, self.mul, self.one
-        wit_j = self.pid_witness[j]
-        row = i * n
-        for x in range(n):
-            rem = self.sub(one, mul[row + x])
-            y = wit_j.get(rem)
-            if y is not None:
-                return x, y
-        return None
+        key = (i, self.ideal_class[j])
+        x = self._comax_x_memo.get(key)
+        if x is None:
+            ideal = self.pid[j]
+            row = i * n
+            for x in range(n):
+                if self.sub(one, mul[row + x]) in ideal:
+                    break
+            else:
+                return None
+            self._comax_x_memo[key] = x
+        return x, self.pid_witness[j][self.sub(one, mul[i * n + x])]
 
     def triple_comax(self, i: int, j: int, k: int) -> bool:
         """True iff iR + jR + kR = R."""
@@ -315,11 +331,10 @@ class EngineCache:
                 f"{self.ring.spec_string()}: ideal generated by "
                 f"{self.element(ia)} and {self.element(ib)} is not principal"
             )
-        n, mul = self.n, self.mul
         for d in gens:
-            row = d * n
-            cof_a = [t for t in range(n) if mul[row + t] == ia]
-            cof_b = [t for t in range(n) if mul[row + t] == ib]
+            pre = self._preimages(d)
+            cof_a = pre.get(ia, ())
+            cof_b = pre.get(ib, ())
             for a1 in cof_a:
                 comax_row = self.comax[a1]
                 for b1 in cof_b:
@@ -336,6 +351,17 @@ class EngineCache:
             f"{self.ring.spec_string()}: no comaximal cofactor pair for "
             f"{self.element(ia)}, {self.element(ib)}"
         )
+
+    def _preimages(self, d: int) -> dict[int, list[int]]:
+        """Value v -> every t with d*t = v, ascending (memoized per d)."""
+        got = self._preimage_memo.get(d)
+        if got is None:
+            got = {}
+            row = d * self.n
+            for t, v in enumerate(self.mul[row:row + self.n]):
+                got.setdefault(v, []).append(t)
+            self._preimage_memo[d] = got
+        return got
 
     def is_unit_idx(self, i: int) -> int | None:
         return self.units.get(i)

@@ -385,18 +385,27 @@ def cmd_adequate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_corpus(path: str) -> tuple[str, ...]:
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, list) or not all(isinstance(s, str) for s in data):
+        raise ParseError(f"{path}: expected a JSON list of ring spec strings")
+    return tuple(data)
+
+
 def cmd_check_theorems(args) -> int:
     try:
         if args.corpus:
-            specs = tuple(json.loads(open(args.corpus).read()))
+            specs = _read_corpus(args.corpus)
         else:
             specs = tuple(lab.default_corpus_specs())
-    except (OSError, json.JSONDecodeError) as exc:
+        checks = tuple(args.checks.split(",")) if args.checks else None
+        config = lab.CorpusConfig(ring_specs=specs, seed=args.seed,
+                                  size_bound=args.size_bound, checks=checks)
+        lab.worker_count()  # a bad RINGLAB_WORKERS fails before any work
+    except (OSError, ParseError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    checks = tuple(args.checks.split(",")) if args.checks else None
-    config = lab.CorpusConfig(ring_specs=specs, seed=args.seed,
-                              size_bound=args.size_bound, checks=checks)
     report = lab.run_corpus(config)
     text = lab.report_to_json(report)
     if args.out:

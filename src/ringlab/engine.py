@@ -13,6 +13,22 @@ the Jacobson radical. Both test clause (3) against the running target a.
 ``cvariant`` is the classic reading with clause (3) tested against c
 itself; it is kept separate because the two readings genuinely differ and
 callers must choose explicitly.
+
+Repeated work is done once per cache. The adequacy search is memoized per
+(variant, c, ideal class of the target): the target enters the search only
+through its comaximality row ``comax[target]`` (clause (2), and clause (3)
+for the classic and feckly variants), and that row is a function of the
+principal ideal aR, so every target of one class has the same first
+(r, s) in enumeration order. Clause (3) itself is memoized per (ideal
+class of s, ideal class of its target): ``nonunit_divisors[s]`` lists the
+non-units t with s in tR, which depends only on sR. Both memos therefore
+return exactly what the unmemoized search would. Element strings are
+formatted once (``EngineCache.names``) and parsed once (``_ParseMemo``).
+
+``reverify`` checks the whole domain of a positive verdict, not only the
+entries it is given: every element (or every quasi-idempotent), every
+comaximal pair, all n^2 pairs for ``hermite`` and every pair of ideal
+classes for ``bezout``. Malformed payloads are rejected, never raised.
 """
 
 from __future__ import annotations
@@ -21,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .cache import DEFAULT_SIZE_BOUND, EngineCache
-from .errors import NoDecomposition, NotBezout, NotFZA
+from .errors import NoDecomposition, NotBezout, NotFZA, ParseError
 from .rings import Element, Ring
 
 ELEMENT_PREDICATES = (
@@ -56,6 +72,16 @@ RING_PREDICATES = (
 )
 
 _VARIANTS = {"classic", "feckly", "cvariant"}
+
+# Adequacy predicate -> the variant of the single-target search it runs.
+_ADEQUACY_VARIANT = {
+    "adequate": "classic",
+    "feckly_adequate": "feckly",
+    "adequate_cvariant": "cvariant",
+    "zero_adequate": "classic",
+    "feckly_zero_adequate": "feckly",
+    "everywhere_adequate": "classic",
+}
 
 
 @dataclass
@@ -187,9 +213,14 @@ def _clean_idx(c: EngineCache, a: int, feckly: bool) -> int | None:
 
 
 def _anchored(c: EngineCache, s: int, target: int) -> bool:
-    """Clause (3): every non-unit divisor of s is non-comaximal with target."""
+    """Clause (3): every non-unit divisor of s is non-comaximal with target.
+
+    Memoized per (ideal class of s, ideal class of target); see the module
+    docstring for why that is exact.
+    """
     memo = c._ext.setdefault("anchored", {})
-    key = (s, target)
+    cls = c.ideal_class
+    key = (cls[s], cls[target])
     got = memo.get(key)
     if got is None:
         comax_t = c.comax[target]
@@ -200,10 +231,27 @@ def _anchored(c: EngineCache, s: int, target: int) -> bool:
 
 def _adequate_pair_idx(c: EngineCache, cval: int, target: int,
                        variant: str) -> tuple[int, int] | None:
-    """First (r, s) in enumeration order witnessing adequacy of cval."""
+    """First (r, s) in enumeration order witnessing adequacy of cval.
+
+    Memoized per (variant, cval, ideal class of target); see the module
+    docstring for why that is exact.
+    """
+    memo = c._ext.setdefault("adequate_pair", {})
+    key = (variant, cval, c.ideal_class[target])
+    if key not in memo:
+        memo[key] = _first_adequate_pair(c, cval, target, variant)
+    return memo[key]
+
+
+def _first_adequate_pair(c: EngineCache, cval: int, target: int,
+                         variant: str) -> tuple[int, int] | None:
     n, mul = c.n, c.mul
-    jac = c.jac
-    feckly = variant == "feckly"
+    # r*s is acceptable iff it equals cval (classic, cvariant) or
+    # cval - r*s = j lies in the radical (feckly), i.e. r*s = cval - j.
+    if variant == "feckly":
+        hits = {c.sub(cval, j) for j in c.jac}
+    else:
+        hits = {cval}
     clause3_target = cval if variant == "cvariant" else target
     comax_target = c.comax[target]
     for r in range(n):
@@ -211,13 +259,7 @@ def _adequate_pair_idx(c: EngineCache, cval: int, target: int,
             continue
         row = r * n
         for s in range(n):
-            prod = mul[row + s]
-            if feckly:
-                if c.sub(cval, prod) not in jac:
-                    continue
-            elif prod != cval:
-                continue
-            if _anchored(c, s, clause3_target):
+            if mul[row + s] in hits and _anchored(c, s, clause3_target):
                 return r, s
     return None
 
@@ -284,7 +326,7 @@ def element_predicate(cache: EngineCache, a: Element, predicate: str) -> Propert
                                   counterexample={"a": fmt(a)},
                                   exercised={"candidates": c.n})
         return PropertyResult(predicate, True,
-                              witness={"b": c.ring._format(c.vals[b])},
+                              witness={"b": c.names[b]},
                               exercised={"candidates": b + 1})
 
     if predicate == "pi_regular":
@@ -295,27 +337,26 @@ def element_predicate(cache: EngineCache, a: Element, predicate: str) -> Propert
                                   exercised={"exponent_bound": c.n})
         n_exp, b = res
         return PropertyResult(predicate, True,
-                              witness={"n": n_exp, "b": c.ring._format(c.vals[b])})
+                              witness={"n": n_exp, "b": c.names[b]})
 
     if predicate in ("clean", "feckly_clean"):
         e = _clean_idx(c, i, feckly=predicate == "feckly_clean")
         if e is None:
             return PropertyResult(predicate, False, counterexample={"a": fmt(a)})
         return PropertyResult(predicate, True,
-                              witness={"e": c.ring._format(c.vals[e])})
+                              witness={"e": c.names[e]})
 
-    variant = {"adequate": "classic", "feckly_adequate": "feckly",
-               "adequate_cvariant": "cvariant"}[predicate]
+    variant = _ADEQUACY_VARIANT[predicate]
     ok, data = _fa_element_idx(c, i, variant)
     if not ok:
         return PropertyResult(
             predicate, False,
             counterexample={"element": fmt(a),
-                            "target": c.ring._format(c.vals[data]),
+                            "target": c.names[data],
                             "pairs_searched": c.n * c.n},
             exercised={"targets": data + 1})
     witness = {
-        c.ring._format(c.vals[t]): _pair_payload(c, i, t, rs, variant)
+        c.names[t]: _pair_payload(c, i, t, rs, variant)
         for t, rs in data.items()
     }
     return PropertyResult(predicate, True,
@@ -329,11 +370,10 @@ def _pair_payload(c: EngineCache, cval: int, target: int,
     j = c.sub(cval, c.mul[r * c.n + s])
     wit = c.comax_witness(r, target)
     x, y = wit if wit is not None else (None, None)
-    fmt = c.ring._format
-    out = {"r": fmt(c.vals[r]), "s": fmt(c.vals[s]), "j": fmt(c.vals[j])}
+    out = {"r": c.names[r], "s": c.names[s], "j": c.names[j]}
     if x is not None:
-        out["x"] = fmt(c.vals[x])
-        out["y"] = fmt(c.vals[y])
+        out["x"] = c.names[x]
+        out["y"] = c.names[y]
     return out
 
 
@@ -366,8 +406,8 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
     if predicate not in RING_PREDICATES:
         raise ValueError(f"unknown ring predicate {predicate!r}")
     c = cache
-    fmt = c.ring._format
     n = c.n
+    names = c.names
 
     if predicate == "bezout":
         k = len(set(c.ideal_class))
@@ -384,14 +424,14 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
                     return PropertyResult(
                         predicate, False,
                         counterexample={
-                            "a": fmt(c.vals[rep1]),
-                            "b": fmt(c.vals[rep2]),
-                            "ideal": [fmt(c.vals[i]) for i in ideal],
+                            "a": names[rep1],
+                            "b": names[rep2],
+                            "ideal": [names[i] for i in ideal],
                             "note": "no element generates this ideal",
                         },
                         exercised={"ideal_pairs": k * (k + 1) // 2})
-                pairs.append({"a": fmt(c.vals[rep1]), "b": fmt(c.vals[rep2]),
-                              "d": fmt(c.vals[gens[0]])})
+                pairs.append({"a": names[rep1], "b": names[rep2],
+                              "d": names[gens[0]]})
         return PropertyResult(predicate, True, witness={"pairs": pairs},
                               exercised={"ideal_pairs": k * (k + 1) // 2,
                                          "element_pairs": n * n})
@@ -405,13 +445,13 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
                 except NotBezout:
                     return PropertyResult(
                         predicate, False,
-                        counterexample={"a": fmt(c.vals[a]), "b": fmt(c.vals[b]),
+                        counterexample={"a": names[a], "b": names[b],
                                         "note": "no comaximal cofactor witness"},
                         exercised={"pairs": n * n})
-                entries.append({"a": fmt(c.vals[a]), "b": fmt(c.vals[b]),
-                                "d": fmt(c.vals[d]), "a1": fmt(c.vals[a1]),
-                                "b1": fmt(c.vals[b1]), "u": fmt(c.vals[u]),
-                                "v": fmt(c.vals[v])})
+                entries.append({"a": names[a], "b": names[b],
+                                "d": names[d], "a1": names[a1],
+                                "b1": names[b1], "u": names[u],
+                                "v": names[v]})
         return PropertyResult(predicate, True, witness={"pairs": entries},
                               exercised={"pairs": n * n})
 
@@ -422,9 +462,9 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
             b = _regular_idx(c, a, mod_j)
             if b is None:
                 return PropertyResult(predicate, False,
-                                      counterexample={"a": fmt(c.vals[a])},
+                                      counterexample={"a": names[a]},
                                       exercised={"elements": n})
-            table[fmt(c.vals[a])] = fmt(c.vals[b])
+            table[names[a]] = names[b]
         return PropertyResult(predicate, True, witness={"map": table},
                               exercised={"elements": n})
 
@@ -434,9 +474,9 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
             res = _pi_regular_idx(c, a, mod_j=True)
             if res is None:
                 return PropertyResult(predicate, False,
-                                      counterexample={"a": fmt(c.vals[a])},
+                                      counterexample={"a": names[a]},
                                       exercised={"elements": n})
-            table[fmt(c.vals[a])] = {"n": res[0], "b": fmt(c.vals[res[1]])}
+            table[names[a]] = {"n": res[0], "b": names[res[1]]}
         return PropertyResult(predicate, True, witness={"map": table},
                               exercised={"elements": n})
 
@@ -447,23 +487,15 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
             e = _clean_idx(c, a, feckly)
             if e is None:
                 return PropertyResult(predicate, False,
-                                      counterexample={"a": fmt(c.vals[a])},
+                                      counterexample={"a": names[a]},
                                       exercised={"elements": n})
-            table[fmt(c.vals[a])] = fmt(c.vals[e])
+            table[names[a]] = names[e]
         return PropertyResult(predicate, True, witness={"map": table},
                               exercised={"elements": n})
 
     if predicate == "semiregular":
-        reg = ring_predicate(c, "regular_mod_J")
-        lift = ring_predicate(c, "idempotents_lift_mod_J")
-        verdict = reg.verdict and lift.verdict
-        payload = {"regular_mod_J": reg.verdict,
-                   "idempotents_lift_mod_J": lift.verdict}
-        bad = reg.counterexample or lift.counterexample
-        return PropertyResult(predicate, verdict,
-                              witness=payload if verdict else None,
-                              counterexample=None if verdict else bad,
-                              exercised={"elements": n})
+        return _semiregular(c, ring_predicate(c, "regular_mod_J"),
+                            ring_predicate(c, "idempotents_lift_mod_J"))
 
     if predicate == "idempotents_lift_mod_J":
         table = {}
@@ -475,24 +507,24 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
                     break
             if hit is None:
                 return PropertyResult(predicate, False,
-                                      counterexample={"x": fmt(c.vals[x])},
+                                      counterexample={"x": names[x]},
                                       exercised={"quasi_idempotents":
                                                  len(c.quasi_idempotents)})
-            table[fmt(c.vals[x])] = fmt(c.vals[hit])
+            table[names[x]] = names[hit]
         return PropertyResult(predicate, True, witness={"map": table},
                               exercised={"quasi_idempotents":
                                          len(c.quasi_idempotents)})
 
     if predicate in ("zero_adequate", "feckly_zero_adequate"):
-        variant = "feckly" if predicate == "feckly_zero_adequate" else "classic"
+        variant = _ADEQUACY_VARIANT[predicate]
         ok, data = _fa_element_idx(c, c.zero, variant)
         if not ok:
             return PropertyResult(
                 predicate, False,
-                counterexample={"target": fmt(c.vals[data]),
+                counterexample={"target": names[data],
                                 "pairs_searched": n * n},
                 exercised={"targets": data + 1})
-        witness = {fmt(c.vals[t]): _pair_payload(c, c.zero, t, rs, variant)
+        witness = {names[t]: _pair_payload(c, c.zero, t, rs, variant)
                    for t, rs in data.items()}
         return PropertyResult(predicate, True, witness={"targets": witness},
                               exercised={"targets": n})
@@ -509,11 +541,11 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
                     break
             if hit is None:
                 return PropertyResult(predicate, False,
-                                      counterexample={"a": fmt(c.vals[a]),
-                                                      "b": fmt(c.vals[b])},
+                                      counterexample={"a": names[a],
+                                                      "b": names[b]},
                                       exercised={"comax_pairs": count})
-            entries.append({"a": fmt(c.vals[a]), "b": fmt(c.vals[b]),
-                            "y": fmt(c.vals[hit])})
+            entries.append({"a": names[a], "b": names[b],
+                            "y": names[hit]})
         return PropertyResult(predicate, True, witness={"pairs": entries},
                               exercised={"comax_pairs": count})
 
@@ -532,11 +564,11 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
                     break
             if hit is None:
                 return PropertyResult(predicate, False,
-                                      counterexample={"a": fmt(c.vals[a]),
-                                                      "b": fmt(c.vals[b])},
+                                      counterexample={"a": names[a],
+                                                      "b": names[b]},
                                       exercised={"comax_pairs": count})
-            entries.append({"a": fmt(c.vals[a]), "b": fmt(c.vals[b]),
-                            "e": fmt(c.vals[hit])})
+            entries.append({"a": names[a], "b": names[b],
+                            "e": names[hit]})
         return PropertyResult(predicate, True, witness={"pairs": entries},
                               exercised={"comax_pairs": count})
 
@@ -552,9 +584,9 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
                     break
             if hit is None:
                 return PropertyResult(predicate, False,
-                                      counterexample={"a": fmt(c.vals[a])},
+                                      counterexample={"a": names[a]},
                                       exercised={"elements": n})
-            table[fmt(c.vals[a])] = fmt(c.vals[hit])
+            table[names[a]] = names[hit]
         return PropertyResult(predicate, True, witness={"map": table},
                               exercised={"elements": n})
 
@@ -571,11 +603,11 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
                     break
             if hit is None:
                 return PropertyResult(predicate, False,
-                                      counterexample={"a": fmt(c.vals[a]),
-                                                      "b": fmt(c.vals[b])},
+                                      counterexample={"a": names[a],
+                                                      "b": names[b]},
                                       exercised={"comax_pairs": count})
-            entries.append({"a": fmt(c.vals[a]), "b": fmt(c.vals[b]),
-                            "y": fmt(c.vals[hit])})
+            entries.append({"a": names[a], "b": names[b],
+                            "y": names[hit]})
         return PropertyResult(predicate, True, witness={"pairs": entries},
                               exercised={"comax_pairs": count})
 
@@ -586,11 +618,11 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
             if not ok:
                 return PropertyResult(
                     predicate, False,
-                    counterexample={"c": fmt(c.vals[cv]),
-                                    "target": fmt(c.vals[data])},
+                    counterexample={"c": names[cv],
+                                    "target": names[data]},
                     exercised={"elements": cv + 1})
-            per_element[fmt(c.vals[cv])] = {
-                fmt(c.vals[t]): _pair_payload(c, cv, t, rs, "classic")
+            per_element[names[cv]] = {
+                names[t]: _pair_payload(c, cv, t, rs, "classic")
                 for t, rs in data.items()
             }
         return PropertyResult(predicate, True,
@@ -598,6 +630,19 @@ def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
                               exercised={"elements": n})
 
     raise AssertionError(f"unhandled predicate {predicate!r}")
+
+
+def _semiregular(c: EngineCache, reg: PropertyResult,
+                 lift: PropertyResult) -> PropertyResult:
+    """Semiregularity from its two decided parts."""
+    verdict = reg.verdict and lift.verdict
+    payload = {"regular_mod_J": reg.verdict,
+               "idempotents_lift_mod_J": lift.verdict}
+    bad = reg.counterexample or lift.counterexample
+    return PropertyResult("semiregular", verdict,
+                          witness=payload if verdict else None,
+                          counterexample=None if verdict else bad,
+                          exercised={"elements": c.n})
 
 
 # ---------------------------------------------------------------------------
@@ -676,15 +721,14 @@ def j_characterization_check(cache: EngineCache) -> PropertyResult:
         x for x in range(c.n)
         if all(c.sub(x, u) in c.unit_set for u in units)
     )
-    fmt = c.ring._format
     if alt == c.jac:
         return PropertyResult("j_characterization", True,
-                              witness={"radical": [fmt(c.vals[x])
+                              witness={"radical": [c.names[x]
                                                    for x in sorted(c.jac)]},
                               exercised={"elements": c.n, "units": len(units)})
     diff = sorted(alt.symmetric_difference(c.jac))
     return PropertyResult("j_characterization", False,
-                          counterexample={"element": fmt(c.vals[diff[0]]),
+                          counterexample={"element": c.names[diff[0]],
                                           "in_radical": diff[0] in c.jac},
                           exercised={"elements": c.n})
 
@@ -694,212 +738,293 @@ def j_characterization_check(cache: EngineCache) -> PropertyResult:
 # ---------------------------------------------------------------------------
 
 
-def _parse(c: EngineCache, text: str) -> int:
-    return c.idx[c.ring._parse(text)]
+class _ParseMemo(dict):
+    """Element string -> index for one cache; a miss parses the string.
+
+    Only strings the ring's parser accepts are stored, so a rejected
+    string raises again on every lookup.
+    """
+
+    def __init__(self, cache: EngineCache):
+        super().__init__()
+        self.cache = cache
+
+    def __missing__(self, text):
+        if not isinstance(text, str):
+            raise ParseError(f"element {text!r} is not a string")
+        c = self.cache
+        got = self[text] = c.idx[c.ring._parse(text)]
+        return got
+
+
+def _parse_memo(c: EngineCache) -> _ParseMemo:
+    memo = c._ext.get("parsed")
+    if memo is None:
+        memo = c._ext["parsed"] = _ParseMemo(c)
+    return memo
+
+
+def _power(c: EngineCache, a: int, e: int) -> int:
+    """a^e for e >= 1, by repeated squaring."""
+    n, mul = c.n, c.mul
+    out, base, e = a, a, e - 1
+    while e:
+        if e & 1:
+            out = mul[out * n + base]
+        base = mul[base * n + base]
+        e >>= 1
+    return out
+
+
+def _covers(keys: list, size: int) -> bool:
+    """True iff ``keys`` are pairwise distinct and exactly ``size`` many."""
+    return len(keys) == size and len(set(keys)) == size
+
+
+def _same_result(a: PropertyResult, b: PropertyResult) -> bool:
+    return (a.verdict == b.verdict and a.witness == b.witness
+            and a.counterexample == b.counterexample)
 
 
 def reverify(cache: EngineCache, result: PropertyResult) -> bool:
     """Re-check a PropertyResult payload by direct ring arithmetic.
 
-    Positive verdicts are accepted only if every stored witness satisfies
-    its defining identity; negative verdicts only if the counterexample
-    still fails an exhaustive re-search. Unknown payload shapes fail.
+    Positive verdicts are accepted only if the stored witnesses cover the
+    predicate's whole domain and each satisfies its defining identity;
+    negative verdicts only if the counterexample still fails an exhaustive
+    re-search. ``semiregular`` and ``j_characterization`` are decided
+    again and compared. Unknown or malformed payloads fail.
     """
-    c = cache
-    n = c.n
-    p = result.predicate
     try:
-        if p in ("regular", "regular_mod_J") and result.verdict:
-            for astr, bstr in result.witness["map"].items():
-                a, b = _parse(c, astr), _parse(c, bstr)
-                aba = c.mul[c.mul[a * n + b] * n + a]
-                if p == "regular" and aba != a:
-                    return False
-                if p == "regular_mod_J" and c.sub(a, aba) not in c.jac:
-                    return False
-            return True
-        if p in ("regular", "regular_mod_J") and not result.verdict:
-            a = _parse(c, result.counterexample["a"])
-            return _regular_idx(c, a, p == "regular_mod_J") is None
-        if p == "pi_regular_mod_J":
-            if not result.verdict:
-                a = _parse(c, result.counterexample["a"])
-                return _pi_regular_idx(c, a, True) is None
-            for astr, rec in result.witness["map"].items():
-                a, b = _parse(c, astr), _parse(c, rec["b"])
-                power = a
-                for _ in range(rec["n"] - 1):
-                    power = c.mul[power * n + a]
-                pbp = c.mul[c.mul[power * n + b] * n + power]
-                if c.sub(power, pbp) not in c.jac:
-                    return False
-            return True
-        if p in ("clean", "feckly_clean"):
-            if not result.verdict:
-                a = _parse(c, result.counterexample["a"])
-                return _clean_idx(c, a, p == "feckly_clean") is None
-            pool = c.quasi_idempotents if p == "feckly_clean" else c.idempotents
-            for astr, estr in result.witness["map"].items():
-                a, e = _parse(c, astr), _parse(c, estr)
-                if e not in pool or c.sub(a, e) not in c.unit_set:
-                    return False
-            return True
-        if p in ("zero_adequate", "feckly_zero_adequate", "everywhere_adequate",
-                 "adequate", "feckly_adequate", "adequate_cvariant"):
-            return _reverify_adequate(c, result)
-        if p == "bezout":
-            if not result.verdict:
-                a = _parse(c, result.counterexample["a"])
-                b = _parse(c, result.counterexample["b"])
-                sid = c.sum_ideal_id(c.ideal_class[a], c.ideal_class[b])
-                return not c.generators_of(sid)
-            for rec in result.witness["pairs"]:
-                a, b, d = (_parse(c, rec[k]) for k in ("a", "b", "d"))
-                sid = c.sum_ideal_id(c.ideal_class[a], c.ideal_class[b])
-                if c.pid[d] != c.ideal_set(sid):
-                    return False
-            return True
-        if p == "hermite":
-            if not result.verdict:
-                a = _parse(c, result.counterexample["a"])
-                b = _parse(c, result.counterexample["b"])
-                try:
-                    c.bezout(a, b)
-                except NotBezout:
-                    return True
-                return False
-            for rec in result.witness["pairs"]:
-                a, b, d, a1, b1, u, v = (
-                    _parse(c, rec[k]) for k in ("a", "b", "d", "a1", "b1", "u", "v"))
-                if c.mul[a1 * n + d] != a or c.mul[b1 * n + d] != b:
-                    return False
-                if c.add[c.mul[a1 * n + u] * n + c.mul[b1 * n + v]] != c.one:
-                    return False
-            return True
-        if p == "stable_range_1":
-            if not result.verdict:
-                a = _parse(c, result.counterexample["a"])
-                b = _parse(c, result.counterexample["b"])
-                return c.comax[a][b] and all(
-                    c.add[a * n + c.mul[b * n + y]] not in c.unit_set
-                    for y in range(n))
-            for rec in result.witness["pairs"]:
-                a, b, y = (_parse(c, rec[k]) for k in ("a", "b", "y"))
-                if not c.comax[a][b]:
-                    return False
-                if c.add[a * n + c.mul[b * n + y]] not in c.unit_set:
-                    return False
-            return True
-        if p == "idempotents_lift_mod_J":
-            if not result.verdict:
-                x = _parse(c, result.counterexample["x"])
-                return x in c.quasi_idempotents and all(
-                    c.sub(x, e) not in c.jac for e in c.idempotents)
-            for xstr, estr in result.witness["map"].items():
-                x, e = _parse(c, xstr), _parse(c, estr)
-                if e not in c.idempotents or c.sub(x, e) not in c.jac:
-                    return False
-            return True
-        if p in ("t216_cond2", "c217_cond2"):
-            pool = c.quasi_idempotents if p == "t216_cond2" else c.idempotents
-            if not result.verdict:
-                a = _parse(c, result.counterexample["a"])
-                b = _parse(c, result.counterexample["b"])
-                return c.comax[a][b] and all(
-                    not (c.add[a * n + c.mul[b * n + e]] in c.unit_set
-                         and _meet_in_radical(c, a, e))
-                    for e in pool)
-            for rec in result.witness["pairs"]:
-                a, b, e = (_parse(c, rec[k]) for k in ("a", "b", "e"))
-                if e not in pool or not c.comax[a][b]:
-                    return False
-                if c.add[a * n + c.mul[b * n + e]] not in c.unit_set:
-                    return False
-                if not _meet_in_radical(c, a, e):
-                    return False
-            return True
-        if p in ("t216_cond3", "c217_cond3"):
-            pool = c.quasi_idempotents if p == "t216_cond3" else c.idempotents
-            if not result.verdict:
-                a = _parse(c, result.counterexample["a"])
-                return all(
-                    not (c.sub(a, e) in c.unit_set and _meet_in_radical(c, a, e))
-                    for e in pool)
-            for astr, estr in result.witness["map"].items():
-                a, e = _parse(c, astr), _parse(c, estr)
-                if e not in pool or c.sub(a, e) not in c.unit_set:
-                    return False
-                if not _meet_in_radical(c, a, e):
-                    return False
-            return True
-        if p == "feckly_adequate_range_1":
-            if not result.verdict:
-                a = _parse(c, result.counterexample["a"])
-                b = _parse(c, result.counterexample["b"])
-                return c.comax[a][b] and all(
-                    not _fa_element_idx(c, c.add[a * n + c.mul[b * n + y]],
-                                        "feckly")[0]
-                    for y in range(n))
-            for rec in result.witness["pairs"]:
-                a, b, y = (_parse(c, rec[k]) for k in ("a", "b", "y"))
-                w = c.add[a * n + c.mul[b * n + y]]
-                if not c.comax[a][b] or not _fa_element_idx(c, w, "feckly")[0]:
-                    return False
-            return True
-        if p == "semiregular":
-            return True  # composite of two re-verified predicates
-        if p == "j_characterization":
-            redo = j_characterization_check(c)
-            return redo.verdict == result.verdict
-    except (KeyError, ValueError):
+        return _reverify(cache, result)
+    except (KeyError, ValueError, TypeError, AttributeError, ParseError):
         return False
+
+
+def _reverify(c: EngineCache, result: PropertyResult) -> bool:
+    parsed = _parse_memo(c)
+    n, add, mul = c.n, c.add, c.mul
+    p = result.predicate
+    if p in _ADEQUACY_VARIANT:
+        return _reverify_adequate(c, result)
+    if p in ("regular", "regular_mod_J", "pi_regular_mod_J", "clean",
+             "feckly_clean", "t216_cond3", "c217_cond3",
+             "idempotents_lift_mod_J"):
+        return _reverify_map(c, result)
+    if p in ("stable_range_1", "t216_cond2", "c217_cond2",
+             "feckly_adequate_range_1"):
+        return _reverify_comax_pairs(c, result)
+    if p == "semiregular":
+        reg = ring_predicate(c, "regular_mod_J")
+        lift = ring_predicate(c, "idempotents_lift_mod_J")
+        return (_reverify_map(c, reg) and _reverify_map(c, lift)
+                and _same_result(result, _semiregular(c, reg, lift)))
+    if p == "j_characterization":
+        return _same_result(result, j_characterization_check(c))
+    if p == "bezout":
+        cls = c.ideal_class
+        if not result.verdict:
+            bad = result.counterexample
+            a, b = parsed[bad["a"]], parsed[bad["b"]]
+            sid = c.sum_ideal_id(cls[a], cls[b])
+            ideal = sorted(parsed[x] for x in bad["ideal"])
+            return not c.generators_of(sid) and ideal == sorted(c.ideal_set(sid))
+        keys = []
+        for rec in result.witness["pairs"]:
+            a, b, d = [parsed[rec[k]] for k in ("a", "b", "d")]
+            sid = c.sum_ideal_id(cls[a], cls[b])
+            if c.pid[d] != c.ideal_set(sid):
+                return False
+            keys.append((min(cls[a], cls[b]), max(cls[a], cls[b])))
+        k = len(set(cls))
+        return _covers(keys, k * (k + 1) // 2)
+    if p == "hermite":
+        if not result.verdict:
+            a = parsed[result.counterexample["a"]]
+            b = parsed[result.counterexample["b"]]
+            try:
+                c.bezout(a, b)
+            except NotBezout:
+                return True
+            return False
+        keys = []
+        for rec in result.witness["pairs"]:
+            a, b, d, a1, b1, u, v = [
+                parsed[rec[k]] for k in ("a", "b", "d", "a1", "b1", "u", "v")]
+            if mul[a1 * n + d] != a or mul[b1 * n + d] != b:
+                return False
+            if add[mul[a1 * n + u] * n + mul[b1 * n + v]] != c.one:
+                return False
+            keys.append((a, b))
+        return _covers(keys, n * n)
     return False
 
 
-def _reverify_adequate(c: EngineCache, result: PropertyResult) -> bool:
-    n = c.n
+def _reverify_map(c: EngineCache, result: PropertyResult) -> bool:
+    """Predicates whose witness maps each element of a domain to a witness.
+
+    The domain is every element, or the quasi-idempotents for
+    ``idempotents_lift_mod_J``.
+    """
+    n, mul = c.n, c.mul
+    jac, units = c.jac, c.unit_set
+    parsed = _parse_memo(c)
     p = result.predicate
-    variant = {"zero_adequate": "classic", "feckly_zero_adequate": "feckly",
-               "adequate": "classic", "feckly_adequate": "feckly",
-               "adequate_cvariant": "cvariant",
-               "everywhere_adequate": "classic"}[p]
+    domain = None  # every element
+    if p in ("regular", "regular_mod_J"):
+        mod_j = p == "regular_mod_J"
+
+        def refuted(a):
+            return _regular_idx(c, a, mod_j) is None
+
+        def holds(a, w):
+            b = parsed[w]
+            aba = mul[mul[a * n + b] * n + a]
+            return c.sub(a, aba) in jac if mod_j else aba == a
+    elif p == "pi_regular_mod_J":
+        def refuted(a):
+            return _pi_regular_idx(c, a, True) is None
+
+        def holds(a, w):
+            b, e = parsed[w["b"]], w["n"]
+            if type(e) is not int or e < 1:
+                return False
+            power = _power(c, a, e)
+            return c.sub(power, mul[mul[power * n + b] * n + power]) in jac
+    elif p in ("clean", "feckly_clean"):
+        feckly = p == "feckly_clean"
+        pool = c.quasi_idempotents if feckly else c.idempotents
+
+        def refuted(a):
+            return _clean_idx(c, a, feckly) is None
+
+        def holds(a, w):
+            e = parsed[w]
+            return e in pool and c.sub(a, e) in units
+    elif p in ("t216_cond3", "c217_cond3"):
+        pool = c.quasi_idempotents if p == "t216_cond3" else c.idempotents
+
+        def meets(a, e):
+            return c.sub(a, e) in units and _meet_in_radical(c, a, e)
+
+        def refuted(a):
+            return not any(meets(a, e) for e in pool)
+
+        def holds(a, w):
+            e = parsed[w]
+            return e in pool and meets(a, e)
+    else:  # idempotents_lift_mod_J
+        domain = c.quasi_idempotents
+
+        def refuted(x):
+            return x in domain and all(c.sub(x, e) not in jac
+                                       for e in c.idempotents)
+
+        def holds(x, w):
+            e = parsed[w]
+            return x in domain and e in c.idempotents and c.sub(x, e) in jac
+    if not result.verdict:
+        key = "a" if domain is None else "x"
+        return refuted(parsed[result.counterexample[key]])
+    keys = []
+    for astr, w in result.witness["map"].items():
+        a = parsed[astr]
+        if not holds(a, w):
+            return False
+        keys.append(a)
+    return _covers(keys, n if domain is None else len(domain))
+
+
+def _reverify_comax_pairs(c: EngineCache, result: PropertyResult) -> bool:
+    """Predicates quantified over the comaximal pairs (a, b).
+
+    Each pair carries one witness element (``y`` or ``e``); the pairs must
+    be exactly the comaximal pairs of the ring.
+    """
+    n, add, mul = c.n, c.add, c.mul
+    units = c.unit_set
+    parsed = _parse_memo(c)
+    p = result.predicate
+    if p == "stable_range_1":
+        key, pool = "y", range(n)
+
+        def holds(a, b, w):
+            return add[a * n + mul[b * n + w]] in units
+    elif p == "feckly_adequate_range_1":
+        key, pool = "y", range(n)
+
+        def holds(a, b, w):
+            return _fa_element_idx(c, add[a * n + mul[b * n + w]], "feckly")[0]
+    else:  # t216_cond2, c217_cond2
+        key = "e"
+        pool = c.quasi_idempotents if p == "t216_cond2" else c.idempotents
+
+        def holds(a, b, w):
+            return (w in pool and add[a * n + mul[b * n + w]] in units
+                    and _meet_in_radical(c, a, w))
+    if not result.verdict:
+        a = parsed[result.counterexample["a"]]
+        b = parsed[result.counterexample["b"]]
+        return c.comax[a][b] and not any(holds(a, b, w) for w in pool)
+    keys = []
+    for rec in result.witness["pairs"]:
+        a, b, w = [parsed[rec[k]] for k in ("a", "b", key)]
+        if not c.comax[a][b] or not holds(a, b, w):
+            return False
+        keys.append((a, b))
+    return _covers(keys, _comax_pair_count(c))
+
+
+def _comax_pair_count(c: EngineCache) -> int:
+    got = c._ext.get("comax_pairs")
+    if got is None:
+        got = c._ext["comax_pairs"] = sum(map(sum, c.comax))
+    return got
+
+
+def _reverify_adequate(c: EngineCache, result: PropertyResult) -> bool:
+    parsed = _parse_memo(c)
+    n, add, mul = c.n, c.add, c.mul
+    p = result.predicate
+    variant = _ADEQUACY_VARIANT[p]
 
     def check_table(cval: int, table: dict) -> bool:
-        if len(table) != n:
-            return False
+        """Every target has (r, s, j, x, y) with c - r*s = j, r*x + t*y = 1."""
+        keys = []
         for tstr, rec in table.items():
-            target = _parse(c, tstr)
-            r, s = _parse(c, rec["r"]), _parse(c, rec["s"])
-            prod = c.mul[r * n + s]
-            if variant == "feckly":
-                if c.sub(cval, prod) not in c.jac:
-                    return False
-            elif prod != cval:
+            t = parsed[tstr]
+            r, s, j, x, y = [parsed[rec[k]] for k in ("r", "s", "j", "x", "y")]
+            if c.sub(cval, mul[r * n + s]) != j:
                 return False
-            if not c.comax[r][target]:
+            if (j not in c.jac) if variant == "feckly" else (j != c.zero):
                 return False
-            clause3 = cval if variant == "cvariant" else target
-            if not _anchored(c, s, clause3):
+            if add[mul[r * n + x] * n + mul[t * n + y]] != c.one:
                 return False
-        return True
+            if not _anchored(c, s, cval if variant == "cvariant" else t):
+                return False
+            keys.append(t)
+        return _covers(keys, n)
 
     if p == "everywhere_adequate":
         if not result.verdict:
-            cv = _parse(c, result.counterexample["c"])
-            t = _parse(c, result.counterexample["target"])
+            cv = parsed[result.counterexample["c"]]
+            t = parsed[result.counterexample["target"]]
             return _adequate_pair_idx(c, cv, t, variant) is None
-        per = result.witness["elements"]
-        if len(per) != n:
-            return False
-        return all(check_table(_parse(c, cstr), tab) for cstr, tab in per.items())
+        keys = []
+        for cstr, table in result.witness["elements"].items():
+            cv = parsed[cstr]
+            if not check_table(cv, table):
+                return False
+            keys.append(cv)
+        return _covers(keys, n)
 
     if p in ("zero_adequate", "feckly_zero_adequate"):
         cval = c.zero
     elif result.verdict:
-        cval = _parse(c, result.witness["element"])
+        cval = parsed[result.witness["element"]]
     else:
-        cval = _parse(c, result.counterexample["element"])
+        cval = parsed[result.counterexample["element"]]
     if not result.verdict:
-        t = _parse(c, result.counterexample["target"])
+        t = parsed[result.counterexample["target"]]
         return _adequate_pair_idx(c, cval, t, variant) is None
     return check_table(cval, result.witness["targets"])

@@ -10,7 +10,9 @@ re-verified too, so a failing report is itself certified.
 Reports are deterministic: a fixed seed drives all sampling, per-check
 ring entries are sorted by ring spec, and the JSON serializer sorts keys.
 Set the environment variable RINGLAB_WORKERS to fan per-ring work out to
-that many processes; the merged report is identical either way.
+that many processes; the merged report is identical either way. A value
+that is not an integer of at least 1, or a check id outside CHECK_ORDER,
+raises ValueError before any work starts.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ class CorpusConfig:
     sample_3x3: int = 200
     large_sample_2x2: int = 100
     large_sample_3x3: int = 10
+
+    def __post_init__(self):
+        unknown = [cid for cid in self.checks or () if cid not in CHECK_ORDER]
+        if unknown:
+            raise ValueError("unknown check id(s): " + ", ".join(map(repr, unknown)))
 
     def to_json(self) -> dict:
         return {
@@ -771,11 +778,30 @@ def _ring_task(args) -> tuple[str, dict]:
     return spec, out
 
 
+def worker_count() -> int:
+    """Process count from RINGLAB_WORKERS: unset or empty means 1.
+
+    Raises ValueError, naming the variable, for a value that is not an
+    integer of at least 1.
+    """
+    text = os.environ.get("RINGLAB_WORKERS", "")
+    if not text:
+        return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(
+            f"RINGLAB_WORKERS must be an integer >= 1, got {text!r}")
+    return workers
+
+
 def run_corpus(config: CorpusConfig) -> dict:
     """Run every requested check over the corpus and assemble the report."""
     wanted = config.checks
     specs = list(config.ring_specs)
-    workers = int(os.environ.get("RINGLAB_WORKERS", "1") or "1")
+    workers = worker_count()
     tasks = [(spec, config) for spec in specs]
     if workers > 1 and len(specs) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,10 +8,11 @@ import pytest
 from ringlab.concrete import builtin_table_path
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "ringlab.cli", *args],
-        capture_output=True, text=True, cwd=cwd)
+        capture_output=True, text=True, cwd=cwd,
+        env=None if env is None else {**os.environ, **env})
 
 
 @pytest.fixture
@@ -170,6 +172,36 @@ def test_check_theorems_small_corpus(tmp_path):
     assert [r["id"] for r in rep["results"]] == ["T2.5", "E2.10", "ZALPHA"]
     assert rep["summary"]["fail"] == 0
     assert "summary:" in res.stderr
+
+
+@pytest.mark.parametrize("content", ["[5]", '{"a": 1}', '"Zn:6"', "[null]"])
+def test_check_theorems_rejects_malformed_corpus(tmp_path, content):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(content)
+    res = run_cli("check-theorems", "--corpus", str(corpus), "--checks", "T2.5")
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "list of ring spec strings" in res.stderr
+
+
+def test_check_theorems_rejects_unknown_check_id(tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(["Zn:6"]))
+    res = run_cli("check-theorems", "--corpus", str(corpus),
+                  "--checks", "T2.5,NOPE")
+    assert res.returncode == 2, res.stderr
+    assert "NOPE" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_check_theorems_rejects_bad_worker_count(tmp_path, value):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(["Zn:6", "Zn:7"]))
+    res = run_cli("check-theorems", "--corpus", str(corpus), "--checks", "T2.5",
+                  env={"RINGLAB_WORKERS": value})
+    assert res.returncode == 2, res.stderr
+    assert "RINGLAB_WORKERS" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_case_study_command():

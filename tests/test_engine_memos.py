@@ -1,0 +1,288 @@
+"""Oracles for the engine's per-cache memos.
+
+The adequacy search is memoized per ideal class of the target, element
+strings are formatted once per cache and parsed through a memo. The
+oracles below recompute the first adequacy witness by brute force from the
+public ``ring.add``/``ring.mul``/``ring.neg`` on ``Element``s, in the
+ring's own enumeration order, and share no code with the library or with
+``tests/oracles.py``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ringlab import engine
+from ringlab.concrete import builtin_table_path, make_ring, quotient_ring
+from ringlab.errors import ParseError
+
+VARIANTS = ("classic", "feckly", "cvariant")
+
+ORACLE_SPECS = ("Zn:12", "Zn:30", "prod(Zn:4,Zn:9)", "polyq:9:x^2-1",
+                f"table:{builtin_table_path()}")
+
+
+class BruteAdequacy:
+    """First (r, s) witnessing adequacy, from the definition.
+
+    Clause (1): c = r*s (classic, cvariant) or c - r*s in J (feckly).
+    Clause (2): rR + tR = R. Clause (3): every non-unit s' with s in s'R
+    satisfies s'R + aR != R, where a is the target (classic, feckly) or c
+    itself (cvariant). Candidates run over r, then s, in enumeration order.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        elems = list(ring.elements())
+        self.elems = elems
+        pos = {e: i for i, e in enumerate(elems)}
+        self.pos = pos
+        n = len(elems)
+        one = ring.one
+        prod = [[pos[ring.mul(x, y)] for y in elems] for x in elems]
+        self.prod = prod
+        units = {i for i in range(n) if pos[one] in prod[i]}
+        ideal = [frozenset(row) for row in prod]
+        sums = {}
+
+        def comax(i, j):
+            key = (ideal[i], ideal[j])
+            if key not in sums:
+                sums[key] = any(ring.add(elems[u], elems[v]) == one
+                                for u in ideal[i] for v in ideal[j])
+            return sums[key]
+
+        self.comax = [[comax(i, j) for j in range(n)] for i in range(n)]
+        self.radical = {
+            x for x in range(n)
+            if all(pos[ring.add(one, ring.neg(elems[prod[x][r]]))] in units
+                   for r in range(n))
+        }
+        self.nonunit_divisors = [
+            [d for d in range(n) if d not in units and s in ideal[d]]
+            for s in range(n)
+        ]
+        # preimages[r][v]: every s with r*s = v, ascending
+        self.preimages = []
+        for r in range(n):
+            table = {}
+            for s in range(n):
+                table.setdefault(prod[r][s], []).append(s)
+            self.preimages.append(table)
+        self._anchor = {}
+
+    def anchored(self, s, a):
+        key = (s, a)
+        if key not in self._anchor:
+            self._anchor[key] = all(not self.comax[d][a]
+                                    for d in self.nonunit_divisors[s])
+        return self._anchor[key]
+
+    def first_pair(self, c, t, variant):
+        ring, elems, pos = self.ring, self.elems, self.pos
+        if variant == "feckly":
+            targets = {pos[ring.add(elems[c], ring.neg(elems[j]))]
+                       for j in self.radical}
+        else:
+            targets = {c}
+        clause3 = c if variant == "cvariant" else t
+        for r in range(len(elems)):
+            if not self.comax[r][t]:
+                continue
+            pre = self.preimages[r]
+            for s in sorted(s for v in targets for s in pre.get(v, ())):
+                if self.anchored(s, clause3):
+                    return r, s
+        return None
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_adequacy_memo_matches_brute_force(spec):
+    ring = make_ring(spec)
+    brute = BruteAdequacy(ring)
+    cache = engine.build_cache(ring)
+    assert [cache.element(i) for i in range(cache.n)] == brute.elems
+    n = len(brute.elems)
+    for variant in VARIANTS:
+        for ci, c in enumerate(brute.elems):
+            expected = {t: brute.first_pair(ci, t, variant) for t in range(n)}
+            for t, a in enumerate(brute.elems):
+                wit = engine.adequate_witness_single(cache, c, a, variant)
+                want = expected[t]
+                if want is None:
+                    assert wit is None, (spec, variant, str(c), str(a))
+                else:
+                    got = (brute.pos[wit.r], brute.pos[wit.s])
+                    assert got == want, (spec, variant, str(c), str(a))
+            ok, data = engine._fa_element_idx(cache, ci, variant)
+            failing = [t for t in range(n) if expected[t] is None]
+            if failing:
+                assert (ok, data) == (False, failing[0]), (spec, variant, str(c))
+            else:
+                assert ok and data == expected, (spec, variant, str(c))
+
+
+NAME_SPECS = ("Zn:2", "Zn:12", "prod(Zn:4,Zn:9)", "prod(Zn:2,polyq:3:x^2-1)",
+              "polyq:2:x^6", "polyq:9:x^2-1", f"table:{builtin_table_path()}")
+
+
+def _name_rings():
+    """One ring of every finite kind, and a quotient (a table ring)."""
+    rings = [make_ring(spec) for spec in NAME_SPECS]
+    z12 = make_ring("Zn:12")
+    rings.append(quotient_ring(z12, [z12.make(4)])[0])
+    return rings
+
+
+@pytest.mark.parametrize("ring", _name_rings(), ids=lambda r: r.spec_string())
+def test_names_parse_back_to_their_index(ring):
+    cache = engine.build_cache(ring)
+    memo = engine._parse_memo(cache)
+    assert len(cache.names) == cache.n
+    for i, name in enumerate(cache.names):
+        assert name == ring.format_element(cache.element(i))
+        assert ring.parse_element(name) == cache.element(i)
+        assert memo[name] == i
+        assert memo[name] == i  # second lookup is served by the memo
+
+
+def test_parse_memo_keeps_rejecting_bad_strings():
+    cache = engine.build_cache(make_ring("prod(Zn:4,Zn:9)"))
+    memo = engine._parse_memo(cache)
+    for bad in ("(1|2", "(1|2|3)", "x", 5, None):
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                memo[bad]
+    assert "(1|2" not in memo and "x" not in memo
+
+
+# sha256 of json.dumps(ring_predicate(cache, p).to_json(), sort_keys=True),
+# taken with the engine before the memos were added.
+PINNED_PAYLOADS = {
+    "Zn:96": {
+        "bezout":
+            "ff37a9dc144b21f2c5ab96ada28f9df71f53e2066d6bb64484c97ccfe14650c1",
+        "hermite":
+            "48ad780c1264938522c46fcf0e9b70e73c2fd33ca695331d8b47f02369e57098",
+        "regular":
+            "76af10bce5634f40b6d0cd6ae7c57e8f9be8d1cc010f8c797817589c0bd318cb",
+        "regular_mod_J":
+            "c282b89ffd202eb5bd77b77d4f3108ac748e2d38ccb775f7944729ef1b3d5a2b",
+        "pi_regular_mod_J":
+            "3ecfb182329135517d4c73a4f05e8be1e7ac136221a8eda4fcc37622fed112d6",
+        "clean":
+            "d58b0129c936bc54159cd3f35f545dc1bcec2f415b57ada828f3bb42bb117887",
+        "feckly_clean":
+            "f99aa9202bba36ede393c54eb414dbfd11382cbbc3f51b49dadfd3404967fd1d",
+        "semiregular":
+            "af4ec7e6f10fe7628a896a7db564dd64f2f835e9c1dc090271af3c34d8e29a26",
+        "zero_adequate":
+            "215e8c2ea42d9e99d4701429c9692581b417a029175af740167738a24340b324",
+        "feckly_zero_adequate":
+            "1ce802d8ee447621f9ac50f4239bf549540809625ab3e45f0887ac067754d291",
+        "stable_range_1":
+            "40f887cd78a8722f7ece9a82388964a676496ac5c1376b72c84b13771f3d8d4e",
+        "idempotents_lift_mod_J":
+            "3f151c71504f15b4a06ba2af8aa893cd1604ac0a12014cad9413b062cf20ad00",
+        "t216_cond2":
+            "5b401360c0ec2a185b686b3addd1cfb398a2b8e963d021ebebed64932f7e305b",
+        "t216_cond3":
+            "73653e7cfe52f895f077208d4849193da446a132af8ca3b37d5b606f5ffe9a98",
+        "c217_cond2":
+            "5ca9d0f85cc42662b1c227e341267af6c9af8e6b765990c956c59df753a37e42",
+        "c217_cond3":
+            "8958f20d8a3da9784d6582a2c0785f7769c671fbd671dd2c28963a9504d4afdb",
+        "feckly_adequate_range_1":
+            "8b2ebd2f3a4ba5dba6a8f1651a8d884c739ee6cb81928c4ef57d3d45d2305b5a",
+        "everywhere_adequate":
+            "a8225290d7fee26ab2f716ee1406e0968ba06893bc95e7383fcbde2c439c6367",
+    },
+    "polyq:2:x^6": {
+        "bezout":
+            "19c88ffca2dceff85ebde8ecf6c9527221d51c35fb3603338612a7feeda80314",
+        "hermite":
+            "251cc4e29bcf6a51a5e1157792869775a22f726315df8626dcb5017d04d80796",
+        "regular":
+            "2704f1181de18ceec02b702eb2926aed32de93f0e0c77c39447ebb80bed04e08",
+        "regular_mod_J":
+            "a81815599e96ee319b8283c481dcd33575930699954d196233e048ed733beaa2",
+        "pi_regular_mod_J":
+            "02b01647d301e6df677fad7fcbba7c83fb2081bbca59fd39d1f89c694ac95f3a",
+        "clean":
+            "6c816ff17d6fb84095f1bc9a9aaced3f83cd6110fa94a935e748005eed3dbe50",
+        "feckly_clean":
+            "6c816ff17d6fb84095f1bc9a9aaced3f83cd6110fa94a935e748005eed3dbe50",
+        "semiregular":
+            "8ffaa485bfe3e3e61cdd0b75d79c496bdb823e2ecd1bbe5da2d18283478b6471",
+        "zero_adequate":
+            "9fef1deb294a4fdf8f4463d9b3f885596af4b8718b9ee11d9bc3bff27531b096",
+        "feckly_zero_adequate":
+            "9fef1deb294a4fdf8f4463d9b3f885596af4b8718b9ee11d9bc3bff27531b096",
+        "stable_range_1":
+            "4874ee3f9707c5392c661f52be8d830f2524c13de5ba1a480b27065a446a4352",
+        "idempotents_lift_mod_J":
+            "46abee4b9a5872884b1d86e9ea12dcad8d61f341e63cd8768aa34a9c231554c3",
+        "t216_cond2":
+            "fd1c9e3a922265a446f704af7ea6d4d15b9bd705798390e0a57636aa9bb3d0f9",
+        "t216_cond3":
+            "6c816ff17d6fb84095f1bc9a9aaced3f83cd6110fa94a935e748005eed3dbe50",
+        "c217_cond2":
+            "fd1c9e3a922265a446f704af7ea6d4d15b9bd705798390e0a57636aa9bb3d0f9",
+        "c217_cond3":
+            "6c816ff17d6fb84095f1bc9a9aaced3f83cd6110fa94a935e748005eed3dbe50",
+        "feckly_adequate_range_1":
+            "34fc77f0b7aea6dc8d6e5f4e1254dbb8a431362077673e807596bdcb690aa28c",
+        "everywhere_adequate":
+            "e368aa115c72354bb5df71eb1b65ce68c9744c8e5a7971ffc4f18a73c9013d36",
+    },
+    "prod(Zn:4,Zn:9)": {
+        "bezout":
+            "1afdececc04ada574393b0d7e076e2d637ebab7724bb592bed7bfbfb90a79964",
+        "hermite":
+            "dc7941747d7bd5e0bf2700ac236487521d7a129afe9091e789ddfa6e302d84e0",
+        "regular":
+            "1dcf3c7569a4edc68b0f3926ce9326ca3ee2fade2fedbb138ffeb4b8f038b839",
+        "regular_mod_J":
+            "3b4420a20ec9d271aa04c37e249b16b4a8ad1a83267b7df582f174569ff6ce9c",
+        "pi_regular_mod_J":
+            "490a1a6ade1014140c6ba2adb0360ffc54a9a2e4be283a0238aa590559c010a1",
+        "clean":
+            "e4db68d6cc914b5494b442b684cffd85b371b19e3bf40ae15ed054c050cce152",
+        "feckly_clean":
+            "e4db68d6cc914b5494b442b684cffd85b371b19e3bf40ae15ed054c050cce152",
+        "semiregular":
+            "2b516ec96741417040692166bff733a3c23a1da7ef723bfa61946b6a2f881172",
+        "zero_adequate":
+            "437a84641882280ddf51d58bd56305ae9d1b70ea1503522422fd2e1b0b1ac8de",
+        "feckly_zero_adequate":
+            "437a84641882280ddf51d58bd56305ae9d1b70ea1503522422fd2e1b0b1ac8de",
+        "stable_range_1":
+            "bec892d98b153e9ddc0e0f9da3ddb3d32f95f145f18bdf85d6434d89dbd7348e",
+        "idempotents_lift_mod_J":
+            "ab6aa8f5348248071acbd4f41f19442a357ddaef5916938660cc30cea5e20918",
+        "t216_cond2":
+            "491656fa871b4a8ec36767d10235651c20531bfd0964699236d59df3db3c02b6",
+        "t216_cond3":
+            "e4db68d6cc914b5494b442b684cffd85b371b19e3bf40ae15ed054c050cce152",
+        "c217_cond2":
+            "491656fa871b4a8ec36767d10235651c20531bfd0964699236d59df3db3c02b6",
+        "c217_cond3":
+            "e4db68d6cc914b5494b442b684cffd85b371b19e3bf40ae15ed054c050cce152",
+        "feckly_adequate_range_1":
+            "4649bed2c7381039da5630777fe957a9b0a517c9956a44279d82667b42893802",
+        "everywhere_adequate":
+            "5d77a5bdab1a11049b0edbb4a116e62d3338e7f70178533815a28d2149425684",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_PAYLOADS))
+def test_ring_predicate_payloads_are_pinned(spec):
+    cache = engine.build_cache(make_ring(spec))
+    got = {}
+    for pid in engine.RING_PREDICATES:
+        text = json.dumps(engine.ring_predicate(cache, pid).to_json(),
+                          sort_keys=True)
+        got[pid] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == PINNED_PAYLOADS[spec]

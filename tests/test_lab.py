@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ringlab import lab
 from ringlab.concrete import builtin_table_path
 
@@ -43,6 +45,22 @@ def test_nonbezout_ring_is_vacuous_not_failing():
         assert table_rows[0]["vacuous"] is True
         assert table_rows[0]["verdict"] is None
         assert res["aggregate"] is True
+
+
+def test_unknown_check_id_is_rejected():
+    with pytest.raises(ValueError, match="NOPE"):
+        _small_config(checks=("T2.5", "NOPE"))
+
+
+@pytest.mark.parametrize("value, want", [("", 1), ("1", 1), ("3", 3),
+                                         ("abc", None), ("0", None), ("-1", None)])
+def test_worker_count(monkeypatch, value, want):
+    monkeypatch.setenv("RINGLAB_WORKERS", value)
+    if want is None:
+        with pytest.raises(ValueError, match="RINGLAB_WORKERS"):
+            lab.worker_count()
+    else:
+        assert lab.worker_count() == want
 
 
 def test_check_filter():
