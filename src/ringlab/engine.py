@@ -311,7 +311,11 @@ def _comax_pairs(c: EngineCache):
 
 
 def element_predicate(cache: EngineCache, a: Element, predicate: str) -> PropertyResult:
-    """Decide one element-level predicate, attaching a re-verifiable payload."""
+    """Decide one element-level predicate, attaching a re-verifiable payload.
+
+    A positive witness names its element (``"element"``), so ``reverify``
+    can tell it from the ring-level result of the same predicate name.
+    """
     if predicate not in ELEMENT_PREDICATES:
         raise ValueError(f"unknown element predicate {predicate!r}")
     c = cache
@@ -326,7 +330,7 @@ def element_predicate(cache: EngineCache, a: Element, predicate: str) -> Propert
                                   counterexample={"a": fmt(a)},
                                   exercised={"candidates": c.n})
         return PropertyResult(predicate, True,
-                              witness={"b": c.names[b]},
+                              witness={"element": fmt(a), "b": c.names[b]},
                               exercised={"candidates": b + 1})
 
     if predicate == "pi_regular":
@@ -337,14 +341,15 @@ def element_predicate(cache: EngineCache, a: Element, predicate: str) -> Propert
                                   exercised={"exponent_bound": c.n})
         n_exp, b = res
         return PropertyResult(predicate, True,
-                              witness={"n": n_exp, "b": c.names[b]})
+                              witness={"element": fmt(a), "n": n_exp,
+                                       "b": c.names[b]})
 
     if predicate in ("clean", "feckly_clean"):
         e = _clean_idx(c, i, feckly=predicate == "feckly_clean")
         if e is None:
             return PropertyResult(predicate, False, counterexample={"a": fmt(a)})
         return PropertyResult(predicate, True,
-                              witness={"e": c.names[e]})
+                              witness={"element": fmt(a), "e": c.names[e]})
 
     variant = _ADEQUACY_VARIANT[predicate]
     ok, data = _fa_element_idx(c, i, variant)
@@ -793,7 +798,9 @@ def reverify(cache: EngineCache, result: PropertyResult) -> bool:
     predicate's whole domain and each satisfies its defining identity;
     negative verdicts only if the counterexample still fails an exhaustive
     re-search. ``semiregular`` and ``j_characterization`` are decided
-    again and compared. Unknown or malformed payloads fail.
+    again and compared. An element-level result (its witness names the
+    element) is checked for that element only. Unknown or malformed
+    payloads fail.
     """
     try:
         return _reverify(cache, result)
@@ -807,6 +814,9 @@ def _reverify(c: EngineCache, result: PropertyResult) -> bool:
     p = result.predicate
     if p in _ADEQUACY_VARIANT:
         return _reverify_adequate(c, result)
+    if p == "pi_regular" or (p in _ELEMENT_IDENTITY and result.verdict
+                             and "element" in result.witness):
+        return _reverify_element(c, result)
     if p in ("regular", "regular_mod_J", "pi_regular_mod_J", "clean",
              "feckly_clean", "t216_cond3", "c217_cond3",
              "idempotents_lift_mod_J"):
@@ -858,6 +868,39 @@ def _reverify(c: EngineCache, result: PropertyResult) -> bool:
             keys.append((a, b))
         return _covers(keys, n * n)
     return False
+
+
+_ELEMENT_IDENTITY = frozenset({"regular", "pi_regular", "clean", "feckly_clean"})
+
+
+def _reverify_element(c: EngineCache, result: PropertyResult) -> bool:
+    """Element-level regular, pi_regular, clean and feckly_clean.
+
+    A positive witness names its element a, and a's identity is checked:
+    a*b*a = a, a^n*b*a^n = a^n, or e idempotent (quasi-idempotent for
+    feckly_clean) with a - e a unit. A negative ``pi_regular`` is searched
+    again; the other negatives have the ring-level shape ``{"a": ...}``
+    and meaning, so ``_reverify_map`` checks them.
+    """
+    parsed = _parse_memo(c)
+    n, mul = c.n, c.mul
+    p = result.predicate
+    if not result.verdict:
+        a = parsed[result.counterexample["a"]]
+        return _pi_regular_idx(c, a, mod_j=False) is None
+    w = result.witness
+    a = parsed[w["element"]]
+    if p in ("regular", "pi_regular"):
+        b = parsed[w["b"]]
+        if p == "pi_regular":
+            e = w["n"]
+            if type(e) is not int or e < 1:
+                return False
+            a = _power(c, a, e)
+        return mul[mul[a * n + b] * n + a] == a
+    e = parsed[w["e"]]
+    pool = c.quasi_idempotents if p == "feckly_clean" else c.idempotents
+    return e in pool and c.sub(a, e) in c.unit_set
 
 
 def _reverify_map(c: EngineCache, result: PropertyResult) -> bool:

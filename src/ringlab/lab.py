@@ -5,7 +5,9 @@ filter, so rings that do not satisfy the hypothesis are recorded as
 vacuous rather than silently passing) or runs once against a fixed
 structured ring. Every witness produced by the predicate engine is
 re-verified before it enters the report, and counterexamples are
-re-verified too, so a failing report is itself certified.
+re-verified too, so a failing report is itself certified. A corpus spec
+that cannot be built fails every requested per-ring check with an
+``error`` row instead of passing as vacuous.
 
 Reports are deterministic: a fixed seed drives all sampling, per-check
 ring entries are sorted by ring spec, and the JSON serializer sorts keys.
@@ -36,13 +38,14 @@ from .concrete import (
 from .errors import ReductionFailed, RinglabError
 from .reduction import (
     _box,
+    _cache_ops,
     _comax_triangular_raw,
     _reduce_raw,
     _scalar_ops,
     _verify_raw,
     _violation,
 )
-from .rings import int_xgcd
+from .rings import Ring, int_xgcd
 
 DEFAULT_SEED = 1729
 
@@ -115,11 +118,11 @@ def default_config(**overrides) -> CorpusConfig:
 class _RingCtx:
     """One corpus ring with memoized, re-verified predicate results."""
 
-    def __init__(self, spec: str, config: CorpusConfig):
+    def __init__(self, spec: str, ring: Ring, config: CorpusConfig):
         self.spec = spec
         self.config = config
-        self.ring = make_ring(spec)
-        self.finite = self.ring.cardinality is not None
+        self.ring = ring
+        self.finite = ring.cardinality is not None
         self.cache = (engine.build_cache(self.ring, config.size_bound)
                       if self.finite else None)
         self._preds: dict[str, engine.PropertyResult] = {}
@@ -154,6 +157,12 @@ class _RingCtx:
             self.cache._ext["fa_all"] = got
         return got
 
+    @classmethod
+    def from_ring(cls, ring: Ring, config: CorpusConfig) -> "_RingCtx":
+        """Context of a ring built in the run, such as a quotient, named by
+        its spec string."""
+        return cls(ring.spec_string(), ring, config)
+
 
 def _vacuous(spec: str, reason: str) -> dict:
     return {"ring": spec, "verdict": None, "vacuous": True, "reason": reason}
@@ -184,7 +193,7 @@ def _matrix_battery(ctx: _RingCtx) -> dict:
     if ctx._matrix_entry is not None:
         return ctx._matrix_entry
     cfg = ctx.config
-    ops = _scalar_ops(ctx.ring)
+    ops = _cache_ops(ctx.cache)  # the run's size bound, not the default
     n = ctx.cache.n
     failures = []
     total = 0
@@ -278,16 +287,7 @@ def _check_c26(ctx: _RingCtx) -> dict:
 
 
 def _quotient_ctx(ctx: _RingCtx, gens) -> _RingCtx:
-    q, _ = quotient_ring(ctx.ring, gens)
-    sub = _RingCtx.__new__(_RingCtx)
-    sub.spec = q.spec_string()
-    sub.config = ctx.config
-    sub.ring = q
-    sub.finite = True
-    sub.cache = engine.build_cache(q, ctx.config.size_bound)
-    sub._preds = {}
-    sub._matrix_entry = None
-    return sub
+    return _RingCtx.from_ring(quotient_ring(ctx.ring, gens)[0], ctx.config)
 
 
 def _radical_quotient_ctx(ctx: _RingCtx) -> _RingCtx:
@@ -539,7 +539,7 @@ def _check_t38(ctx: _RingCtx) -> dict:
         return _vacuous(ctx.spec, "beyond the exhaustive size bound")
     if not ctx.is_bezout() or not ctx.verdict("feckly_adequate_range_1"):
         return _vacuous(ctx.spec, "no feckly adequate range 1")
-    ops = _scalar_ops(ctx.ring)
+    ops = _cache_ops(ctx.cache)  # the run's size bound, not the default
     triples = step1_fail = step2_fail = 0
     for a in range(n):
         for b in range(n):
@@ -757,24 +757,31 @@ def _check_zalpha_global() -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _error_row(spec: str, exc: RinglabError) -> dict:
+    """A failing row: the ring could not be built, or a check raised."""
+    return {"ring": spec, "verdict": False, "vacuous": False, "error": str(exc)}
+
+
 def _ring_task(args) -> tuple[str, dict]:
+    """Every requested per-ring check on one spec.
+
+    A spec that fails to build (a parse error, an unsupported ring, a ring
+    past the size bound) fails every requested check with an ``error``
+    row, so it can never pass as vacuous.
+    """
     spec, config = args
+    wanted = [cid for cid in _PER_RING_CHECKS
+              if config.checks is None or cid in config.checks]
     try:
-        ctx = _RingCtx(spec, config)
+        ctx = _RingCtx(spec, make_ring(spec), config)
     except RinglabError as exc:
-        err = {"ring": spec, "verdict": None, "vacuous": True,
-               "reason": f"error: {exc}"}
-        return spec, {cid: dict(err) for cid in _PER_RING_CHECKS}
-    wanted = config.checks
+        return spec, {cid: _error_row(spec, exc) for cid in wanted}
     out = {}
-    for cid, fn in _PER_RING_CHECKS.items():
-        if wanted is not None and cid not in wanted:
-            continue
+    for cid in wanted:
         try:
-            out[cid] = fn(ctx)
+            out[cid] = _PER_RING_CHECKS[cid](ctx)
         except RinglabError as exc:
-            out[cid] = {"ring": spec, "verdict": False, "vacuous": False,
-                        "error": str(exc)}
+            out[cid] = _error_row(spec, exc)
     return spec, out
 
 

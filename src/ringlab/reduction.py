@@ -26,17 +26,39 @@ not reducible here.
 
 Reduction, the 2x2 kernel and verification all run on raw grids (lists
 of rows) through one scalar adapter: cache indices on finite rings
-(``_FiniteOps``), canonical payloads on the others (``_ValueOps``). The
-raw core is ``_reduce_raw``, ``_comax_triangular_raw`` and
-``_verify_raw``. The public functions unbox their ``RingMatrix``
-arguments once, with the membership check, and box their results once;
-the corpus runner calls the raw core directly and formats a matrix only
-when it reports a failure.
+(``_FiniteOps``), canonical payloads on the others (``_ValueOps``, and
+``_NativeOps`` for Z and zloc). The raw core is ``_reduce_raw``,
+``_comax_triangular_raw`` and ``_verify_raw``. The public functions unbox
+their ``RingMatrix`` arguments once, with the membership check, and box
+their results once; the corpus runner calls the raw core directly and
+formats a matrix only when it reports a failure.
+
+Every adapter offers the same fused kernels, and the raw core does its
+arithmetic through them alone: ``add``, ``mul``, ``neg``,
+``lin(x, p, y, q)`` = x*p + y*q, ``comb(xs, u, ys, v)`` (``lin`` entry by
+entry over two rows), ``dot`` and ``matmul``. A row or column operation
+is one ``comb`` per row, or one ``lin`` per entry of a column, and a
+matrix product is one call with no call per entry. The finite kernels
+index the cache's flat add/mul tables inline (no second copy of the
+tables: they are n^2 entries each). On Z and zloc the raw add and mul are
+the + and * of int and Fraction, so those kernels use the operators and
+``sum`` directly; other value kinds go through the ring's raw methods.
+``_scalar_ops`` builds the adapter once per cache (or per ring handle for
+infinite rings), since every public call asks for it.
+
+The verifier compares P*Pinv and Q*Qinv with the identity entry by entry.
+The 2x2 kernel writes D = diag(1, -a*c) in closed form: its P*A*Q equals
+that matrix exactly whenever w*x + c*y = 1 (see
+``_comax_triangular_raw``). The verifier does not rely on that: it still
+multiplies P*A*Q and compares it with D, so a wrong D, or a wrong
+transform, is rejected as before.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .cache import EngineCache
 from .engine import PropertyResult, build_cache
@@ -166,7 +188,11 @@ class ReductionCertificate:
 
 
 class _FiniteOps:
-    """Scalar algebra on EngineCache indices (fast path for finite rings)."""
+    """Scalar kernels on EngineCache indices (finite rings).
+
+    The kernels index the cache's flat add/mul tables inline; no kernel
+    makes a call per entry.
+    """
 
     kernel = True
 
@@ -175,6 +201,10 @@ class _FiniteOps:
         self.ring = cache.ring
         self.zero = cache.zero
         self.one = cache.one
+        self.n = cache.n
+        self._add = cache.add
+        self._mul = cache.mul
+        self._neg = cache.neg
 
     def from_elem(self, e: Element) -> int:
         return self.c.index_of(e)
@@ -183,24 +213,48 @@ class _FiniteOps:
         return self.c.element(x)
 
     def add(self, x, y):
-        return self.c.add[x * self.c.n + y]
-
-    def sub(self, x, y):
-        return self.c.sub(x, y)
+        return self._add[x * self.n + y]
 
     def mul(self, x, y):
-        return self.c.mul[x * self.c.n + y]
+        return self._mul[x * self.n + y]
 
     def neg(self, x):
-        return self.c.neg[x]
+        return self._neg[x]
+
+    def lin(self, x, p, y, q):
+        """x*p + y*q."""
+        n, mul = self.n, self._mul
+        return self._add[mul[x * n + p] * n + mul[y * n + q]]
+
+    def comb(self, xs, u, ys, v):
+        """The row x*u + y*v over the paired entries of two rows."""
+        n, add, mul = self.n, self._add, self._mul
+        un, vn = u * n, v * n  # the tables are symmetric: x*u = u*x
+        return [add[mul[un + x] * n + mul[vn + y]] for x, y in zip(xs, ys)]
 
     def dot(self, xs, ys):
         """Sum of the products x*y over the paired entries."""
-        add, mul, n = self.c.add, self.c.mul, self.c.n
+        n, add, mul = self.n, self._add, self._mul
         acc = self.zero
         for x, y in zip(xs, ys):
             acc = add[acc * n + mul[x * n + y]]
         return acc
+
+    def matmul(self, X, Y):
+        """The product of two raw grids."""
+        n, add, mul, zero = self.n, self._add, self._mul, self.zero
+        cols = list(zip(*Y))
+        out = []
+        for row in X:
+            row_n = [x * n for x in row]
+            out_row = []
+            for col in cols:
+                acc = zero
+                for xn, y in zip(row_n, col):
+                    acc = add[acc * n + mul[xn + y]]
+                out_row.append(acc)
+            out.append(out_row)
+        return out
 
     def is_zero(self, x):
         return x == self.zero
@@ -223,7 +277,7 @@ class _FiniteOps:
 
 
 class _ValueOps:
-    """Scalar algebra on raw payloads (integers, localized integers)."""
+    """Scalar kernels on raw payloads, through the ring's raw methods."""
 
     kernel = False
 
@@ -231,6 +285,9 @@ class _ValueOps:
         self.ring = ring
         self.zero = ring._zero_raw()
         self.one = ring._one_raw()
+        self.add = ring._add
+        self.mul = ring._mul
+        self.neg = ring._neg
 
     def from_elem(self, e: Element):
         return self.ring._member(e)
@@ -238,25 +295,25 @@ class _ValueOps:
     def to_elem(self, x) -> Element:
         return Element(self.ring, x)
 
-    def add(self, x, y):
-        return self.ring._add(x, y)
+    def lin(self, x, p, y, q):
+        """x*p + y*q."""
+        mul = self.mul
+        return self.add(mul(x, p), mul(y, q))
 
-    def sub(self, x, y):
-        return self.ring._sub(x, y)
-
-    def mul(self, x, y):
-        return self.ring._mul(x, y)
-
-    def neg(self, x):
-        return self.ring._neg(x)
+    def comb(self, xs, u, ys, v):
+        """The row x*u + y*v over the paired entries of two rows."""
+        add, mul = self.add, self.mul
+        return [add(mul(x, u), mul(y, v)) for x, y in zip(xs, ys)]
 
     def dot(self, xs, ys):
         """Sum of the products x*y over the paired entries."""
-        add, mul = self.ring._add, self.ring._mul
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            acc = add(acc, mul(x, y))
-        return acc
+        return reduce(self.add, map(self.mul, xs, ys), self.zero)
+
+    def matmul(self, X, Y):
+        """The product of two raw grids."""
+        cols = list(zip(*Y))
+        dot = self.dot
+        return [[dot(row, col) for col in cols] for row in X]
 
     def is_zero(self, x):
         return x == self.zero
@@ -282,11 +339,54 @@ class _ValueOps:
         return 0
 
 
+class _NativeOps(_ValueOps):
+    """Payload kernels for Z and zloc, whose raw add and mul are the + and *
+    of int and Fraction: the kernels use the operators themselves."""
+
+    def __init__(self, ring: Ring):
+        super().__init__(ring)
+        self.add, self.mul, self.neg = operator.add, operator.mul, operator.neg
+
+    def lin(self, x, p, y, q):
+        return x * p + y * q
+
+    def comb(self, xs, u, ys, v):
+        return [x * u + y * v for x, y in zip(xs, ys)]
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys), self.zero)
+
+    def matmul(self, X, Y):
+        cols = list(zip(*Y))
+        mul, zero = operator.mul, self.zero
+        return [[sum(map(mul, row, col), zero) for col in cols] for row in X]
+
+
+_NATIVE_KINDS = frozenset({"Z", "zloc"})
+
+
+def _cache_ops(cache: EngineCache) -> _FiniteOps:
+    """The index adapter of a cache, built once and kept on the cache."""
+    ops = cache._ext.get("scalar_ops")
+    if ops is None:
+        ops = cache._ext["scalar_ops"] = _FiniteOps(cache)
+    return ops
+
+
 def _scalar_ops(ring: Ring):
-    """Index arithmetic on finite rings, payload arithmetic on the others."""
+    """The ring's scalar adapter, built once and memoized.
+
+    Index kernels on finite rings, memoized on the EngineCache (a finite
+    ring past the default size bound raises TooLarge); payload kernels on
+    the others, memoized on the ring handle.
+    """
     if ring.cardinality is not None:
-        return _FiniteOps(build_cache(ring))
-    return _ValueOps(ring)
+        return _cache_ops(build_cache(ring))
+    ops = getattr(ring, "_scalar_ops_obj", None)
+    if ops is None:
+        cls = _NativeOps if ring.kind in _NATIVE_KINDS else _ValueOps
+        ops = ring._scalar_ops_obj = cls(ring)
+    return ops
 
 
 def _ops_for(ring: Ring, strategy: str | None):
@@ -321,12 +421,6 @@ def _identity_raw(ops, n: int) -> list[list]:
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def _mat_mul_raw(ops, X, Y) -> list[list]:
-    cols = list(zip(*Y))
-    dot = ops.dot
-    return [[dot(row, col) for col in cols] for row in X]
-
-
 def _box(ops, grid) -> RingMatrix:
     """Box a raw grid into a RingMatrix over ``ops.ring``.
 
@@ -352,11 +446,14 @@ def _verify_raw(ops, A, P, Pinv, D, Q, Qinv):
     and Qinv cols x cols. Returns None when every invariant holds.
     """
     rows, cols = len(A), len(A[0])
-    prod = _mat_mul_raw(ops, _mat_mul_raw(ops, P, A), Q)
-    for i in range(rows):
-        for j in range(cols):
-            if prod[i][j] != D[i][j]:
-                return "product", [i, j]
+    matmul = ops.matmul
+    prod = matmul(matmul(P, A), Q)
+    if prod != D:  # equal grids skip the entrywise search
+        for i in range(rows):
+            got, want = prod[i], D[i]
+            for j in range(cols):
+                if got[j] != want[j]:
+                    return "product", [i, j]
     z = ops.zero
     for i in range(rows):
         for j in range(cols):
@@ -365,11 +462,21 @@ def _verify_raw(ops, A, P, Pinv, D, Q, Qinv):
     for i in range(min(rows, cols) - 1):
         if ops.divides(D[i][i], D[i + 1][i + 1]) is None:
             return "divisibility_chain", i
-    if _mat_mul_raw(ops, P, Pinv) != _identity_raw(ops, rows):
+    if not _is_identity(ops, matmul(P, Pinv)):
         return "P_invertible", None
-    if _mat_mul_raw(ops, Q, Qinv) != _identity_raw(ops, cols):
+    if not _is_identity(ops, matmul(Q, Qinv)):
         return "Q_invertible", None
     return None
+
+
+def _is_identity(ops, M) -> bool:
+    """M is the identity, compared entry by entry against one and zero."""
+    one, zero = ops.one, ops.zero
+    for i, row in enumerate(M):
+        for j, e in enumerate(row):
+            if e != (one if i == j else zero):
+                return False
+    return True
 
 
 def _violation(invariant: str, position=None) -> dict:
@@ -401,27 +508,27 @@ class _Reducer:
     def col_combine(self, k, j, x, y, b1, a1):
         """Columns (k, j) <- (x*ck + y*cj, -b1*ck + a1*cj); det = 1."""
         ops = self.ops
+        lin = ops.lin
         nb1 = ops.neg(b1)
         for M in (self.A, self.Q):
             for row in M:
                 ck, cj = row[k], row[j]
-                row[k] = ops.add(ops.mul(x, ck), ops.mul(y, cj))
-                row[j] = ops.add(ops.mul(nb1, ck), ops.mul(a1, cj))
-        ny = ops.neg(y)
+                row[k] = lin(ck, x, cj, y)
+                row[j] = lin(ck, nb1, cj, a1)
         R = self.Qinv
         rk, rj = R[k], R[j]
-        R[k] = [ops.add(ops.mul(a1, p), ops.mul(b1, q)) for p, q in zip(rk, rj)]
-        R[j] = [ops.add(ops.mul(ny, p), ops.mul(x, q)) for p, q in zip(rk, rj)]
+        R[k] = ops.comb(rk, a1, rj, b1)
+        R[j] = ops.comb(rk, ops.neg(y), rj, x)
 
     def col_add(self, j, k, t):
         """Column j += t * column k."""
         ops = self.ops
-        nt = ops.neg(t)
+        lin, one = ops.lin, ops.one
         for M in (self.A, self.Q):
             for row in M:
-                row[j] = ops.add(row[j], ops.mul(t, row[k]))
+                row[j] = lin(row[j], one, row[k], t)
         R = self.Qinv
-        R[k] = [ops.add(p, ops.mul(nt, q)) for p, q in zip(R[k], R[j])]
+        R[k] = ops.comb(R[k], one, R[j], ops.neg(t))
 
     def col_swap(self, k, j):
         for M in (self.A, self.Q):
@@ -431,39 +538,39 @@ class _Reducer:
         R[k], R[j] = R[j], R[k]
 
     def col_scale_unit(self, j, u, uinv):
-        ops = self.ops
+        mul = self.ops.mul
         for M in (self.A, self.Q):
             for row in M:
-                row[j] = ops.mul(row[j], u)
+                row[j] = mul(row[j], u)
         R = self.Qinv
-        R[j] = [ops.mul(uinv, q) for q in R[j]]
+        R[j] = [mul(uinv, q) for q in R[j]]
 
     # -- elementary row operations (A <- E*A, P <- E*P, Pinv <- Pinv*Einv) --
 
     def row_combine(self, k, i, x, y, b1, a1):
         """Rows (k, i) <- (x*rk + y*ri, -b1*rk + a1*ri); det = 1."""
         ops = self.ops
+        comb, lin = ops.comb, ops.lin
         nb1 = ops.neg(b1)
         for M in (self.A, self.P):
             rk, ri = M[k], M[i]
-            M[k] = [ops.add(ops.mul(x, p), ops.mul(y, q)) for p, q in zip(rk, ri)]
-            M[i] = [ops.add(ops.mul(nb1, p), ops.mul(a1, q)) for p, q in zip(rk, ri)]
+            M[k] = comb(rk, x, ri, y)
+            M[i] = comb(rk, nb1, ri, a1)
         ny = ops.neg(y)
-        R = self.Pinv
-        for row in R:
+        for row in self.Pinv:
             ck, ci = row[k], row[i]
-            row[k] = ops.add(ops.mul(ck, a1), ops.mul(ci, b1))
-            row[i] = ops.add(ops.mul(ck, ny), ops.mul(ci, x))
+            row[k] = lin(ck, a1, ci, b1)
+            row[i] = lin(ck, ny, ci, x)
 
     def row_add(self, i, k, t):
         """Row i += t * row k."""
         ops = self.ops
-        nt = ops.neg(t)
+        lin, one = ops.lin, ops.one
         for M in (self.A, self.P):
-            M[i] = [ops.add(p, ops.mul(t, q)) for p, q in zip(M[i], M[k])]
-        R = self.Pinv
-        for row in R:
-            row[k] = ops.add(row[k], ops.mul(nt, row[i]))
+            M[i] = ops.comb(M[i], one, M[k], t)
+        nt = ops.neg(t)
+        for row in self.Pinv:
+            row[k] = lin(row[k], one, row[i], nt)
 
     def row_swap(self, k, i):
         for M in (self.A, self.P):
@@ -472,11 +579,11 @@ class _Reducer:
             row[k], row[i] = row[i], row[k]
 
     def row_scale_unit(self, i, u, uinv):
-        ops = self.ops
+        mul = self.ops.mul
         for M in (self.A, self.P):
-            M[i] = [ops.mul(u, p) for p in M[i]]
+            M[i] = [mul(u, p) for p in M[i]]
         for row in self.Pinv:
-            row[i] = ops.mul(row[i], uinv)
+            row[i] = mul(row[i], uinv)
 
     # -- pipeline ------------------------------------------------------------
 
@@ -676,7 +783,9 @@ def _comax_triangular_raw(ops, a, b, c, r):
     With w = b + a*r and w*x + c*y = 1, P = [[x, y], [-c, w]] and the right
     transform [[1, r], [0, 1]] * [[1, 0], [-a*x, 1]] * [[0, 1], [1, 0]]
     multiply out to Q = [[r, 1 - r*a*x], [1, -a*x]]; their inverses are
-    written down the same way, and D = P*A*Q.
+    written down the same way. D is written down too: multiplied out, P*A*Q
+    is [[w*x + c*y, 0], [0, -a*c]], and w*x + c*y = 1, so D = diag(1, -a*c).
+    The verifier still multiplies P*A*Q and compares it with D.
     """
     w = ops.add(b, ops.mul(a, r))
     d, gx, gy, _, _ = ops.hermite(w, c)
@@ -684,14 +793,16 @@ def _comax_triangular_raw(ops, a, b, c, r):
     if dinv is None:
         raise NotComaximal(
             f"({ops.to_elem(w)}, {ops.to_elem(c)}) generate a proper ideal")
-    x, y = ops.mul(gx, dinv), ops.mul(gy, dinv)
-    ax = ops.mul(a, x)
+    add, mul, neg = ops.add, ops.mul, ops.neg
+    x, y = mul(gx, dinv), mul(gy, dinv)
+    ax = mul(a, x)
+    nax, nr = neg(ax), neg(r)
     one, zero = ops.one, ops.zero
-    P = [[x, y], [ops.neg(c), w]]
-    Pinv = [[w, ops.neg(y)], [c, x]]
-    Q = [[r, ops.sub(one, ops.mul(r, ax))], [one, ops.neg(ax)]]
-    Qinv = [[ax, ops.sub(one, ops.mul(ax, r))], [one, ops.neg(r)]]
-    D = _mat_mul_raw(ops, _mat_mul_raw(ops, P, [[a, b], [zero, c]]), Q)
+    P = [[x, y], [neg(c), w]]
+    Pinv = [[w, neg(y)], [c, x]]
+    Q = [[r, add(one, mul(r, nax))], [one, nax]]
+    Qinv = [[ax, add(one, mul(ax, nr))], [one, nr]]
+    D = [[one, zero], [zero, neg(mul(a, c))]]
     return P, Pinv, D, Q, Qinv
 
 

@@ -184,6 +184,22 @@ def test_check_theorems_rejects_malformed_corpus(tmp_path, content):
     assert "list of ring spec strings" in res.stderr
 
 
+def test_check_theorems_unbuildable_spec_fails(tmp_path):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(["Zn:1", "bogus"]))
+    out = tmp_path / "report.json"
+    res = run_cli("check-theorems", "--corpus", str(corpus), "--checks", "T2.5",
+                  "--out", str(out))
+    assert res.returncode == 1, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "summary: 0 pass, 1 fail" in res.stderr
+    assert "rings_exercised=2" in res.stderr
+    rows = json.loads(out.read_text())["results"][0]["rings"]
+    assert [(r["ring"], r["verdict"]) for r in rows] == [("Zn:1", False),
+                                                         ("bogus", False)]
+    assert all(r["error"] for r in rows)
+
+
 def test_check_theorems_rejects_unknown_check_id(tmp_path):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps(["Zn:6"]))

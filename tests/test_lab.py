@@ -144,3 +144,54 @@ def test_battery_failure_payloads(monkeypatch):
     row = lab.run_corpus(config())["results"][0]["rings"][0]
     assert row["counterexample"][1] == {"matrix": [["1", "0"], ["0", "0"]],
                                         "reason": "no gcd"}
+
+
+def test_unbuildable_spec_fails_every_requested_check():
+    """A spec that cannot be built is a failing row, never a vacuous one."""
+    cfg = lab.CorpusConfig(ring_specs=("Zn:1", "bogus", "Zn:5"),
+                           checks=("T2.5", "E2.10"))
+    rep = lab.run_corpus(cfg)
+    for res in rep["results"]:
+        rows = {r["ring"]: r for r in res["rings"]}
+        assert set(rows) == {"Zn:1", "bogus", "Zn:5"}
+        for spec in ("Zn:1", "bogus"):
+            row = rows[spec]
+            assert row["verdict"] is False and row["vacuous"] is False
+            assert row["error"] and "reason" not in row
+        assert rows["Zn:5"]["verdict"] is True
+        assert res["aggregate"] is False and res["rings_exercised"] == 3
+    assert rep["summary"] == {"pass": 0, "fail": 2, "info": 0}
+
+
+def test_ring_past_the_size_bound_fails():
+    rep = lab.run_corpus(lab.CorpusConfig(ring_specs=("Zn:12",), size_bound=10,
+                                          checks=("T2.5",)))
+    row = rep["results"][0]["rings"][0]
+    assert row["verdict"] is False and "bound" in row["error"]
+    assert rep["summary"]["fail"] == 1
+
+
+def test_quotient_context_from_ring():
+    """A quotient context is built like a corpus one, named by its spec."""
+    ctx = lab._RingCtx("Zn:12", lab.make_ring("Zn:12"), _small_config())
+    sub = lab._radical_quotient_ctx(ctx)
+    assert sub.spec == sub.ring.spec_string() and sub.finite
+    assert sub.config is ctx.config and sub.cache.n == 6
+    assert sub.is_bezout() and sub.verdict("zero_adequate")
+
+
+def test_battery_uses_the_run_cache(monkeypatch):
+    """C2.6 and T3.8 take the adapter of the run's own cache, so a
+    --size-bound above the library default still reaches them."""
+    from ringlab import reduction
+    from ringlab.errors import TooLarge
+
+    def refuse(ring, *args, **kwargs):
+        raise TooLarge("default bound")
+
+    cfg = lab.CorpusConfig(ring_specs=("Zn:4",), checks=("C2.6", "T3.8"),
+                           sample_2x2=5, sample_3x3=2)
+    ctx = lab._RingCtx("Zn:4", lab.make_ring("Zn:4"), cfg)
+    monkeypatch.setattr(reduction, "build_cache", refuse)
+    assert lab._check_c26(ctx)["verdict"] is True
+    assert lab._check_t38(ctx)["verdict"] is True

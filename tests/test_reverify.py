@@ -13,6 +13,8 @@ from ringlab import engine
 from ringlab.concrete import builtin_table_path, make_ring
 from ringlab.engine import PropertyResult
 
+from .oracles import brute_radical
+
 # Zn:12 satisfies every ring predicate except von Neumann regularity, which
 # Zn:6 (a product of fields) satisfies.
 RING_FOR = {pid: "Zn:6" if pid == "regular" else "Zn:12"
@@ -229,3 +231,81 @@ def test_malformed_payload_rejected_not_raised(witness):
     for pid in ("regular_mod_J", "clean", "hermite", "stable_range_1"):
         assert not engine.reverify(cache, PropertyResult(pid, True,
                                                          witness=witness))
+
+
+# ---------------------------------------------------------------------------
+# element-level results
+# ---------------------------------------------------------------------------
+
+ELEMENT_IDENTITY_RINGS = ("Zn:6", "Zn:12", "prod(Zn:4,Zn:3)",
+                          f"table:{builtin_table_path()}")
+
+
+def _power(ring, a, n):
+    out = a
+    for _ in range(n - 1):
+        out = ring.mul(out, a)
+    return out
+
+
+def _element_identity(ring, radical, pid, a, witness):
+    """The defining identity, from the public Element arithmetic alone."""
+    if pid == "regular":
+        return ring.mul(ring.mul(a, witness["b"]), a) == a
+    if pid == "pi_regular":
+        p = _power(ring, a, witness["n"])
+        return ring.mul(ring.mul(p, witness["b"]), p) == p
+    e = witness["e"]
+    defect = ring.sub(e, ring.mul(e, e))
+    ok = defect in radical if pid == "feckly_clean" else defect == ring.zero
+    return ok and ring.is_unit(ring.sub(a, e)) is not None
+
+
+@pytest.mark.parametrize("spec", ELEMENT_IDENTITY_RINGS)
+def test_element_results_verify_and_forged_witnesses_fail(spec):
+    cache = _cache(spec)
+    ring = cache.ring
+    radical = brute_radical(ring)
+    fmt = ring.format_element
+    elems = list(ring.elements())
+    for a in elems:
+        for pid in ("regular", "pi_regular", "clean", "feckly_clean"):
+            res = engine.element_predicate(cache, a, pid)
+            assert engine.reverify(cache, res), (spec, str(a), pid, res)
+            if not res.verdict:
+                continue
+            assert res.witness["element"] == fmt(a)
+            key = "b" if "b" in res.witness else "e"
+            for w in elems:
+                forged = dict(res.witness, **{key: fmt(w)})
+                parsed = dict(forged, **{key: w})
+                want = _element_identity(ring, radical, pid, a, parsed)
+                got = engine.reverify(cache, PropertyResult(pid, True,
+                                                            witness=forged))
+                assert got == want, (spec, str(a), pid, str(w))
+
+
+def test_element_results_of_two_in_z6():
+    """2 in Zn:6 is regular, pi-regular, clean and feckly clean."""
+    cache = _cache("Zn:6")
+    two = cache.ring.make(2)
+    for pid in ("regular", "pi_regular", "clean", "feckly_clean"):
+        res = engine.element_predicate(cache, two, pid)
+        assert res.verdict and res.witness["element"] == "2"
+        assert engine.reverify(cache, res), pid
+        other = dict(res.witness, element="3")  # 3*b*3 = 3 fails for b = 2
+        if pid in ("regular", "pi_regular"):
+            assert not engine.reverify(cache, PropertyResult(pid, True,
+                                                             witness=other))
+
+
+def test_forged_element_negatives_rejected():
+    cache = _cache("Zn:4")
+    for pid, a, want in (("regular", "2", True), ("regular", "3", False),
+                         ("pi_regular", "2", False), ("clean", "2", False),
+                         ("feckly_clean", "2", False)):
+        res = PropertyResult(pid, False, counterexample={"a": a})
+        assert engine.reverify(cache, res) is want, (pid, a)
+    bad_n = PropertyResult("pi_regular", True,
+                           witness={"element": "2", "n": 0, "b": "0"})
+    assert not engine.reverify(cache, bad_n)

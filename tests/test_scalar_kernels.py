@@ -1,0 +1,171 @@
+"""Oracle tests for the scalar kernels of the certificate core.
+
+The reference is the public ``ring.add`` / ``ring.mul`` on ``Element``s
+(and ``RingMatrix.mat_mul``, built on them), which shares no code with the
+index tables and payload operators the adapters of ``reduction`` use.
+"""
+
+from fractions import Fraction
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+from ringlab.concrete import builtin_table_path, make_ring
+from ringlab.errors import NotBezout, NotComaximal, ReductionFailed
+from ringlab.reduction import (
+    RingMatrix,
+    _FiniteOps,
+    _NativeOps,
+    _ValueOps,
+    _scalar_ops,
+    _unbox,
+    _verify_raw,
+    comax_triangular_reduce,
+    diagonal_reduce,
+)
+
+TABLE = f"table:{builtin_table_path()}"
+RINGS = {spec: make_ring(spec) for spec in (
+    "Z", "zloc:{2,3}", "dualint", "Zn:12", "prod(Zn:4,Zn:3)",
+    "polyq:3:x^2-1", TABLE)}
+FINITE_ELEMENTS = {spec: list(ring.elements()) for spec, ring in RINGS.items()
+                   if ring.cardinality is not None}
+# Rings the reducer handles (the control table ring may refuse a matrix).
+REDUCIBLE = ("Z", "zloc:{2,3}", "Zn:12", "prod(Zn:4,Zn:3)", "polyq:3:x^2-1",
+             TABLE)
+
+
+def elements(spec):
+    ring = RINGS[spec]
+    if spec == "Z":
+        return st.integers(-40, 40).map(ring.make)
+    if spec.startswith("zloc"):
+        return st.builds(lambda p, q: ring.make(Fraction(p, q)),
+                         st.integers(-40, 40), st.sampled_from((1, 5, 7, 25)))
+    if spec == "dualint":
+        return st.builds(lambda a, p, q: ring.make((a, Fraction(p, q))),
+                         st.integers(-20, 20), st.integers(-20, 20),
+                         st.integers(1, 6))
+    return st.sampled_from(FINITE_ELEMENTS[spec])
+
+
+def grids(spec, rows, cols):
+    return st.lists(st.lists(elements(spec), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def ref_dot(ring, xs, ys):
+    acc = ring.zero
+    for x, y in zip(xs, ys):
+        acc = ring.add(acc, ring.mul(x, y))
+    return acc
+
+
+def ref_matmul(ring, X, Y):
+    return [[ref_dot(ring, row, [r[j] for r in Y]) for j in range(len(Y[0]))]
+            for row in X]
+
+
+def eye(ring, n):
+    return [[ring.one if i == j else ring.zero for j in range(n)]
+            for i in range(n)]
+
+
+def test_one_adapter_per_ring():
+    for spec, ring in RINGS.items():
+        ops = _scalar_ops(ring)
+        assert _scalar_ops(ring) is ops, spec
+    assert type(_scalar_ops(RINGS["Z"])) is _NativeOps
+    assert type(_scalar_ops(RINGS["zloc:{2,3}"])) is _NativeOps
+    assert type(_scalar_ops(RINGS["dualint"])) is _ValueOps
+    assert type(_scalar_ops(RINGS["Zn:12"])) is _FiniteOps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kernels_match_public_arithmetic(data):
+    spec = data.draw(st.sampled_from(sorted(RINGS)))
+    ring = RINGS[spec]
+    ops = _scalar_ops(ring)
+    raw, box = ops.from_elem, ops.to_elem
+    x, p, y, q = (data.draw(elements(spec)) for _ in range(4))
+    add, mul = ring.add, ring.mul
+    assert box(ops.add(raw(x), raw(y))) == add(x, y)
+    assert box(ops.mul(raw(x), raw(y))) == mul(x, y)
+    assert box(ops.neg(raw(x))) == ring.neg(x)
+    assert box(ops.lin(raw(x), raw(p), raw(y), raw(q))) == \
+        add(mul(x, p), mul(y, q))
+    k = data.draw(st.integers(1, 4))
+    xs, ys = data.draw(grids(spec, 2, k))
+    got = ops.comb([raw(e) for e in xs], raw(p), [raw(e) for e in ys], raw(q))
+    assert [box(e) for e in got] == [add(mul(a, p), mul(b, q))
+                                     for a, b in zip(xs, ys)]
+    assert box(ops.dot([raw(e) for e in xs], [raw(e) for e in ys])) == \
+        ref_dot(ring, xs, ys)
+    r, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    X, Y = data.draw(grids(spec, r, k)), data.draw(grids(spec, k, c))
+    got = ops.matmul([[raw(e) for e in row] for row in X],
+                     [[raw(e) for e in row] for row in Y])
+    assert [[box(e) for e in row] for row in got] == ref_matmul(ring, X, Y)
+
+
+def nonzero(spec, data):
+    ring = RINGS[spec]
+    return data.draw(elements(spec).filter(lambda e: e != ring.zero))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_planted_off_identity_entry_is_caught(data):
+    """Right-multiplying P^-1 (or Q^-1) by I + t*E_ij makes P*P^-1 (or
+    Q*Q^-1) the identity with one entry changed, at every position; the
+    other invariants still hold, so the verifier names that invariant."""
+    spec = data.draw(st.sampled_from(REDUCIBLE))
+    ring = RINGS[spec]
+    ops = _scalar_ops(ring)
+    r, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    A = data.draw(grids(spec, r, c))
+    try:
+        cert = diagonal_reduce(ring, RingMatrix(ring, A))
+        mats = [[list(row) for row in getattr(cert, name).entries]
+                for name in ("P", "Pinv", "D", "Q", "Qinv")]
+    except ReductionFailed:  # the control ring: the zero matrix instead
+        A = [[ring.zero] * c for _ in range(r)]
+        mats = [eye(ring, r), eye(ring, r), A, eye(ring, c), eye(ring, c)]
+
+    def verdict(grids_):
+        return _verify_raw(ops, *(_unbox(ops, RingMatrix(ring, g))
+                                  for g in (A, *grids_)))
+
+    assert verdict(mats) is None
+    for slot, size, name in ((1, r, "P_invertible"), (4, c, "Q_invertible")):
+        for i in range(size):
+            for j in range(size):
+                shear = eye(ring, size)
+                shear[i][j] = ring.add(shear[i][j], nonzero(spec, data))
+                planted = list(mats)
+                planted[slot] = ref_matmul(ring, mats[slot], shear)
+                base = mats[slot - 1]
+                product = ref_matmul(ring, base, planted[slot])
+                off = [(a, b) for a in range(size) for b in range(size)
+                       if product[a][b] != eye(ring, size)[a][b]]
+                assert off == [(i, j)]
+                assert verdict(planted) == (name, None), (spec, name, i, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_closed_form_D_equals_the_product(data):
+    """comax_triangular_reduce writes D = diag(1, -a*c); it equals P*A*Q
+    multiplied out with RingMatrix.mat_mul."""
+    spec = data.draw(st.sampled_from(REDUCIBLE))
+    ring = RINGS[spec]
+    a, b, c, r = (data.draw(elements(spec)) for _ in range(4))
+    try:
+        cert = comax_triangular_reduce(ring, a, b, c, r)
+    except (NotComaximal, NotBezout):
+        return
+    A = RingMatrix(ring, [[a, b], [ring.zero, c]])
+    assert cert.D == cert.P.mat_mul(A).mat_mul(cert.Q)
+    assert cert.D == RingMatrix(ring, [[ring.one, ring.zero],
+                                       [ring.zero, ring.neg(ring.mul(a, c))]])
