@@ -15,10 +15,29 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import NotBezout, TooLarge
+from .errors import NotBezout, ParseError, TooLarge
 from .rings import Element, Ring
 
 DEFAULT_SIZE_BOUND = 4096
+
+
+class _ParseMemo(dict):
+    """Element string -> index for one cache; a miss parses the string.
+
+    Only strings the ring's parser accepts are stored, so a rejected
+    string raises again on every lookup.
+    """
+
+    def __init__(self, cache: EngineCache):
+        super().__init__()
+        self.cache = cache
+
+    def __missing__(self, text):
+        if not isinstance(text, str):
+            raise ParseError(f"element {text!r} is not a string")
+        ring = self.cache.ring
+        got = self[text] = self.cache.idx[ring._canon(ring._parse(text))]
+        return got
 
 
 class EngineCache:
@@ -80,6 +99,11 @@ class EngineCache:
         """Formatted string of every element, in index order."""
         fmt = self.ring._format
         return [fmt(v) for v in self.vals]
+
+    @cached_property
+    def parsed(self) -> _ParseMemo:
+        """Element string -> index, each string parsed once."""
+        return _ParseMemo(self)
 
     # --- basic structure ------------------------------------------------------
 

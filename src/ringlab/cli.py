@@ -140,11 +140,17 @@ def cmd_reduce(args) -> int:
     except UnsupportedSpec as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    res = verify_certificate(ring, A, cert)
-    payload = cert.to_json(verified=res.verdict)
+    try:
+        res = verify_certificate(ring, A, cert)
+        payload = cert.to_json(verified=res.verdict)
+        diag = [ring.format_element(d) for d in cert.D.diagonal()]
+    except ValueError as exc:
+        # An entry past sys.get_int_max_str_digits() cannot be written out.
+        print(f"too large: a certificate entry cannot be formatted: {exc}",
+              file=sys.stderr)
+        return EXIT_TOO_LARGE
     if args.out:
         _atomic_write(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    diag = [ring.format_element(d) for d in cert.D.diagonal()]
     print("D = diag(" + ", ".join(diag) + ")")
     print("chain: " + " | ".join(diag))
     print("verified:", res.verdict)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
@@ -283,6 +284,18 @@ class IntQuadRing(Ring):
         return "polyq:0:x^2-1"
 
 
+_EXPONENT_RE = re.compile(r"[eE]([-+]?[0-9][0-9_]*)$")
+# 0 (no limit) on 3.10 releases older than 3.10.7, which have no limit.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _more_digits(n: int, limit: int) -> bool:
+    """True iff |n| has more than ``limit`` decimal digits."""
+    n = abs(n)
+    # Below 2^(3*limit) < 10^limit no power of ten is needed.
+    return n.bit_length() > 3 * limit and n >= 10 ** limit
+
+
 class LocalizedIntegerRing(Ring):
     """Integers localized at a finite prime set P: fractions m/n, no p | n.
 
@@ -336,10 +349,23 @@ class LocalizedIntegerRing(Ring):
         return f"{value.numerator}/{value.denominator}"
 
     def _parse(self, text):
+        """A fraction string; at most ``sys.get_int_max_str_digits()``
+        digits in the numerator and in the denominator, as for Z."""
+        s = text.strip()
+        limit = _int_max_str_digits()
         try:
-            return self._canon(Fraction(text.strip()))
+            exp = _EXPONENT_RE.search(s)
+            if limit and exp and abs(int(exp.group(1))) > limit + len(s):
+                # Fraction would compute 10**exponent first (even for a
+                # zero mantissa); a nonzero value would have too many digits.
+                raise ParseError(f"exponent of {text!r} is out of range")
+            f = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad fraction {text!r}") from exc
+        if limit and (_more_digits(f.numerator, limit)
+                      or _more_digits(f.denominator, limit)):
+            raise ParseError(f"fraction {text!r} has more than {limit} digits")
+        return f
 
     def valuation(self, value: Fraction, p: int) -> int | None:
         """p-adic valuation of the numerator; None means infinite (value 0)."""
@@ -572,6 +598,25 @@ class FiniteRingMixin:
                 f"{self.spec_string()} exceeds requested bound {bound}"
             )
         return c
+
+    def parse_element(self, text: str) -> Element:
+        """A string is parsed once per cache, once the handle holds one.
+
+        A handle without a cache is not given one here (a ring past the
+        size bound would raise TooLarge), and input that is not a str
+        takes the generic path, so both keep their results and errors.
+        """
+        c = getattr(self, "_cache_obj", None)
+        if c is None or not isinstance(text, str):
+            return super().parse_element(text)
+        return c.element(c.parsed[text])
+
+    def format_element(self, a: Element) -> str:
+        """Served from the cache's list of names once the handle holds one."""
+        c = getattr(self, "_cache_obj", None)
+        if c is None:
+            return super().format_element(a)
+        return c.names[c.idx[self._member(a)]]
 
     def _is_unit_raw(self, x):
         c = self.cache()

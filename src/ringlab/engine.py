@@ -23,7 +23,9 @@ principal ideal aR, so every target of one class has the same first
 class of s, ideal class of its target): ``nonunit_divisors[s]`` lists the
 non-units t with s in tR, which depends only on sR. Both memos therefore
 return exactly what the unmemoized search would. Element strings are
-formatted once (``EngineCache.names``) and parsed once (``_ParseMemo``).
+formatted once (``EngineCache.names``) and parsed once per cache: the
+text -> index memo ``_ParseMemo`` lives in ``cache.py`` as
+``EngineCache.parsed``, and ``_parse_memo`` returns it.
 
 ``reverify`` checks the whole domain of a positive verdict, not only the
 entries it is given: every element (or every quasi-idempotent), every
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .cache import DEFAULT_SIZE_BOUND, EngineCache
+from .cache import DEFAULT_SIZE_BOUND, EngineCache, _ParseMemo
 from .errors import NoDecomposition, NotBezout, NotFZA, ParseError
 from .rings import Element, Ring
 
@@ -743,30 +745,9 @@ def j_characterization_check(cache: EngineCache) -> PropertyResult:
 # ---------------------------------------------------------------------------
 
 
-class _ParseMemo(dict):
-    """Element string -> index for one cache; a miss parses the string.
-
-    Only strings the ring's parser accepts are stored, so a rejected
-    string raises again on every lookup.
-    """
-
-    def __init__(self, cache: EngineCache):
-        super().__init__()
-        self.cache = cache
-
-    def __missing__(self, text):
-        if not isinstance(text, str):
-            raise ParseError(f"element {text!r} is not a string")
-        c = self.cache
-        got = self[text] = c.idx[c.ring._parse(text)]
-        return got
-
-
 def _parse_memo(c: EngineCache) -> _ParseMemo:
-    memo = c._ext.get("parsed")
-    if memo is None:
-        memo = c._ext["parsed"] = _ParseMemo(c)
-    return memo
+    """The cache's element-string memo (see ``cache._ParseMemo``)."""
+    return c.parsed
 
 
 def _power(c: EngineCache, a: int, e: int) -> int:

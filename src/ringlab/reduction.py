@@ -26,12 +26,12 @@ not reducible here.
 
 Reduction, the 2x2 kernel and verification all run on raw grids (lists
 of rows) through one scalar adapter: cache indices on finite rings
-(``_FiniteOps``), canonical payloads on the others (``_ValueOps``, and
-``_NativeOps`` for Z and zloc). The raw core is ``_reduce_raw``,
-``_comax_triangular_raw`` and ``_verify_raw``. The public functions unbox
-their ``RingMatrix`` arguments once, with the membership check, and box
-their results once; the corpus runner calls the raw core directly and
-formats a matrix only when it reports a failure.
+(``_FiniteOps``), canonical payloads on the others (``_ValueOps``,
+``_NativeOps`` for Z and its subclass ``_RatioOps`` for zloc). The raw
+core is ``_reduce_raw``, ``_comax_triangular_raw`` and ``_verify_raw``.
+The public functions unbox their ``RingMatrix`` arguments once, with the
+membership check, and box their results once; the corpus runner calls the
+raw core directly and formats a matrix only when it reports a failure.
 
 Every adapter offers the same fused kernels, and the raw core does its
 arithmetic through them alone: ``add``, ``mul``, ``neg``,
@@ -40,9 +40,14 @@ entry over two rows), ``dot`` and ``matmul``. A row or column operation
 is one ``comb`` per row, or one ``lin`` per entry of a column, and a
 matrix product is one call with no call per entry. The finite kernels
 index the cache's flat add/mul tables inline (no second copy of the
-tables: they are n^2 entries each). On Z and zloc the raw add and mul are
-the + and * of int and Fraction, so those kernels use the operators and
-``sum`` directly; other value kinds go through the ring's raw methods.
+tables: they are n^2 entries each). On Z the raw add and mul are the +
+and * of int, so its kernels use the operators and ``sum`` directly. On
+zloc the kernels work on the ``as_integer_ratio()`` pairs of the
+Fractions: an output entry such as x*p + y*q is worked out as one integer
+numerator over one common denominator and made into one
+``Fraction(num, den)``, which normalises once, where the operators would
+normalise each product and the sum. Other value kinds go through the
+ring's raw methods.
 ``_scalar_ops`` builds the adapter once per cache (or per ring handle for
 infinite rings), since every public call asks for it.
 
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 from .cache import EngineCache
@@ -340,8 +346,8 @@ class _ValueOps:
 
 
 class _NativeOps(_ValueOps):
-    """Payload kernels for Z and zloc, whose raw add and mul are the + and *
-    of int and Fraction: the kernels use the operators themselves."""
+    """Payload kernels for Z, whose raw add and mul are the + and * of int:
+    the kernels use the operators themselves."""
 
     def __init__(self, ring: Ring):
         super().__init__(ring)
@@ -362,7 +368,55 @@ class _NativeOps(_ValueOps):
         return [[sum(map(mul, row, col), zero) for col in cols] for row in X]
 
 
-_NATIVE_KINDS = frozenset({"Z", "zloc"})
+def _ratio_dot(xs, ys) -> Fraction:
+    """Sum of the products over paired (numerator, denominator) pairs."""
+    num, den = 0, 1
+    for (a, b), (c, d) in zip(xs, ys):
+        bd = b * d
+        if bd == den:
+            num += a * c
+        else:
+            num = num * bd + a * c * den
+            den *= bd
+    return Fraction(num, den)
+
+
+class _RatioOps(_NativeOps):
+    """Payload kernels for zloc on the integer ratios of the Fractions.
+
+    Each kernel reads its operands once through ``as_integer_ratio()``,
+    works out the output entry as one integer numerator over one positive
+    integer denominator, and builds one ``Fraction(num, den)`` from them,
+    where the Fraction operators would make and gcd-normalise a Fraction
+    for each product and each sum. Only public Fraction API is used.
+    """
+
+    def lin(self, x, p, y, q):
+        a, b = x.as_integer_ratio()
+        c, d = p.as_integer_ratio()
+        e, f = y.as_integer_ratio()
+        g, h = q.as_integer_ratio()
+        bd, fh = b * d, f * h
+        if bd == fh:
+            return Fraction(a * c + e * g, bd)
+        return Fraction(a * c * fh + e * g * bd, bd * fh)
+
+    def comb(self, xs, u, ys, v):
+        lin = self.lin
+        return [lin(x, u, y, v) for x, y in zip(xs, ys)]
+
+    def dot(self, xs, ys):
+        ratio = Fraction.as_integer_ratio
+        return _ratio_dot(map(ratio, xs), map(ratio, ys))
+
+    def matmul(self, X, Y):
+        ratio = Fraction.as_integer_ratio
+        rows = [list(map(ratio, row)) for row in X]
+        cols = [list(map(ratio, col)) for col in zip(*Y)]
+        return [[_ratio_dot(row, col) for col in cols] for row in rows]
+
+
+_PAYLOAD_OPS = {"Z": _NativeOps, "zloc": _RatioOps}
 
 
 def _cache_ops(cache: EngineCache) -> _FiniteOps:
@@ -384,7 +438,7 @@ def _scalar_ops(ring: Ring):
         return _cache_ops(build_cache(ring))
     ops = getattr(ring, "_scalar_ops_obj", None)
     if ops is None:
-        cls = _NativeOps if ring.kind in _NATIVE_KINDS else _ValueOps
+        cls = _PAYLOAD_OPS.get(ring.kind, _ValueOps)
         ops = ring._scalar_ops_obj = cls(ring)
     return ops
 
@@ -742,17 +796,16 @@ class _Reducer:
 
 def _comax_cofactors(cache: EngineCache, g: int, va: int, vb: int, vc: int):
     """First cofactor triple (by ideal class) comaximal as a triple."""
-    n, mul = cache.n, cache.mul
-    row = g * n
+    pre, ideal_class = cache._preimages(g), cache.ideal_class
 
     def class_reps(target):
+        """The first t of each ideal class with g*t = target, ascending."""
         reps, seen = [], set()
-        for t in range(n):
-            if mul[row + t] == target:
-                cls = cache.ideal_class[t]
-                if cls not in seen:
-                    seen.add(cls)
-                    reps.append(t)
+        for t in pre.get(target, ()):
+            cls = ideal_class[t]
+            if cls not in seen:
+                seen.add(cls)
+                reps.append(t)
         return reps
 
     for ta in class_reps(va):

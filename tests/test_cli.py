@@ -8,10 +8,10 @@ import pytest
 from ringlab.concrete import builtin_table_path
 
 
-def run_cli(*args, cwd=None, env=None):
+def run_cli(*args, cwd=None, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "ringlab.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, timeout=timeout,
         env=None if env is None else {**os.environ, **env})
 
 
@@ -94,6 +94,32 @@ def test_reduce_parse_error_exit_2(tmp_path):
         bad.write_text(text)
         res = run_cli("reduce", str(bad))
         assert res.returncode == 2 and "Traceback" not in res.stderr, text
+
+
+@pytest.mark.parametrize("entry", ["1e400000", "1e20000"])
+def test_reduce_zloc_huge_entry_exit_2(tmp_path, entry):
+    """A zloc entry with more digits than sys.get_int_max_str_digits() is
+    a parse error, found before any arithmetic on it (1e400000 used to
+    spin in the valuation loop for minutes)."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"ring": "zloc:{2,3}", "rows": [[entry]]}))
+    res = run_cli("reduce", str(path), timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "parse error" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_reduce_result_past_the_digit_limit_exit_4(tmp_path):
+    """Two coprime 3001-digit integers parse, but D = diag(1, a*b) has
+    about 6001 digits, past the int-to-string limit: exit 4, no file."""
+    a, b = 10**3000 + 1, 10**3000 + 3
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"ring": "Z",
+                                "rows": [[str(a), "0"], ["0", str(b)]]}))
+    out = tmp_path / "cert.json"
+    res = run_cli("reduce", str(path), "--out", str(out), timeout=60)
+    assert res.returncode == 4, res.stderr
+    assert "too large" in res.stderr and "Traceback" not in res.stderr
+    assert not out.exists()
 
 
 def test_reduce_failure_exit_3(tmp_path):

@@ -137,14 +137,22 @@ def _name_rings():
 
 @pytest.mark.parametrize("ring", _name_rings(), ids=lambda r: r.spec_string())
 def test_names_parse_back_to_their_index(ring):
+    """parse_element serves names from the memo once the handle holds its
+    cache; a handle of the same spec without one keeps the plain parser,
+    gets the same payloads and is not given a cache by parsing."""
     cache = engine.build_cache(ring)
     memo = engine._parse_memo(cache)
+    bare = make_ring(ring.spec_string())
     assert len(cache.names) == cache.n
     for i, name in enumerate(cache.names):
         assert name == ring.format_element(cache.element(i))
-        assert ring.parse_element(name) == cache.element(i)
+        got = ring.parse_element(name)
+        assert got == cache.element(i) and got.ring is ring
         assert memo[name] == i
         assert memo[name] == i  # second lookup is served by the memo
+        plain = bare.parse_element(name)
+        assert plain.ring is bare and plain.value == got.value
+    assert getattr(bare, "_cache_obj", None) is None
 
 
 def test_parse_memo_keeps_rejecting_bad_strings():
@@ -155,6 +163,47 @@ def test_parse_memo_keeps_rejecting_bad_strings():
             with pytest.raises(ParseError):
                 memo[bad]
     assert "(1|2" not in memo and "x" not in memo
+
+
+@pytest.mark.parametrize("spec", NAME_SPECS)
+def test_parse_element_rejects_on_every_call(spec):
+    ring = make_ring(spec)
+    engine.build_cache(ring)
+    for bad in ("", "(1|2", "x^", "?", "1/2"):
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                ring.parse_element(bad)
+        assert bad not in ring.cache().parsed
+
+
+@pytest.mark.parametrize("spec", NAME_SPECS)
+def test_parse_element_non_str_keeps_its_exceptions(spec):
+    """Input that is not a str bypasses the memo: the same outcome with or
+    without a cache (AttributeError from ``.strip()`` for these; bytes
+    parse on some kinds and raise TypeError on others)."""
+    bare, cached = make_ring(spec), make_ring(spec)
+    engine.build_cache(cached)
+
+    def outcome(ring, value):
+        try:
+            return ring.parse_element(value).value
+        except Exception as exc:  # the type is what is compared
+            return type(exc)
+
+    for value in (5, None, 1.5, ["1"]):
+        assert outcome(bare, value) is AttributeError
+        assert outcome(cached, value) is AttributeError
+    assert outcome(bare, b"1") == outcome(cached, b"1")
+
+
+def test_two_handles_of_one_spec_keep_their_elements():
+    r1, r2 = make_ring("prod(Zn:4,Zn:9)"), make_ring("prod(Zn:4,Zn:9)")
+    engine.build_cache(r1)
+    engine.build_cache(r2)
+    e1, e2 = r1.parse_element("(1|5)"), r2.parse_element("(1|5)")
+    assert e1.ring is r1 and e2.ring is r2
+    assert e1.value == e2.value and e1 != e2
+    assert r1.parse_element("(1|5)").ring is r1
 
 
 # sha256 of json.dumps(ring_predicate(cache, p).to_json(), sort_keys=True),

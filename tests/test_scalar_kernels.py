@@ -2,26 +2,36 @@
 
 The reference is the public ``ring.add`` / ``ring.mul`` on ``Element``s
 (and ``RingMatrix.mat_mul``, built on them), which shares no code with the
-index tables and payload operators the adapters of ``reduction`` use.
+index tables and payload operators the adapters of ``reduction`` use. The
+zloc kernels, which work on integer ratios, are also checked against the
+``Fraction`` operators, and the certificates of a seeded batch are pinned
+by digest.
 """
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from ringlab.concrete import builtin_table_path, make_ring
 from ringlab.errors import NotBezout, NotComaximal, ReductionFailed
 from ringlab.reduction import (
+    ReductionCertificate,
     RingMatrix,
     _FiniteOps,
     _NativeOps,
+    _RatioOps,
     _ValueOps,
     _scalar_ops,
     _unbox,
     _verify_raw,
     comax_triangular_reduce,
     diagonal_reduce,
+    verify_certificate,
 )
 
 TABLE = f"table:{builtin_table_path()}"
@@ -76,7 +86,7 @@ def test_one_adapter_per_ring():
         ops = _scalar_ops(ring)
         assert _scalar_ops(ring) is ops, spec
     assert type(_scalar_ops(RINGS["Z"])) is _NativeOps
-    assert type(_scalar_ops(RINGS["zloc:{2,3}"])) is _NativeOps
+    assert type(_scalar_ops(RINGS["zloc:{2,3}"])) is _RatioOps
     assert type(_scalar_ops(RINGS["dualint"])) is _ValueOps
     assert type(_scalar_ops(RINGS["Zn:12"])) is _FiniteOps
 
@@ -169,3 +179,113 @@ def test_closed_form_D_equals_the_product(data):
     assert cert.D == cert.P.mat_mul(A).mat_mul(cert.Q)
     assert cert.D == RingMatrix(ring, [[ring.one, ring.zero],
                                        [ring.zero, ring.neg(ring.mul(a, c))]])
+
+
+def zloc_fractions():
+    """Fractions of zloc:{2,3}: denominators coprime to 2 and 3, small and
+    large numerators and denominators."""
+    dens = st.builds(lambda k, r: 6 * k + r,
+                     st.one_of(st.integers(0, 20), st.integers(0, 10**40)),
+                     st.sampled_from((1, 5)))
+    nums = st.one_of(st.integers(-50, 50), st.integers(-10**40, 10**40))
+    return st.builds(Fraction, nums, dens)
+
+
+def assert_same_fraction(got, want):
+    """``Element.__eq__`` would let an int 5 pass for Fraction(5): check
+    the type and a positive denominator as well as the value."""
+    assert type(got) is Fraction
+    assert got.denominator > 0
+    assert got.as_integer_ratio() == want.as_integer_ratio()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ratio_kernels_match_fraction_operators(data):
+    ops = _scalar_ops(RINGS["zloc:{2,3}"])
+    fractions = zloc_fractions()
+    x, p, y, q = (data.draw(fractions) for _ in range(4))
+    assert_same_fraction(ops.lin(x, p, y, q), x * p + y * q)
+    k = data.draw(st.integers(0, 4))
+    xs, ys = (data.draw(st.lists(fractions, min_size=k, max_size=k))
+              for _ in range(2))
+    got = ops.comb(xs, p, ys, q)
+    assert len(got) == k
+    for v, a, b in zip(got, xs, ys):
+        assert_same_fraction(v, a * p + b * q)
+    want = Fraction(0)
+    for a, b in zip(xs, ys):
+        want = want + a * b
+    assert_same_fraction(ops.dot(xs, ys), want)
+    r, c, k = (data.draw(st.integers(1, 3)) for _ in range(3))
+    X, Y = ([data.draw(st.lists(fractions, min_size=m, max_size=m))
+             for _ in range(n)] for n, m in ((r, k), (k, c)))
+    got = ops.matmul(X, Y)
+    assert len(got) == r and all(len(row) == c for row in got)
+    for i in range(r):
+        for j in range(c):
+            want = Fraction(0)
+            for t in range(k):
+                want = want + X[i][t] * Y[t][j]
+            assert_same_fraction(got[i][j], want)
+
+
+# sha256 of the certificates of a seeded batch, one JSON line per matrix
+# (json.dumps(cert.to_json(verified), sort_keys=True), or the failure and
+# its witness on the control ring), taken before the zloc ratio kernels,
+# the per-cache parse memo and the cofactor lists from _preimages.
+PINNED_CERTIFICATES = {
+    "zloc:{2,3}":
+        "52ad1fb1fa71ba30a503721a1ed16d8db36ca273dc7abf398e20c2e02cab2132",
+    "zloc:{5}":
+        "67ab44d399815abe5303d9185e8afc3f78d04282cca0a8e58f7804e22d1d2049",
+    "Zn:72":
+        "6f4daff0f1ea5a9269673959256767f9ba9ecc9d0d97f0fa491ec1022862fe86",
+    "prod(Zn:8,Zn:9)":
+        "de9e112dbcfc6d5263a4e700efc862cb1c888a91d6afedf543dbd0e949bbcc00",
+    "polyq:3:x^2-1":
+        "a26cbd8a9c8692e35e1326d5ff779ad3df5f2e88efc7018b2ff982c54ecfd56c",
+    "table":
+        "a4cf37e709d3ed5033c00639569875ffa681d3e9f0607722ed053e2f1c0c88ad",
+}
+PIN_DENOMINATORS = {"zloc:{2,3}": (1, 1, 5, 7, 25, 35, 11**9),
+                    "zloc:{5}": (1, 1, 2, 3, 4, 9, 7**12)}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CERTIFICATES))
+def test_certificates_keep_their_bytes(name):
+    """40 matrices of sizes 1..5 per ring; each certificate also verifies
+    after its JSON round trip."""
+    spec = TABLE if name == "table" else name
+    ring = make_ring(spec)
+    rng = random.Random("ringlab-pin:" + name)
+    if ring.cardinality is None:
+        dens = PIN_DENOMINATORS[spec]
+
+        def draw():
+            if rng.random() < 0.2:
+                return ring.zero
+            return ring.make(Fraction(rng.randint(-10**6, 10**6),
+                                      rng.choice(dens)))
+    else:
+        elems = list(ring.elements())
+
+        def draw():
+            return rng.choice(elems)
+    digest = hashlib.sha256()
+    for k in (1, 2, 3, 4, 5):
+        for _ in range(8):
+            A = RingMatrix(ring, [[draw() for _ in range(k)] for _ in range(k)])
+            try:
+                cert = diagonal_reduce(ring, A)
+            except ReductionFailed as exc:
+                assert name == "table"
+                out = {"failed": exc.reason.replace(spec, "<ring>"),
+                       "witness": exc.witness.to_strings()}
+            else:
+                out = cert.to_json(verify_certificate(ring, A, cert).verdict)
+                back = ReductionCertificate.from_json(
+                    ring, json.loads(json.dumps(out)))
+                assert out["verified"] and verify_certificate(ring, A, back).verdict
+            digest.update(json.dumps(out, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CERTIFICATES[name]
