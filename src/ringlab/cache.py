@@ -6,6 +6,28 @@ predicate engine and the reduction pipeline need on finite rings (units,
 Jacobson radical, idempotents, principal ideals with multiplier witnesses,
 comaximality, Bezout gcd search) is then pure integer-index arithmetic.
 
+The tables come from the additive structure, not from n² calls of the
+ring's own ``_add`` and ``_mul`` (``_build_tables``). Scanning the indices
+upward, each element that is not yet in the subgroup spanned by the
+earlier picks becomes a generator g, and that subgroup is closed by a
+breadth-first search along y = g + x. This picks one generator for Zn, at
+most two for a product of two cyclic rings and ``deg`` for polyq. Every
+element y other than 0 then has a parent x and a generator g with
+y = g + x, and its rows follow from its parent's:
+
+* add[y][a] = (g + x) + a = g + add[x][a], a lookup in the column g + ·;
+* mul[y][a] = (g + x)·a = g·a + mul[x][a], a lookup in the add table.
+
+The rows of 0 are 0 + a = a and 0·a = 0. So a build makes 2·n·|G| ring
+calls (g + a and g·a for every generator g and element a) plus n² list
+lookups. The result equals the pairwise table entry for entry in any
+ring, because it uses only ring axioms (associativity of + and
+distributivity), and every finite ring built here is one: Zn, prod and
+polyq by construction, table files by the exhaustive axiom check at load,
+and quotients by the ideal check in ``concrete.quotient_ring``. A table
+ring built with ``verify=False`` is trusted to be a ring: if it is not,
+its cache tables are not its given tables.
+
 Heavy artifacts are built lazily and memoized on the cache. Ideal-valued
 computations are keyed by ideal identity, not by element, because distinct
 elements frequently generate the same principal ideal.
@@ -14,11 +36,55 @@ elements frequently generate the same principal ideal.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add as _plus
 
-from .errors import NotBezout, ParseError, TooLarge
+from .errors import AxiomViolation, NotBezout, ParseError, TooLarge
 from .rings import Element, Ring
 
 DEFAULT_SIZE_BOUND = 4096
+
+
+def _build_tables(ring: Ring, vals: list, idx: dict, zero: int
+                  ) -> tuple[list[int], list[int]]:
+    """Flat add and mul tables from a generating set of the additive group.
+
+    See the module docstring for the recurrence and why it is exact.
+    """
+    n = len(vals)
+    _add, _mul = ring._add, ring._mul
+    seen = bytearray(n)
+    seen[zero] = 1
+    order = [zero]
+    steps = []  # (y, x, k): y = g_k + x, in breadth-first order
+    plus = []   # per generator g: index of g + a for every a
+    times = []  # per generator g: n * (index of g·a) for every a
+    for g in range(n):
+        if seen[g]:
+            continue
+        gv = vals[g]
+        plus_g = [idx[_add(gv, v)] for v in vals]
+        k = len(plus)
+        plus.append(plus_g)
+        times.append([n * idx[_mul(gv, v)] for v in vals])
+        for x in order:  # the subgroup grows while it is walked
+            y = plus_g[x]
+            if not seen[y]:
+                seen[y] = 1
+                order.append(y)
+                steps.append((y, x, k))
+    add = [0] * (n * n)
+    mul = [0] * (n * n)
+    add[zero * n:zero * n + n] = range(n)
+    mul[zero * n:zero * n + n] = [zero] * n
+    for y, x, k in steps:
+        row, parent = y * n, x * n
+        add[row:row + n] = map(plus[k].__getitem__, add[parent:parent + n])
+    # mul rows read arbitrary rows of add, so they wait for the whole table.
+    add_at = add.__getitem__
+    for y, x, k in steps:
+        row, parent = y * n, x * n
+        mul[row:row + n] = map(add_at, map(_plus, times[k], mul[parent:parent + n]))
+    return add, mul
 
 
 class _ParseMemo(dict):
@@ -54,25 +120,18 @@ class EngineCache:
         self.ring = ring
         self.vals = list(ring._values())
         n = len(self.vals)
-        assert n == ring.cardinality, (
-            f"{ring.spec_string()}: enumeration yielded {n} elements, "
-            f"cardinality says {ring.cardinality}")
-        self.n = n
         self.idx = {v: i for i, v in enumerate(self.vals)}
+        if n != ring.cardinality or len(self.idx) != n:
+            raise AxiomViolation(
+                f"{ring.spec_string()}: enumeration yielded {n} elements "
+                f"({len(self.idx)} distinct), cardinality says "
+                f"{ring.cardinality}")
+        self.n = n
+        self.zero = self.idx[ring._zero_raw()]
+        self.one = self.idx[ring._one_raw()]
         # Flat row-major tables: op[i*n + j].
-        add = [0] * (n * n)
-        mul = [0] * (n * n)
-        _add, _mul, idx = ring._add, ring._mul, self.idx
-        for i, x in enumerate(self.vals):
-            row = i * n
-            for j, y in enumerate(self.vals):
-                add[row + j] = idx[_add(x, y)]
-                mul[row + j] = idx[_mul(x, y)]
-        self.add = add
-        self.mul = mul
-        self.neg = [idx[ring._neg(v)] for v in self.vals]
-        self.zero = idx[ring._zero_raw()]
-        self.one = idx[ring._one_raw()]
+        self.add, self.mul = _build_tables(ring, self.vals, self.idx, self.zero)
+        self.neg = [self.idx[ring._neg(v)] for v in self.vals]
         self._bezout_memo: dict[tuple[int, int], tuple] = {}
         self._sum_memo: dict[tuple[int, int], int] = {}
         self._comax_x_memo: dict[tuple[int, int], int] = {}

@@ -7,8 +7,9 @@ Subcommands:
     check-theorems  run the corpus checks and emit the JSON report
     case-study      the Z[x]/(x^2-1) divisibility case study
 
-Exit codes are a stable contract: 0 ok, 2 parse error, 3 reduction failed,
-4 ring too large, 5 unsupported ring/element combination. All file writes
+Exit codes are a stable contract: 0 ok, 2 parse error, 3 reduction failed
+(or, for classify, a predicate payload that failed re-verification), 4 ring
+too large, 5 unsupported ring/element combination. All file writes
 are atomic (write to a temp file, then rename). Output is JSON first; a
 short human-readable summary goes to stdout.
 """
@@ -37,6 +38,7 @@ from .errors import (
     NotComaximal,
     ParseError,
     ReductionFailed,
+    ReverifyFailed,
     RinglabError,
     TooLarge,
     UnsupportedSpec,
@@ -171,7 +173,7 @@ def _classify_finite(ring, bound: int) -> dict:
     for pid in engine.RING_PREDICATES:
         res = engine.ring_predicate(cache, pid)
         if not engine.reverify(cache, res):
-            raise AssertionError(f"{pid} payload failed re-verification")
+            raise ReverifyFailed(f"{pid} payload failed re-verification")
         preds[pid] = res.to_json()
     preds["j_characterization"] = engine.j_characterization_check(cache).to_json()
     return {
@@ -311,6 +313,9 @@ def cmd_classify(args) -> int:
     except TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    except ReverifyFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REDUCTION
     if args.export_table:
         if ring.cardinality is None:
             print("cannot export an infinite ring", file=sys.stderr)

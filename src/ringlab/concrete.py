@@ -939,30 +939,76 @@ def builtin_table_path(name: str = "nonbezout8") -> str:
 # ---------------------------------------------------------------------------
 
 
+def check_ideal(c: EngineCache, ideal: frozenset[int]) -> None:
+    """Raise AxiomViolation unless the nonempty index set is an ideal.
+
+    The set must be closed under + (|I|² lookups) and under multiplication
+    by every element of c's ring on either side (n·|I|); the latter puts
+    x·0 = 0 in it.
+    """
+    n, add, mul = c.n, c.add, c.mul
+    member = bytearray(n)
+    for x in ideal:
+        member[x] = 1
+    for x in ideal:
+        row = x * n
+        if not all(member[add[row + y]] for y in ideal):
+            raise AxiomViolation("set is not closed under addition")
+        if not (all(map(member.__getitem__, mul[row:row + n]))
+                and all(map(member.__getitem__, mul[x::n]))):
+            raise AxiomViolation("set is not closed under multiplication by the ring")
+
+
 def quotient_ring(ring: Ring, gens: list[Element]
                   ) -> tuple[TableRing, dict[Element, Element]]:
     """Quotient of a finite ring by the ideal generated by ``gens``.
 
     Returns the quotient as a table ring (cosets named by their least
-    representative's index) together with the projection map, which is
-    verified to be a ring homomorphism exhaustively.
+    representative's index) together with the projection map.
+
+    The generated set I = g1·R + ... + gk·R is checked to be an ideal
+    (``check_ideal``) before any coset is formed: closed under + (|I|²
+    lookups) and under multiplication by R on either side (n·|I|). This
+    is the same test as asking, at all n² pairs, that the projection
+    a -> a + I respect + and · for the coset tables built from least
+    representatives r(a). If I is an ideal, a = r(a) + i and b = r(b) + j
+    put a + b and a·b in the cosets of r(a) + r(b) and r(a)·r(b), so the
+    projection respects both operations. Conversely, if it respects ·,
+    then for i in I the coset of a·i is that of r(a)·r(i) = r(a)·r(0),
+    which is the coset of a·0 = 0, that is I itself; likewise for i·a.
+    And a nonempty set closed under + is a subgroup of the finite
+    additive group. Raises AxiomViolation when the check fails.
+
+    Cosets partition the ring, so one upward scan assigns every element
+    its representative in O(n): the first index not yet assigned is the
+    least element of its coset.
     """
     if ring.cardinality is None:
         raise UnsupportedSpec("quotients are supported for finite rings only")
     c: EngineCache = ring.cache()
-    n = c.n
+    n, add, mul = c.n, c.add, c.mul
     ideal = frozenset([c.zero])
     for g in gens:
         gi = c.index_of(g)
         # Sum of two additive subgroups is already a subgroup.
-        ideal = frozenset(c.add[x * n + y] for x in ideal for y in c.pid[gi])
-    rep_of = [min(c.add[i * n + j] for j in ideal) for i in range(n)]
-    reps = sorted(set(rep_of))
-    qindex = {r: k for k, r in enumerate(reps)}
+        ideal = frozenset(add[x * n + y] for x in ideal for y in c.pid[gi])
+    check_ideal(c, ideal)
+    rep_of = [-1] * n
+    reps = []
+    for r in range(n):
+        if rep_of[r] < 0:
+            reps.append(r)
+            row = r * n
+            for y in ideal:
+                rep_of[add[row + y]] = r
     m = len(reps)
-    assert n % m == 0, "coset count must divide the ring order"
-    qadd = [[qindex[rep_of[c.add[a * n + b]]] for b in reps] for a in reps]
-    qmul = [[qindex[rep_of[c.mul[a * n + b]]] for b in reps] for a in reps]
+    if m * len(ideal) != n:
+        raise AxiomViolation(
+            f"{m} cosets of a {len(ideal)}-element ideal do not cover "
+            f"the {n} elements")
+    qindex = {r: k for k, r in enumerate(reps)}
+    qadd = [[qindex[rep_of[add[a * n + b]]] for b in reps] for a in reps]
+    qmul = [[qindex[rep_of[mul[a * n + b]]] for b in reps] for a in reps]
     if len(gens) == 1:
         label = f"quot({ring.spec_string()},{ring.format_element(gens[0])})"
     else:
@@ -970,15 +1016,6 @@ def quotient_ring(ring: Ring, gens: list[Element]
         label = f"quot({ring.spec_string()},[{inner}])"
     q = TableRing(m, qadd, qmul, qindex[rep_of[c.zero]], qindex[rep_of[c.one]],
                   spec_str=label, verify=False)
-    # The projection must be a homomorphism; check every pair.
-    for a in range(n):
-        pa = qindex[rep_of[a]]
-        row = a * n
-        for b in range(n):
-            if qindex[rep_of[c.add[row + b]]] != qadd[pa][qindex[rep_of[b]]]:
-                raise AxiomViolation("projection fails additivity")
-            if qindex[rep_of[c.mul[row + b]]] != qmul[pa][qindex[rep_of[b]]]:
-                raise AxiomViolation("projection fails multiplicativity")
     projection = {
         c.element(i): Element(q, qindex[rep_of[i]]) for i in range(n)
     }

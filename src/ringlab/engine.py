@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .cache import DEFAULT_SIZE_BOUND, EngineCache, _ParseMemo
-from .errors import NoDecomposition, NotBezout, NotFZA, ParseError
+from .errors import AxiomViolation, NoDecomposition, NotBezout, NotFZA, ParseError
 from .rings import Element, Ring
 
 ELEMENT_PREDICATES = (
@@ -159,15 +159,17 @@ def build_cache(ring: Ring, bound: int = DEFAULT_SIZE_BOUND) -> EngineCache:
         n, add, mul = cache.n, cache.add, cache.mul
         jac, units = cache.jac, cache.unit_set
         for x in jac:
-            for y in jac:
-                assert add[x * n + y] in jac, "radical not closed under addition"
             row = x * n
-            for r in range(n):
-                assert mul[row + r] in jac, "radical not an ideal"
+            if not all(add[row + y] in jac for y in jac):
+                raise AxiomViolation(
+                    f"{ring.spec_string()}: radical not closed under addition")
+            if not all(v in jac for v in mul[row:row + n]):
+                raise AxiomViolation(f"{ring.spec_string()}: radical not an ideal")
         for u in units:
             row = u * n
-            for v in units:
-                assert mul[row + v] in units, "units not closed under product"
+            if not all(mul[row + v] in units for v in units):
+                raise AxiomViolation(
+                    f"{ring.spec_string()}: units not closed under product")
         cache._ext["structure_verified"] = True
     return cache
 
@@ -681,9 +683,13 @@ def pi_regular_decomposition(cache: EngineCache, a: Element) -> PiRegularWitness
     w = c.sub(power, c.mul[e * n + u])
     if u not in c.unit_set:
         raise NoDecomposition("derived u is not a unit")
-    assert c.sub(e, c.mul[e * n + e]) in c.jac, "e - e^2 not in radical"
-    assert w in c.jac, "w not in radical"
-    assert c.add[c.mul[e * n + u] * n + w] == power, "a^n != e*u + w"
+    # These hold in every commutative ring, so a failure is a broken ring.
+    if c.sub(e, c.mul[e * n + e]) not in c.jac:
+        raise AxiomViolation("e - e^2 not in radical")
+    if w not in c.jac:
+        raise AxiomViolation("w not in radical")
+    if c.add[c.mul[e * n + u] * n + w] != power:
+        raise AxiomViolation("a^n != e*u + w")
     mk = c.element
     return PiRegularWitness(n=n_exp, b=mk(b), e=mk(e), u=mk(u), w=mk(w))
 

@@ -18,7 +18,13 @@ class UnsupportedSpec(RinglabError):
 
 
 class AxiomViolation(RinglabError):
-    """A table ring failed the exhaustive ring-axiom check at load time."""
+    """A ring failed an axiom or structural check.
+
+    Raised by the exhaustive axiom check of a table ring at load time, by
+    the ideal check of a quotient, and by the structural checks on a
+    finite ring's cache (enumeration, radical, units, pi-regular
+    identities).
+    """
 
 
 class TooLarge(RinglabError):
@@ -47,6 +53,10 @@ class NotFZA(RinglabError):
 
 class NoDecomposition(RinglabError):
     """No pi-regular decomposition exists for the element."""
+
+
+class ReverifyFailed(RinglabError):
+    """A predicate payload failed its independent re-verification."""
 
 
 class NoResidue(RinglabError):

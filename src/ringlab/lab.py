@@ -35,7 +35,7 @@ from .concrete import (
     make_ring,
     quotient_ring,
 )
-from .errors import ReductionFailed, RinglabError
+from .errors import ReductionFailed, ReverifyFailed, RinglabError
 from .reduction import (
     _box,
     _cache_ops,
@@ -133,7 +133,7 @@ class _RingCtx:
         if got is None:
             got = engine.ring_predicate(self.cache, predicate)
             if not engine.reverify(self.cache, got):
-                raise AssertionError(
+                raise ReverifyFailed(
                     f"{self.spec}: {predicate} payload failed re-verification")
             self._preds[predicate] = got
         return got

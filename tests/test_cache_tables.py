@@ -1,0 +1,192 @@
+"""Oracle tests for the finite-ring tables and for quotients.
+
+``EngineCache`` builds its add and mul tables from a generating set of the
+additive group. The reference here is the pair-by-pair table written out
+from the ring's own raw ``_add``, ``_mul`` and ``_neg``, with no code from
+``cache.py``. Quotients are checked against cosets formed by brute force
+from the same raw operations.
+"""
+
+import subprocess
+import sys
+import textwrap
+from math import isqrt
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from ringlab.concrete import (
+    ModularRing,
+    PolyQuotientRing,
+    ProductRing,
+    builtin_table_path,
+    check_ideal,
+    load_table_ring,
+    make_ring,
+    quotient_ring,
+)
+from ringlab.errors import AxiomViolation
+from ringlab.rings import Element
+
+
+def pairwise_tables(ring):
+    """Every entry from one raw ring call: (vals, idx, add, mul, neg)."""
+    vals = list(ring._values())
+    idx = {v: i for i, v in enumerate(vals)}
+    add = [idx[ring._add(x, y)] for x in vals for y in vals]
+    mul = [idx[ring._mul(x, y)] for x in vals for y in vals]
+    neg = [idx[ring._neg(x)] for x in vals]
+    return vals, idx, add, mul, neg
+
+
+def assert_tables_match(ring):
+    vals, idx, add, mul, neg = pairwise_tables(ring)
+    c = ring.cache()
+    spec = ring.spec_string()
+    assert c.vals == vals, spec
+    assert c.add == add, spec
+    assert c.mul == mul, spec
+    assert c.neg == neg, spec
+    assert c.zero == idx[ring._zero_raw()], spec
+    assert c.one == idx[ring._one_raw()], spec
+
+
+def control():
+    return load_table_ring(builtin_table_path())
+
+
+def quotient_oracle(ring, gens):
+    """(add, mul, zero, one, projection) of R/I from raw ops and brute force.
+
+    I is the additive closure of every g·r; each coset is named by its
+    least index and the quotient indexes the cosets in ascending order.
+    """
+    vals, idx, add, mul, _ = pairwise_tables(ring)
+    n = len(vals)
+    ideal = {idx[ring._zero_raw()]}
+    ideal |= {idx[ring._mul(g.value, v)] for g in gens for v in vals}
+    while True:
+        grown = ideal | {add[x * n + y] for x in ideal for y in ideal}
+        if grown == ideal:
+            break
+        ideal = grown
+    least = [min(add[a * n + i] for i in ideal) for a in range(n)]
+    reps = sorted(set(least))
+    pos = {r: k for k, r in enumerate(reps)}
+    qadd = [[pos[least[add[a * n + b]]] for b in reps] for a in reps]
+    qmul = [[pos[least[mul[a * n + b]]] for b in reps] for a in reps]
+    proj = [pos[least[a]] for a in range(n)]
+    return (qadd, qmul, pos[least[idx[ring._zero_raw()]]],
+            pos[least[idx[ring._one_raw()]]], proj)
+
+
+QUOTIENTS = {
+    "Zn:12 by 4": ("Zn:12", ["4"]),
+    "polyq:9:x^2-1 by x+1": ("polyq:9:x^2-1", ["x+1"]),
+    "prod(Zn:4,Zn:9) by (2|3)": ("prod(Zn:4,Zn:9)", ["(2|3)"]),
+    "Zn:36 by 4, 6": ("Zn:36", ["4", "6"]),
+    "prod(Zn:4,Zn:9) by (2|0), (0|3)": ("prod(Zn:4,Zn:9)", ["(2|0)", "(0|3)"]),
+    "polyq:6:x^2 by x, 3": ("polyq:6:x^2", ["x", "3"]),
+}
+
+
+def build_quotient(name):
+    spec, gens = QUOTIENTS[name]
+    ring = make_ring(spec)
+    gens = [ring.parse_element(g) for g in gens]
+    return ring, gens, quotient_ring(ring, gens)
+
+
+RINGS = {
+    "Zn:2": lambda: make_ring("Zn:2"),
+    "Zn:97": lambda: make_ring("Zn:97"),
+    "prod(Zn:4,Zn:9)": lambda: make_ring("prod(Zn:4,Zn:9)"),
+    "prod(prod(Zn:2,Zn:3),Zn:4)": lambda: make_ring("prod(prod(Zn:2,Zn:3),Zn:4)"),
+    "prod(Zn:2,control)": lambda: ProductRing([ModularRing(2), control()]),
+    "prod(control,Zn:3)": lambda: ProductRing([control(), ModularRing(3)]),
+    "polyq:4:x^3+2x+1": lambda: make_ring("polyq:4:x^3+2x+1"),
+    "polyq:6:x^2": lambda: make_ring("polyq:6:x^2"),
+    "polyq:9:x^2-1": lambda: make_ring("polyq:9:x^2-1"),
+    "control": control,
+    **{f"quot {name}": (lambda name=name: build_quotient(name)[2][0])
+       for name in QUOTIENTS},
+}
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_tables_equal_the_pairwise_tables(name):
+    assert_tables_match(RINGS[name]())
+
+
+@pytest.mark.parametrize("name", list(QUOTIENTS))
+def test_quotient_equals_brute_force_cosets(name):
+    ring, gens, (q, projection) = build_quotient(name)
+    qadd, qmul, zero, one, proj = quotient_oracle(ring, gens)
+    assert q.add_table == qadd
+    assert q.mul_table == qmul
+    assert (q.zero_idx, q.one_idx) == (zero, one)
+    got = [projection[Element(ring, v)] for v in ring._values()]
+    assert all(e.ring is q for e in got)
+    assert [e.value for e in got] == proj
+
+
+@st.composite
+def small_rings(draw, limit=256):
+    """Zn, polyq or a product of two of them, with at most ``limit`` elements."""
+    kind = draw(st.sampled_from(["Zn", "polyq", "prod"] if limit >= 4
+                                else ["Zn", "polyq"]))
+    if kind == "Zn":
+        return ModularRing(draw(st.integers(2, limit)))
+    if kind == "polyq":
+        m = draw(st.integers(2, min(6, limit)))
+        top = 1
+        while m ** (top + 1) <= limit:
+            top += 1
+        deg = draw(st.integers(1, top))
+        low = draw(st.lists(st.integers(0, m - 1), min_size=deg, max_size=deg))
+        return PolyQuotientRing(m, low + [1])
+    first = draw(small_rings(limit=isqrt(limit)))
+    second = draw(small_rings(limit=limit // first.cardinality))
+    return ProductRing([first, second])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings())
+def test_tables_equal_the_pairwise_tables_on_random_rings(ring):
+    assert_tables_match(ring)
+
+
+def test_ideal_check_rejects_planted_sets():
+    c = make_ring("prod(Zn:2,Zn:2)").cache()
+    zero, diagonal = c.idx[(0, 0)], c.idx[(1, 1)]
+    # {0, (1|1)} is an additive subgroup, but (1|0)·(1|1) = (1|0).
+    with pytest.raises(AxiomViolation, match="multiplication"):
+        check_ideal(c, frozenset([zero, diagonal]))
+    c = make_ring("Zn:4").cache()
+    with pytest.raises(AxiomViolation, match="addition"):
+        check_ideal(c, frozenset([0, 1]))
+    check_ideal(c, frozenset([0, 2]))
+
+
+def test_structural_checks_survive_python_O():
+    # A Z/4 addition with 1*2 = 3: its units {1, 3} are not closed under
+    # product (1*3 = 2), and the given table is the one the build derives.
+    code = textwrap.dedent("""
+        from ringlab import engine
+        from ringlab.concrete import TableRing
+        from ringlab.errors import AxiomViolation
+        add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+        mul = [[0, 0, 0, 0], [0, 1, 3, 2], [0, 2, 2, 0], [0, 3, 1, 2]]
+        ring = TableRing(4, add, mul, 0, 1, verify=False)
+        assert False, "asserts must be off"
+        try:
+            engine.build_cache(ring)
+        except AxiomViolation as exc:
+            print("AxiomViolation:", exc)
+    """)
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "AxiomViolation: " in res.stdout
+    assert "units not closed under product" in res.stdout

@@ -273,3 +273,30 @@ def test_reduce_zloc_matrix(tmp_path):
     res = run_cli("reduce", str(path), "--strategy", "zloc_structural")
     assert res.returncode == 0
     assert "D = diag(" in res.stdout
+
+
+def test_classify_reverify_failure_exits_3(monkeypatch, capsys):
+    from ringlab import cli, engine
+
+    monkeypatch.setattr(engine, "reverify", lambda cache, res: False)
+    assert cli.main(["classify", "Zn:6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: bezout payload failed re-verification\n"
+    assert captured.out == ""
+
+
+def test_check_theorems_reverify_failure_fails_the_check(monkeypatch, tmp_path,
+                                                         capsys):
+    from ringlab import cli, engine
+
+    monkeypatch.delenv("RINGLAB_WORKERS", raising=False)
+    monkeypatch.setattr(engine, "reverify", lambda cache, res: False)
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(["Zn:6"]))
+    out = tmp_path / "report.json"
+    assert cli.main(["check-theorems", "--corpus", str(corpus),
+                     "--checks", "T2.5", "--out", str(out)]) == 1
+    assert "summary: 0 pass, 1 fail" in capsys.readouterr().err
+    rows = json.loads(out.read_text())["results"][0]["rings"]
+    assert rows == [{"ring": "Zn:6", "verdict": False, "vacuous": False,
+                     "error": "Zn:6: bezout payload failed re-verification"}]

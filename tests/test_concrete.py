@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +66,7 @@ def test_product_nesting_and_parse():
 def test_table_ring_load_and_reject(tmp_path):
     ring = make_ring(f"table:{builtin_table_path()}")
     assert ring.cardinality == 8
-    data = json.loads(open(builtin_table_path()).read())
+    data = json.loads(Path(builtin_table_path()).read_text())
     data["mul"][3][4] = 7  # breaks commutativity/associativity somewhere
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
