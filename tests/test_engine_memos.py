@@ -326,7 +326,54 @@ PINNED_PAYLOADS = {
 }
 
 
-@pytest.mark.parametrize("spec", sorted(PINNED_PAYLOADS))
+CONTROL = f"table:{builtin_table_path()}"
+
+# The 8-element non-Bezout control ring: bezout, hermite and regular fail.
+PINNED_PAYLOADS[CONTROL] = {
+    "bezout":
+        "5345c6c4bcd311a3ad1cb6f2f9ea2faa7e40f6197e580ff16709816433b6c35b",
+    "hermite":
+        "c5486b39927f6f34f17818d36266c13c32af07cf6ab8867ae69a14d4a304857f",
+    "regular":
+        "4cfd83bd3a7a84428c3ba34dcf211562c300dd7acf68d3293da109308c27d7a5",
+    "regular_mod_J":
+        "3a1b591fe8f81979fff723000e18683819136380eae7bae9c988650189b478fb",
+    "pi_regular_mod_J":
+        "4bd410de59a4022901447bbfca03dff94ead21e010a07beda51edc4fdfebc8c6",
+    "clean":
+        "fa47aebaa45992632af620c14c24f08de5498848c5c9567a9452961e664577a3",
+    "feckly_clean":
+        "fa47aebaa45992632af620c14c24f08de5498848c5c9567a9452961e664577a3",
+    "semiregular":
+        "2c26fffde35b37ae235e644e89879f1928b8da4fe5f9929ba4310e2a250e5011",
+    "zero_adequate":
+        "d53af385d2a153df70345b88401cfaf879dd8fd0051c1d6b62b3bd8b293f27c8",
+    "feckly_zero_adequate":
+        "d53af385d2a153df70345b88401cfaf879dd8fd0051c1d6b62b3bd8b293f27c8",
+    "stable_range_1":
+        "02739ea004c0a2b92b320233258fdbd3928e436937bbcf7328362f0f81eddb0a",
+    "idempotents_lift_mod_J":
+        "dbb5e4ac90bff205b062789f3db8ca74c046fc29550c6a7604b5c00609799643",
+    "t216_cond2":
+        "0571461cb22623183732d757bf37c5cca987b6370c42572f77f4931d7094a6eb",
+    "t216_cond3":
+        "fa47aebaa45992632af620c14c24f08de5498848c5c9567a9452961e664577a3",
+    "c217_cond2":
+        "0571461cb22623183732d757bf37c5cca987b6370c42572f77f4931d7094a6eb",
+    "c217_cond3":
+        "fa47aebaa45992632af620c14c24f08de5498848c5c9567a9452961e664577a3",
+    "feckly_adequate_range_1":
+        "a4b1fbfb61abb832e985d9faeb5cc02b6a64536b951773bbf2e99257530fd24b",
+    "everywhere_adequate":
+        "02783770ca15fcdc5fe8e6c491cd273977f145bd603cb0121f1d55cd0f877f8d",
+}
+
+
+def _spec_id(spec):
+    return "control" if spec == CONTROL else spec
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_PAYLOADS), ids=_spec_id)
 def test_ring_predicate_payloads_are_pinned(spec):
     cache = engine.build_cache(make_ring(spec))
     got = {}
@@ -335,3 +382,74 @@ def test_ring_predicate_payloads_are_pinned(spec):
                           sort_keys=True)
         got[pid] = hashlib.sha256(text.encode()).hexdigest()
     assert got == PINNED_PAYLOADS[spec]
+
+
+def test_control_ring_negative_payloads():
+    """The negative payloads pinned above, spelled out."""
+    cache = engine.build_cache(make_ring(CONTROL))
+    got = {pid: engine.ring_predicate(cache, pid).to_json()
+           for pid in ("bezout", "hermite", "regular")}
+    assert got == {
+        "bezout": {"verdict": False,
+                   "counterexample": {"a": "2", "b": "4",
+                                      "ideal": ["0", "2", "4", "6"],
+                                      "note": "no element generates this ideal"},
+                   "exercised": {"ideal_pairs": 15}},
+        "hermite": {"verdict": False,
+                    "counterexample": {"a": "2", "b": "4",
+                                       "note": "no comaximal cofactor witness"},
+                    "exercised": {"pairs": 64}},
+        "regular": {"verdict": False, "counterexample": {"a": "2"},
+                    "exercised": {"elements": 8}},
+    }
+
+
+# sha256 of json.dumps([element_predicate(cache, a, p).to_json() for every
+# element a in index order], sort_keys=True), taken with the engine before
+# the predicate registry replaced its per-predicate branches.
+PINNED_ELEMENT_PAYLOADS = {
+    "Zn:12": {
+        "regular":
+            "818219f24378d03dd583fd4ec268e4a76d7774b63df35da867cb5edc06094e26",
+        "pi_regular":
+            "cf347b1e244051df420d31bc407d6e5bcca1b272db5cc9002c4d74aabd4508ee",
+        "clean":
+            "e28473a34a10886977755bc0ddcfcec7ef582b00a0e6a7df741b4e7f83178a96",
+        "feckly_clean":
+            "e361ec6359fa4b5d53e1a369455415eabbf51ed5c0671c6e45a0bd6d2676601d",
+        "adequate":
+            "f71f1e383d70f833918cde22688197213050b530c4534ccc1d9c43540a52691b",
+        "feckly_adequate":
+            "d54c427f79841f62acc6f81cfba632874b0fe6e021c99c716cf0e2b8fb9cc7c3",
+        "adequate_cvariant":
+            "b4f9141faed32031d56cb643d41e79e7699512a1bec89ac2e95a484f00c57f34",
+    },
+    CONTROL: {
+        "regular":
+            "666ca5fedeaf75c4346855efad4482d0b02dcbccf64caa0592ee0a402d15ab98",
+        "pi_regular":
+            "188a3a37444f68928f82a79baccd83ac207ee3c1e4d2a0939089966c972f70cc",
+        "clean":
+            "b51f75e2a1171f12519258e97dc9d2fa64ae8b97b26e096dcbc3455b2d9c17c9",
+        "feckly_clean":
+            "b51f75e2a1171f12519258e97dc9d2fa64ae8b97b26e096dcbc3455b2d9c17c9",
+        "adequate":
+            "5ea701a0a4647496bf04e97f7add4c2123045cf508ee2e702786350ade80c440",
+        "feckly_adequate":
+            "c533035579ba022c8b7720ea3cb6e40f1b0b8d3902bb37a7595a740ccd78aec3",
+        "adequate_cvariant":
+            "27c9e2e8ebf63a15e9e8f794014ddf59912063d6b35de90a3a8f1ffc53f1b8e2",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_ELEMENT_PAYLOADS), ids=_spec_id)
+def test_element_predicate_payloads_are_pinned(spec):
+    cache = engine.build_cache(make_ring(spec))
+    got = {}
+    for pid in engine.ELEMENT_PREDICATES:
+        payloads = [engine.element_predicate(cache, cache.element(i), pid).to_json()
+                    for i in range(cache.n)]
+        text = json.dumps(payloads, sort_keys=True)
+        got[pid] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == PINNED_ELEMENT_PAYLOADS[spec]
