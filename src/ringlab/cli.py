@@ -8,8 +8,9 @@ Subcommands:
     case-study      the Z[x]/(x^2-1) divisibility case study
 
 Exit codes are a stable contract: 0 ok, 2 parse error, 3 reduction failed
-(or, for classify, a predicate payload that failed re-verification), 4 ring
-too large, 5 unsupported ring/element combination. All file writes
+(or, for classify and for adequate on a finite ring, a payload or witness
+that failed re-verification), 4 ring too large, 5 unsupported ring/element
+combination. All file writes
 are atomic (write to a temp file, then rename). Output is JSON first; a
 short human-readable summary goes to stdout.
 """
@@ -387,6 +388,9 @@ def cmd_adequate(args) -> int:
     except TooLarge as exc:
         print(f"too large: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    except ReverifyFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REDUCTION
     _emit(payload, args.out)
     return EXIT_OK
 

@@ -1,11 +1,35 @@
 """Exhaustive predicate engine for finite rings.
 
-Every element- and ring-level predicate is decided by brute-force search
-over the ``EngineCache`` index tables, and every positive verdict carries a
-witness payload that re-verifies by plain ring arithmetic. Negative
-verdicts carry a counterexample plus the size of the completed search.
-Witness selection is deterministic: the first candidate in enumeration
-order wins, so repeated runs produce identical reports.
+Every predicate is one entry of a registry (``_REGISTRY``): a domain, a
+check and a search. The check is the predicate's defining identity on one
+item of the domain and one witness, in cache-index arithmetic. The search
+finds the witness of one item: by default the first candidate, in
+enumeration order, that the check accepts, so repeated runs produce
+identical reports. ``hermite`` (``EngineCache.bezout``), ``bezout`` (the
+first generator of the sum ideal), ``pi_regular*`` (the regular search on
+each power until the powers cycle) and the adequacy family (the memoized
+search below) bring their own search.
+
+The domain is the predicate's quantifier. There are six:
+
+* every element: ``{"map": {a: w}}``, counterexample ``{"a"}``;
+* the quasi-idempotents: ``{"map": {x: w}}``, counterexample ``{"x"}``;
+* the comaximal pairs: ``{"pairs": [{"a", "b", "y" or "e"}]}``;
+* all n^2 pairs (``hermite``), listed the same way;
+* one pair per two principal-ideal classes (``bezout``), the same way;
+* adequacy targets: ``{"targets": {t: {r, s, j, x, y}}}``, which
+  ``everywhere_adequate`` nests per element.
+
+Each domain states once the payload and counterexample shapes, the
+``exercised`` counts, membership and coverage. ``ring_predicate``,
+``element_predicate`` and ``reverify`` are generic code over the registry.
+``reverify`` accepts a positive verdict only if the witnesses cover the
+whole domain, each item once, and the check holds on each. A negative
+verdict names one item; it is accepted only if the item is in the domain
+and its search, run again, finds nothing. The search is exhaustive, so the
+re-search is the test that no witness exists. Malformed payloads are
+rejected, never raised. ``semiregular`` is the conjunction of
+``regular_mod_J`` and ``idempotents_lift_mod_J``, decided once per cache.
 
 The adequacy predicates come in three variants. ``classic`` demands an
 exact factorization c = r*s; ``feckly`` only demands c - r*s to fall in
@@ -14,76 +38,31 @@ the Jacobson radical. Both test clause (3) against the running target a.
 itself; it is kept separate because the two readings genuinely differ and
 callers must choose explicitly.
 
-Repeated work is done once per cache. The adequacy search is memoized per
-(variant, c, ideal class of the target): the target enters the search only
-through its comaximality row ``comax[target]`` (clause (2), and clause (3)
-for the classic and feckly variants), and that row is a function of the
-principal ideal aR, so every target of one class has the same first
-(r, s) in enumeration order. Clause (3) itself is memoized per (ideal
-class of s, ideal class of its target): ``nonunit_divisors[s]`` lists the
-non-units t with s in tR, which depends only on sR. Both memos therefore
-return exactly what the unmemoized search would. Element strings are
-formatted once (``EngineCache.names``) and parsed once per cache: the
-text -> index memo ``_ParseMemo`` lives in ``cache.py`` as
-``EngineCache.parsed``, and ``_parse_memo`` returns it.
-
-``reverify`` checks the whole domain of a positive verdict, not only the
-entries it is given: every element (or every quasi-idempotent), every
-comaximal pair, all n^2 pairs for ``hermite`` and every pair of ideal
-classes for ``bezout``. Malformed payloads are rejected, never raised.
+The adequacy search is memoized per (variant, c, ideal class of the
+target): the target enters the search only through its comaximality row
+``comax[target]`` (clause (2), and clause (3) for the classic and feckly
+variants), and that row is a function of the principal ideal aR, so every
+target of one class has the same first (r, s) in enumeration order.
+Clause (3) itself is memoized per (ideal class of s, ideal class of its
+target): ``nonunit_divisors[s]`` lists the non-units t with s in tR,
+which depends only on sR. Both memos therefore return exactly what the
+unmemoized search would. Element strings are formatted once per cache
+(``EngineCache.names``) and parsed once (``EngineCache.parsed``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
+from itertools import product
+from typing import Any, Callable, NamedTuple
 
-from .cache import DEFAULT_SIZE_BOUND, EngineCache, _ParseMemo
-from .errors import AxiomViolation, NoDecomposition, NotBezout, NotFZA, ParseError
+from .cache import DEFAULT_SIZE_BOUND, EngineCache
+from .errors import (AxiomViolation, NoDecomposition, NotBezout, NotFZA, ParseError,
+                     ReverifyFailed)
 from .rings import Element, Ring
 
-ELEMENT_PREDICATES = (
-    "regular",
-    "pi_regular",
-    "clean",
-    "feckly_clean",
-    "adequate",
-    "feckly_adequate",
-    "adequate_cvariant",
-)
-
-RING_PREDICATES = (
-    "bezout",
-    "hermite",
-    "regular",
-    "regular_mod_J",
-    "pi_regular_mod_J",
-    "clean",
-    "feckly_clean",
-    "semiregular",
-    "zero_adequate",
-    "feckly_zero_adequate",
-    "stable_range_1",
-    "idempotents_lift_mod_J",
-    "t216_cond2",
-    "t216_cond3",
-    "c217_cond2",
-    "c217_cond3",
-    "feckly_adequate_range_1",
-    "everywhere_adequate",
-)
-
-_VARIANTS = {"classic", "feckly", "cvariant"}
-
-# Adequacy predicate -> the variant of the single-target search it runs.
-_ADEQUACY_VARIANT = {
-    "adequate": "classic",
-    "feckly_adequate": "feckly",
-    "adequate_cvariant": "cvariant",
-    "zero_adequate": "classic",
-    "feckly_zero_adequate": "feckly",
-    "everywhere_adequate": "classic",
-}
+_VARIANTS = ("classic", "feckly", "cvariant")
 
 
 @dataclass
@@ -124,14 +103,8 @@ class AdequateWitness:
     comax_y: Element
 
     def payload(self, ring: Ring) -> dict:
-        fmt = ring.format_element
-        return {
-            "r": fmt(self.r),
-            "s": fmt(self.s),
-            "j": fmt(self.j),
-            "x": fmt(self.comax_x),
-            "y": fmt(self.comax_y),
-        }
+        values = (self.r, self.s, self.j, self.comax_x, self.comax_y)
+        return _adequacy_fields([ring.format_element(v) for v in values], range(5))
 
 
 @dataclass(frozen=True)
@@ -175,45 +148,8 @@ def build_cache(ring: Ring, bound: int = DEFAULT_SIZE_BOUND) -> EngineCache:
 
 
 # ---------------------------------------------------------------------------
-# index-level searches
+# adequacy search
 # ---------------------------------------------------------------------------
-
-
-def _regular_idx(c: EngineCache, a: int, mod_j: bool) -> int | None:
-    n, mul = c.n, c.mul
-    jac = c.jac
-    for b in range(n):
-        aba = mul[mul[a * n + b] * n + a]
-        if (c.sub(a, aba) in jac) if mod_j else (aba == a):
-            return b
-    return None
-
-
-def _pi_regular_idx(c: EngineCache, a: int, mod_j: bool) -> tuple[int, int] | None:
-    n, mul = c.n, c.mul
-    jac = c.jac
-    power = a
-    seen = set()
-    exp = 1
-    while exp <= n and power not in seen:
-        seen.add(power)
-        row = power * n
-        for b in range(n):
-            pbp = mul[mul[row + b] * n + power]
-            if (c.sub(power, pbp) in jac) if mod_j else (pbp == power):
-                return exp, b
-        power = mul[row + a]
-        exp += 1
-    return None
-
-
-def _clean_idx(c: EngineCache, a: int, feckly: bool) -> int | None:
-    pool = c.quasi_idempotents if feckly else c.idempotents
-    units = c.unit_set
-    for e in sorted(pool):
-        if c.sub(a, e) in units:
-            return e
-    return None
 
 
 def _anchored(c: EngineCache, s: int, target: int) -> bool:
@@ -289,15 +225,369 @@ def _fa_element_idx(c: EngineCache, cval: int, variant: str) -> tuple[bool, Any]
     return got
 
 
-def _meet_in_radical(c: EngineCache, a: int, e: int) -> bool:
-    """aR intersect eR contained in the radical (memoized per ideal pair)."""
-    memo = c._ext.setdefault("meet_radical", {})
-    key = (c.ideal_class[a], c.ideal_class[e])
-    got = memo.get(key)
+def _adequacy_witness(c: EngineCache, cval: int, target: int, r: int,
+                      s: int) -> tuple[int, ...] | None:
+    """(r, s, j, x, y) with j = cval - r*s and r*x + target*y = 1, or None
+    if r and the target are not comaximal."""
+    wit = c.comax_witness(r, target)
+    if wit is None:
+        return None
+    return (r, s, c.sub(cval, c.mul[r * c.n + s])) + wit
+
+
+def _adequacy_search(variant: str, cval: int | None, c: EngineCache) -> Callable:
+    """find(target): the first adequacy witness of cval (0 if None)."""
+    cval = c.zero if cval is None else cval
+
+    def find(target: int):
+        pair = _adequate_pair_idx(c, cval, target, variant)
+        return pair and _adequacy_witness(c, cval, target, *pair)
+    return find
+
+
+# ---------------------------------------------------------------------------
+# the predicates: check(c) and search(c) bind to one cache
+# ---------------------------------------------------------------------------
+
+
+def _regular(c: EngineCache) -> Callable:
+    """a*b*a = a."""
+    n, mul = c.n, c.mul
+    return lambda a, b: mul[mul[a * n + b] * n + a] == a
+
+
+def _regular_mod_j(c: EngineCache) -> Callable:
+    """a - a*b*a lies in the radical."""
+    n, mul, sub, jac = c.n, c.mul, c.sub, c.jac
+    return lambda a, b: sub(a, mul[mul[a * n + b] * n + a]) in jac
+
+
+def _on_power(check: Callable) -> Callable:
+    """``check`` for a^k, on the witness (k, b)."""
+    def bind(c: EngineCache) -> Callable:
+        holds = check(c)
+        return lambda a, w: holds(_power(c, a, w[0]), w[1])
+    return bind
+
+
+def _unit_difference(c: EngineCache) -> Callable:
+    """a - e is a unit."""
+    sub, units = c.sub, c.unit_set
+    return lambda a, e: sub(a, e) in units
+
+
+def _clean_meet(c: EngineCache) -> Callable:
+    """a - e is a unit and aR intersect eR lies in the radical."""
+    sub, units, meets = c.sub, c.unit_set, _meet_in_radical(c)
+    return lambda a, e: sub(a, e) in units and meets(a, e)
+
+
+def _lifts(c: EngineCache) -> Callable:
+    """x - e lies in the radical."""
+    sub, jac = c.sub, c.jac
+    return lambda x, e: sub(x, e) in jac
+
+
+def _stable_range_1(c: EngineCache) -> Callable:
+    """a + b*y is a unit."""
+    n, add, mul, units = c.n, c.add, c.mul, c.unit_set
+    return lambda ab, y: add[ab[0] * n + mul[ab[1] * n + y]] in units
+
+
+def _unit_range(c: EngineCache) -> Callable:
+    """a + b*e is a unit and aR intersect eR lies in the radical."""
+    n, add, mul, units, meets = c.n, c.add, c.mul, c.unit_set, _meet_in_radical(c)
+    return lambda ab, e: (add[ab[0] * n + mul[ab[1] * n + e]] in units
+                          and meets(ab[0], e))
+
+
+def _meet_in_radical(c: EngineCache) -> Callable:
+    """meets(a, e): aR intersect eR lies in the radical (memoized per
+    pair of ideal classes)."""
+    memo, cls, pid, jac = c._ext.setdefault("meet_radical", {}), c.ideal_class, c.pid, c.jac
+
+    def meets(a: int, e: int) -> bool:
+        key = (cls[a], cls[e])
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (pid[a] & pid[e]) <= jac
+        return got
+    return meets
+
+
+def _feckly_adequate_range_1(c: EngineCache) -> Callable:
+    """a + b*y is feckly adequate."""
+    n, add, mul = c.n, c.add, c.mul
+    return lambda ab, y: _fa_element_idx(c, add[ab[0] * n + mul[ab[1] * n + y]],
+                                         "feckly")[0]
+
+
+def _hermite(c: EngineCache) -> Callable:
+    """a = a1*d, b = b1*d and a1*u + b1*v = 1."""
+    n, add, mul, one = c.n, c.add, c.mul, c.one
+
+    def holds(ab: tuple[int, int], w: tuple) -> bool:
+        d, a1, b1, u, v = w
+        return (mul[a1 * n + d] == ab[0] and mul[b1 * n + d] == ab[1]
+                and add[mul[a1 * n + u] * n + mul[b1 * n + v]] == one)
+    return holds
+
+
+def _bezout(c: EngineCache) -> Callable:
+    """dR = aR + bR."""
+    pid, cls = c.pid, c.ideal_class
+    return lambda ab, d: pid[d] == c.ideal_set(c.sum_ideal_id(cls[ab[0]], cls[ab[1]]))
+
+
+def _adequate(variant: str, cval: int | None, c: EngineCache) -> Callable:
+    """Adequacy of cval (0 if None) against a target, on (r, s, j, x, y).
+
+    (1) cval - r*s = j, with j = 0 (classic, cvariant) or j in J (feckly);
+    (2) r*x + target*y = 1; (3) every non-unit divisor of s is
+    non-comaximal with the target (with cval for the cvariant).
+    """
+    cval = c.zero if cval is None else cval
+    n, add, mul, one = c.n, c.add, c.mul, c.one
+    allowed_j = c.jac if variant == "feckly" else {c.zero}
+
+    def holds(target: int, w: tuple) -> bool:
+        r, s, j, x, y = w
+        return (c.sub(cval, mul[r * n + s]) == j and j in allowed_j
+                and add[mul[r * n + x] * n + mul[target * n + y]] == one
+                and _anchored(c, s, cval if variant == "cvariant" else target))
+    return holds
+
+
+def _power_search(check: Callable) -> Callable:
+    """First (k, b) with b a ``check`` witness for a^k; stops when powers cycle."""
+    def bind(c: EngineCache) -> Callable:
+        n, mul, holds = c.n, c.mul, check(c)
+
+        def find(a: int):
+            power, seen, k = a, set(), 1
+            while k <= n and power not in seen:
+                seen.add(power)
+                b = _first(holds, range(n), power)
+                if b is not None:
+                    return k, b
+                power = mul[power * n + a]
+                k += 1
+            return None
+        return find
+    return bind
+
+
+def _hermite_search(c: EngineCache) -> Callable:
+    def find(ab: tuple[int, int]):
+        try:
+            d, _, _, a1, b1, u, v = c.bezout(*ab)
+        except NotBezout:
+            return None
+        return d, a1, b1, u, v
+    return find
+
+
+def _bezout_search(c: EngineCache) -> Callable:
+    def find(ab: tuple[int, int]):
+        gens = c.generators_of(_sum_ideal_id(c, ab))
+        return gens[0] if gens else None
+    return find
+
+
+def _power(c: EngineCache, a: int, e: int) -> int:
+    """a^e for e >= 1, by repeated squaring."""
+    n, mul = c.n, c.mul
+    out, base, e = a, a, e - 1
+    while e:
+        if e & 1:
+            out = mul[out * n + base]
+        base = mul[base * n + base]
+        e >>= 1
+    return out
+
+
+# Witnesses of several values: index tuple <-> payload fields.
+
+
+def _power_fields(names, w) -> dict:
+    return {"n": w[0], "b": names[w[1]]}
+
+
+def _power_values(parsed, rec) -> tuple[int, int]:
+    k = rec["n"]
+    if type(k) is not int or k < 1:
+        raise ValueError(f"exponent {k!r} is not a positive int")
+    return k, parsed[rec["b"]]
+
+
+def _hermite_fields(names, w) -> dict:
+    d, a1, b1, u, v = w
+    return {"d": names[d], "a1": names[a1], "b1": names[b1], "u": names[u],
+            "v": names[v]}
+
+
+def _hermite_values(parsed, rec) -> tuple:
+    return (parsed[rec["d"]], parsed[rec["a1"]], parsed[rec["b1"]],
+            parsed[rec["u"]], parsed[rec["v"]])
+
+
+def _adequacy_fields(names, w) -> dict:
+    r, s, j, x, y = w
+    return {"r": names[r], "s": names[s], "j": names[j], "x": names[x],
+            "y": names[y]}
+
+
+def _adequacy_values(parsed, rec) -> tuple:
+    return (parsed[rec["r"]], parsed[rec["s"]], parsed[rec["j"]],
+            parsed[rec["x"]], parsed[rec["y"]])
+
+
+# ---------------------------------------------------------------------------
+# domains: generic search, check, payload and coverage
+# ---------------------------------------------------------------------------
+
+
+def _pool(c: EngineCache, name: str):
+    """Candidate witnesses in enumeration order: every element, or a sorted set."""
+    if name == "elements":
+        return range(c.n)
+    got = c._ext.get(("pool", name))
     if got is None:
-        got = (c.pid[a] & c.pid[e]) <= c.jac
-        memo[key] = got
+        got = c._ext[("pool", name)] = sorted(getattr(c, name))
     return got
+
+
+def _first(holds: Callable, pool, item):
+    """The first candidate of ``pool`` that ``holds`` accepts for ``item``."""
+    for w in pool:
+        if holds(item, w):
+            return w
+    return None
+
+
+def _searcher(p: _Predicate, c: EngineCache) -> Callable:
+    """search(item) on one cache: a witness for the item, or None if none exists."""
+    if p.search is not None:
+        return p.search(c)
+    return partial(_first, p.check(c), _pool(c, p.pool))
+
+
+def _checker(p: _Predicate, c: EngineCache) -> Callable:
+    """holds(item, value) on one cache: a payload value (an element name, or
+    the fields of a several-value witness) is a witness from the pool that
+    the check accepts."""
+    check, parsed = p.check(c), c.parsed
+    if not p.field:
+        return lambda item, value: check(item, p.values(parsed, value))
+    if p.pool == "elements":
+        return lambda item, value: check(item, parsed[value])
+    pool = getattr(c, p.pool)
+
+    def holds(item, value) -> bool:
+        w = parsed[value]
+        return w in pool and check(item, w)
+    return holds
+
+
+def _covers(keys: list, size: int) -> bool:
+    """True iff ``keys`` are pairwise distinct and exactly ``size`` many."""
+    return len(keys) == size and len(set(keys)) == size
+
+
+class _Domain(NamedTuple):
+    """Items that each carry one witness, and how a payload lists them.
+
+    A ``"pairs"`` payload lists ``{"a", "b", **witness fields}``; any other
+    collection maps each item's name to its witness. A counterexample names
+    one item, ``{"a", "b"}`` or ``{letter: name}``, plus ``extra`` fields,
+    which ``refutes`` re-checks.
+    """
+
+    collection: str
+    items: Callable                 # c -> the items, in enumeration order
+    size: Callable                  # c -> the number of items
+    exercised: Callable             # (c, items searched, verdict) -> dict
+    letter: str = "a"
+    member: Callable | None = None  # (c, item) -> bool, if not every item
+    key: Callable | None = None     # (c, item) -> coverage key, if not the item
+    extra: Callable = lambda c, item: {}
+    refutes: Callable = lambda c, item, bad: True
+
+    def counterexample(self, c: EngineCache, item) -> dict:
+        if self.collection == "pairs":
+            named = {"a": c.names[item[0]], "b": c.names[item[1]]}
+        else:
+            named = {self.letter: c.names[item]}
+        return {**named, **self.extra(c, item)}
+
+    def named(self, c: EngineCache, rec: dict):
+        """The item a counterexample or a pairs entry names."""
+        if self.collection == "pairs":
+            return c.parsed[rec["a"]], c.parsed[rec["b"]]
+        return c.parsed[rec[self.letter]]
+
+    def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
+        names, f, search = c.names, p.field, _searcher(p, c)
+        pairs = self.collection == "pairs"
+        out = [] if pairs else {}
+        for count, item in enumerate(self.items(c), 1):
+            w = search(item)
+            if w is None:
+                return PropertyResult(p.name, False,
+                                      counterexample=self.counterexample(c, item),
+                                      exercised=self.exercised(c, count, False))
+            if not pairs:
+                out[names[item]] = names[w] if f else p.fields(names, w)
+            elif f:
+                out.append({"a": names[item[0]], "b": names[item[1]], f: names[w]})
+            else:
+                out.append({"a": names[item[0]], "b": names[item[1]],
+                            **p.fields(names, w)})
+        return PropertyResult(p.name, True, witness={self.collection: out},
+                              exercised=self.exercised(c, len(out), True))
+
+    def covered(self, p: _Predicate, c: EngineCache, listed) -> bool:
+        """Every entry holds, and the entries are the domain, each once."""
+        if self.collection != "pairs":
+            entries = ((c.parsed[name], v) for name, v in listed.items())
+        elif p.field:
+            entries = ((self.named(c, rec), rec[p.field]) for rec in listed)
+        else:
+            entries = ((self.named(c, rec), rec) for rec in listed)
+        holds, member, items = _checker(p, c), self.member, []
+        for item, value in entries:
+            if not ((member is None or member(c, item)) and holds(item, value)):
+                return False
+            items.append(item)
+        keys = items if self.key is None else [self.key(c, i) for i in items]
+        return _covers(keys, self.size(c))
+
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
+        if result.verdict:
+            return self.covered(p, c, result.witness[self.collection])
+        bad = result.counterexample
+        item = self.named(c, bad)
+        return ((self.member is None or self.member(c, item))
+                and _searcher(p, c)(item) is None and self.refutes(c, item, bad))
+
+    def element(self, p: _Predicate, c: EngineCache, a: int) -> PropertyResult:
+        """One element: ``{"element", **witness fields}`` or a counterexample."""
+        names = c.names
+        w = _searcher(p, c)(a)
+        tally = p.tally(c, w) if p.tally else {}
+        if w is None:
+            return PropertyResult(p.name, False, exercised=tally,
+                                  counterexample=self.counterexample(c, a))
+        fields = {p.field: names[w]} if p.field else p.fields(names, w)
+        return PropertyResult(p.name, True, witness={"element": names[a], **fields},
+                              exercised=tally)
+
+    def verify_element(self, p: _Predicate, c: EngineCache,
+                       result: PropertyResult) -> bool:
+        if not result.verdict:
+            return self.verify(p, c, result)
+        w = result.witness
+        return _checker(p, c)(c.parsed[w["element"]], w[p.field] if p.field else w)
 
 
 def _comax_pairs(c: EngineCache):
@@ -309,8 +599,212 @@ def _comax_pairs(c: EngineCache):
                 yield a, b
 
 
+def _comax_pair_count(c: EngineCache) -> int:
+    got = c._ext.get("comax_pairs")
+    if got is None:
+        got = c._ext["comax_pairs"] = sum(map(sum, c.comax))
+    return got
+
+
+def _class_pairs(c: EngineCache) -> list[tuple[int, int]]:
+    """The first generators of each two principal-ideal classes."""
+    gens = [c.generators_of(k)[0] for k in range(len(set(c.ideal_class)))]
+    return [(g1, g2) for i, g1 in enumerate(gens) for g2 in gens[i:]]
+
+
+def _sum_ideal_id(c: EngineCache, ab: tuple[int, int]) -> int:
+    cls = c.ideal_class
+    return c.sum_ideal_id(cls[ab[0]], cls[ab[1]])
+
+
+def _sum_ideal(c: EngineCache, ab: tuple[int, int]) -> list[int]:
+    return sorted(c.ideal_set(_sum_ideal_id(c, ab)))
+
+
+_ELEMENTS = _Domain("map", lambda c: range(c.n), lambda c: c.n,
+                    lambda c, count, ok: {"elements": c.n})
+_QUASI_IDEMPOTENTS = _Domain(
+    "map", lambda c: _pool(c, "quasi_idempotents"),
+    lambda c: len(c.quasi_idempotents),
+    lambda c, count, ok: {"quasi_idempotents": len(c.quasi_idempotents)},
+    letter="x", member=lambda c, x: x in c.quasi_idempotents)
+_COMAX_PAIRS = _Domain("pairs", _comax_pairs, _comax_pair_count,
+                       lambda c, count, ok: {"comax_pairs": count},
+                       member=lambda c, ab: c.comax[ab[0]][ab[1]])
+_ALL_PAIRS = _Domain("pairs", lambda c: product(range(c.n), repeat=2),
+                     lambda c: c.n * c.n, lambda c, count, ok: {"pairs": c.n * c.n},
+                     extra=lambda c, ab: {"note": "no comaximal cofactor witness"})
+_CLASS_PAIRS = _Domain(
+    "pairs", _class_pairs, lambda c: len(_class_pairs(c)),
+    lambda c, count, ok: ({"ideal_pairs": len(_class_pairs(c)),
+                           "element_pairs": c.n * c.n} if ok
+                          else {"ideal_pairs": len(_class_pairs(c))}),
+    key=lambda c, ab: tuple(sorted((c.ideal_class[ab[0]], c.ideal_class[ab[1]]))),
+    extra=lambda c, ab: {"ideal": [c.names[i] for i in _sum_ideal(c, ab)],
+                         "note": "no element generates this ideal"},
+    refutes=lambda c, ab, bad: sorted(map(c.parsed.__getitem__, bad["ideal"]))
+    == _sum_ideal(c, ab))
+# Adequacy of one element against each target t (``_at`` says which).
+_TARGETS = _Domain("targets", lambda c: range(c.n), lambda c: c.n,
+                   lambda c, count, ok: {"targets": count}, letter="target",
+                   extra=lambda c, t: {"pairs_searched": c.n * c.n})
+
+
+class _OfElement:
+    """Element-level adequacy: the targets of the element a payload names."""
+
+    def element(self, p: _Predicate, c: EngineCache, a: int) -> PropertyResult:
+        res = _TARGETS.decide(_at(p, a), c)
+        head = {"element": c.names[a]}
+        if res.verdict:
+            res.witness = {**head, **res.witness}
+        else:
+            res.counterexample = {**head, **res.counterexample}
+        return res
+
+    def verify_element(self, p: _Predicate, c: EngineCache,
+                       result: PropertyResult) -> bool:
+        named = result.witness if result.verdict else result.counterexample
+        return _TARGETS.verify(_at(p, c.parsed[named["element"]]), c, result)
+
+
+class _EveryElement:
+    """The targets of every element c: ``{"elements": {c: {t: ...}}}``."""
+
+    def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
+        names, per_element = c.names, {}
+        for cv in range(c.n):
+            res = _TARGETS.decide(_at(p, cv), c)
+            if not res.verdict:
+                return PropertyResult(
+                    p.name, False, exercised={"elements": cv + 1},
+                    counterexample={"c": names[cv],
+                                    "target": res.counterexample["target"]})
+            per_element[names[cv]] = res.witness["targets"]
+        return PropertyResult(p.name, True, witness={"elements": per_element},
+                              exercised={"elements": c.n})
+
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
+        parsed = c.parsed
+        if not result.verdict:
+            bad = result.counterexample
+            return _searcher(_at(p, parsed[bad["c"]]), c)(parsed[bad["target"]]) is None
+        tables = result.witness["elements"]
+        return (all(_TARGETS.covered(_at(p, parsed[name]), c, table)
+                    for name, table in tables.items())
+                and _covers([parsed[name] for name in tables], c.n))
+
+
+class _Semiregular:
+    """regular_mod_J and idempotents_lift_mod_J, each decided once per cache."""
+
+    PARTS = ("regular_mod_J", "idempotents_lift_mod_J")
+
+    def parts(self, c: EngineCache) -> list[PropertyResult]:
+        got = c._ext.get("semiregular_parts")
+        if got is None:
+            got = c._ext["semiregular_parts"] = [
+                _REGISTRY[q].domain.decide(_REGISTRY[q], c) for q in self.PARTS]
+        return got
+
+    def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
+        bad = [part.counterexample for part in self.parts(c) if not part.verdict]
+        if bad:
+            return PropertyResult(p.name, False, counterexample=bad[0],
+                                  exercised={"elements": c.n})
+        return PropertyResult(p.name, True, witness=dict.fromkeys(self.PARTS, True),
+                              exercised={"elements": c.n})
+
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
+        return (all(_verify(c, part) for part in self.parts(c))
+                and _same_result(result, self.decide(p, c)))
+
+
 # ---------------------------------------------------------------------------
-# public element predicates
+# the registry
+# ---------------------------------------------------------------------------
+
+
+class _Predicate(NamedTuple):
+    """One predicate: its domain, defining identity and witness search.
+
+    ``check(c)`` binds the identity holds(item, w) on one item and one
+    witness drawn from ``pool``. ``search(c)`` binds find(item), a witness
+    or None; by default the first candidate of ``pool`` the check accepts.
+    A one-value witness is an element named ``field`` in a payload;
+    ``fields`` and ``values`` convert a witness of several values.
+    ``tally`` gives the ``exercised`` counts of an element-level result.
+    """
+
+    name: str
+    domain: Any
+    check: Callable | None = None
+    field: str = ""
+    pool: str = "elements"
+    search: Callable | None = None
+    fields: Callable | None = None
+    values: Callable | None = None
+    ring: bool = True
+    element: bool = False
+    tally: Callable | None = None
+    variant: str = ""
+
+
+def _adequacy(name: str, variant: str, domain: Any = _TARGETS,
+              element: bool = False) -> _Predicate:
+    return _at(_Predicate(name, domain, fields=_adequacy_fields,
+                          values=_adequacy_values, ring=not element,
+                          element=element, variant=variant), None)
+
+
+def _at(p: _Predicate, cval: int | None) -> _Predicate:
+    """The adequacy entry ``p`` for the element cval (0 if None)."""
+    return p._replace(check=partial(_adequate, p.variant, cval),
+                      search=partial(_adequacy_search, p.variant, cval))
+
+
+_REGISTRY = {p.name: p for p in (
+    _Predicate("bezout", _CLASS_PAIRS, _bezout, "d", search=_bezout_search),
+    _Predicate("hermite", _ALL_PAIRS, _hermite, search=_hermite_search,
+               fields=_hermite_fields, values=_hermite_values),
+    _Predicate("regular", _ELEMENTS, _regular, "b", element=True,
+               tally=lambda c, b: {"candidates": c.n if b is None else b + 1}),
+    _Predicate("pi_regular", _ELEMENTS, _on_power(_regular),
+               search=_power_search(_regular), fields=_power_fields,
+               values=_power_values, ring=False, element=True,
+               tally=lambda c, w: {} if w else {"exponent_bound": c.n}),
+    _Predicate("regular_mod_J", _ELEMENTS, _regular_mod_j, "b"),
+    _Predicate("pi_regular_mod_J", _ELEMENTS, _on_power(_regular_mod_j),
+               search=_power_search(_regular_mod_j), fields=_power_fields,
+               values=_power_values),
+    _Predicate("clean", _ELEMENTS, _unit_difference, "e", "idempotents",
+               element=True),
+    _Predicate("feckly_clean", _ELEMENTS, _unit_difference, "e",
+               "quasi_idempotents", element=True),
+    _adequacy("adequate", "classic", _OfElement(), element=True),
+    _adequacy("feckly_adequate", "feckly", _OfElement(), element=True),
+    _adequacy("adequate_cvariant", "cvariant", _OfElement(), element=True),
+    _Predicate("semiregular", _Semiregular()),
+    _adequacy("zero_adequate", "classic"),
+    _adequacy("feckly_zero_adequate", "feckly"),
+    _Predicate("stable_range_1", _COMAX_PAIRS, _stable_range_1, "y"),
+    _Predicate("idempotents_lift_mod_J", _QUASI_IDEMPOTENTS, _lifts, "e",
+               "idempotents"),
+    _Predicate("t216_cond2", _COMAX_PAIRS, _unit_range, "e", "quasi_idempotents"),
+    _Predicate("t216_cond3", _ELEMENTS, _clean_meet, "e", "quasi_idempotents"),
+    _Predicate("c217_cond2", _COMAX_PAIRS, _unit_range, "e", "idempotents"),
+    _Predicate("c217_cond3", _ELEMENTS, _clean_meet, "e", "idempotents"),
+    _Predicate("feckly_adequate_range_1", _COMAX_PAIRS, _feckly_adequate_range_1,
+               "y"),
+    _adequacy("everywhere_adequate", "classic", _EveryElement()),
+)}
+
+RING_PREDICATES = tuple(name for name, p in _REGISTRY.items() if p.ring)
+ELEMENT_PREDICATES = tuple(name for name, p in _REGISTRY.items() if p.element)
+
+
+# ---------------------------------------------------------------------------
+# public predicates and witnesses
 # ---------------------------------------------------------------------------
 
 
@@ -322,341 +816,44 @@ def element_predicate(cache: EngineCache, a: Element, predicate: str) -> Propert
     """
     if predicate not in ELEMENT_PREDICATES:
         raise ValueError(f"unknown element predicate {predicate!r}")
-    c = cache
-    ring = c.ring
-    fmt = ring.format_element
-    i = c.index_of(a)
-
-    if predicate == "regular":
-        b = _regular_idx(c, i, mod_j=False)
-        if b is None:
-            return PropertyResult(predicate, False,
-                                  counterexample={"a": fmt(a)},
-                                  exercised={"candidates": c.n})
-        return PropertyResult(predicate, True,
-                              witness={"element": fmt(a), "b": c.names[b]},
-                              exercised={"candidates": b + 1})
-
-    if predicate == "pi_regular":
-        res = _pi_regular_idx(c, i, mod_j=False)
-        if res is None:
-            return PropertyResult(predicate, False,
-                                  counterexample={"a": fmt(a)},
-                                  exercised={"exponent_bound": c.n})
-        n_exp, b = res
-        return PropertyResult(predicate, True,
-                              witness={"element": fmt(a), "n": n_exp,
-                                       "b": c.names[b]})
-
-    if predicate in ("clean", "feckly_clean"):
-        e = _clean_idx(c, i, feckly=predicate == "feckly_clean")
-        if e is None:
-            return PropertyResult(predicate, False, counterexample={"a": fmt(a)})
-        return PropertyResult(predicate, True,
-                              witness={"element": fmt(a), "e": c.names[e]})
-
-    variant = _ADEQUACY_VARIANT[predicate]
-    ok, data = _fa_element_idx(c, i, variant)
-    if not ok:
-        return PropertyResult(
-            predicate, False,
-            counterexample={"element": fmt(a),
-                            "target": c.names[data],
-                            "pairs_searched": c.n * c.n},
-            exercised={"targets": data + 1})
-    witness = {
-        c.names[t]: _pair_payload(c, i, t, rs, variant)
-        for t, rs in data.items()
-    }
-    return PropertyResult(predicate, True,
-                          witness={"element": fmt(a), "targets": witness},
-                          exercised={"targets": c.n})
-
-
-def _pair_payload(c: EngineCache, cval: int, target: int,
-                  rs: tuple[int, int], variant: str) -> dict:
-    r, s = rs
-    j = c.sub(cval, c.mul[r * c.n + s])
-    wit = c.comax_witness(r, target)
-    x, y = wit if wit is not None else (None, None)
-    out = {"r": c.names[r], "s": c.names[s], "j": c.names[j]}
-    if x is not None:
-        out["x"] = c.names[x]
-        out["y"] = c.names[y]
-    return out
-
-
-def adequate_witness_single(cache: EngineCache, cval: Element, target: Element,
-                            variant: str = "classic") -> AdequateWitness | None:
-    """Single-target adequacy witness, or None after an exhaustive search."""
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown adequacy variant {variant!r}")
-    c = cache
-    ic, it = c.index_of(cval), c.index_of(target)
-    pair = _adequate_pair_idx(c, ic, it, variant)
-    if pair is None:
-        return None
-    r, s = pair
-    j = c.sub(ic, c.mul[r * c.n + s])
-    wit = c.comax_witness(r, it)
-    x, y = wit if wit is not None else (c.zero, c.zero)
-    mk = c.element
-    return AdequateWitness(target=mk(it), r=mk(r), s=mk(s), variant=variant,
-                           j=mk(j), comax_x=mk(x), comax_y=mk(y))
-
-
-# ---------------------------------------------------------------------------
-# public ring predicates
-# ---------------------------------------------------------------------------
+    p = _REGISTRY[predicate]
+    return p.domain.element(p, cache, cache.index_of(a))
 
 
 def ring_predicate(cache: EngineCache, predicate: str) -> PropertyResult:
     """Decide one ring-level predicate by exhaustive search with witnesses."""
     if predicate not in RING_PREDICATES:
         raise ValueError(f"unknown ring predicate {predicate!r}")
+    p = _REGISTRY[predicate]
+    return p.domain.decide(p, cache)
+
+
+def adequate_witness_single(cache: EngineCache, cval: Element, target: Element,
+                            variant: str = "classic") -> AdequateWitness | None:
+    """Single-target adequacy witness, or None after an exhaustive search.
+
+    The witness is re-checked by the adequacy check before it is returned;
+    a failure raises ReverifyFailed.
+    """
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown adequacy variant {variant!r}")
     c = cache
-    n = c.n
-    names = c.names
-
-    if predicate == "bezout":
-        k = len(set(c.ideal_class))
-        full = c.ideal_class[c.one]
-        pairs = []
-        for c1 in range(k):
-            for c2 in range(c1, k):
-                sid = c.sum_ideal_id(c1, c2)
-                gens = c.generators_of(sid)
-                rep1 = c.generators_of(c1)[0]
-                rep2 = c.generators_of(c2)[0]
-                if not gens:
-                    ideal = sorted(c.ideal_set(sid))
-                    return PropertyResult(
-                        predicate, False,
-                        counterexample={
-                            "a": names[rep1],
-                            "b": names[rep2],
-                            "ideal": [names[i] for i in ideal],
-                            "note": "no element generates this ideal",
-                        },
-                        exercised={"ideal_pairs": k * (k + 1) // 2})
-                pairs.append({"a": names[rep1], "b": names[rep2],
-                              "d": names[gens[0]]})
-        return PropertyResult(predicate, True, witness={"pairs": pairs},
-                              exercised={"ideal_pairs": k * (k + 1) // 2,
-                                         "element_pairs": n * n})
-
-    if predicate == "hermite":
-        entries = []
-        for a in range(n):
-            for b in range(n):
-                try:
-                    d, x, y, a1, b1, u, v = c.bezout(a, b)
-                except NotBezout:
-                    return PropertyResult(
-                        predicate, False,
-                        counterexample={"a": names[a], "b": names[b],
-                                        "note": "no comaximal cofactor witness"},
-                        exercised={"pairs": n * n})
-                entries.append({"a": names[a], "b": names[b],
-                                "d": names[d], "a1": names[a1],
-                                "b1": names[b1], "u": names[u],
-                                "v": names[v]})
-        return PropertyResult(predicate, True, witness={"pairs": entries},
-                              exercised={"pairs": n * n})
-
-    if predicate in ("regular", "regular_mod_J"):
-        mod_j = predicate == "regular_mod_J"
-        table = {}
-        for a in range(n):
-            b = _regular_idx(c, a, mod_j)
-            if b is None:
-                return PropertyResult(predicate, False,
-                                      counterexample={"a": names[a]},
-                                      exercised={"elements": n})
-            table[names[a]] = names[b]
-        return PropertyResult(predicate, True, witness={"map": table},
-                              exercised={"elements": n})
-
-    if predicate == "pi_regular_mod_J":
-        table = {}
-        for a in range(n):
-            res = _pi_regular_idx(c, a, mod_j=True)
-            if res is None:
-                return PropertyResult(predicate, False,
-                                      counterexample={"a": names[a]},
-                                      exercised={"elements": n})
-            table[names[a]] = {"n": res[0], "b": names[res[1]]}
-        return PropertyResult(predicate, True, witness={"map": table},
-                              exercised={"elements": n})
-
-    if predicate in ("clean", "feckly_clean"):
-        feckly = predicate == "feckly_clean"
-        table = {}
-        for a in range(n):
-            e = _clean_idx(c, a, feckly)
-            if e is None:
-                return PropertyResult(predicate, False,
-                                      counterexample={"a": names[a]},
-                                      exercised={"elements": n})
-            table[names[a]] = names[e]
-        return PropertyResult(predicate, True, witness={"map": table},
-                              exercised={"elements": n})
-
-    if predicate == "semiregular":
-        return _semiregular(c, ring_predicate(c, "regular_mod_J"),
-                            ring_predicate(c, "idempotents_lift_mod_J"))
-
-    if predicate == "idempotents_lift_mod_J":
-        table = {}
-        for x in sorted(c.quasi_idempotents):
-            hit = None
-            for e in sorted(c.idempotents):
-                if c.sub(x, e) in c.jac:
-                    hit = e
-                    break
-            if hit is None:
-                return PropertyResult(predicate, False,
-                                      counterexample={"x": names[x]},
-                                      exercised={"quasi_idempotents":
-                                                 len(c.quasi_idempotents)})
-            table[names[x]] = names[hit]
-        return PropertyResult(predicate, True, witness={"map": table},
-                              exercised={"quasi_idempotents":
-                                         len(c.quasi_idempotents)})
-
-    if predicate in ("zero_adequate", "feckly_zero_adequate"):
-        variant = _ADEQUACY_VARIANT[predicate]
-        ok, data = _fa_element_idx(c, c.zero, variant)
-        if not ok:
-            return PropertyResult(
-                predicate, False,
-                counterexample={"target": names[data],
-                                "pairs_searched": n * n},
-                exercised={"targets": data + 1})
-        witness = {names[t]: _pair_payload(c, c.zero, t, rs, variant)
-                   for t, rs in data.items()}
-        return PropertyResult(predicate, True, witness={"targets": witness},
-                              exercised={"targets": n})
-
-    if predicate == "stable_range_1":
-        entries = []
-        count = 0
-        for a, b in _comax_pairs(c):
-            count += 1
-            hit = None
-            for y in range(n):
-                if c.add[a * n + c.mul[b * n + y]] in c.unit_set:
-                    hit = y
-                    break
-            if hit is None:
-                return PropertyResult(predicate, False,
-                                      counterexample={"a": names[a],
-                                                      "b": names[b]},
-                                      exercised={"comax_pairs": count})
-            entries.append({"a": names[a], "b": names[b],
-                            "y": names[hit]})
-        return PropertyResult(predicate, True, witness={"pairs": entries},
-                              exercised={"comax_pairs": count})
-
-    if predicate in ("t216_cond2", "c217_cond2"):
-        pool = sorted(c.quasi_idempotents if predicate == "t216_cond2"
-                      else c.idempotents)
-        entries = []
-        count = 0
-        for a, b in _comax_pairs(c):
-            count += 1
-            hit = None
-            for e in pool:
-                if (c.add[a * n + c.mul[b * n + e]] in c.unit_set
-                        and _meet_in_radical(c, a, e)):
-                    hit = e
-                    break
-            if hit is None:
-                return PropertyResult(predicate, False,
-                                      counterexample={"a": names[a],
-                                                      "b": names[b]},
-                                      exercised={"comax_pairs": count})
-            entries.append({"a": names[a], "b": names[b],
-                            "e": names[hit]})
-        return PropertyResult(predicate, True, witness={"pairs": entries},
-                              exercised={"comax_pairs": count})
-
-    if predicate in ("t216_cond3", "c217_cond3"):
-        pool = sorted(c.quasi_idempotents if predicate == "t216_cond3"
-                      else c.idempotents)
-        table = {}
-        for a in range(n):
-            hit = None
-            for e in pool:
-                if c.sub(a, e) in c.unit_set and _meet_in_radical(c, a, e):
-                    hit = e
-                    break
-            if hit is None:
-                return PropertyResult(predicate, False,
-                                      counterexample={"a": names[a]},
-                                      exercised={"elements": n})
-            table[names[a]] = names[hit]
-        return PropertyResult(predicate, True, witness={"map": table},
-                              exercised={"elements": n})
-
-    if predicate == "feckly_adequate_range_1":
-        entries = []
-        count = 0
-        for a, b in _comax_pairs(c):
-            count += 1
-            hit = None
-            for y in range(n):
-                w = c.add[a * n + c.mul[b * n + y]]
-                if _fa_element_idx(c, w, "feckly")[0]:
-                    hit = y
-                    break
-            if hit is None:
-                return PropertyResult(predicate, False,
-                                      counterexample={"a": names[a],
-                                                      "b": names[b]},
-                                      exercised={"comax_pairs": count})
-            entries.append({"a": names[a], "b": names[b],
-                            "y": names[hit]})
-        return PropertyResult(predicate, True, witness={"pairs": entries},
-                              exercised={"comax_pairs": count})
-
-    if predicate == "everywhere_adequate":
-        per_element = {}
-        for cv in range(n):
-            ok, data = _fa_element_idx(c, cv, "classic")
-            if not ok:
-                return PropertyResult(
-                    predicate, False,
-                    counterexample={"c": names[cv],
-                                    "target": names[data]},
-                    exercised={"elements": cv + 1})
-            per_element[names[cv]] = {
-                names[t]: _pair_payload(c, cv, t, rs, "classic")
-                for t, rs in data.items()
-            }
-        return PropertyResult(predicate, True,
-                              witness={"elements": per_element},
-                              exercised={"elements": n})
-
-    raise AssertionError(f"unhandled predicate {predicate!r}")
+    ic, it = c.index_of(cval), c.index_of(target)
+    w = _adequacy_search(variant, ic, c)(it)
+    if w is None:
+        return None
+    if not _adequate(variant, ic, c)(it, w):
+        raise ReverifyFailed(
+            f"{c.ring.spec_string()}: adequacy witness of {c.names[ic]} against "
+            f"{c.names[it]} failed re-verification")
+    return _adequate_witness(c, it, variant, w)
 
 
-def _semiregular(c: EngineCache, reg: PropertyResult,
-                 lift: PropertyResult) -> PropertyResult:
-    """Semiregularity from its two decided parts."""
-    verdict = reg.verdict and lift.verdict
-    payload = {"regular_mod_J": reg.verdict,
-               "idempotents_lift_mod_J": lift.verdict}
-    bad = reg.counterexample or lift.counterexample
-    return PropertyResult("semiregular", verdict,
-                          witness=payload if verdict else None,
-                          counterexample=None if verdict else bad,
-                          exercised={"elements": c.n})
-
-
-# ---------------------------------------------------------------------------
-# constructive witnesses
-# ---------------------------------------------------------------------------
+def _adequate_witness(c: EngineCache, target: int, variant: str,
+                      w: tuple) -> AdequateWitness:
+    r, s, j, x, y = map(c.element, w)
+    return AdequateWitness(target=c.element(target), r=r, s=s, variant=variant,
+                           j=j, comax_x=x, comax_y=y)
 
 
 def pi_regular_decomposition(cache: EngineCache, a: Element) -> PiRegularWitness:
@@ -668,16 +865,14 @@ def pi_regular_decomposition(cache: EngineCache, a: Element) -> PiRegularWitness
     """
     c = cache
     i = c.index_of(a)
-    res = _pi_regular_idx(c, i, mod_j=True)
+    res = _searcher(_REGISTRY["pi_regular_mod_J"], c)(i)
     if res is None:
         raise NoDecomposition(
             f"{c.ring.spec_string()}: no pi-regular decomposition for "
             f"{c.ring.format_element(a)}")
     n_exp, b = res
     n = c.n
-    power = i
-    for _ in range(n_exp - 1):
-        power = c.mul[power * n + i]
+    power = _power(c, i, n_exp)
     e = c.mul[power * n + b]
     u = c.add[c.sub(c.one, e) * n + power]
     w = c.sub(power, c.mul[e * n + u])
@@ -698,24 +893,17 @@ def fza_witness(cache: EngineCache, a: Element) -> AdequateWitness:
     """Feckly-adequacy witness for c = 0 against target ``a``.
 
     Built constructively from the pi-regular decomposition of ``a``
-    (r = 1 - e, s = e), with all three clauses re-verified; falls back to
-    the definition search if the constructive route fails, and raises
-    NotFZA when no witness exists at all.
+    (r = 1 - e, s = e) and taken when the ``feckly_zero_adequate`` check
+    accepts it; otherwise found by the definition search. Raises NotFZA
+    when no witness exists at all.
     """
     c = cache
     i = c.index_of(a)
     try:
-        dec = pi_regular_decomposition(c, a)
-        e = c.index_of(dec.e)
-        r, s = c.sub(c.one, e), e
-        if (c.mul[r * c.n + s] in c.jac and c.comax[r][i]
-                and _anchored(c, s, i)):
-            wit = c.comax_witness(r, i)
-            mk = c.element
-            return AdequateWitness(
-                target=a, r=mk(r), s=mk(s), variant="feckly",
-                j=mk(c.neg[c.mul[r * c.n + s]]),
-                comax_x=mk(wit[0]), comax_y=mk(wit[1]))
+        e = c.index_of(pi_regular_decomposition(c, a).e)
+        w = _adequacy_witness(c, c.zero, i, c.sub(c.one, e), e)
+        if w is not None and _REGISTRY["feckly_zero_adequate"].check(c)(i, w):
+            return _adequate_witness(c, i, "feckly", w)
     except NoDecomposition:
         pass
     fallback = adequate_witness_single(c, c.element(c.zero), a, "feckly")
@@ -751,28 +939,6 @@ def j_characterization_check(cache: EngineCache) -> PropertyResult:
 # ---------------------------------------------------------------------------
 
 
-def _parse_memo(c: EngineCache) -> _ParseMemo:
-    """The cache's element-string memo (see ``cache._ParseMemo``)."""
-    return c.parsed
-
-
-def _power(c: EngineCache, a: int, e: int) -> int:
-    """a^e for e >= 1, by repeated squaring."""
-    n, mul = c.n, c.mul
-    out, base, e = a, a, e - 1
-    while e:
-        if e & 1:
-            out = mul[out * n + base]
-        base = mul[base * n + base]
-        e >>= 1
-    return out
-
-
-def _covers(keys: list, size: int) -> bool:
-    """True iff ``keys`` are pairwise distinct and exactly ``size`` many."""
-    return len(keys) == size and len(set(keys)) == size
-
-
 def _same_result(a: PropertyResult, b: PropertyResult) -> bool:
     return (a.verdict == b.verdict and a.witness == b.witness
             and a.counterexample == b.counterexample)
@@ -783,278 +949,23 @@ def reverify(cache: EngineCache, result: PropertyResult) -> bool:
 
     Positive verdicts are accepted only if the stored witnesses cover the
     predicate's whole domain and each satisfies its defining identity;
-    negative verdicts only if the counterexample still fails an exhaustive
-    re-search. ``semiregular`` and ``j_characterization`` are decided
-    again and compared. An element-level result (its witness names the
-    element) is checked for that element only. Unknown or malformed
-    payloads fail.
+    negative verdicts only if the counterexample is in the domain and a
+    re-run of its exhaustive search finds no witness. ``semiregular``
+    re-checks its parts, and ``j_characterization`` is decided again and
+    compared. An element-level result (its payload names the element) is
+    checked for that element only. Unknown or malformed payloads fail.
     """
     try:
-        return _reverify(cache, result)
+        return _verify(cache, result)
     except (KeyError, ValueError, TypeError, AttributeError, ParseError):
         return False
 
 
-def _reverify(c: EngineCache, result: PropertyResult) -> bool:
-    parsed = _parse_memo(c)
-    n, add, mul = c.n, c.add, c.mul
-    p = result.predicate
-    if p in _ADEQUACY_VARIANT:
-        return _reverify_adequate(c, result)
-    if p == "pi_regular" or (p in _ELEMENT_IDENTITY and result.verdict
-                             and "element" in result.witness):
-        return _reverify_element(c, result)
-    if p in ("regular", "regular_mod_J", "pi_regular_mod_J", "clean",
-             "feckly_clean", "t216_cond3", "c217_cond3",
-             "idempotents_lift_mod_J"):
-        return _reverify_map(c, result)
-    if p in ("stable_range_1", "t216_cond2", "c217_cond2",
-             "feckly_adequate_range_1"):
-        return _reverify_comax_pairs(c, result)
-    if p == "semiregular":
-        reg = ring_predicate(c, "regular_mod_J")
-        lift = ring_predicate(c, "idempotents_lift_mod_J")
-        return (_reverify_map(c, reg) and _reverify_map(c, lift)
-                and _same_result(result, _semiregular(c, reg, lift)))
-    if p == "j_characterization":
+def _verify(c: EngineCache, result: PropertyResult) -> bool:
+    if result.predicate == "j_characterization":
         return _same_result(result, j_characterization_check(c))
-    if p == "bezout":
-        cls = c.ideal_class
-        if not result.verdict:
-            bad = result.counterexample
-            a, b = parsed[bad["a"]], parsed[bad["b"]]
-            sid = c.sum_ideal_id(cls[a], cls[b])
-            ideal = sorted(parsed[x] for x in bad["ideal"])
-            return not c.generators_of(sid) and ideal == sorted(c.ideal_set(sid))
-        keys = []
-        for rec in result.witness["pairs"]:
-            a, b, d = [parsed[rec[k]] for k in ("a", "b", "d")]
-            sid = c.sum_ideal_id(cls[a], cls[b])
-            if c.pid[d] != c.ideal_set(sid):
-                return False
-            keys.append((min(cls[a], cls[b]), max(cls[a], cls[b])))
-        k = len(set(cls))
-        return _covers(keys, k * (k + 1) // 2)
-    if p == "hermite":
-        if not result.verdict:
-            a = parsed[result.counterexample["a"]]
-            b = parsed[result.counterexample["b"]]
-            try:
-                c.bezout(a, b)
-            except NotBezout:
-                return True
-            return False
-        keys = []
-        for rec in result.witness["pairs"]:
-            a, b, d, a1, b1, u, v = [
-                parsed[rec[k]] for k in ("a", "b", "d", "a1", "b1", "u", "v")]
-            if mul[a1 * n + d] != a or mul[b1 * n + d] != b:
-                return False
-            if add[mul[a1 * n + u] * n + mul[b1 * n + v]] != c.one:
-                return False
-            keys.append((a, b))
-        return _covers(keys, n * n)
-    return False
-
-
-_ELEMENT_IDENTITY = frozenset({"regular", "pi_regular", "clean", "feckly_clean"})
-
-
-def _reverify_element(c: EngineCache, result: PropertyResult) -> bool:
-    """Element-level regular, pi_regular, clean and feckly_clean.
-
-    A positive witness names its element a, and a's identity is checked:
-    a*b*a = a, a^n*b*a^n = a^n, or e idempotent (quasi-idempotent for
-    feckly_clean) with a - e a unit. A negative ``pi_regular`` is searched
-    again; the other negatives have the ring-level shape ``{"a": ...}``
-    and meaning, so ``_reverify_map`` checks them.
-    """
-    parsed = _parse_memo(c)
-    n, mul = c.n, c.mul
-    p = result.predicate
-    if not result.verdict:
-        a = parsed[result.counterexample["a"]]
-        return _pi_regular_idx(c, a, mod_j=False) is None
-    w = result.witness
-    a = parsed[w["element"]]
-    if p in ("regular", "pi_regular"):
-        b = parsed[w["b"]]
-        if p == "pi_regular":
-            e = w["n"]
-            if type(e) is not int or e < 1:
-                return False
-            a = _power(c, a, e)
-        return mul[mul[a * n + b] * n + a] == a
-    e = parsed[w["e"]]
-    pool = c.quasi_idempotents if p == "feckly_clean" else c.idempotents
-    return e in pool and c.sub(a, e) in c.unit_set
-
-
-def _reverify_map(c: EngineCache, result: PropertyResult) -> bool:
-    """Predicates whose witness maps each element of a domain to a witness.
-
-    The domain is every element, or the quasi-idempotents for
-    ``idempotents_lift_mod_J``.
-    """
-    n, mul = c.n, c.mul
-    jac, units = c.jac, c.unit_set
-    parsed = _parse_memo(c)
-    p = result.predicate
-    domain = None  # every element
-    if p in ("regular", "regular_mod_J"):
-        mod_j = p == "regular_mod_J"
-
-        def refuted(a):
-            return _regular_idx(c, a, mod_j) is None
-
-        def holds(a, w):
-            b = parsed[w]
-            aba = mul[mul[a * n + b] * n + a]
-            return c.sub(a, aba) in jac if mod_j else aba == a
-    elif p == "pi_regular_mod_J":
-        def refuted(a):
-            return _pi_regular_idx(c, a, True) is None
-
-        def holds(a, w):
-            b, e = parsed[w["b"]], w["n"]
-            if type(e) is not int or e < 1:
-                return False
-            power = _power(c, a, e)
-            return c.sub(power, mul[mul[power * n + b] * n + power]) in jac
-    elif p in ("clean", "feckly_clean"):
-        feckly = p == "feckly_clean"
-        pool = c.quasi_idempotents if feckly else c.idempotents
-
-        def refuted(a):
-            return _clean_idx(c, a, feckly) is None
-
-        def holds(a, w):
-            e = parsed[w]
-            return e in pool and c.sub(a, e) in units
-    elif p in ("t216_cond3", "c217_cond3"):
-        pool = c.quasi_idempotents if p == "t216_cond3" else c.idempotents
-
-        def meets(a, e):
-            return c.sub(a, e) in units and _meet_in_radical(c, a, e)
-
-        def refuted(a):
-            return not any(meets(a, e) for e in pool)
-
-        def holds(a, w):
-            e = parsed[w]
-            return e in pool and meets(a, e)
-    else:  # idempotents_lift_mod_J
-        domain = c.quasi_idempotents
-
-        def refuted(x):
-            return x in domain and all(c.sub(x, e) not in jac
-                                       for e in c.idempotents)
-
-        def holds(x, w):
-            e = parsed[w]
-            return x in domain and e in c.idempotents and c.sub(x, e) in jac
-    if not result.verdict:
-        key = "a" if domain is None else "x"
-        return refuted(parsed[result.counterexample[key]])
-    keys = []
-    for astr, w in result.witness["map"].items():
-        a = parsed[astr]
-        if not holds(a, w):
-            return False
-        keys.append(a)
-    return _covers(keys, n if domain is None else len(domain))
-
-
-def _reverify_comax_pairs(c: EngineCache, result: PropertyResult) -> bool:
-    """Predicates quantified over the comaximal pairs (a, b).
-
-    Each pair carries one witness element (``y`` or ``e``); the pairs must
-    be exactly the comaximal pairs of the ring.
-    """
-    n, add, mul = c.n, c.add, c.mul
-    units = c.unit_set
-    parsed = _parse_memo(c)
-    p = result.predicate
-    if p == "stable_range_1":
-        key, pool = "y", range(n)
-
-        def holds(a, b, w):
-            return add[a * n + mul[b * n + w]] in units
-    elif p == "feckly_adequate_range_1":
-        key, pool = "y", range(n)
-
-        def holds(a, b, w):
-            return _fa_element_idx(c, add[a * n + mul[b * n + w]], "feckly")[0]
-    else:  # t216_cond2, c217_cond2
-        key = "e"
-        pool = c.quasi_idempotents if p == "t216_cond2" else c.idempotents
-
-        def holds(a, b, w):
-            return (w in pool and add[a * n + mul[b * n + w]] in units
-                    and _meet_in_radical(c, a, w))
-    if not result.verdict:
-        a = parsed[result.counterexample["a"]]
-        b = parsed[result.counterexample["b"]]
-        return c.comax[a][b] and not any(holds(a, b, w) for w in pool)
-    keys = []
-    for rec in result.witness["pairs"]:
-        a, b, w = [parsed[rec[k]] for k in ("a", "b", key)]
-        if not c.comax[a][b] or not holds(a, b, w):
-            return False
-        keys.append((a, b))
-    return _covers(keys, _comax_pair_count(c))
-
-
-def _comax_pair_count(c: EngineCache) -> int:
-    got = c._ext.get("comax_pairs")
-    if got is None:
-        got = c._ext["comax_pairs"] = sum(map(sum, c.comax))
-    return got
-
-
-def _reverify_adequate(c: EngineCache, result: PropertyResult) -> bool:
-    parsed = _parse_memo(c)
-    n, add, mul = c.n, c.add, c.mul
-    p = result.predicate
-    variant = _ADEQUACY_VARIANT[p]
-
-    def check_table(cval: int, table: dict) -> bool:
-        """Every target has (r, s, j, x, y) with c - r*s = j, r*x + t*y = 1."""
-        keys = []
-        for tstr, rec in table.items():
-            t = parsed[tstr]
-            r, s, j, x, y = [parsed[rec[k]] for k in ("r", "s", "j", "x", "y")]
-            if c.sub(cval, mul[r * n + s]) != j:
-                return False
-            if (j not in c.jac) if variant == "feckly" else (j != c.zero):
-                return False
-            if add[mul[r * n + x] * n + mul[t * n + y]] != c.one:
-                return False
-            if not _anchored(c, s, cval if variant == "cvariant" else t):
-                return False
-            keys.append(t)
-        return _covers(keys, n)
-
-    if p == "everywhere_adequate":
-        if not result.verdict:
-            cv = parsed[result.counterexample["c"]]
-            t = parsed[result.counterexample["target"]]
-            return _adequate_pair_idx(c, cv, t, variant) is None
-        keys = []
-        for cstr, table in result.witness["elements"].items():
-            cv = parsed[cstr]
-            if not check_table(cv, table):
-                return False
-            keys.append(cv)
-        return _covers(keys, n)
-
-    if p in ("zero_adequate", "feckly_zero_adequate"):
-        cval = c.zero
-    elif result.verdict:
-        cval = parsed[result.witness["element"]]
-    else:
-        cval = parsed[result.counterexample["element"]]
-    if not result.verdict:
-        t = parsed[result.counterexample["target"]]
-        return _adequate_pair_idx(c, cval, t, variant) is None
-    return check_table(cval, result.witness["targets"])
+    p = _REGISTRY[result.predicate]
+    named = result.witness if result.verdict else result.counterexample
+    if p.element and (not p.ring or "element" in named):
+        return p.domain.verify_element(p, c, result)
+    return p.ring and p.domain.verify(p, c, result)

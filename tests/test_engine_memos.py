@@ -10,6 +10,7 @@ ring's own enumeration order, and share no code with the library or with
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -141,7 +142,7 @@ def test_names_parse_back_to_their_index(ring):
     cache; a handle of the same spec without one keeps the plain parser,
     gets the same payloads and is not given a cache by parsing."""
     cache = engine.build_cache(ring)
-    memo = engine._parse_memo(cache)
+    memo = cache.parsed
     bare = make_ring(ring.spec_string())
     assert len(cache.names) == cache.n
     for i, name in enumerate(cache.names):
@@ -157,7 +158,7 @@ def test_names_parse_back_to_their_index(ring):
 
 def test_parse_memo_keeps_rejecting_bad_strings():
     cache = engine.build_cache(make_ring("prod(Zn:4,Zn:9)"))
-    memo = engine._parse_memo(cache)
+    memo = cache.parsed
     for bad in ("(1|2", "(1|2|3)", "x", 5, None):
         for _ in range(2):
             with pytest.raises(ParseError):
@@ -453,3 +454,32 @@ def test_element_predicate_payloads_are_pinned(spec):
         text = json.dumps(payloads, sort_keys=True)
         got[pid] = hashlib.sha256(text.encode()).hexdigest()
     assert got == PINNED_ELEMENT_PAYLOADS[spec]
+
+
+def test_semiregular_decides_its_parts_once(monkeypatch):
+    """semiregular and its reverify share one decision of regular_mod_J and
+    idempotents_lift_mod_J per cache: the spy on the per-item searches sees
+    every item of both domains searched exactly once."""
+    searched = Counter()
+    real = engine._searcher
+
+    def spy(p, c):
+        find = real(p, c)
+
+        def counted(item):
+            searched[p.name, item] += 1
+            return find(item)
+        return counted
+
+    monkeypatch.setattr(engine, "_searcher", spy)
+    for spec in ("Zn:12", "prod(Zn:4,Zn:9)", CONTROL):
+        cache = engine.build_cache(make_ring(spec))
+        res = engine.ring_predicate(cache, "semiregular")
+        assert res.verdict
+        assert engine.reverify(cache, res) and engine.reverify(cache, res)
+        domains = {"regular_mod_J": range(cache.n),
+                   "idempotents_lift_mod_J": sorted(cache.quasi_idempotents)}
+        for part, domain in domains.items():
+            got = {item: k for (name, item), k in searched.items() if name == part}
+            assert got == dict.fromkeys(domain, 1), (spec, part)
+        searched.clear()
