@@ -335,8 +335,7 @@ def _hermite(c: EngineCache) -> Callable:
 
 def _bezout(c: EngineCache) -> Callable:
     """dR = aR + bR."""
-    pid, cls = c.pid, c.ideal_class
-    return lambda ab, d: pid[d] == c.ideal_set(c.sum_ideal_id(cls[ab[0]], cls[ab[1]]))
+    return lambda ab, d: c.pid[d] == c.ideal_set(_sum_ideal_id(c, ab))
 
 
 def _adequate(variant: str, cval: int | None, c: EngineCache) -> Callable:
@@ -449,12 +448,7 @@ def _adequacy_values(parsed, rec) -> tuple:
 
 def _pool(c: EngineCache, name: str):
     """Candidate witnesses in enumeration order: every element, or a sorted set."""
-    if name == "elements":
-        return range(c.n)
-    got = c._ext.get(("pool", name))
-    if got is None:
-        got = c._ext[("pool", name)] = sorted(getattr(c, name))
-    return got
+    return range(c.n) if name == "elements" else sorted(getattr(c, name))
 
 
 def _first(holds: Callable, pool, item):
@@ -520,12 +514,6 @@ class _Domain(NamedTuple):
             named = {self.letter: c.names[item]}
         return {**named, **self.extra(c, item)}
 
-    def named(self, c: EngineCache, rec: dict):
-        """The item a counterexample or a pairs entry names."""
-        if self.collection == "pairs":
-            return c.parsed[rec["a"]], c.parsed[rec["b"]]
-        return c.parsed[rec[self.letter]]
-
     def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
         names, f, search = c.names, p.field, _searcher(p, c)
         pairs = self.collection == "pairs"
@@ -548,14 +536,14 @@ class _Domain(NamedTuple):
 
     def covered(self, p: _Predicate, c: EngineCache, listed) -> bool:
         """Every entry holds, and the entries are the domain, each once."""
-        if self.collection != "pairs":
-            entries = ((c.parsed[name], v) for name, v in listed.items())
-        elif p.field:
-            entries = ((self.named(c, rec), rec[p.field]) for rec in listed)
-        else:
-            entries = ((self.named(c, rec), rec) for rec in listed)
+        parsed, f, pairs = c.parsed, p.field, self.collection == "pairs"
         holds, member, items = _checker(p, c), self.member, []
-        for item, value in entries:
+        for entry in listed if pairs else listed.items():
+            if pairs:
+                item = parsed[entry["a"]], parsed[entry["b"]]
+                value = entry[f] if f else entry
+            else:
+                item, value = parsed[entry[0]], entry[1]
             if not ((member is None or member(c, item)) and holds(item, value)):
                 return False
             items.append(item)
@@ -565,8 +553,9 @@ class _Domain(NamedTuple):
     def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
         if result.verdict:
             return self.covered(p, c, result.witness[self.collection])
-        bad = result.counterexample
-        item = self.named(c, bad)
+        bad, parsed = result.counterexample, c.parsed
+        item = ((parsed[bad["a"]], parsed[bad["b"]]) if self.collection == "pairs"
+                else parsed[bad[self.letter]])
         return ((self.member is None or self.member(c, item))
                 and _searcher(p, c)(item) is None and self.refutes(c, item, bad))
 
