@@ -10,9 +10,9 @@ Subcommands:
 Exit codes are a stable contract: 0 ok, 2 parse error, 3 reduction failed
 (or, for classify and for adequate on a finite ring, a payload or witness
 that failed re-verification), 4 ring too large, 5 unsupported ring/element
-combination. All file writes
-are atomic (write to a temp file, then rename). Output is JSON first; a
-short human-readable summary goes to stdout.
+combination. All file writes are atomic (write to a temp file, then
+rename). Output is JSON first; a short human-readable summary goes to
+stdout.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 
 Every predicate is one entry of a registry (``_REGISTRY``): a domain, a
 check and a search. The check is the predicate's defining identity on one
-item of the domain and one witness, in cache-index arithmetic. The search
+item of the domain and one witness, in cache-index arithmetic; witnesses
+come from the entry's pool (every element, the idempotents or the
+quasi-idempotents), and reverify rejects one from outside it. The search
 finds the witness of one item: by default the first candidate, in
 enumeration order, that the check accepts, so repeated runs produce
 identical reports. ``hermite`` (``EngineCache.bezout``), ``bezout`` (the

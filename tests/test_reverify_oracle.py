@@ -111,3 +111,27 @@ def test_reverify_accepts_an_edited_entry_iff_it_holds(spec, pid, data):
                             exercised=dict(res.exercised))
     want = defs.holds(pid, a, w, b=b, k=k)
     assert engine.reverify(cache, forged) is want, (spec, pid, str(a), name)
+
+
+def test_bezout_payload_covers_ideal_classes_not_element_pairs():
+    """A bezout payload that names one pair of ideal classes twice, through
+    other generators, and drops another pair has the right entry count and
+    valid entries, but does not cover the class pairs."""
+    cache, _, defs = _ring("Zn:12")
+    ring = defs.ring
+    res = engine.ring_predicate(cache, "bezout")
+    pairs = copy.deepcopy(res.witness["pairs"])
+    generators = {}
+    for e in defs.elems:
+        generators.setdefault(frozenset(defs.ideal[e]), []).append(
+            ring.format_element(e))
+    # the first entry whose a has another generator of the same ideal
+    i, other = next((i, g) for i, rec in enumerate(pairs)
+                    for g in generators[frozenset(defs.ideal[ring.parse_element(rec["a"])])]
+                    if g != rec["a"])
+    dropped = pairs[-1] if i != len(pairs) - 1 else pairs[0]
+    pairs[pairs.index(dropped)] = dict(pairs[i], a=other)
+    forged = PropertyResult("bezout", True, witness={"pairs": pairs})
+    assert engine.reverify(cache, res)
+    assert len(pairs) == len(res.witness["pairs"])
+    assert not engine.reverify(cache, forged)
