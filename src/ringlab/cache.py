@@ -186,14 +186,14 @@ class EngineCache:
     @cached_property
     def jac(self) -> frozenset[int]:
         """Jacobson radical: x such that 1 - x*r is a unit for every r."""
-        n, mul, one = self.n, self.mul, self.one
+        n, add, neg, mul = self.n, self.add, self.neg, self.mul
         units = self.unit_set
-        out = []
-        for x in range(n):
-            row = x * n
-            if all(self.sub(one, mul[row + r]) in units for r in range(n)):
-                out.append(x)
-        return frozenset(out)
+        one_row = self.one * n
+        # unit_after[v]: 1 - v is a unit
+        unit_after = [add[one_row + neg[v]] in units for v in range(n)]
+        return frozenset(
+            x for x in range(n)
+            if all(map(unit_after.__getitem__, mul[x * n:x * n + n])))
 
     @cached_property
     def idempotents(self) -> frozenset[int]:
@@ -202,10 +202,9 @@ class EngineCache:
     @cached_property
     def quasi_idempotents(self) -> frozenset[int]:
         """Elements e with e - e^2 in the radical."""
-        jac = self.jac
+        n, add, neg, mul, jac = self.n, self.add, self.neg, self.mul, self.jac
         return frozenset(
-            i for i in range(self.n) if self.sub(i, self.mul[i * self.n + i]) in jac
-        )
+            i for i in range(n) if add[i * n + neg[mul[i * n + i]]] in jac)
 
     # --- principal ideals -------------------------------------------------------
 

@@ -7,9 +7,10 @@ Subcommands:
     check-theorems  run the corpus checks and emit the JSON report
     case-study      the Z[x]/(x^2-1) divisibility case study
 
-Exit codes are a stable contract: 0 ok, 2 parse error, 3 reduction failed
-(or, for classify and for adequate on a finite ring, a payload or witness
-that failed re-verification), 4 ring too large, 5 unsupported ring/element
+Exit codes are a stable contract: 0 ok, 2 parse error (or an output file
+that cannot be written), 3 reduction failed (or, for classify and for
+adequate on a finite ring, a payload or witness that failed
+re-verification), 4 ring too large, 5 unsupported ring/element
 combination. All file writes are atomic (write to a temp file, then
 rename). Output is JSON first; a short human-readable summary goes to
 stdout.
@@ -60,17 +61,24 @@ EXIT_TOO_LARGE = 4
 EXIT_UNSUPPORTED = 5
 
 
+class CannotWrite(Exception):
+    """An output file could not be written; ``main`` exits 2."""
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ringlab-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ringlab-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -500,6 +508,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except CannotWrite as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except RinglabError as exc:
         # Anything not mapped above is a generic unsupported-input failure.
         print(f"error: {exc}", file=sys.stderr)

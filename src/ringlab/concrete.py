@@ -285,6 +285,8 @@ class IntQuadRing(Ring):
 
 
 _EXPONENT_RE = re.compile(r"[eE]([-+]?[0-9][0-9_]*)$")
+# The form ``_format`` writes: an ASCII integer or integer ratio.
+_RATIO_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # 0 (no limit) on 3.10 releases older than 3.10.7, which have no limit.
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
@@ -350,16 +352,26 @@ class LocalizedIntegerRing(Ring):
 
     def _parse(self, text):
         """A fraction string; at most ``sys.get_int_max_str_digits()``
-        digits in the numerator and in the denominator, as for Z."""
-        s = text.strip()
+        digits in the numerator and in the denominator, as for Z.
+
+        The ASCII ``m`` and ``m/n`` forms, which ``_format`` writes, are
+        read with ``int``; every other string goes through ``Fraction``.
+        """
         limit = _int_max_str_digits()
+        ratio = _RATIO_RE.fullmatch(text)
         try:
-            exp = _EXPONENT_RE.search(s)
-            if limit and exp and abs(int(exp.group(1))) > limit + len(s):
-                # Fraction would compute 10**exponent first (even for a
-                # zero mantissa); a nonzero value would have too many digits.
-                raise ParseError(f"exponent of {text!r} is out of range")
-            f = Fraction(s)
+            if ratio is not None:
+                num, den = ratio.groups()
+                f = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            else:
+                s = text.strip()
+                exp = _EXPONENT_RE.search(s)
+                if limit and exp and abs(int(exp.group(1))) > limit + len(s):
+                    # Fraction would compute 10**exponent first (even for a
+                    # zero mantissa); a nonzero value would have too many
+                    # digits.
+                    raise ParseError(f"exponent of {text!r} is out of range")
+                f = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad fraction {text!r}") from exc
         if limit and (_more_digits(f.numerator, limit)

@@ -12,11 +12,14 @@ ring arithmetic:
 2. Divisibility enforcement folds any minor entry not divisible by the
    pivot into the pivot row and re-sweeps, again strictly enlarging the
    pivot's ideal.
-3. On finite rings the trailing 2x2 block goes through a dedicated kernel:
-   triangularize, pull out the common factor of the three entries as the
-   first chain entry, find a shift r making (b + a*r) comaximal with c,
-   and finish with the closed-form transforms that send the comaximal
-   triangular block to diag(1, -a*c).
+3. On finite rings the trailing 2x2 block goes through a dedicated kernel
+   (Kaplansky's comaximal shift): triangularize, pull out the common
+   factor of the three entries as the first chain entry, and find a shift
+   r making (b + a*r) comaximal with c. The triangularizing step and the
+   closed-form transforms that send the comaximal triangular block to
+   diag(1, -a*c) are multiplied out into one left and one right 2x2
+   transform, each applied once to A and to its transform and inverse
+   (see ``_Reducer.kernel_2x2``).
 
 Strategies: ``euclidean_Z`` (integer matrices, minimal-absolute-value
 pivoting), ``finite_search`` (any finite ring, kernel enabled), and
@@ -37,11 +40,13 @@ Every adapter offers the same fused kernels, and the raw core does its
 arithmetic through them alone: ``add``, ``mul``, ``neg``,
 ``lin(x, p, y, q)`` = x*p + y*q, ``comb(xs, u, ys, v)`` (``lin`` entry by
 entry over two rows), ``dot`` and ``matmul``. A row or column operation
-is one ``comb`` per row, or one ``lin`` per entry of a column, and a
-matrix product is one call with no call per entry. The finite kernels
-index the cache's flat add/mul tables inline (no second copy of the
-tables: they are n^2 entries each). On Z the raw add and mul are the +
-and * of int, so its kernels use the operators and ``sum`` directly. On
+on a pair of rows or columns is one 2x2 matrix E with its inverse
+(``_Reducer.row_pair`` and ``col_pair``): one ``comb`` per row, or one
+``lin`` per entry of a column, and a matrix product is one call with no
+call per entry. The finite kernels index the cache's flat add/mul tables
+inline (no second copy of the tables: they are n^2 entries each), and a
+product's accumulator starts at its first term. On Z the raw add and mul
+are the + and * of int, so its kernels use the operators directly. On
 zloc the kernels work on the ``as_integer_ratio()`` pairs of the
 Fractions: an output entry such as x*p + y*q is worked out as one integer
 numerator over one common denominator and made into one
@@ -49,14 +54,16 @@ numerator over one common denominator and made into one
 normalise each product and the sum. Other value kinds go through the
 ring's raw methods.
 ``_scalar_ops`` builds the adapter once per cache (or per ring handle for
-infinite rings), since every public call asks for it.
+infinite rings), since every public call asks for it. The adapter also
+keeps one identity grid per size as a template: the reducer copies its
+starting P, Pinv, Q and Qinv from it.
 
-The verifier compares P*Pinv and Q*Qinv with the identity entry by entry.
-The 2x2 kernel writes D = diag(1, -a*c) in closed form: its P*A*Q equals
-that matrix exactly whenever w*x + c*y = 1 (see
-``_comax_triangular_raw``). The verifier does not rely on that: it still
-multiplies P*A*Q and compares it with D, so a wrong D, or a wrong
-transform, is rejected as before.
+The verifier compares P*Pinv and Q*Qinv with that identity template, one
+list comparison each. The comaximal triangular reduction
+(``_comax_triangular_raw``) writes D = diag(1, -a*c) in closed form: its
+P*A*Q equals that matrix exactly whenever w*x + c*y = 1. The verifier
+does not rely on that: it still multiplies P*A*Q and compares it with D,
+so a wrong D, or a wrong transform, is rejected as before.
 """
 
 from __future__ import annotations
@@ -87,22 +94,38 @@ class RingMatrix:
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: Ring, entries):
+        self._fill(ring, entries)
+        for row in self.entries:
+            for e in row:
+                ring._member(e)
+
+    def _fill(self, ring: Ring, entries) -> None:
+        """Set the fields from a grid of entries, checking its shape only."""
         entries = tuple(tuple(row) for row in entries)
         if not entries or not entries[0]:
             raise ValueError("matrix needs at least one row and column")
         for row in entries:
             if len(row) != len(entries[0]):
                 raise ValueError("ragged matrix")
-            for e in row:
-                ring._member(e)
         self.ring = ring
         self.rows = len(entries)
         self.cols = len(entries[0])
         self.entries = entries
 
     @classmethod
+    def _of(cls, ring: Ring, entries) -> "RingMatrix":
+        """A matrix of elements the ring itself just made.
+
+        Their membership holds by construction, so only the shape is
+        checked, not each entry as ``RingMatrix()`` does.
+        """
+        M = object.__new__(cls)
+        M._fill(ring, entries)
+        return M
+
+    @classmethod
     def from_raw(cls, ring: Ring, rows) -> "RingMatrix":
-        return cls(ring, [[ring.make(v) for v in row] for row in rows])
+        return cls._of(ring, [[ring.make(v) for v in row] for row in rows])
 
     @classmethod
     def from_strings(cls, ring: Ring, rows) -> "RingMatrix":
@@ -110,13 +133,14 @@ class RingMatrix:
                 isinstance(row, (list, tuple))
                 and all(isinstance(s, str) for s in row) for row in rows):
             raise ParseError("a matrix is a list of rows of element strings")
-        return cls(ring, [[ring.parse_element(s) for s in row] for row in rows])
+        return cls._of(ring, [[ring.parse_element(s) for s in row]
+                              for row in rows])
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
         z, o = ring.zero, ring.one
-        return cls(ring, [[o if i == j else z for j in range(n)]
-                          for i in range(n)])
+        return cls._of(ring, [[o if i == j else z for j in range(n)]
+                              for i in range(n)])
 
     def mat_mul(self, other: "RingMatrix") -> "RingMatrix":
         if self.cols != other.rows:
@@ -132,7 +156,7 @@ class RingMatrix:
                                                  other.entries[k][j]))
                 row.append(acc)
             out.append(row)
-        return RingMatrix(ring, out)
+        return RingMatrix._of(ring, out)
 
     def __eq__(self, other):
         return (isinstance(other, RingMatrix) and self.ring is other.ring
@@ -193,7 +217,26 @@ class ReductionCertificate:
 # ---------------------------------------------------------------------------
 
 
-class _FiniteOps:
+class _Adapter:
+    """What every scalar adapter shares: identity grids made once per size.
+
+    ``identity(n)`` is a template: callers copy its rows before writing
+    to them, and compare other grids with it as a whole.
+    """
+
+    def __init__(self):
+        self._identities: dict[int, list[list]] = {}
+
+    def identity(self, n: int) -> list[list]:
+        grid = self._identities.get(n)
+        if grid is None:
+            z, o = self.zero, self.one
+            grid = self._identities[n] = [
+                [o if i == j else z for j in range(n)] for i in range(n)]
+        return grid
+
+
+class _FiniteOps(_Adapter):
     """Scalar kernels on EngineCache indices (finite rings).
 
     The kernels index the cache's flat add/mul tables inline; no kernel
@@ -203,6 +246,7 @@ class _FiniteOps:
     kernel = True
 
     def __init__(self, cache: EngineCache):
+        super().__init__()
         self.c = cache
         self.ring = cache.ring
         self.zero = cache.zero
@@ -247,17 +291,24 @@ class _FiniteOps:
         return acc
 
     def matmul(self, X, Y):
-        """The product of two raw grids."""
-        n, add, mul, zero = self.n, self._add, self._mul, self.zero
+        """The product of two raw grids.
+
+        Each accumulator starts at its first product, not at zero, and the
+        inner loop indexes by position: on the 2x2 to 5x5 grids of a
+        certificate that beats zipping each row with each column.
+        """
+        n, add, mul = self.n, self._add, self._mul
         cols = list(zip(*Y))
+        rest = range(1, len(Y))
         out = []
         for row in X:
             row_n = [x * n for x in row]
+            x0 = row_n[0]
             out_row = []
             for col in cols:
-                acc = zero
-                for xn, y in zip(row_n, col):
-                    acc = add[acc * n + mul[xn + y]]
+                acc = mul[x0 + col[0]]
+                for k in rest:
+                    acc = add[acc * n + mul[row_n[k] + col[k]]]
                 out_row.append(acc)
             out.append(out_row)
         return out
@@ -282,12 +333,13 @@ class _FiniteOps:
         return x  # enumeration order
 
 
-class _ValueOps:
+class _ValueOps(_Adapter):
     """Scalar kernels on raw payloads, through the ring's raw methods."""
 
     kernel = False
 
     def __init__(self, ring: Ring):
+        super().__init__()
         self.ring = ring
         self.zero = ring._zero_raw()
         self.one = ring._one_raw()
@@ -363,9 +415,21 @@ class _NativeOps(_ValueOps):
         return sum(map(operator.mul, xs, ys), self.zero)
 
     def matmul(self, X, Y):
+        """The product of two raw grids, in plain loops like the finite
+        kernel's: no ``sum(map())`` per entry."""
         cols = list(zip(*Y))
-        mul, zero = operator.mul, self.zero
-        return [[sum(map(mul, row, col), zero) for col in cols] for row in X]
+        rest = range(1, len(Y))
+        out = []
+        for row in X:
+            x0 = row[0]
+            out_row = []
+            for col in cols:
+                acc = x0 * col[0]
+                for k in rest:
+                    acc += row[k] * col[k]
+                out_row.append(acc)
+            out.append(out_row)
+        return out
 
 
 def _ratio_dot(xs, ys) -> Fraction:
@@ -470,22 +534,14 @@ def _ops_for(ring: Ring, strategy: str | None):
 # ---------------------------------------------------------------------------
 
 
-def _identity_raw(ops, n: int) -> list[list]:
-    z, o = ops.zero, ops.one
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
 def _box(ops, grid) -> RingMatrix:
     """Box a raw grid into a RingMatrix over ``ops.ring``.
 
     The payloads come from ``ops`` arithmetic, so they belong to the ring
     by construction and skip the membership checks of ``RingMatrix()``.
     """
-    M = object.__new__(RingMatrix)
-    M.ring = ops.ring
-    M.entries = tuple(tuple(map(ops.to_elem, row)) for row in grid)
-    M.rows, M.cols = len(M.entries), len(M.entries[0])
-    return M
+    to_elem = ops.to_elem
+    return RingMatrix._of(ops.ring, [map(to_elem, row) for row in grid])
 
 
 def _unbox(ops, M: RingMatrix) -> list[list]:
@@ -524,13 +580,8 @@ def _verify_raw(ops, A, P, Pinv, D, Q, Qinv):
 
 
 def _is_identity(ops, M) -> bool:
-    """M is the identity, compared entry by entry against one and zero."""
-    one, zero = ops.one, ops.zero
-    for i, row in enumerate(M):
-        for j, e in enumerate(row):
-            if e != (one if i == j else zero):
-                return False
-    return True
+    """M is the identity: one comparison with the adapter's template."""
+    return M == ops.identity(len(M))
 
 
 def _violation(invariant: str, position=None) -> dict:
@@ -552,27 +603,37 @@ class _Reducer:
         self.A = grid
         self.rows = rows
         self.cols = cols
-        self.P = _identity_raw(ops, rows)
-        self.Pinv = _identity_raw(ops, rows)
-        self.Q = _identity_raw(ops, cols)
-        self.Qinv = _identity_raw(ops, cols)
+        I_rows, I_cols = ops.identity(rows), ops.identity(cols)
+        self.P = [row[:] for row in I_rows]
+        self.Pinv = [row[:] for row in I_rows]
+        self.Q = [row[:] for row in I_cols]
+        self.Qinv = [row[:] for row in I_cols]
 
     # -- elementary column operations (A <- A*E, Q <- Q*E, Qinv <- Einv*Qinv) --
 
-    def col_combine(self, k, j, x, y, b1, a1):
-        """Columns (k, j) <- (x*ck + y*cj, -b1*ck + a1*cj); det = 1."""
+    def col_pair(self, k, j, E, Einv):
+        """Columns (k, j) times the 2x2 matrix E, given its inverse Einv.
+
+        (ck, cj) <- (ck*E00 + cj*E10, ck*E01 + cj*E11) in A and Q; rows
+        k and j of Qinv become Einv times them.
+        """
         ops = self.ops
         lin = ops.lin
-        nb1 = ops.neg(b1)
+        (e00, e01), (e10, e11) = E
         for M in (self.A, self.Q):
             for row in M:
                 ck, cj = row[k], row[j]
-                row[k] = lin(ck, x, cj, y)
-                row[j] = lin(ck, nb1, cj, a1)
+                row[k] = lin(ck, e00, cj, e10)
+                row[j] = lin(ck, e01, cj, e11)
+        (f00, f01), (f10, f11) = Einv
         R = self.Qinv
         rk, rj = R[k], R[j]
-        R[k] = ops.comb(rk, a1, rj, b1)
-        R[j] = ops.comb(rk, ops.neg(y), rj, x)
+        R[k] = ops.comb(rk, f00, rj, f01)
+        R[j] = ops.comb(rk, f10, rj, f11)
+
+    def col_combine(self, k, j, x, y, b1, a1):
+        """Columns (k, j) <- (x*ck + y*cj, -b1*ck + a1*cj); det = 1."""
+        self.col_pair(k, j, *_hermite_cols(self.ops, x, y, b1, a1))
 
     def col_add(self, j, k, t):
         """Column j += t * column k."""
@@ -601,20 +662,29 @@ class _Reducer:
 
     # -- elementary row operations (A <- E*A, P <- E*P, Pinv <- Pinv*Einv) --
 
-    def row_combine(self, k, i, x, y, b1, a1):
-        """Rows (k, i) <- (x*rk + y*ri, -b1*rk + a1*ri); det = 1."""
+    def row_pair(self, k, i, E, Einv):
+        """Rows (k, i) <- E times them in A and P, given the inverse Einv.
+
+        (rk, ri) <- (E00*rk + E01*ri, E10*rk + E11*ri); columns k and i
+        of Pinv become them times Einv.
+        """
         ops = self.ops
         comb, lin = ops.comb, ops.lin
-        nb1 = ops.neg(b1)
+        (e00, e01), (e10, e11) = E
         for M in (self.A, self.P):
             rk, ri = M[k], M[i]
-            M[k] = comb(rk, x, ri, y)
-            M[i] = comb(rk, nb1, ri, a1)
-        ny = ops.neg(y)
+            M[k] = comb(rk, e00, ri, e01)
+            M[i] = comb(rk, e10, ri, e11)
+        (f00, f01), (f10, f11) = Einv
         for row in self.Pinv:
             ck, ci = row[k], row[i]
-            row[k] = lin(ck, a1, ci, b1)
-            row[i] = lin(ck, ny, ci, x)
+            row[k] = lin(ck, f00, ci, f10)
+            row[i] = lin(ck, f01, ci, f11)
+
+    def row_combine(self, k, i, x, y, b1, a1):
+        """Rows (k, i) <- (x*rk + y*ri, -b1*rk + a1*ri); det = 1."""
+        neg = self.ops.neg
+        self.row_pair(k, i, ((x, y), (neg(b1), a1)), ((a1, neg(y)), (b1, x)))
 
     def row_add(self, i, k, t):
         """Row i += t * row k."""
@@ -712,66 +782,75 @@ class _Reducer:
         raise ReductionFailed(f"divisibility enforcement stalled at pivot {k}")
 
     def kernel_2x2(self, k):
-        """Finite-ring kernel for the trailing 2x2 block.
+        """Finite-ring kernel for the trailing 2x2 block [[a, b], [c, d]].
 
-        Triangularize, factor out the gcd generator g of the three entries
-        with comaximal cofactors, then apply the comaximal-shift transforms
-        to reach diag(g, -g*a''*c'').
+        A column step R1 triangularizes the block to [[a', 0], [b', c']].
+        The gcd generator g of a', b', c' is factored out with cofactors
+        (ta, tb, tc) comaximal as a triple, and a shift r makes
+        w = tb + tc*r comaximal with ta: w*x + ta*y = 1. With s = -tc*x,
+        one left and one right transform then reach diag(g, -g*ta*tc):
+
+            L = [[y, x], [w, -ta]],  L^-1 = [[ta, x], [w, -y]],
+            M = R1 * [[1, s], [r, 1 + r*s]],
+            M^-1 = [[1 + r*s, -s], [-r, 1]] * R1^-1.
+
+        L is [[x, y], [-ta, w]] times the row swap, and M is R1 times the
+        column swap, [[1, r], [0, 1]], [[1, 0], [s, 1]] and the column swap
+        again, so each is applied once instead of step by step. The
+        ReductionFailed witnesses show the block as those steps leave it:
+        after R1, and also after the swaps for a missing shift.
         """
         ops = self.ops
         cache: EngineCache = ops.c
-        A = self.A
+        neg, lin, one, zero = ops.neg, ops.lin, ops.one, ops.zero
         j = k + 1
-        if not ops.is_zero(A[k][j]):
-            t = ops.divides(A[k][k], A[k][j])
-            if t is not None:
-                self.col_add(j, k, ops.neg(t))
+        (a, b), (c, d) = self.A[k][k:], self.A[j][k:]
+        if ops.is_zero(b):
+            R1 = None
+            ap, bp, cp = a, c, d
+        else:
+            t = ops.divides(a, b)
+            if t is not None:  # b = a*t
+                R1 = ((one, neg(t)), (zero, one)), ((one, t), (zero, one))
             else:
-                d, x, y, a1, b1 = ops.hermite(A[k][k], A[k][j])
-                self.col_combine(k, j, x, y, b1, a1)
-        ap, bp, cp = A[k][k], A[j][k], A[j][j]
+                _, x, y, a1, b1 = ops.hermite(a, b)
+                R1 = _hermite_cols(ops, x, y, b1, a1)
+            (m00, m01), (m10, m11) = R1[0]
+            ap, bp = lin(a, m00, b, m10), lin(c, m00, d, m10)
+            cp = lin(c, m01, d, m11)
         if ops.is_zero(ap) and ops.is_zero(bp) and ops.is_zero(cp):
-            return
+            return  # so b = 0, as R1 would make a' = gcd(a, b) != 0: no R1
         cls = cache.ideal_class
         sum_id = cache.sum_ideal_id(cache.sum_ideal_id(cls[ap], cls[bp]), cls[cp])
         gens = cache.generators_of(sum_id)
         if not gens:
-            raise ReductionFailed(
-                "entry ideal of the 2x2 block is not principal",
-                witness=self._block_matrix(k))
-        g = gens[0]
-        trip = _comax_cofactors(cache, g, ap, bp, cp)
+            self._fail("entry ideal of the 2x2 block is not principal",
+                       [[ap, zero], [bp, cp]])
+        trip = _comax_cofactors(cache, gens[0], ap, bp, cp)
         if trip is None:
-            raise ReductionFailed(
-                "no comaximal cofactor triple for the 2x2 block",
-                witness=self._block_matrix(k))
+            self._fail("no comaximal cofactor triple for the 2x2 block",
+                       [[ap, zero], [bp, cp]])
         ta, tb, tc = trip
-        # Swap-conjugate to [[c', b'], [0, a']] = g * [[tc, tb], [0, ta]].
-        self.row_swap(k, j)
-        self.col_swap(k, j)
-        r = None
-        for cand in range(cache.n):
-            if cache.comax[cache.add[tb * cache.n + cache.mul[tc * cache.n + cand]]][ta]:
-                r = cand
+        n, add, mul, comax = cache.n, cache.add, cache.mul, cache.comax
+        tb_row, tc_row = tb * n, tc * n
+        for r in range(n):
+            w = add[tb_row + mul[tc_row + r]]
+            if comax[w][ta]:
                 break
-        if r is None:
-            raise ReductionFailed(
-                "no residue shift makes the block comaximal",
-                witness=self._block_matrix(k))
-        w = cache.add[tb * cache.n + cache.mul[tc * cache.n + r]]
-        wit = cache.comax_witness(w, ta)
-        x, y = wit
-        # A * [[1, r], [0, 1]]
-        self.col_add(j, k, r)
-        # [[x, y], [-c, w]] * A  with (a, b, c) = (tc, tb, ta)
-        self.row_combine(k, j, x, y, ta, w)
-        # A * [[1, 0], [-a*x, 1]]
-        self.col_add(k, j, ops.neg(ops.mul(tc, x)))
-        # A * antidiagonal swap
-        self.col_swap(k, j)
+        else:
+            self._fail("no residue shift makes the block comaximal",
+                       [[cp, bp], [zero, ap]])
+        x, y = cache.comax_witness(w, ta)
+        s = neg(ops.mul(tc, x))
+        rs1 = ops.add(one, ops.mul(r, s))
+        M, Minv = ((one, s), (r, rs1)), ((rs1, neg(s)), (neg(r), one))
+        if R1 is not None:
+            M, Minv = _mul_2x2(ops, R1[0], M), _mul_2x2(ops, Minv, R1[1])
+        self.row_pair(k, j, ((y, x), (w, neg(ta))), ((ta, x), (w, neg(y))))
+        self.col_pair(k, j, M, Minv)
 
-    def _block_matrix(self, k) -> RingMatrix:
-        return _box(self.ops, [row[k:] for row in self.A[k:]])
+    def _fail(self, reason, block):
+        raise ReductionFailed(reason, witness=_box(self.ops, block))
 
     def normalize_units(self):
         ops = self.ops
@@ -792,6 +871,22 @@ class _Reducer:
             self.enforce_divisibility(k)
             k += 1
         self.normalize_units()
+
+
+def _hermite_cols(ops, x, y, b1, a1):
+    """The column step (ck, cj) <- (x*ck + y*cj, -b1*ck + a1*cj) as a 2x2
+    matrix and its inverse; its determinant x*a1 + y*b1 is 1."""
+    neg = ops.neg
+    return ((x, neg(b1)), (y, a1)), ((a1, b1), (neg(y), x))
+
+
+def _mul_2x2(ops, X, Y):
+    """The product of two 2x2 matrices of scalars."""
+    lin = ops.lin
+    (x00, x01), (x10, x11) = X
+    (y00, y01), (y10, y11) = Y
+    return ((lin(x00, y00, x01, y10), lin(x00, y01, x01, y11)),
+            (lin(x10, y00, x11, y10), lin(x10, y01, x11, y11)))
 
 
 def _comax_cofactors(cache: EngineCache, g: int, va: int, vb: int, vc: int):
@@ -880,8 +975,8 @@ def hermite_step(ring: Ring, a: Element, b: Element
     if a == ring.zero and b == ring.zero:
         return ring.zero, RingMatrix.identity(ring, 2)
     data = ring.bezout_gcd(a, b)
-    q = RingMatrix(ring, [[data.x, ring.neg(data.b1)],
-                          [data.y, data.a1]])
+    q = RingMatrix._of(ring, [[data.x, ring.neg(data.b1)],
+                              [data.y, data.a1]])
     return data.d, q
 
 

@@ -312,3 +312,29 @@ def test_check_theorems_reverify_failure_fails_the_check(monkeypatch, tmp_path,
     rows = json.loads(out.read_text())["results"][0]["rings"]
     assert rows == [{"ring": "Zn:6", "verdict": False, "vacuous": False,
                      "error": "Zn:6: bezout payload failed re-verification"}]
+
+
+@pytest.mark.parametrize("command", [
+    ["reduce", "MATRIX"],
+    ["classify", "Zn:6"],
+    ["adequate", "Zn:12", "4", "6"],
+    ["check-theorems", "--corpus", "CORPUS", "--checks", "T2.5"],
+    ["case-study"],
+], ids=lambda command: command[0])
+def test_unwritable_out_exits_2(command, z_matrix, tmp_path, monkeypatch,
+                                capsys):
+    from ringlab import cli
+
+    monkeypatch.delenv("RINGLAB_WORKERS", raising=False)
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(["Zn:6"]))
+    argv = [{"MATRIX": str(z_matrix), "CORPUS": str(corpus)}.get(a, a)
+            for a in command]
+    missing = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert cli.main([*argv, "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {missing}: No such file or directory\n" in err
+    # A directory in place of the file: the rename fails, no temp file stays.
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+    assert f"error: cannot write {tmp_path}: " in capsys.readouterr().err
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".ringlab-")]

@@ -5,7 +5,13 @@ from math import gcd
 import pytest
 
 from ringlab.concrete import builtin_table_path, make_ring
-from ringlab.errors import NoResidue, NotComaximal, ReductionFailed, UnsupportedSpec
+from ringlab.errors import (
+    MixedRings,
+    NoResidue,
+    NotComaximal,
+    ReductionFailed,
+    UnsupportedSpec,
+)
 from ringlab.reduction import (
     ReductionCertificate,
     RingMatrix,
@@ -228,6 +234,25 @@ def test_verify_certificate_tamper_cases(Z):
     assert not res.verdict
     assert res.counterexample["invariant"] in ("P_invertible",
                                                "divisibility_chain")
+
+
+@pytest.mark.parametrize("spec", ["Z", "Zn:6"])
+def test_foreign_elements_are_rejected(spec):
+    ring, other = make_ring(spec), make_ring(spec)  # two distinct handles
+    foreign = other.make(1)
+    with pytest.raises(MixedRings):
+        RingMatrix(ring, [[ring.one, foreign]])
+    # The ring's own constructors skip the entry check, verification does not.
+    A = RingMatrix.from_strings(ring, [["1", "0"], ["0", "1"]])
+    eye = RingMatrix.identity(ring, 2)
+    forged = RingMatrix.from_strings(other, [["1", "0"], ["0", "1"]])
+    for i in range(5):
+        mats = [eye] * 5
+        mats[i] = forged
+        with pytest.raises(MixedRings):
+            verify_certificate(ring, A, ReductionCertificate(*mats))
+    with pytest.raises(MixedRings):
+        verify_certificate(ring, forged, ReductionCertificate(*[eye] * 5))
 
 
 def test_matrix_json_roundtrip(Z):

@@ -189,3 +189,40 @@ def test_zloc_rejects_bad_denominator():
     zl = make_ring("zloc:{3,5}")
     with pytest.raises(ParseError):
         zl.parse_element("7/10")
+
+
+def fraction_parse(text):
+    """The zloc parse written with ``Fraction(str)`` alone, for comparison."""
+    import re
+    import sys
+
+    s = text.strip()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        exp = re.search(r"[eE]([-+]?[0-9][0-9_]*)$", s)
+        if limit and exp and abs(int(exp.group(1))) > limit + len(s):
+            raise ParseError(f"exponent of {text!r} is out of range")
+        f = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad fraction {text!r}") from exc
+    if limit and max(abs(f.numerator), f.denominator) >= 10 ** limit:
+        raise ParseError(f"fraction {text!r} has more than {limit} digits")
+    return f
+
+
+@pytest.mark.parametrize("text", [
+    "7", "-7", "0", "-0", "007", "7/2", "-10/4", "0/5", "1/0", "3/-4", "-3/4/",
+    "1_0", "٣", " 3 ", "1e5", "+3", "1.5", "", "-", "/2", "1/",
+    "9" * 4300, "9" * 4301, "1/" + "7" * 4301, "-" + "9" * 4301 + "/7",
+])
+def test_zloc_parse_matches_fraction_parse(text):
+    zl = make_ring("zloc:{3,5}")
+    try:
+        want = fraction_parse(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            zl._parse(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = zl._parse(text)
+        assert got == want and type(got) is Fraction
