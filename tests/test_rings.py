@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -193,9 +195,6 @@ def test_zloc_rejects_bad_denominator():
 
 def fraction_parse(text):
     """The zloc parse written with ``Fraction(str)`` alone, for comparison."""
-    import re
-    import sys
-
     s = text.strip()
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
@@ -214,7 +213,7 @@ def fraction_parse(text):
     "7", "-7", "0", "-0", "007", "7/2", "-10/4", "0/5", "1/0", "3/-4", "-3/4/",
     "1_0", "٣", " 3 ", "1e5", "+3", "1.5", "", "-", "/2", "1/",
     "9" * 4300, "9" * 4301, "1/" + "7" * 4301, "-" + "9" * 4301 + "/7",
-])
+], ids=lambda text: ascii(text) if len(text) < 12 else f"{len(text)}-chars")
 def test_zloc_parse_matches_fraction_parse(text):
     zl = make_ring("zloc:{3,5}")
     try:
