@@ -316,19 +316,19 @@ class EngineCache:
         """
         if not self.comax[i][j]:
             return None
-        n, mul, one = self.n, self.mul, self.one
+        n, add, neg, mul = self.n, self.add, self.neg, self.mul
+        one_row, row = self.one * n, i * n
         key = (i, self.ideal_class[j])
         x = self._comax_x_memo.get(key)
         if x is None:
             ideal = self.pid[j]
-            row = i * n
             for x in range(n):
-                if self.sub(one, mul[row + x]) in ideal:
+                if add[one_row + neg[mul[row + x]]] in ideal:
                     break
             else:
                 return None
             self._comax_x_memo[key] = x
-        return x, self.pid_witness[j][self.sub(one, mul[i * n + x])]
+        return x, self.pid_witness[j][add[one_row + neg[mul[row + x]]]]
 
     def triple_comax(self, i: int, j: int, k: int) -> bool:
         """True iff iR + jR + kR = R."""
@@ -340,13 +340,13 @@ class EngineCache:
         """First (x, y, z) with i*x + j*y + k*z = 1, or None."""
         if not self.triple_comax(i, j, k):
             return None
-        n, mul, one = self.n, self.mul, self.one
+        n, add, neg, mul = self.n, self.add, self.neg, self.mul
+        one_row, i_row, j_row = self.one * n, i * n, j * n
         wit_k = self.pid_witness[k]
         for x in range(n):
-            r1 = self.sub(one, mul[i * n + x])
+            r1_row = add[one_row + neg[mul[i_row + x]]] * n
             for y in range(n):
-                rem = self.sub(r1, mul[j * n + y])
-                z = wit_k.get(rem)
+                z = wit_k.get(add[r1_row + neg[mul[j_row + y]]])
                 if z is not None:
                     return x, y, z
         return None

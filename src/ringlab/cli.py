@@ -422,7 +422,9 @@ def cmd_check_theorems(args) -> int:
             specs = _read_corpus(args.corpus)
         else:
             specs = tuple(lab.default_corpus_specs())
-        checks = tuple(args.checks.split(",")) if args.checks else None
+        # "" is not "no filter": it names one empty check id, which fails
+        checks = (tuple(args.checks.split(","))
+                  if args.checks is not None else None)
         config = lab.CorpusConfig(ring_specs=specs, seed=args.seed,
                                   size_bound=args.size_bound, checks=checks)
         lab.worker_count()  # a bad RINGLAB_WORKERS fails before any work

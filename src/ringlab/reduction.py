@@ -19,7 +19,10 @@ ring arithmetic:
    closed-form transforms that send the comaximal triangular block to
    diag(1, -a*c) are multiplied out into one left and one right 2x2
    transform, each applied once to A and to its transform and inverse
-   (see ``_Reducer.kernel_2x2``).
+   (see ``_Reducer.kernel_2x2``). When the block is the whole matrix,
+   P and Q are still the identity, so the kernel takes the transforms
+   and their inverses as P, Pinv, Q and Qinv and sets A to L*A*M with two
+   matrix products.
 
 Strategies: ``euclidean_Z`` (integer matrices, minimal-absolute-value
 pivoting), ``finite_search`` (any finite ring, kernel enabled), and
@@ -45,7 +48,12 @@ on a pair of rows or columns is one 2x2 matrix E with its inverse
 ``lin`` per entry of a column, and a matrix product is one call with no
 call per entry. The finite kernels index the cache's flat add/mul tables
 inline (no second copy of the tables: they are n^2 entries each), and a
-product's accumulator starts at its first term. On Z the raw add and mul
+product's accumulator starts at its first term. The finite and Z
+``matmul`` write a 2x2 times 2x2 product out in closed form: its eight
+products and four sums, in the order the general loop takes them. The
+shape alone picks that branch, and every other shape keeps the loop.
+Every check of a 2x2 certificate and the 2x2 kernel multiply in this
+shape. On Z the raw add and mul
 are the + and * of int, so its kernels use the operators directly. On
 zloc the kernels work on the ``as_integer_ratio()`` pairs of the
 Fractions: an output entry such as x*p + y*q is worked out as one integer
@@ -295,9 +303,19 @@ class _FiniteOps(_Adapter):
 
         Each accumulator starts at its first product, not at zero, and the
         inner loop indexes by position: on the 2x2 to 5x5 grids of a
-        certificate that beats zipping each row with each column.
+        certificate that beats zipping each row with each column. A 2x2
+        times 2x2 product, the most common one, is written out in closed
+        form with the same lookups in the same order.
         """
         n, add, mul = self.n, self._add, self._mul
+        if len(Y) == 2 == len(X) == len(Y[0]) == len(X[0]):
+            (x00, x01), (x10, x11) = X
+            (y00, y01), (y10, y11) = Y
+            x00, x01, x10, x11 = x00 * n, x01 * n, x10 * n, x11 * n
+            return [[add[mul[x00 + y00] * n + mul[x01 + y10]],
+                     add[mul[x00 + y01] * n + mul[x01 + y11]]],
+                    [add[mul[x10 + y00] * n + mul[x11 + y10]],
+                     add[mul[x10 + y01] * n + mul[x11 + y11]]]]
         cols = list(zip(*Y))
         rest = range(1, len(Y))
         out = []
@@ -416,7 +434,13 @@ class _NativeOps(_ValueOps):
 
     def matmul(self, X, Y):
         """The product of two raw grids, in plain loops like the finite
-        kernel's: no ``sum(map())`` per entry."""
+        kernel's: no ``sum(map())`` per entry. A 2x2 times 2x2 product is
+        written out in closed form."""
+        if len(Y) == 2 == len(X) == len(Y[0]) == len(X[0]):
+            (x00, x01), (x10, x11) = X
+            (y00, y01), (y10, y11) = Y
+            return [[x00 * y00 + x01 * y10, x00 * y01 + x01 * y11],
+                    [x10 * y00 + x11 * y10, x10 * y01 + x11 * y11]]
         cols = list(zip(*Y))
         rest = range(1, len(Y))
         out = []
@@ -796,9 +820,13 @@ class _Reducer:
 
         L is [[x, y], [-ta, w]] times the row swap, and M is R1 times the
         column swap, [[1, r], [0, 1]], [[1, 0], [s, 1]] and the column swap
-        again, so each is applied once instead of step by step. The
-        ReductionFailed witnesses show the block as those steps leave it:
-        after R1, and also after the swaps for a missing shift.
+        again, so each is applied once instead of step by step. When the
+        block is the whole matrix, P and Q are still the identity, so the
+        kernel sets P = L, Q = M (and the inverses) and A = L*A*M itself:
+        ``row_pair`` and ``col_pair`` would give the same entries, since
+        1*x = x and x + 0 = x. The ReductionFailed witnesses show the block
+        as those steps leave it: after R1, and also after the swaps for a
+        missing shift.
         """
         ops = self.ops
         cache: EngineCache = ops.c
@@ -843,11 +871,16 @@ class _Reducer:
         x, y = cache.comax_witness(w, ta)
         s = neg(ops.mul(tc, x))
         rs1 = ops.add(one, ops.mul(r, s))
-        M, Minv = ((one, s), (r, rs1)), ((rs1, neg(s)), (neg(r), one))
+        L, Linv = [[y, x], [w, neg(ta)]], [[ta, x], [w, neg(y)]]
+        M, Minv = [[one, s], [r, rs1]], [[rs1, neg(s)], [neg(r), one]]
         if R1 is not None:
-            M, Minv = _mul_2x2(ops, R1[0], M), _mul_2x2(ops, Minv, R1[1])
-        self.row_pair(k, j, ((y, x), (w, neg(ta))), ((ta, x), (w, neg(y))))
-        self.col_pair(k, j, M, Minv)
+            M, Minv = ops.matmul(R1[0], M), ops.matmul(Minv, R1[1])
+        if self.rows == self.cols == 2:
+            self.A = ops.matmul(ops.matmul(L, self.A), M)
+            self.P, self.Pinv, self.Q, self.Qinv = L, Linv, M, Minv
+        else:
+            self.row_pair(k, j, L, Linv)
+            self.col_pair(k, j, M, Minv)
 
     def _fail(self, reason, block):
         raise ReductionFailed(reason, witness=_box(self.ops, block))
@@ -878,15 +911,6 @@ def _hermite_cols(ops, x, y, b1, a1):
     matrix and its inverse; its determinant x*a1 + y*b1 is 1."""
     neg = ops.neg
     return ((x, neg(b1)), (y, a1)), ((a1, b1), (neg(y), x))
-
-
-def _mul_2x2(ops, X, Y):
-    """The product of two 2x2 matrices of scalars."""
-    lin = ops.lin
-    (x00, x01), (x10, x11) = X
-    (y00, y01), (y10, y11) = Y
-    return ((lin(x00, y00, x01, y10), lin(x00, y01, x01, y11)),
-            (lin(x10, y00, x11, y10), lin(x10, y01, x11, y11)))
 
 
 def _comax_cofactors(cache: EngineCache, g: int, va: int, vb: int, vc: int):

@@ -236,6 +236,16 @@ def test_check_theorems_rejects_unknown_check_id(tmp_path):
     assert res.stdout == ""
 
 
+def test_check_theorems_rejects_empty_check_list(tmp_path):
+    """--checks "" selects no check: an error, not a run of all of them."""
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(["Zn:6"]))
+    res = run_cli("check-theorems", "--corpus", str(corpus), "--checks", "")
+    assert res.returncode == 2, res.stderr
+    assert "check id" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
 def test_check_theorems_rejects_bad_worker_count(tmp_path, value):
     corpus = tmp_path / "corpus.json"

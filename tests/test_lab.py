@@ -195,3 +195,67 @@ def test_battery_uses_the_run_cache(monkeypatch):
     monkeypatch.setattr(reduction, "build_cache", refuse)
     assert lab._check_c26(ctx)["verdict"] is True
     assert lab._check_t38(ctx)["verdict"] is True
+
+
+@pytest.mark.parametrize("seed", [lab.DEFAULT_SEED, 7])
+def test_battery_draws_the_randrange_stream(monkeypatch, seed):
+    """The C2.6/C3.9 battery draws the matrices random.Random.randrange
+    draws, in the same order, in both sampling regimes.
+
+    The report pin holds only counts and failures, so it would not see a
+    drifted draw stream; this test does.
+    """
+    import random
+
+    drawn = []
+    reduce_raw = lab._reduce_raw
+
+    def spy(ops, rows):
+        drawn.append([list(row) for row in rows])
+        return reduce_raw(ops, rows)
+
+    monkeypatch.setattr(lab, "_reduce_raw", spy)
+    # Zn:12 is sampled at 1000 + 200 matrices, polyq:9:x^2-1 (81 elements,
+    # past sampled_max_size) at 100 + 10; neither is exhaustive.
+    for spec, n, count2, count3 in (("Zn:12", 12, 1000, 200),
+                                    ("polyq:9:x^2-1", 81, 100, 10)):
+        cfg = lab.CorpusConfig(ring_specs=(spec,), seed=seed)
+        drawn.clear()
+        lab._matrix_battery(lab._RingCtx(spec, lab.make_ring(spec), cfg))
+        rng = random.Random(f"{seed}:{spec}:matrices")
+        want = [[[rng.randrange(n) for _ in range(size)] for _ in range(size)]
+                for size, count in ((2, count2), (3, count3))
+                for _ in range(count)]
+        assert drawn == want, spec
+
+
+@pytest.mark.parametrize("seed", [lab.DEFAULT_SEED, 7])
+def test_l37_draws_the_randint_stream(monkeypatch, seed):
+    """L3.7's Z tuples are those four random.Random.randint(-100, 100)
+    calls per tuple give, keeping the ones with gcd(b + a*r, c) = 1."""
+    import random
+    from math import gcd
+
+    class Enough(Exception):
+        pass
+
+    got = []
+    triangular = lab._comax_triangular_raw
+
+    def spy(ops, a, b, c, r):
+        if ops.ring.kind == "Z":
+            got.append((a, b, c, r))
+            if len(got) == 500:
+                raise Enough
+        return triangular(ops, a, b, c, r)
+
+    monkeypatch.setattr(lab, "_comax_triangular_raw", spy)
+    with pytest.raises(Enough):
+        lab._check_l37_global(seed)
+    rng = random.Random(f"{seed}:l37")
+    want = []
+    while len(want) < 500:
+        a, b, c, r = (rng.randint(-100, 100) for _ in range(4))
+        if gcd(b + a * r, c) == 1:
+            want.append((a, b, c, r))
+    assert got == want

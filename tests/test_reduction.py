@@ -15,6 +15,9 @@ from ringlab.errors import (
 from ringlab.reduction import (
     ReductionCertificate,
     RingMatrix,
+    _cache_ops,
+    _reduce_raw,
+    _verify_raw,
     comax_triangular_reduce,
     diagonal_reduce,
     hermite_step,
@@ -328,3 +331,27 @@ def test_kernel_identity_sampled_finite(spec):
         assert cert.D == want, (spec, a, b, c, r)
         A = RingMatrix(ring, [[els[0], els[1]], [ring.zero, els[2]]])
         assert verify_certificate(ring, A, cert).verdict
+
+
+@pytest.mark.parametrize("spec", ["Zn:12", "prod(Zn:4,Zn:3)", "polyq:3:x^2-1"])
+def test_whole_matrix_kernel_certificates(spec):
+    """On a 2x2 matrix the kernel writes P, Q and their inverses itself.
+
+    They are inverses on both sides, the certificate verifies, and the
+    adapter's identity templates, from which the reducer copies its
+    starting transforms, are left as they were.
+    """
+    ops = _cache_ops(make_ring(spec).cache())
+    identity = [[ops.one, ops.zero], [ops.zero, ops.one]]
+    rng = random.Random(f"whole-kernel-{spec}")
+    grids = [[[ops.zero] * 2, [ops.zero] * 2]]  # the early return
+    grids += [[[rng.randrange(ops.n) for _ in range(2)] for _ in range(2)]
+              for _ in range(200)]
+    for grid in grids:
+        P, Pinv, D, Q, Qinv = _reduce_raw(ops, grid)
+        assert _verify_raw(ops, grid, P, Pinv, D, Q, Qinv) is None, grid
+        assert ops.matmul(Pinv, P) == identity, grid
+        assert ops.matmul(Qinv, Q) == identity, grid
+        assert all(type(M) is list and all(type(row) is list for row in M)
+                   for M in (P, Pinv, D, Q, Qinv)), grid
+    assert ops.identity(2) == identity

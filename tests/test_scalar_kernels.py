@@ -117,6 +117,19 @@ def test_kernels_match_public_arithmetic(data):
     got = ops.matmul([[raw(e) for e in row] for row in X],
                      [[raw(e) for e in row] for row in Y])
     assert [[box(e) for e in row] for row in got] == ref_matmul(ring, X, Y)
+    # Every adapter, every example: the closed-form 2x2 product (on lists
+    # and on tuples of tuples, as the kernel passes its transforms) and the
+    # shapes next to it, which keep the general loop.
+    for r, k, c in ((2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2), (1, 2, 1)):
+        X, Y = data.draw(grids(spec, r, k)), data.draw(grids(spec, k, c))
+        want = ref_matmul(ring, X, Y)
+        Xr = [[raw(e) for e in row] for row in X]
+        Yr = [[raw(e) for e in row] for row in Y]
+        got = ops.matmul(Xr, Yr)
+        assert [[box(e) for e in row] for row in got] == want, (r, k, c)
+        if (r, k, c) == (2, 2, 2):
+            got = ops.matmul(tuple(map(tuple, Xr)), tuple(map(tuple, Yr)))
+            assert [[box(e) for e in row] for row in got] == want
 
 
 def nonzero(spec, data):
