@@ -370,6 +370,124 @@ PINNED_PAYLOADS[CONTROL] = {
 }
 
 
+# Three more rings, pinned with the per-item searches before the row kernels.
+PINNED_PAYLOADS.update({
+    "Zn:60": {
+        "bezout":
+            "7b8ca173927f009a7042bf5fdff328ff37382bf69069afe2fdc6eee46eeb6a0e",
+        "hermite":
+            "20e23c5030bc49feccd60678d27dfd8a8844efc2bf9a8b2c2ba892da31f78851",
+        "regular":
+            "cb8f7f597a6b3ce45e527d64f0df2bbb8c31fa2127fef31079afa33e03a84a77",
+        "regular_mod_J":
+            "668d98ad783195dcd1b1f506749a6dd8e5bdbada55e16a28cddc2f11992f3216",
+        "pi_regular_mod_J":
+            "81958c42d6e85a2c27e1a32ff216d7e1617ad2dc62990b16b6428a58ecef102d",
+        "clean":
+            "1a418db1c0259cfc97ca38aa568bf3ce3ffb2d0e4ced0e356628a134eb267bf5",
+        "feckly_clean":
+            "53e12c2661aa5bd3b7fa682ffeb1cc4e06c450a9481b0280b7a8faa64d49b2ae",
+        "semiregular":
+            "48030ca46281af8f56dc3df5b237be34f067ef7801e4590101c6202aa2c43624",
+        "zero_adequate":
+            "1a27b7865ab098decb308f0f020a58fd9f1cd6191e4e90e67b76493871fce270",
+        "feckly_zero_adequate":
+            "a6f9cfc3f062db795b3072b4bb90151c07e1f5578578b258bbbf42e94174413a",
+        "stable_range_1":
+            "0a96c2b13ba06390c1235a8a48884bfbd47c81b6cf9a56904743814448949900",
+        "idempotents_lift_mod_J":
+            "f60b34a91ed6a602b6059942055b7ad28f037594fb08c538b285b4b78ae31b00",
+        "t216_cond2":
+            "2ae57cb2501e1659231e459f361f500195e53f560387f61ac73343ed647dba84",
+        "t216_cond3":
+            "44f93ae5bc60202df1fbf20c9234f10c08e150fac68fcdf590d77092ba160df9",
+        "c217_cond2":
+            "bf0e7f80e7c09927a9efa502b94a972e24bc84fb70dd341e47263b3be521654d",
+        "c217_cond3":
+            "fa926b8bf68453db3b8ff91a65e3dbeb80586756d7b5c8513b8fde7754274b18",
+        "feckly_adequate_range_1":
+            "dd618e53ca9acdf3453f6503a32c71ce7912da882a81a2752db329f527ef80b7",
+        "everywhere_adequate":
+            "c9eaa4df9f63647af46543830dc2f92fd2c54815d7c45c8066de84fe1aec18d1",
+    },
+    "polyq:3:x^2-1": {
+        "bezout":
+            "32a216728061ba606094d870b67fb013453898e2201f6b1395aa45380c7bb37a",
+        "hermite":
+            "d46db1c676817a4d319e79d5fcb87609d9844a338e69caf608d1209d1f0f185a",
+        "regular":
+            "f1b6821c25ae423c9a79c6e3eec030cf8a7f5c37be14c8cae26bcc49f3565d7e",
+        "regular_mod_J":
+            "f1b6821c25ae423c9a79c6e3eec030cf8a7f5c37be14c8cae26bcc49f3565d7e",
+        "pi_regular_mod_J":
+            "22987ddc3f257e357d187c92400294033eb806ec3c84e0ae26614b31f651020c",
+        "clean":
+            "9d0ccfa0e7054dd082ef47bc053afada314d1d77ae5f8c89b2ad4fa42e340a86",
+        "feckly_clean":
+            "9d0ccfa0e7054dd082ef47bc053afada314d1d77ae5f8c89b2ad4fa42e340a86",
+        "semiregular":
+            "846b95bdcf94d9105967a0ca7e82088a5f558ae05b1a6edeff4b1fb4a52331e1",
+        "zero_adequate":
+            "e6bbcaaf4bfc180eedec03e96eb354d7ae77e378e175a31bed6d612b6bc058f6",
+        "feckly_zero_adequate":
+            "e6bbcaaf4bfc180eedec03e96eb354d7ae77e378e175a31bed6d612b6bc058f6",
+        "stable_range_1":
+            "ac9402afedf7555bfff15b2c3cd6cb12e1f770ec8c7ebd565e006bde6d758d29",
+        "idempotents_lift_mod_J":
+            "64cd5d32f7f5a12f37b7dc89744ac52e1c4febce64d83615df521aad743701dc",
+        "t216_cond2":
+            "7d0a17e225b46d634e4badf74448c47162be209dda2aecbdaf7a5f1282bd53fd",
+        "t216_cond3":
+            "086fa0905f619b3e56b38bb77bc5809f96c98233683cb96c633265f03323f34d",
+        "c217_cond2":
+            "7d0a17e225b46d634e4badf74448c47162be209dda2aecbdaf7a5f1282bd53fd",
+        "c217_cond3":
+            "086fa0905f619b3e56b38bb77bc5809f96c98233683cb96c633265f03323f34d",
+        "feckly_adequate_range_1":
+            "6b362c9d887c6ea82aedccf2ba7b2c9b30493ec504c09f941a5b189675fb6a69",
+        "everywhere_adequate":
+            "9eff2813359f8297329fb7cbc6e0fa06aa6f80666bb0263df504dddc4378cca5",
+    },
+    "prod(Zn:2,polyq:3:x^2-1)": {
+        "bezout":
+            "317f9428c6f5ae21f704f746fda7fb75bedf24d36eee1e1cf86bab598ce9fc9d",
+        "hermite":
+            "08b8af95150c48445cccab5b528d2d65ccc7800b1f26c2c595db094a1bb2c8b0",
+        "regular":
+            "1a758241791f67adb0c1754f5cd7477fdafc63dc209ab69616275976268266e3",
+        "regular_mod_J":
+            "1a758241791f67adb0c1754f5cd7477fdafc63dc209ab69616275976268266e3",
+        "pi_regular_mod_J":
+            "4248dd9504128b919d671e589d43f56e627c54641dd67cbe10c197f6b79f6e35",
+        "clean":
+            "cdd512890aef5847b63f836b8cdfac3a40a00dd686713e7c4213c22d9539f3dd",
+        "feckly_clean":
+            "cdd512890aef5847b63f836b8cdfac3a40a00dd686713e7c4213c22d9539f3dd",
+        "semiregular":
+            "c4f6ff171d87c8d7fd834b7837905a4a35ff163bf0a8444783dc8dfb2f0db290",
+        "zero_adequate":
+            "162a70bdba801c18132ea1f0edfbb47a18fb4e4ce9fe13dc82fdbc4e166eb5bd",
+        "feckly_zero_adequate":
+            "162a70bdba801c18132ea1f0edfbb47a18fb4e4ce9fe13dc82fdbc4e166eb5bd",
+        "stable_range_1":
+            "acbc4337cbb2bb334ff86eafd0adaaa21bf8f1336dd08fc8b937b5565d26efe2",
+        "idempotents_lift_mod_J":
+            "2d861637c367e0e2d39d03a3b16649ac6c613ec051e91718133c9e9d98d91ea5",
+        "t216_cond2":
+            "b5b7b43f5cf7e28ddfb5bfb37b7f9366d4fa14cad15f3f9872156db87e9c2f67",
+        "t216_cond3":
+            "827db028e15076c569891ab6134a5eb111213a71079df5d0259293ace91202ac",
+        "c217_cond2":
+            "b5b7b43f5cf7e28ddfb5bfb37b7f9366d4fa14cad15f3f9872156db87e9c2f67",
+        "c217_cond3":
+            "827db028e15076c569891ab6134a5eb111213a71079df5d0259293ace91202ac",
+        "feckly_adequate_range_1":
+            "0866d93b5022190e94d518b98bbdf2c38d15f18efbc05477db1f9247ae3a1953",
+        "everywhere_adequate":
+            "c65c46a01071c5a820178a3e1e93309b7593afd7b3db46496e77f937b1768285",
+    },
+})
+
 def _spec_id(spec):
     return "control" if spec == CONTROL else spec
 
