@@ -297,16 +297,18 @@ class EngineCache:
 
     @cached_property
     def comax(self) -> list[list[bool]]:
-        """comax[i][j] is True iff iR + jR = R (computed per ideal class)."""
-        k = len(set(self.ideal_class))
-        cls = self.ideal_class
-        full_id = self.ideal_class[self.one]
-        table = [[False] * k for _ in range(k)]
-        for c1 in range(k):
-            for c2 in range(c1, k):
-                hit = self.sum_ideal_id(c1, c2) == full_id
-                table[c1][c2] = table[c2][c1] = hit
-        return [[table[cls[i]][cls[j]] for j in range(self.n)] for i in range(self.n)]
+        """comax[i][j] is True iff iR + jR = R.
+
+        It depends on i only through iR, so there is one row per ideal class:
+        comax[i] is the row of ideal_class[i], shared by every element of
+        that class, and k·n entries in all instead of n². Read it only.
+        """
+        cls, full = self.ideal_class, self.ideal_class[self.one]
+        k = len(self._principal_gens)
+        rows = [[self.sum_ideal_id(c1, c2) == full for c2 in range(k)]
+                for c1 in range(k)]
+        rows = [list(map(row.__getitem__, cls)) for row in rows]
+        return list(map(rows.__getitem__, cls))
 
     def comax_witness(self, i: int, j: int) -> tuple[int, int] | None:
         """First (x, y) in scan order with i*x + j*y = 1, or None.
@@ -388,6 +390,14 @@ class EngineCache:
     # --- Bezout gcd -----------------------------------------------------------
 
     def bezout(self, ia: int, ib: int) -> tuple[int, int, int, int, int, int, int]:
+        """``bezout_search``, memoized per pair for the reducer."""
+        key = (ia, ib)
+        got = self._bezout_memo.get(key)
+        if got is None:
+            got = self._bezout_memo[key] = self.bezout_search(ia, ib)
+        return got
+
+    def bezout_search(self, ia: int, ib: int) -> tuple[int, int, int, int, int, int, int]:
         """Search a full Bezout witness (d, x, y, a1, b1, u, v) by indices.
 
         d is the first element (in enumeration order) generating the ideal
@@ -395,19 +405,12 @@ class EngineCache:
         comaximality witness. The gcd coefficients reuse the comaximality
         pair, so a*x + b*y = (a1*x + b1*y)*d = d holds by construction.
         """
-        key = (ia, ib)
-        got = self._bezout_memo.get(key)
-        if got is not None:
-            return got
         if ia == self.zero and ib == self.zero:
             # Zero-ideal convention: cofactors (1, 0) keep a1R + b1R = R.
-            res = (self.zero, self.zero, self.zero, self.one, self.zero,
-                   self.one, self.zero)
-            self._bezout_memo[key] = res
-            return res
-        cls = self.ideal_class
-        sum_id = self.sum_ideal_id(cls[ia], cls[ib])
-        gens = self.generators_of(sum_id)
+            return (self.zero, self.zero, self.zero, self.one, self.zero,
+                    self.one, self.zero)
+        cls, comax = self.ideal_class, self.comax
+        gens = self.generators_of(self.sum_ideal_id(cls[ia], cls[ib]))
         if not gens:
             raise NotBezout(
                 f"{self.ring.spec_string()}: ideal generated by "
@@ -415,20 +418,13 @@ class EngineCache:
             )
         for d in gens:
             pre = self._preimages(d)
-            cof_a = pre.get(ia, ())
             cof_b = pre.get(ib, ())
-            for a1 in cof_a:
-                comax_row = self.comax[a1]
+            for a1 in pre.get(ia, ()):
+                comax_row = comax[a1]
                 for b1 in cof_b:
-                    if not comax_row[b1]:
-                        continue
-                    wit = self.comax_witness(a1, b1)
-                    if wit is None:
-                        continue
-                    u, v = wit
-                    res = (d, u, v, a1, b1, u, v)
-                    self._bezout_memo[key] = res
-                    return res
+                    if comax_row[b1]:
+                        u, v = self.comax_witness(a1, b1)
+                        return d, u, v, a1, b1, u, v
         raise NotBezout(
             f"{self.ring.spec_string()}: no comaximal cofactor pair for "
             f"{self.element(ia)}, {self.element(ib)}"

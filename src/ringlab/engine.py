@@ -1,16 +1,12 @@
 """Exhaustive predicate engine for finite rings.
 
 Every predicate is one entry of a registry (``_REGISTRY``): a domain, a
-check and a search. The check is the predicate's defining identity on one
-item of the domain and one witness, in cache-index arithmetic; witnesses
-come from the entry's pool (every element, the idempotents or the
-quasi-idempotents), and reverify rejects one from outside it. The search
-finds the witness of one item: by default the first candidate, in
-enumeration order, that the check accepts, so repeated runs produce
-identical reports. ``hermite`` (``EngineCache.bezout``), ``bezout`` (the
-first generator of the sum ideal), ``pi_regular*`` (the regular search on
-each power until the powers cycle) and the adequacy family (the memoized
-search below) bring their own search.
+check and a search. The check is the predicate's defining identity, in
+cache-index arithmetic; witnesses come from the entry's pool (every
+element, the idempotents or the quasi-idempotents), and reverify rejects
+one from outside it. The search finds witnesses: by default the first
+candidate, in enumeration order, that the check accepts, so repeated runs
+produce identical reports.
 
 The domain is the predicate's quantifier. There are six:
 
@@ -33,6 +29,18 @@ re-search is the test that no witness exists. Malformed payloads are
 rejected, never raised. ``semiregular`` is the conjunction of
 ``regular_mod_J`` and ``idempotents_lift_mod_J``, decided once per cache.
 
+The domains of n^2 items run row by row: pair domains one first
+coordinate a at a time, adequacy targets one element c at a time. A pair
+predicate's search and check bind per row what depends on a alone (the
+offset a*n, flags such as "a + v is a unit" for every v, the pool
+witnesses that meet a in the radical), so per entry only table lookups
+and one dict literal of ``EngineCache.names`` remain. A row's check
+parses its entries and tests each witness for pool membership and the
+identity; the domain then tests membership of each pair and that the
+rows cover the domain, each pair once. ``hermite`` calls
+``EngineCache.bezout_search``, so its n^2 results stay out of the
+reducer's memo.
+
 The adequacy predicates come in three variants. ``classic`` demands an
 exact factorization c = r*s; ``feckly`` only demands c - r*s to fall in
 the Jacobson radical. Both test clause (3) against the running target a.
@@ -48,7 +56,11 @@ target of one class has the same first (r, s) in enumeration order.
 Clause (3) itself is memoized per (ideal class of s, ideal class of its
 target): ``nonunit_divisors[s]`` lists the non-units t with s in tR,
 which depends only on sR. Both memos therefore return exactly what the
-unmemoized search would. Element strings are formatted once per cache
+unmemoized search would. By the same argument a targets row names r, s,
+j = c - r*s and x (the first one with 1 - r*x in tR) once per ideal class
+of the target t, and looks up only y, the multiplier of t, per target;
+and c is adequate against every target iff it is against one target per
+class (``_adequate_flags``). Element strings are formatted once per cache
 (``EngineCache.names``) and parsed once (``EngineCache.parsed``).
 """
 
@@ -56,7 +68,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import compress, groupby
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
 from .cache import DEFAULT_SIZE_BOUND, EngineCache
@@ -106,7 +119,7 @@ class AdequateWitness:
 
     def payload(self, ring: Ring) -> dict:
         values = (self.r, self.s, self.j, self.comax_x, self.comax_y)
-        return _adequacy_fields([ring.format_element(v) for v in values], range(5))
+        return dict(zip("rsjxy", map(ring.format_element, values)))
 
 
 @dataclass(frozen=True)
@@ -187,43 +200,35 @@ def _adequate_pair_idx(c: EngineCache, cval: int, target: int,
 
 def _first_adequate_pair(c: EngineCache, cval: int, target: int,
                          variant: str) -> tuple[int, int] | None:
-    n, mul = c.n, c.mul
+    n, add, mul, neg = c.n, c.add, c.mul, c.neg
     # r*s is acceptable iff it equals cval (classic, cvariant) or
     # cval - r*s = j lies in the radical (feckly), i.e. r*s = cval - j.
     if variant == "feckly":
-        hits = {c.sub(cval, j) for j in c.jac}
+        hits = {add[cval * n + neg[j]] for j in c.jac}
     else:
         hits = {cval}
     clause3_target = cval if variant == "cvariant" else target
-    comax_target = c.comax[target]
-    for r in range(n):
-        if not comax_target[r]:
-            continue
+    is_hit = hits.__contains__
+    for r in compress(range(n), c.comax[target]):
         row = r * n
-        for s in range(n):
-            if mul[row + s] in hits and _anchored(c, s, clause3_target):
+        for s in compress(range(n), map(is_hit, mul[row:row + n])):
+            if _anchored(c, s, clause3_target):
                 return r, s
     return None
 
 
-def _fa_element_idx(c: EngineCache, cval: int, variant: str) -> tuple[bool, Any]:
-    """Adequacy of cval against every target; memoized per (variant, cval).
+def _adequate_flags(c: EngineCache, variant: str) -> list[bool]:
+    """Per element: adequate against every target (memoized per variant).
 
-    Returns (True, {target: (r, s)}) or (False, failing_target).
+    One target per ideal class decides it; see the module docstring.
     """
-    memo = c._ext.setdefault("adequate_elem", {})
-    key = (variant, cval)
-    got = memo.get(key)
+    key = ("adequate_flags", variant)
+    got = c._ext.get(key)
     if got is None:
-        table = {}
-        got = (True, table)
-        for target in range(c.n):
-            pair = _adequate_pair_idx(c, cval, target, variant)
-            if pair is None:
-                got = (False, target)
-                break
-            table[target] = pair
-        memo[key] = got
+        reps = [gens[0] for gens in c._principal_gens.values()]
+        got = c._ext[key] = [
+            all(_adequate_pair_idx(c, cval, t, variant) is not None for t in reps)
+            for cval in range(c.n)]
     return got
 
 
@@ -237,14 +242,64 @@ def _adequacy_witness(c: EngineCache, cval: int, target: int, r: int,
     return (r, s, c.sub(cval, c.mul[r * c.n + s])) + wit
 
 
-def _adequacy_search(variant: str, cval: int | None, c: EngineCache) -> Callable:
-    """find(target): the first adequacy witness of cval (0 if None)."""
-    cval = c.zero if cval is None else cval
+def _adequate(variant: str, cval: int, c: EngineCache) -> Callable:
+    """holds(target, (r, s, j, x, y)): the adequacy of cval against a target.
 
-    def find(target: int):
-        pair = _adequate_pair_idx(c, cval, target, variant)
-        return pair and _adequacy_witness(c, cval, target, *pair)
-    return find
+    (1) cval - r*s = j, with j = 0 (classic, cvariant) or j in J (feckly);
+    (2) r*x + target*y = 1; (3) every non-unit divisor of s is
+    non-comaximal with the target (with cval for the cvariant).
+    """
+    n, add, mul, neg, one = c.n, c.add, c.mul, c.neg, c.one
+    crow = cval * n
+    allowed_j = c.jac if variant == "feckly" else {c.zero}
+    fixed = cval if variant == "cvariant" else None
+
+    def holds(t: int, w: tuple) -> bool:
+        r, s, j, x, y = w
+        return (add[crow + neg[mul[r * n + s]]] == j and j in allowed_j
+                and add[mul[r * n + x] * n + mul[t * n + y]] == one
+                and _anchored(c, s, t if fixed is None else fixed))
+    return holds
+
+
+def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[dict, Any]:
+    """The targets row of cval: ({target name: {r, s, j, x, y}}, None), or
+    (None, the first target without a witness).
+
+    r, s, j and x are named once per ideal class of the target, y per
+    target; see the module docstring for why that is exact.
+    """
+    n, add, mul, neg, names = c.n, c.add, c.mul, c.neg, c.names
+    cls, mult = c.ideal_class, c.pid_witness
+    one_row, crow = c.one * n, cval * n
+    per_class, out = {}, {}
+    for t in range(n):
+        got = per_class.get(cls[t])
+        if got is None:
+            pair = _adequate_pair_idx(c, cval, t, variant)
+            if pair is None:
+                return None, t
+            r, s = pair
+            x = c.comax_witness(r, t)[0]
+            got = per_class[cls[t]] = (
+                names[r], names[s], names[add[crow + neg[mul[r * n + s]]]],
+                names[x], add[one_row + neg[mul[r * n + x]]])
+        nr, ns, nj, nx, v = got
+        out[names[t]] = {"r": nr, "s": ns, "j": nj, "x": nx, "y": names[mult[t][v]]}
+    return out, None
+
+
+def _adequacy_table_holds(c: EngineCache, variant: str, cval: int,
+                          table: dict) -> bool:
+    """Every entry of a targets row holds, and they are the n targets, each once."""
+    parsed, holds, targets = c.parsed, _adequate(variant, cval, c), []
+    for name, w in table.items():
+        t = parsed[name]
+        if not holds(t, (parsed[w["r"]], parsed[w["s"]], parsed[w["j"]],
+                         parsed[w["x"]], parsed[w["y"]])):
+            return False
+        targets.append(t)
+    return _covers(targets, c.n)
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +345,6 @@ def _lifts(c: EngineCache) -> Callable:
     return lambda x, e: sub(x, e) in jac
 
 
-def _stable_range_1(c: EngineCache) -> Callable:
-    """a + b*y is a unit."""
-    n, add, mul, units = c.n, c.add, c.mul, c.unit_set
-    return lambda ab, y: add[ab[0] * n + mul[ab[1] * n + y]] in units
-
-
-def _unit_range(c: EngineCache) -> Callable:
-    """a + b*e is a unit and aR intersect eR lies in the radical."""
-    n, add, mul, units, meets = c.n, c.add, c.mul, c.unit_set, _meet_in_radical(c)
-    return lambda ab, e: (add[ab[0] * n + mul[ab[1] * n + e]] in units
-                          and meets(ab[0], e))
-
-
 def _meet_in_radical(c: EngineCache) -> Callable:
     """meets(a, e): aR intersect eR lies in the radical (memoized per
     pair of ideal classes)."""
@@ -315,48 +357,6 @@ def _meet_in_radical(c: EngineCache) -> Callable:
             got = memo[key] = (pid[a] & pid[e]) <= jac
         return got
     return meets
-
-
-def _feckly_adequate_range_1(c: EngineCache) -> Callable:
-    """a + b*y is feckly adequate."""
-    n, add, mul = c.n, c.add, c.mul
-    return lambda ab, y: _fa_element_idx(c, add[ab[0] * n + mul[ab[1] * n + y]],
-                                         "feckly")[0]
-
-
-def _hermite(c: EngineCache) -> Callable:
-    """a = a1*d, b = b1*d and a1*u + b1*v = 1."""
-    n, add, mul, one = c.n, c.add, c.mul, c.one
-
-    def holds(ab: tuple[int, int], w: tuple) -> bool:
-        d, a1, b1, u, v = w
-        return (mul[a1 * n + d] == ab[0] and mul[b1 * n + d] == ab[1]
-                and add[mul[a1 * n + u] * n + mul[b1 * n + v]] == one)
-    return holds
-
-
-def _bezout(c: EngineCache) -> Callable:
-    """dR = aR + bR."""
-    return lambda ab, d: c.pid[d] == c.ideal_set(_sum_ideal_id(c, ab))
-
-
-def _adequate(variant: str, cval: int | None, c: EngineCache) -> Callable:
-    """Adequacy of cval (0 if None) against a target, on (r, s, j, x, y).
-
-    (1) cval - r*s = j, with j = 0 (classic, cvariant) or j in J (feckly);
-    (2) r*x + target*y = 1; (3) every non-unit divisor of s is
-    non-comaximal with the target (with cval for the cvariant).
-    """
-    cval = c.zero if cval is None else cval
-    n, add, mul, one = c.n, c.add, c.mul, c.one
-    allowed_j = c.jac if variant == "feckly" else {c.zero}
-
-    def holds(target: int, w: tuple) -> bool:
-        r, s, j, x, y = w
-        return (c.sub(cval, mul[r * n + s]) == j and j in allowed_j
-                and add[mul[r * n + x] * n + mul[target * n + y]] == one
-                and _anchored(c, s, cval if variant == "cvariant" else target))
-    return holds
 
 
 def _power_search(check: Callable) -> Callable:
@@ -378,23 +378,6 @@ def _power_search(check: Callable) -> Callable:
     return bind
 
 
-def _hermite_search(c: EngineCache) -> Callable:
-    def find(ab: tuple[int, int]):
-        try:
-            d, _, _, a1, b1, u, v = c.bezout(*ab)
-        except NotBezout:
-            return None
-        return d, a1, b1, u, v
-    return find
-
-
-def _bezout_search(c: EngineCache) -> Callable:
-    def find(ab: tuple[int, int]):
-        gens = c.generators_of(_sum_ideal_id(c, ab))
-        return gens[0] if gens else None
-    return find
-
-
 def _power(c: EngineCache, a: int, e: int) -> int:
     """a^e for e >= 1, by repeated squaring."""
     n, mul = c.n, c.mul
@@ -405,9 +388,6 @@ def _power(c: EngineCache, a: int, e: int) -> int:
         base = mul[base * n + base]
         e >>= 1
     return out
-
-
-# Witnesses of several values: index tuple <-> payload fields.
 
 
 def _power_fields(names, w) -> dict:
@@ -421,30 +401,117 @@ def _power_values(parsed, rec) -> tuple[int, int]:
     return k, parsed[rec["b"]]
 
 
-def _hermite_fields(names, w) -> dict:
-    d, a1, b1, u, v = w
-    return {"d": names[d], "a1": names[a1], "b1": names[b1], "u": names[u],
-            "v": names[v]}
+# Row kernels of the pair domains: search(c) binds fill(a, bs, out), which
+# appends the entry of each b in bs to out and returns the first b without
+# a witness (None if there is none); check(c) binds holds(a, entries), the
+# b of each entry, or None if a witness is outside the pool or fails.
 
 
-def _hermite_values(parsed, rec) -> tuple:
-    return (parsed[rec["d"]], parsed[rec["a1"]], parsed[rec["b1"]],
-            parsed[rec["u"]], parsed[rec["v"]])
+def _range_kernels(letter: str, pool: str, flags: Callable, meet: bool = False) -> dict:
+    """a + b*w lies in the set ``flags(c)`` marks (the units, or the feckly
+    adequate elements), for w from ``pool``; with ``meet``, aR intersect wR
+    also lies in the radical."""
+    def bind(c):
+        n, add, mul, names, parsed = c.n, c.add, c.mul, c.names, c.parsed
+        marked, wits, meets = flags(c), _pool(c, pool), _meet_in_radical(c)
+
+        def row(a):  # good[v]: a + v is marked; the witnesses usable in row a
+            good = list(map(marked.__getitem__, add[a * n:a * n + n]))
+            return good, [w for w in wits if meets(a, w)] if meet else wits
+
+        def fill(a, bs, out):
+            good, cands = row(a)
+            na = names[a]
+            for b in bs:
+                brow = b * n
+                for w in cands:
+                    if good[mul[brow + w]]:
+                        break
+                else:
+                    return b
+                out.append({"a": na, "b": names[b], letter: names[w]})
+            return None
+
+        def holds(a, entries):
+            good, cands = row(a)
+            allowed, bs = set(cands), []
+            for e in entries:
+                b, w = parsed[e["b"]], parsed[e[letter]]
+                if w not in allowed or not good[mul[b * n + w]]:
+                    return None
+                bs.append(b)
+            return bs
+        return holds, fill
+    return {"check": lambda c: bind(c)[0], "search": lambda c: bind(c)[1]}
 
 
-def _adequacy_fields(names, w) -> dict:
-    r, s, j, x, y = w
-    return {"r": names[r], "s": names[s], "j": names[j], "x": names[x],
-            "y": names[y]}
+def _units(c: EngineCache) -> list[bool]:
+    return list(map(c.unit_set.__contains__, range(c.n)))
 
 
-def _adequacy_values(parsed, rec) -> tuple:
-    return (parsed[rec["r"]], parsed[rec["s"]], parsed[rec["j"]],
-            parsed[rec["x"]], parsed[rec["y"]])
+def _hermite(c: EngineCache) -> Callable:
+    """a = a1*d, b = b1*d and a1*u + b1*v = 1."""
+    n, add, mul, one, parsed = c.n, c.add, c.mul, c.one, c.parsed
+
+    def holds(a, entries):
+        bs = []
+        for e in entries:
+            b, d, a1, b1 = parsed[e["b"]], parsed[e["d"]], parsed[e["a1"]], parsed[e["b1"]]
+            if not (mul[a1 * n + d] == a and mul[b1 * n + d] == b
+                    and add[mul[a1 * n + parsed[e["u"]]] * n
+                            + mul[b1 * n + parsed[e["v"]]]] == one):
+                return None
+            bs.append(b)
+        return bs
+    return holds
+
+
+def _hermite_search(c: EngineCache) -> Callable:
+    names, search = c.names, c.bezout_search
+
+    def fill(a, bs, out):
+        na = names[a]
+        for b in bs:
+            try:
+                d, _, _, a1, b1, u, v = search(a, b)
+            except NotBezout:
+                return b
+            out.append({"a": na, "b": names[b], "d": names[d], "a1": names[a1],
+                        "b1": names[b1], "u": names[u], "v": names[v]})
+        return None
+    return fill
+
+
+def _bezout(c: EngineCache) -> Callable:
+    """dR = aR + bR."""
+    parsed, pid = c.parsed, c.pid
+
+    def holds(a, entries):
+        bs = []
+        for e in entries:
+            b = parsed[e["b"]]
+            if pid[parsed[e["d"]]] != c.ideal_set(_sum_ideal_id(c, a, b)):
+                return None
+            bs.append(b)
+        return bs
+    return holds
+
+
+def _bezout_search(c: EngineCache) -> Callable:
+    names = c.names
+
+    def fill(a, bs, out):
+        for b in bs:
+            gens = c.generators_of(_sum_ideal_id(c, a, b))
+            if not gens:
+                return b
+            out.append({"a": names[a], "b": names[b], "d": names[gens[0]]})
+        return None
+    return fill
 
 
 # ---------------------------------------------------------------------------
-# domains: generic search, check, payload and coverage
+# domains: search, check, payload and coverage
 # ---------------------------------------------------------------------------
 
 
@@ -491,75 +558,42 @@ def _covers(keys: list, size: int) -> bool:
 
 
 class _Domain(NamedTuple):
-    """Items that each carry one witness, and how a payload lists them.
+    """Elements that each carry one witness: ``{"map": {a: witness}}``.
 
-    A ``"pairs"`` payload lists ``{"a", "b", **witness fields}``; any other
-    collection maps each item's name to its witness. A counterexample names
-    one item, ``{"a", "b"}`` or ``{letter: name}``, plus ``extra`` fields,
-    which ``refutes`` re-checks.
+    A counterexample names one item, ``{letter: name}``.
     """
 
-    collection: str
     items: Callable                 # c -> the items, in enumeration order
     size: Callable                  # c -> the number of items
     exercised: Callable             # (c, items searched, verdict) -> dict
     letter: str = "a"
     member: Callable | None = None  # (c, item) -> bool, if not every item
-    key: Callable | None = None     # (c, item) -> coverage key, if not the item
-    extra: Callable = lambda c, item: {}
-    refutes: Callable = lambda c, item, bad: True
-
-    def counterexample(self, c: EngineCache, item) -> dict:
-        if self.collection == "pairs":
-            named = {"a": c.names[item[0]], "b": c.names[item[1]]}
-        else:
-            named = {self.letter: c.names[item]}
-        return {**named, **self.extra(c, item)}
 
     def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
         names, f, search = c.names, p.field, _searcher(p, c)
-        pairs = self.collection == "pairs"
-        out = [] if pairs else {}
+        out = {}
         for count, item in enumerate(self.items(c), 1):
             w = search(item)
             if w is None:
                 return PropertyResult(p.name, False,
-                                      counterexample=self.counterexample(c, item),
+                                      counterexample={self.letter: names[item]},
                                       exercised=self.exercised(c, count, False))
-            if not pairs:
-                out[names[item]] = names[w] if f else p.fields(names, w)
-            elif f:
-                out.append({"a": names[item[0]], "b": names[item[1]], f: names[w]})
-            else:
-                out.append({"a": names[item[0]], "b": names[item[1]],
-                            **p.fields(names, w)})
-        return PropertyResult(p.name, True, witness={self.collection: out},
+            out[names[item]] = names[w] if f else p.fields(names, w)
+        return PropertyResult(p.name, True, witness={"map": out},
                               exercised=self.exercised(c, len(out), True))
 
-    def covered(self, p: _Predicate, c: EngineCache, listed) -> bool:
-        """Every entry holds, and the entries are the domain, each once."""
-        parsed, f, pairs = c.parsed, p.field, self.collection == "pairs"
-        holds, member, items = _checker(p, c), self.member, []
-        for entry in listed if pairs else listed.items():
-            if pairs:
-                item = parsed[entry["a"]], parsed[entry["b"]]
-                value = entry[f] if f else entry
-            else:
-                item, value = parsed[entry[0]], entry[1]
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
+        parsed, member = c.parsed, self.member
+        if not result.verdict:
+            item = parsed[result.counterexample[self.letter]]
+            return (member is None or member(c, item)) and _searcher(p, c)(item) is None
+        holds, items = _checker(p, c), []
+        for name, value in result.witness["map"].items():
+            item = parsed[name]
             if not ((member is None or member(c, item)) and holds(item, value)):
                 return False
             items.append(item)
-        keys = items if self.key is None else [self.key(c, i) for i in items]
-        return _covers(keys, self.size(c))
-
-    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
-        if result.verdict:
-            return self.covered(p, c, result.witness[self.collection])
-        bad, parsed = result.counterexample, c.parsed
-        item = ((parsed[bad["a"]], parsed[bad["b"]]) if self.collection == "pairs"
-                else parsed[bad[self.letter]])
-        return ((self.member is None or self.member(c, item))
-                and _searcher(p, c)(item) is None and self.refutes(c, item, bad))
+        return _covers(items, self.size(c))
 
     def element(self, p: _Predicate, c: EngineCache, a: int) -> PropertyResult:
         """One element: ``{"element", **witness fields}`` or a counterexample."""
@@ -568,7 +602,7 @@ class _Domain(NamedTuple):
         tally = p.tally(c, w) if p.tally else {}
         if w is None:
             return PropertyResult(p.name, False, exercised=tally,
-                                  counterexample=self.counterexample(c, a))
+                                  counterexample={self.letter: names[a]})
         fields = {p.field: names[w]} if p.field else p.fields(names, w)
         return PropertyResult(p.name, True, witness={"element": names[a], **fields},
                               exercised=tally)
@@ -581,107 +615,155 @@ class _Domain(NamedTuple):
         return _checker(p, c)(c.parsed[w["element"]], w[p.field] if p.field else w)
 
 
-def _comax_pairs(c: EngineCache):
-    comax = c.comax
-    for a in range(c.n):
-        row = comax[a]
-        for b in range(c.n):
-            if row[b]:
-                yield a, b
+class _Pairs(NamedTuple):
+    """Pairs (a, b), decided and re-verified one row a at a time.
+
+    A payload lists ``{"a", "b", **witness fields}``, row by row; a
+    counterexample names one pair plus ``extra`` fields, which ``refutes``
+    re-checks. The rows must cover the domain, each ``key`` once: the pair
+    itself unless the domain says otherwise.
+    """
+
+    rows: Callable                  # c -> [(a, the b of row a)], in enumeration order
+    exercised: Callable             # (c, pairs searched, pairs in all, verdict) -> dict
+    member: Callable = lambda c, a, bs: True
+    key: Callable = lambda c, a, bs: map((a * c.n).__add__, bs)
+    extra: Callable = lambda c, a, b: {}
+    refutes: Callable = lambda c, a, b, bad: True
+
+    def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
+        names, fill, out, rows = c.names, p.search(c), [], self.rows(c)
+        total = sum(len(bs) for _, bs in rows)
+        for a, bs in rows:
+            b = fill(a, bs, out)
+            if b is not None:
+                return PropertyResult(
+                    p.name, False,
+                    counterexample={"a": names[a], "b": names[b], **self.extra(c, a, b)},
+                    exercised=self.exercised(c, len(out) + 1, total, False))
+        return PropertyResult(p.name, True, witness={"pairs": out},
+                              exercised=self.exercised(c, total, total, True))
+
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
+        parsed = c.parsed
+        if not result.verdict:
+            bad = result.counterexample
+            a, b = parsed[bad["a"]], parsed[bad["b"]]
+            return (self.member(c, a, [b]) and p.search(c)(a, [b], []) is not None
+                    and self.refutes(c, a, b, bad))
+        holds, keys, count = p.check(c), set(), 0
+        for name, entries in groupby(result.witness["pairs"], itemgetter("a")):
+            a = parsed[name]
+            bs = holds(a, entries)
+            if bs is None or not self.member(c, a, bs):
+                return False
+            keys.update(self.key(c, a, bs))
+            count += len(bs)
+        return count == len(keys) == sum(len(bs) for _, bs in self.rows(c))
 
 
-def _comax_pair_count(c: EngineCache) -> int:
-    got = c._ext.get("comax_pairs")
-    if got is None:
-        got = c._ext["comax_pairs"] = sum(map(sum, c.comax))
-    return got
+def _comax_rows(c: EngineCache) -> list[tuple[int, list[int]]]:
+    """Each a with the b comaximal with it; one b list per ideal class."""
+    n, cls, comax = c.n, c.ideal_class, c.comax
+    cols = {k: list(compress(range(n), comax[gens[0]]))
+            for k, gens in c._principal_gens.items()}
+    return [(a, cols[cls[a]]) for a in range(n)]
 
 
-def _class_pairs(c: EngineCache) -> list[tuple[int, int]]:
-    """The first generators of each two principal-ideal classes."""
-    gens = [c.generators_of(k)[0] for k in range(len(set(c.ideal_class)))]
-    return [(g1, g2) for i, g1 in enumerate(gens) for g2 in gens[i:]]
+def _class_rows(c: EngineCache) -> list[tuple[int, tuple[int, ...]]]:
+    """The first generator of each principal-ideal class, paired with itself
+    and every later one."""
+    gens = tuple(g[0] for g in c._principal_gens.values())
+    return [(g, gens[i:]) for i, g in enumerate(gens)]
 
 
-def _sum_ideal_id(c: EngineCache, ab: tuple[int, int]) -> int:
+def _sum_ideal_id(c: EngineCache, a: int, b: int) -> int:
     cls = c.ideal_class
-    return c.sum_ideal_id(cls[ab[0]], cls[ab[1]])
+    return c.sum_ideal_id(cls[a], cls[b])
 
 
-def _sum_ideal(c: EngineCache, ab: tuple[int, int]) -> list[int]:
-    return sorted(c.ideal_set(_sum_ideal_id(c, ab)))
+def _sum_ideal(c: EngineCache, a: int, b: int) -> list[int]:
+    return sorted(c.ideal_set(_sum_ideal_id(c, a, b)))
 
 
-_ELEMENTS = _Domain("map", lambda c: range(c.n), lambda c: c.n,
+_ELEMENTS = _Domain(lambda c: range(c.n), lambda c: c.n,
                     lambda c, count, ok: {"elements": c.n})
 _QUASI_IDEMPOTENTS = _Domain(
-    "map", lambda c: _pool(c, "quasi_idempotents"),
-    lambda c: len(c.quasi_idempotents),
+    lambda c: _pool(c, "quasi_idempotents"), lambda c: len(c.quasi_idempotents),
     lambda c, count, ok: {"quasi_idempotents": len(c.quasi_idempotents)},
     letter="x", member=lambda c, x: x in c.quasi_idempotents)
-_COMAX_PAIRS = _Domain("pairs", _comax_pairs, _comax_pair_count,
-                       lambda c, count, ok: {"comax_pairs": count},
-                       member=lambda c, ab: c.comax[ab[0]][ab[1]])
-_ALL_PAIRS = _Domain("pairs", lambda c: product(range(c.n), repeat=2),
-                     lambda c: c.n * c.n, lambda c, count, ok: {"pairs": c.n * c.n},
-                     extra=lambda c, ab: {"note": "no comaximal cofactor witness"})
-_CLASS_PAIRS = _Domain(
-    "pairs", _class_pairs, lambda c: len(_class_pairs(c)),
-    lambda c, count, ok: ({"ideal_pairs": len(_class_pairs(c)),
-                           "element_pairs": c.n * c.n} if ok
-                          else {"ideal_pairs": len(_class_pairs(c))}),
-    key=lambda c, ab: tuple(sorted((c.ideal_class[ab[0]], c.ideal_class[ab[1]]))),
-    extra=lambda c, ab: {"ideal": [c.names[i] for i in _sum_ideal(c, ab)],
-                         "note": "no element generates this ideal"},
-    refutes=lambda c, ab, bad: sorted(map(c.parsed.__getitem__, bad["ideal"]))
-    == _sum_ideal(c, ab))
-# Adequacy of one element against each target t (``_at`` says which).
-_TARGETS = _Domain("targets", lambda c: range(c.n), lambda c: c.n,
-                   lambda c, count, ok: {"targets": count}, letter="target",
-                   extra=lambda c, t: {"pairs_searched": c.n * c.n})
+_COMAX_PAIRS = _Pairs(_comax_rows, lambda c, count, total, ok: {"comax_pairs": count},
+                      member=lambda c, a, bs: all(map(c.comax[a].__getitem__, bs)))
+_ALL_PAIRS = _Pairs(lambda c: [(a, range(c.n)) for a in range(c.n)],
+                    lambda c, count, total, ok: {"pairs": total},
+                    extra=lambda c, a, b: {"note": "no comaximal cofactor witness"})
+_CLASS_PAIRS = _Pairs(
+    _class_rows,
+    lambda c, count, total, ok: ({"ideal_pairs": total, "element_pairs": c.n * c.n}
+                                 if ok else {"ideal_pairs": total}),
+    key=lambda c, a, bs: [tuple(sorted((c.ideal_class[a], c.ideal_class[b])))
+                          for b in bs],
+    extra=lambda c, a, b: {"ideal": [c.names[i] for i in _sum_ideal(c, a, b)],
+                           "note": "no element generates this ideal"},
+    refutes=lambda c, a, b, bad: sorted(map(c.parsed.__getitem__, bad["ideal"]))
+    == _sum_ideal(c, a, b))
 
 
-class _OfElement:
-    """Element-level adequacy: the targets of the element a payload names."""
+class _Targets:
+    """Adequacy of one element c against every target t, one targets row:
+    ``{"targets": {t: {r, s, j, x, y}}}``, counterexample ``{"target"}``.
+    Ring level c is 0; element level the payload names c first.
+    """
 
-    def element(self, p: _Predicate, c: EngineCache, a: int) -> PropertyResult:
-        res = _TARGETS.decide(_at(p, a), c)
-        head = {"element": c.names[a]}
-        if res.verdict:
-            res.witness = {**head, **res.witness}
-        else:
-            res.counterexample = {**head, **res.counterexample}
-        return res
+    def decide(self, p: _Predicate, c: EngineCache, cval: int | None = None
+               ) -> PropertyResult:
+        head = {} if cval is None else {"element": c.names[cval]}
+        table, bad = _adequacy_table(c, p.variant, c.zero if cval is None else cval)
+        if bad is None:
+            return PropertyResult(p.name, True, witness={**head, "targets": table},
+                                  exercised={"targets": c.n})
+        return PropertyResult(p.name, False, exercised={"targets": bad + 1},
+                              counterexample={**head, "target": c.names[bad],
+                                              "pairs_searched": c.n * c.n})
+
+    element = decide
+
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult,
+               cval: int | None = None) -> bool:
+        cval = c.zero if cval is None else cval
+        if result.verdict:
+            return _adequacy_table_holds(c, p.variant, cval, result.witness["targets"])
+        target = c.parsed[result.counterexample["target"]]
+        return _adequate_pair_idx(c, cval, target, p.variant) is None
 
     def verify_element(self, p: _Predicate, c: EngineCache,
                        result: PropertyResult) -> bool:
         named = result.witness if result.verdict else result.counterexample
-        return _TARGETS.verify(_at(p, c.parsed[named["element"]]), c, result)
+        return self.verify(p, c, result, c.parsed[named["element"]])
 
 
 class _EveryElement:
-    """The targets of every element c: ``{"elements": {c: {t: ...}}}``."""
+    """The targets row of every element c: ``{"elements": {c: {t: ...}}}``."""
 
     def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
-        names, per_element = c.names, {}
-        for cv in range(c.n):
-            res = _TARGETS.decide(_at(p, cv), c)
-            if not res.verdict:
+        names, tables = c.names, {}
+        for cval in range(c.n):
+            tables[names[cval]], bad = _adequacy_table(c, p.variant, cval)
+            if bad is not None:
                 return PropertyResult(
-                    p.name, False, exercised={"elements": cv + 1},
-                    counterexample={"c": names[cv],
-                                    "target": res.counterexample["target"]})
-            per_element[names[cv]] = res.witness["targets"]
-        return PropertyResult(p.name, True, witness={"elements": per_element},
+                    p.name, False, exercised={"elements": cval + 1},
+                    counterexample={"c": names[cval], "target": names[bad]})
+        return PropertyResult(p.name, True, witness={"elements": tables},
                               exercised={"elements": c.n})
 
     def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
         parsed = c.parsed
         if not result.verdict:
             bad = result.counterexample
-            return _searcher(_at(p, parsed[bad["c"]]), c)(parsed[bad["target"]]) is None
+            return _adequate_pair_idx(c, parsed[bad["c"]], parsed[bad["target"]],
+                                      p.variant) is None
         tables = result.witness["elements"]
-        return (all(_TARGETS.covered(_at(p, parsed[name]), c, table)
+        return (all(_adequacy_table_holds(c, p.variant, parsed[name], table)
                     for name, table in tables.items())
                 and _covers([parsed[name] for name in tables], c.n))
 
@@ -719,11 +801,13 @@ class _Semiregular:
 class _Predicate(NamedTuple):
     """One predicate: its domain, defining identity and witness search.
 
-    ``check(c)`` binds the identity holds(item, w) on one item and one
-    witness drawn from ``pool``. ``search(c)`` binds find(item), a witness
-    or None; by default the first candidate of ``pool`` the check accepts.
-    A one-value witness is an element named ``field`` in a payload;
-    ``fields`` and ``values`` convert a witness of several values.
+    On the element domains ``check(c)`` binds the identity holds(item, w)
+    on one item and one witness drawn from ``pool``, and ``search(c)``
+    binds find(item), a witness or None; by default the first candidate of
+    ``pool`` the check accepts. A one-value witness is an element named
+    ``field`` in a payload; ``fields`` and ``values`` convert a witness of
+    several values. On the pair domains both are row kernels (see
+    ``_range_kernels``); the adequacy domains need only the ``variant``.
     ``tally`` gives the ``exercised`` counts of an element-level result.
     """
 
@@ -741,23 +825,11 @@ class _Predicate(NamedTuple):
     variant: str = ""
 
 
-def _adequacy(name: str, variant: str, domain: Any = _TARGETS,
-              element: bool = False) -> _Predicate:
-    return _at(_Predicate(name, domain, fields=_adequacy_fields,
-                          values=_adequacy_values, ring=not element,
-                          element=element, variant=variant), None)
-
-
-def _at(p: _Predicate, cval: int | None) -> _Predicate:
-    """The adequacy entry ``p`` for the element cval (0 if None)."""
-    return p._replace(check=partial(_adequate, p.variant, cval),
-                      search=partial(_adequacy_search, p.variant, cval))
-
+_TARGETS = _Targets()
 
 _REGISTRY = {p.name: p for p in (
-    _Predicate("bezout", _CLASS_PAIRS, _bezout, "d", search=_bezout_search),
-    _Predicate("hermite", _ALL_PAIRS, _hermite, search=_hermite_search,
-               fields=_hermite_fields, values=_hermite_values),
+    _Predicate("bezout", _CLASS_PAIRS, _bezout, search=_bezout_search),
+    _Predicate("hermite", _ALL_PAIRS, _hermite, search=_hermite_search),
     _Predicate("regular", _ELEMENTS, _regular, "b", element=True,
                tally=lambda c, b: {"candidates": c.n if b is None else b + 1}),
     _Predicate("pi_regular", _ELEMENTS, _on_power(_regular),
@@ -772,22 +844,28 @@ _REGISTRY = {p.name: p for p in (
                element=True),
     _Predicate("feckly_clean", _ELEMENTS, _unit_difference, "e",
                "quasi_idempotents", element=True),
-    _adequacy("adequate", "classic", _OfElement(), element=True),
-    _adequacy("feckly_adequate", "feckly", _OfElement(), element=True),
-    _adequacy("adequate_cvariant", "cvariant", _OfElement(), element=True),
+    _Predicate("adequate", _TARGETS, ring=False, element=True, variant="classic"),
+    _Predicate("feckly_adequate", _TARGETS, ring=False, element=True,
+               variant="feckly"),
+    _Predicate("adequate_cvariant", _TARGETS, ring=False, element=True,
+               variant="cvariant"),
     _Predicate("semiregular", _Semiregular()),
-    _adequacy("zero_adequate", "classic"),
-    _adequacy("feckly_zero_adequate", "feckly"),
-    _Predicate("stable_range_1", _COMAX_PAIRS, _stable_range_1, "y"),
+    _Predicate("zero_adequate", _TARGETS, variant="classic"),
+    _Predicate("feckly_zero_adequate", _TARGETS, variant="feckly"),
+    _Predicate("stable_range_1", _COMAX_PAIRS,
+               **_range_kernels("y", "elements", _units)),
     _Predicate("idempotents_lift_mod_J", _QUASI_IDEMPOTENTS, _lifts, "e",
                "idempotents"),
-    _Predicate("t216_cond2", _COMAX_PAIRS, _unit_range, "e", "quasi_idempotents"),
+    _Predicate("t216_cond2", _COMAX_PAIRS,
+               **_range_kernels("e", "quasi_idempotents", _units, meet=True)),
     _Predicate("t216_cond3", _ELEMENTS, _clean_meet, "e", "quasi_idempotents"),
-    _Predicate("c217_cond2", _COMAX_PAIRS, _unit_range, "e", "idempotents"),
+    _Predicate("c217_cond2", _COMAX_PAIRS,
+               **_range_kernels("e", "idempotents", _units, meet=True)),
     _Predicate("c217_cond3", _ELEMENTS, _clean_meet, "e", "idempotents"),
-    _Predicate("feckly_adequate_range_1", _COMAX_PAIRS, _feckly_adequate_range_1,
-               "y"),
-    _adequacy("everywhere_adequate", "classic", _EveryElement()),
+    _Predicate("feckly_adequate_range_1", _COMAX_PAIRS,
+               **_range_kernels("y", "elements",
+                                lambda c: _adequate_flags(c, "feckly"))),
+    _Predicate("everywhere_adequate", _EveryElement(), variant="classic"),
 )}
 
 RING_PREDICATES = tuple(name for name, p in _REGISTRY.items() if p.ring)
@@ -830,9 +908,10 @@ def adequate_witness_single(cache: EngineCache, cval: Element, target: Element,
         raise ValueError(f"unknown adequacy variant {variant!r}")
     c = cache
     ic, it = c.index_of(cval), c.index_of(target)
-    w = _adequacy_search(variant, ic, c)(it)
-    if w is None:
+    pair = _adequate_pair_idx(c, ic, it, variant)
+    if pair is None:
         return None
+    w = _adequacy_witness(c, ic, it, *pair)
     if not _adequate(variant, ic, c)(it, w):
         raise ReverifyFailed(
             f"{c.ring.spec_string()}: adequacy witness of {c.names[ic]} against "
@@ -893,7 +972,7 @@ def fza_witness(cache: EngineCache, a: Element) -> AdequateWitness:
     try:
         e = c.index_of(pi_regular_decomposition(c, a).e)
         w = _adequacy_witness(c, c.zero, i, c.sub(c.one, e), e)
-        if w is not None and _REGISTRY["feckly_zero_adequate"].check(c)(i, w):
+        if w is not None and _adequate("feckly", c.zero, c)(i, w):
             return _adequate_witness(c, i, "feckly", w)
     except NoDecomposition:
         pass

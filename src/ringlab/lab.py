@@ -24,6 +24,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from . import adequacy, engine
 from .concrete import (
@@ -149,13 +150,9 @@ class _RingCtx:
         return self.is_bezout() and self.verdict("feckly_zero_adequate")
 
     def fa_elements(self) -> list[int]:
-        """Indices of the feckly adequate elements (memoized per cache)."""
-        got = self.cache._ext.get("fa_all")
-        if got is None:
-            got = [i for i in range(self.cache.n)
-                   if engine._fa_element_idx(self.cache, i, "feckly")[0]]
-            self.cache._ext["fa_all"] = got
-        return got
+        """Indices of the feckly adequate elements."""
+        return list(compress(range(self.cache.n),
+                             engine._adequate_flags(self.cache, "feckly")))
 
     @classmethod
     def from_ring(cls, ring: Ring, config: CorpusConfig) -> "_RingCtx":
@@ -484,9 +481,9 @@ def _check_c32_info(ctx: _RingCtx) -> dict:
         return _vacuous(ctx.spec, "not a finite Bezout domain")
     cache = ctx.cache
     bad = None
+    classic, feckly = (engine._adequate_flags(cache, v) for v in ("classic", "feckly"))
     for a in range(cache.n):
-        lhs = engine._fa_element_idx(cache, a, "classic")[0]
-        fa = engine._fa_element_idx(cache, a, "feckly")[0]
+        lhs, fa = classic[a], feckly[a]
         sub = _quotient_ctx(ctx, [cache.element(a)])
         lifts = sub.verdict("idempotents_lift_mod_J")
         if lhs != (fa and lifts):
@@ -528,10 +525,9 @@ def _step_one_row_reduction(ctx: _RingCtx, a: int, b: int, c: int):
         return None
     x, y, z = wit
     byz = s(m(b, y), m(c, z))
-    k = None
+    k, fa = None, engine._adequate_flags(cache, "feckly")
     for cand in range(n):
-        w = s(a, m(byz, cand))
-        if engine._fa_element_idx(cache, w, "feckly")[0]:
+        if fa[s(a, m(byz, cand))]:
             k = cand
             break
     if k is None:
