@@ -30,7 +30,11 @@ its cache tables are not its given tables.
 
 Heavy artifacts are built lazily and memoized on the cache. Ideal-valued
 computations are keyed by ideal identity, not by element, because distinct
-elements frequently generate the same principal ideal.
+elements frequently generate the same principal ideal. So ``comax`` holds
+one row per ideal class, shared by the elements of the class: k·n entries
+for k classes, not n². ``bezout`` memoizes ``bezout_search`` per pair for
+the reducer only; the engine's exhaustive ``hermite`` search calls
+``bezout_search`` and keeps nothing.
 """
 
 from __future__ import annotations

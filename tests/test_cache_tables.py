@@ -190,3 +190,20 @@ def test_structural_checks_survive_python_O():
     assert res.returncode == 0, res.stderr
     assert "AxiomViolation: " in res.stdout
     assert "units not closed under product" in res.stdout
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_comax_rows_equal_the_definition(name):
+    """comax[i][j] is iR + jR = R, by brute force from the raw operations:
+    some i*x + j*y equals 1. Elements of one ideal class share one row."""
+    ring = RINGS[name]()
+    vals, idx, add, mul, _ = pairwise_tables(ring)
+    n, one = len(vals), idx[ring._one_raw()]
+    ideal = [frozenset(mul[i * n:i * n + n]) for i in range(n)]
+    c = ring.cache()
+    for i in range(n):
+        for j in range(n):
+            want = any(add[x * n + y] == one for x in ideal[i] for y in ideal[j])
+            assert c.comax[i][j] is want, (name, i, j)
+        assert c.comax[i] is c.comax[min(k for k in range(n) if ideal[k] == ideal[i])]
+    assert len({id(row) for row in c.comax}) == len(set(ideal))

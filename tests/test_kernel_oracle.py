@@ -168,22 +168,37 @@ def kernel_blocks(draw):
     spec = draw(st.sampled_from(KERNEL_RINGS))
     n = KERNEL_OPS[spec].n
     entries = draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=4))
-    return spec, [entries[:2], entries[2:]]
+    return spec, [entries[:2], entries[2:]], draw(st.booleans())
 
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_blocks())
 def test_kernel_transforms_are_inverse_pairs(case):
-    spec, grid = case
+    """On a whole 2x2 matrix the kernel sets P, Pinv, Q and Qinv itself;
+    as the trailing block of a 3x3 matrix it applies its transforms
+    through ``row_pair`` and ``col_pair``. Either way every pair checked
+    here must be inverse, and a block the kernel does not refuse must
+    leave at least one pair to check."""
+    spec, block, embedded = case
     ops = KERNEL_OPS[spec]
-    red = RecordingReducer(ops, [row[:] for row in grid], 2, 2)
+    if embedded:
+        grid, k = [[ops.one, ops.zero, ops.zero]] + [[ops.zero] + row for row in block], 1
+    else:
+        grid, k = block, 0
+    size = len(grid)
+    red = RecordingReducer(ops, [row[:] for row in grid], size, size)
     try:
-        red.kernel_2x2(0)
+        red.kernel_2x2(k)
     except (ReductionFailed, NotBezout):
         return  # the control ring refuses the block
     # At most one right transform M and one left transform L*S.
     assert len(red.pairs) <= 2
-    identity = ops.identity(2)
-    for E, Einv in red.pairs:
-        assert ops.matmul(E, Einv) == identity, (spec, grid)
-        assert ops.matmul(Einv, E) == identity, (spec, grid)
+    checked = red.pairs + [(red.P, red.Pinv), (red.Q, red.Qinv)]
+    if embedded:
+        assert red.pairs or block == [[ops.zero] * 2] * 2, (spec, block)
+    else:
+        assert not red.pairs, (spec, block)
+    for E, Einv in checked:
+        identity = ops.identity(len(E))
+        assert ops.matmul(E, Einv) == identity, (spec, block, embedded)
+        assert ops.matmul(Einv, E) == identity, (spec, block, embedded)
