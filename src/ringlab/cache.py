@@ -290,6 +290,12 @@ class EngineCache:
             out.setdefault(self.ideal_class[i], []).append(i)
         return {k: tuple(v) for k, v in out.items()}
 
+    @cached_property
+    def class_sum_gens(self) -> list[list[tuple[int, ...]]]:
+        """[k1][k2]: ``generators_of`` the sum of principal classes k1 and k2."""
+        k = range(len(self._principal_gens))
+        return [[self.generators_of(self.sum_ideal_id(k1, k2)) for k2 in k] for k1 in k]
+
     def generators_of(self, ident: int) -> tuple[int, ...]:
         """Elements generating the ideal with this id (empty if not principal)."""
         gens = self._principal_gens.get(ident)
@@ -413,15 +419,15 @@ class EngineCache:
             # Zero-ideal convention: cofactors (1, 0) keep a1R + b1R = R.
             return (self.zero, self.zero, self.zero, self.one, self.zero,
                     self.one, self.zero)
-        cls, comax = self.ideal_class, self.comax
-        gens = self.generators_of(self.sum_ideal_id(cls[ia], cls[ib]))
+        cls, comax, memo = self.ideal_class, self.comax, self._preimage_memo
+        gens = self.class_sum_gens[cls[ia]][cls[ib]]
         if not gens:
             raise NotBezout(
                 f"{self.ring.spec_string()}: ideal generated by "
                 f"{self.element(ia)} and {self.element(ib)} is not principal"
             )
         for d in gens:
-            pre = self._preimages(d)
+            pre = memo.get(d) or self._preimages(d)
             cof_b = pre.get(ib, ())
             for a1 in pre.get(ia, ()):
                 comax_row = comax[a1]

@@ -270,9 +270,7 @@ def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[dict, Any]
     target; see the module docstring for why that is exact.
     """
     n, add, mul, neg, names = c.n, c.add, c.mul, c.neg, c.names
-    cls, mult = c.ideal_class, c.pid_witness
-    one_row, crow = c.one * n, cval * n
-    per_class, out = {}, {}
+    cls, mult, per_class, out = c.ideal_class, c.pid_witness, {}, {}
     for t in range(n):
         got = per_class.get(cls[t])
         if got is None:
@@ -281,11 +279,11 @@ def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[dict, Any]
                 return None, t
             r, s = pair
             x = c.comax_witness(r, t)[0]
+            j = add[cval * n + neg[mul[r * n + s]]]
             got = per_class[cls[t]] = (
-                names[r], names[s], names[add[crow + neg[mul[r * n + s]]]],
-                names[x], add[one_row + neg[mul[r * n + x]]])
-        nr, ns, nj, nx, v = got
-        out[names[t]] = {"r": nr, "s": ns, "j": nj, "x": nx, "y": names[mult[t][v]]}
+                {"r": names[r], "s": names[s], "j": names[j], "x": names[x]},
+                add[c.one * n + neg[mul[r * n + x]]])
+        out[names[t]] = {**got[0], "y": names[mult[t][got[1]]]}
     return out, None
 
 
@@ -293,10 +291,10 @@ def _adequacy_table_holds(c: EngineCache, variant: str, cval: int,
                           table: dict) -> bool:
     """Every entry of a targets row holds, and they are the n targets, each once."""
     parsed, holds, targets = c.parsed, _adequate(variant, cval, c), []
+    fields = itemgetter("r", "s", "j", "x", "y")
     for name, w in table.items():
         t = parsed[name]
-        if not holds(t, (parsed[w["r"]], parsed[w["s"]], parsed[w["j"]],
-                         parsed[w["x"]], parsed[w["y"]])):
+        if not holds(t, tuple(map(parsed.__getitem__, fields(w)))):
             return False
         targets.append(t)
     return _covers(targets, c.n)
@@ -452,14 +450,14 @@ def _units(c: EngineCache) -> list[bool]:
 def _hermite(c: EngineCache) -> Callable:
     """a = a1*d, b = b1*d and a1*u + b1*v = 1."""
     n, add, mul, one, parsed = c.n, c.add, c.mul, c.one, c.parsed
+    fields = itemgetter("b", "d", "a1", "b1", "u", "v")
 
     def holds(a, entries):
         bs = []
         for e in entries:
-            b, d, a1, b1 = parsed[e["b"]], parsed[e["d"]], parsed[e["a1"]], parsed[e["b1"]]
+            b, d, a1, b1, u, v = map(parsed.__getitem__, fields(e))
             if not (mul[a1 * n + d] == a and mul[b1 * n + d] == b
-                    and add[mul[a1 * n + parsed[e["u"]]] * n
-                            + mul[b1 * n + parsed[e["v"]]]] == one):
+                    and add[mul[a1 * n + u] * n + mul[b1 * n + v]] == one):
                 return None
             bs.append(b)
         return bs
@@ -498,11 +496,11 @@ def _bezout(c: EngineCache) -> Callable:
 
 
 def _bezout_search(c: EngineCache) -> Callable:
-    names = c.names
+    names, cls, sums = c.names, c.ideal_class, c.class_sum_gens
 
     def fill(a, bs, out):
         for b in bs:
-            gens = c.generators_of(_sum_ideal_id(c, a, b))
+            gens = sums[cls[a]][cls[b]]
             if not gens:
                 return b
             out.append({"a": names[a], "b": names[b], "d": names[gens[0]]})

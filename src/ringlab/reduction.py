@@ -676,14 +676,6 @@ class _Reducer:
         R = self.Qinv
         R[k], R[j] = R[j], R[k]
 
-    def col_scale_unit(self, j, u, uinv):
-        mul = self.ops.mul
-        for M in (self.A, self.Q):
-            for row in M:
-                row[j] = mul(row[j], u)
-        R = self.Qinv
-        R[j] = [mul(uinv, q) for q in R[j]]
-
     # -- elementary row operations (A <- E*A, P <- E*P, Pinv <- Pinv*Einv) --
 
     def row_pair(self, k, i, E, Einv):
