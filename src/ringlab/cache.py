@@ -432,9 +432,9 @@ class EngineCache:
             for a1 in pre.get(ia, ()):
                 comax_row = comax[a1]
                 for b1 in cof_b:
-                    if comax_row[b1]:
-                        u, v = self.comax_witness(a1, b1)
-                        return d, u, v, a1, b1, u, v
+                    wit = comax_row[b1] and self.comax_witness(a1, b1)
+                    if wit:
+                        return (d, *wit, a1, b1, *wit)
         raise NotBezout(
             f"{self.ring.spec_string()}: no comaximal cofactor pair for "
             f"{self.element(ia)}, {self.element(ib)}"
