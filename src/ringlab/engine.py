@@ -291,10 +291,10 @@ def _adequacy_table_holds(c: EngineCache, variant: str, cval: int,
                           table: dict) -> bool:
     """Every entry of a targets row holds, and they are the n targets, each once."""
     parsed, holds, targets = c.parsed, _adequate(variant, cval, c), []
-    fields = itemgetter("r", "s", "j", "x", "y")
     for name, w in table.items():
         t = parsed[name]
-        if not holds(t, tuple(map(parsed.__getitem__, fields(w)))):
+        if not holds(t, (parsed[w["r"]], parsed[w["s"]], parsed[w["j"]],
+                         parsed[w["x"]], parsed[w["y"]])):
             return False
         targets.append(t)
     return _covers(targets, c.n)
@@ -450,14 +450,14 @@ def _units(c: EngineCache) -> list[bool]:
 def _hermite(c: EngineCache) -> Callable:
     """a = a1*d, b = b1*d and a1*u + b1*v = 1."""
     n, add, mul, one, parsed = c.n, c.add, c.mul, c.one, c.parsed
-    fields = itemgetter("b", "d", "a1", "b1", "u", "v")
 
     def holds(a, entries):
         bs = []
         for e in entries:
-            b, d, a1, b1, u, v = map(parsed.__getitem__, fields(e))
+            b, d, a1, b1 = parsed[e["b"]], parsed[e["d"]], parsed[e["a1"]], parsed[e["b1"]]
             if not (mul[a1 * n + d] == a and mul[b1 * n + d] == b
-                    and add[mul[a1 * n + u] * n + mul[b1 * n + v]] == one):
+                    and add[mul[a1 * n + parsed[e["u"]]] * n
+                            + mul[b1 * n + parsed[e["v"]]]] == one):
                 return None
             bs.append(b)
         return bs
