@@ -426,13 +426,20 @@ class EngineCache:
                 f"{self.ring.spec_string()}: ideal generated by "
                 f"{self.element(ia)} and {self.element(ib)} is not principal"
             )
+        # ``comax_witness`` inlined on a hit of its x memo.
+        n, add, neg, mul = self.n, self.add, self.neg, self.mul
+        one_row, x_memo, pid_witness = self.one * n, self._comax_x_memo, self.pid_witness
         for d in gens:
             pre = memo.get(d) or self._preimages(d)
             cof_b = pre.get(ib, ())
             for a1 in pre.get(ia, ()):
-                comax_row = comax[a1]
+                comax_row, a1_row = comax[a1], a1 * n
                 for b1 in cof_b:
-                    wit = comax_row[b1] and self.comax_witness(a1, b1)
+                    if not comax_row[b1]:
+                        continue
+                    x = x_memo.get((a1, cls[b1]))
+                    wit = self.comax_witness(a1, b1) if x is None else (
+                        x, pid_witness[b1][add[one_row + neg[mul[a1_row + x]]]])
                     if wit:
                         return (d, *wit, a1, b1, *wit)
         raise NotBezout(

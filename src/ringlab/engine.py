@@ -253,12 +253,16 @@ def _adequate(variant: str, cval: int, c: EngineCache) -> Callable:
     crow = cval * n
     allowed_j = c.jac if variant == "feckly" else {c.zero}
     fixed = cval if variant == "cvariant" else None
+    anchored, cls = c._ext.setdefault("anchored", {}), c.ideal_class
 
     def holds(t: int, w: tuple) -> bool:
         r, s, j, x, y = w
-        return (add[crow + neg[mul[r * n + s]]] == j and j in allowed_j
-                and add[mul[r * n + x] * n + mul[t * n + y]] == one
-                and _anchored(c, s, t if fixed is None else fixed))
+        if not (add[crow + neg[mul[r * n + s]]] == j and j in allowed_j
+                and add[mul[r * n + x] * n + mul[t * n + y]] == one):
+            return False
+        anchor = t if fixed is None else fixed
+        got = anchored.get((cls[s], cls[anchor]))  # ``_anchored``'s memo hit
+        return _anchored(c, s, anchor) if got is None else got
     return holds
 
 

@@ -13,16 +13,13 @@ ring arithmetic:
    pivot into the pivot row and re-sweeps, again strictly enlarging the
    pivot's ideal.
 3. On finite rings the trailing 2x2 block goes through a dedicated kernel
-   (Kaplansky's comaximal shift): triangularize, pull out the common
-   factor of the three entries as the first chain entry, and find a shift
-   r making (b + a*r) comaximal with c. The triangularizing step and the
-   closed-form transforms that send the comaximal triangular block to
-   diag(1, -a*c) are multiplied out into one left and one right 2x2
-   transform, each applied once to A and to its transform and inverse
-   (see ``_Reducer.kernel_2x2``). When the block is the whole matrix,
-   P and Q are still the identity, so the kernel takes the transforms
-   and their inverses as P, Pinv, Q and Qinv and sets A to L*A*M with two
-   matrix products.
+   (Kaplansky's comaximal shift, ``_kernel_transforms``): triangularize,
+   pull out the common factor of the three entries as the first chain
+   entry, and find a shift r making (b + a*r) comaximal with c. These
+   steps multiply out into one left and one right 2x2 transform, each
+   applied once with its inverse. A whole 2x2 matrix builds no reducer:
+   ``_reduce_2x2`` takes the transforms as P, Pinv, Q and Qinv and writes
+   D down in closed form, as straight-line code on the cache's tables.
 
 Strategies: ``euclidean_Z`` (integer matrices, minimal-absolute-value
 pivoting), ``finite_search`` (any finite ring, kernel enabled), and
@@ -49,11 +46,9 @@ on a pair of rows or columns is one 2x2 matrix E with its inverse
 call per entry. The finite kernels index the cache's flat add/mul tables
 inline (no second copy of the tables: they are n^2 entries each), and a
 product's accumulator starts at its first term. The finite and Z
-``matmul`` write a 2x2 times 2x2 product out in closed form: its eight
-products and four sums, in the order the general loop takes them. The
-shape alone picks that branch, and every other shape keeps the loop.
-Every check of a 2x2 certificate and the 2x2 kernel multiply in this
-shape. On Z the raw add and mul
+adapters also write out the three products that check a 2x2 certificate
+(``products_2x2``), and the verifier then checks that shape in one
+straight-line pass. On Z the raw add and mul
 are the + and * of int, so its kernels use the operators directly. On
 zloc the kernels work on the ``as_integer_ratio()`` pairs of the
 Fractions: an output entry such as x*p + y*q is worked out as one integer
@@ -69,9 +64,10 @@ starting P, Pinv, Q and Qinv from it.
 The verifier compares P*Pinv and Q*Qinv with that identity template, one
 list comparison each. The comaximal triangular reduction
 (``_comax_triangular_raw``) writes D = diag(1, -a*c) in closed form: its
-P*A*Q equals that matrix exactly whenever w*x + c*y = 1. The verifier
-does not rely on that: it still multiplies P*A*Q and compares it with D,
-so a wrong D, or a wrong transform, is rejected as before.
+P*A*Q equals that matrix exactly whenever w*x + c*y = 1; so does
+``_reduce_2x2`` with D = diag(g, -g*ta*tc). The verifier does not rely on
+that: it still multiplies P*A*Q and compares it with D, so a wrong D, or
+a wrong transform, is rejected as before.
 """
 
 from __future__ import annotations
@@ -232,6 +228,8 @@ class _Adapter:
     to them, and compare other grids with it as a whole.
     """
 
+    products_2x2 = None  # set where a 2x2 certificate has a written-out check
+
     def __init__(self):
         self._identities: dict[int, list[list]] = {}
 
@@ -303,19 +301,9 @@ class _FiniteOps(_Adapter):
 
         Each accumulator starts at its first product, not at zero, and the
         inner loop indexes by position: on the 2x2 to 5x5 grids of a
-        certificate that beats zipping each row with each column. A 2x2
-        times 2x2 product, the most common one, is written out in closed
-        form with the same lookups in the same order.
+        certificate that beats zipping each row with each column.
         """
         n, add, mul = self.n, self._add, self._mul
-        if len(Y) == 2 == len(X) == len(Y[0]) == len(X[0]):
-            (x00, x01), (x10, x11) = X
-            (y00, y01), (y10, y11) = Y
-            x00, x01, x10, x11 = x00 * n, x01 * n, x10 * n, x11 * n
-            return [[add[mul[x00 + y00] * n + mul[x01 + y10]],
-                     add[mul[x00 + y01] * n + mul[x01 + y11]]],
-                    [add[mul[x10 + y00] * n + mul[x11 + y10]],
-                     add[mul[x10 + y01] * n + mul[x11 + y11]]]]
         cols = list(zip(*Y))
         rest = range(1, len(Y))
         out = []
@@ -330,6 +318,32 @@ class _FiniteOps(_Adapter):
                 out_row.append(acc)
             out.append(out_row)
         return out
+
+    def products_2x2(self, A, P, Pinv, Q, Qinv):
+        """P*A*Q, P*Pinv and Q*Qinv of a 2x2 certificate, written out."""
+        n, add, mul = self.n, self._add, self._mul
+        (a00, a01), (a10, a11) = A
+        (p00, p01), (p10, p11) = [[p * n for p in row] for row in P]
+        (i00, i01), (i10, i11) = Pinv
+        (q00, q01), (q10, q11) = Q
+        (j00, j01), (j10, j11) = Qinv
+        b00 = add[mul[p00 + a00] * n + mul[p01 + a10]] * n
+        b01 = add[mul[p00 + a01] * n + mul[p01 + a11]] * n
+        b10 = add[mul[p10 + a00] * n + mul[p11 + a10]] * n
+        b11 = add[mul[p10 + a01] * n + mul[p11 + a11]] * n
+        prod = (add[mul[b00 + q00] * n + mul[b01 + q10]],
+                add[mul[b00 + q01] * n + mul[b01 + q11]],
+                add[mul[b10 + q00] * n + mul[b11 + q10]],
+                add[mul[b10 + q01] * n + mul[b11 + q11]])
+        q00, q01, q10, q11 = q00 * n, q01 * n, q10 * n, q11 * n
+        return prod, (add[mul[p00 + i00] * n + mul[p01 + i10]],
+                      add[mul[p00 + i01] * n + mul[p01 + i11]],
+                      add[mul[p10 + i00] * n + mul[p11 + i10]],
+                      add[mul[p10 + i01] * n + mul[p11 + i11]]), \
+            (add[mul[q00 + j00] * n + mul[q01 + j10]],
+             add[mul[q00 + j01] * n + mul[q01 + j11]],
+             add[mul[q10 + j00] * n + mul[q11 + j10]],
+             add[mul[q10 + j01] * n + mul[q11 + j11]])
 
     def is_zero(self, x):
         return x == self.zero
@@ -434,13 +448,7 @@ class _NativeOps(_ValueOps):
 
     def matmul(self, X, Y):
         """The product of two raw grids, in plain loops like the finite
-        kernel's: no ``sum(map())`` per entry. A 2x2 times 2x2 product is
-        written out in closed form."""
-        if len(Y) == 2 == len(X) == len(Y[0]) == len(X[0]):
-            (x00, x01), (x10, x11) = X
-            (y00, y01), (y10, y11) = Y
-            return [[x00 * y00 + x01 * y10, x00 * y01 + x01 * y11],
-                    [x10 * y00 + x11 * y10, x10 * y01 + x11 * y11]]
+        kernel's: no ``sum(map())`` per entry."""
         cols = list(zip(*Y))
         rest = range(1, len(Y))
         out = []
@@ -454,6 +462,22 @@ class _NativeOps(_ValueOps):
                 out_row.append(acc)
             out.append(out_row)
         return out
+
+    def products_2x2(self, A, P, Pinv, Q, Qinv):
+        """P*A*Q, P*Pinv and Q*Qinv of a 2x2 certificate, written out."""
+        (a00, a01), (a10, a11) = A
+        (p00, p01), (p10, p11) = P
+        (i00, i01), (i10, i11) = Pinv
+        (q00, q01), (q10, q11) = Q
+        (j00, j01), (j10, j11) = Qinv
+        b00, b01 = p00 * a00 + p01 * a10, p00 * a01 + p01 * a11
+        b10, b11 = p10 * a00 + p11 * a10, p10 * a01 + p11 * a11
+        return ((b00 * q00 + b01 * q10, b00 * q01 + b01 * q11,
+                 b10 * q00 + b11 * q10, b10 * q01 + b11 * q11),
+                (p00 * i00 + p01 * i10, p00 * i01 + p01 * i11,
+                 p10 * i00 + p11 * i10, p10 * i01 + p11 * i11),
+                (q00 * j00 + q01 * j10, q00 * j01 + q01 * j11,
+                 q10 * j00 + q11 * j10, q10 * j01 + q11 * j11))
 
 
 def _ratio_dot(xs, ys) -> Fraction:
@@ -496,6 +520,8 @@ class _RatioOps(_NativeOps):
     def dot(self, xs, ys):
         ratio = Fraction.as_integer_ratio
         return _ratio_dot(map(ratio, xs), map(ratio, ys))
+
+    products_2x2 = None  # matmul already reads each operand's ratio once
 
     def matmul(self, X, Y):
         ratio = Fraction.as_integer_ratio
@@ -580,6 +606,21 @@ def _verify_raw(ops, A, P, Pinv, D, Q, Qinv):
     and Qinv cols x cols. Returns None when every invariant holds.
     """
     rows, cols = len(A), len(A[0])
+    if rows == cols == 2 and ops.products_2x2 is not None:
+        # The same checks in the same order, on row-major entry tuples.
+        prod, pp, qq = ops.products_2x2(A, P, Pinv, Q, Qinv)
+        (d00, d01), (d10, d11) = D
+        want, z, o = (d00, d01, d10, d11), ops.zero, ops.one
+        if prod != want:
+            k = next(k for k in range(4) if prod[k] != want[k])
+            return "product", [k >> 1, k & 1]
+        if d01 != z or d10 != z:
+            return "diagonal", [0, 1] if d01 != z else [1, 0]
+        if ops.divides(d00, d11) is None:
+            return "divisibility_chain", 0
+        if pp != (o, z, z, o):
+            return "P_invertible", None
+        return None if qq == (o, z, z, o) else ("Q_invertible", None)
     matmul = ops.matmul
     prod = matmul(matmul(P, A), Q)
     if prod != D:  # equal grids skip the entrywise search
@@ -798,84 +839,13 @@ class _Reducer:
         raise ReductionFailed(f"divisibility enforcement stalled at pivot {k}")
 
     def kernel_2x2(self, k):
-        """Finite-ring kernel for the trailing 2x2 block [[a, b], [c, d]].
-
-        A column step R1 triangularizes the block to [[a', 0], [b', c']].
-        The gcd generator g of a', b', c' is factored out with cofactors
-        (ta, tb, tc) comaximal as a triple, and a shift r makes
-        w = tb + tc*r comaximal with ta: w*x + ta*y = 1. With s = -tc*x,
-        one left and one right transform then reach diag(g, -g*ta*tc):
-
-            L = [[y, x], [w, -ta]],  L^-1 = [[ta, x], [w, -y]],
-            M = R1 * [[1, s], [r, 1 + r*s]],
-            M^-1 = [[1 + r*s, -s], [-r, 1]] * R1^-1.
-
-        L is [[x, y], [-ta, w]] times the row swap, and M is R1 times the
-        column swap, [[1, r], [0, 1]], [[1, 0], [s, 1]] and the column swap
-        again, so each is applied once instead of step by step. When the
-        block is the whole matrix, P and Q are still the identity, so the
-        kernel sets P = L, Q = M (and the inverses) and A = L*A*M itself:
-        ``row_pair`` and ``col_pair`` would give the same entries, since
-        1*x = x and x + 0 = x. The ReductionFailed witnesses show the block
-        as those steps leave it: after R1, and also after the swaps for a
-        missing shift.
-        """
-        ops = self.ops
-        cache: EngineCache = ops.c
-        neg, lin, one, zero = ops.neg, ops.lin, ops.one, ops.zero
+        """The trailing 2x2 block of a larger matrix: the kernel's L on
+        rows (k, k+1) and M on columns (k, k+1), with their inverses."""
         j = k + 1
-        (a, b), (c, d) = self.A[k][k:], self.A[j][k:]
-        if ops.is_zero(b):
-            R1 = None
-            ap, bp, cp = a, c, d
-        else:
-            t = ops.divides(a, b)
-            if t is not None:  # b = a*t
-                R1 = ((one, neg(t)), (zero, one)), ((one, t), (zero, one))
-            else:
-                _, x, y, a1, b1 = ops.hermite(a, b)
-                R1 = _hermite_cols(ops, x, y, b1, a1)
-            (m00, m01), (m10, m11) = R1[0]
-            ap, bp = lin(a, m00, b, m10), lin(c, m00, d, m10)
-            cp = lin(c, m01, d, m11)
-        if ops.is_zero(ap) and ops.is_zero(bp) and ops.is_zero(cp):
-            return  # so b = 0, as R1 would make a' = gcd(a, b) != 0: no R1
-        cls = cache.ideal_class
-        sum_id = cache.sum_ideal_id(cache.sum_ideal_id(cls[ap], cls[bp]), cls[cp])
-        gens = cache.generators_of(sum_id)
-        if not gens:
-            self._fail("entry ideal of the 2x2 block is not principal",
-                       [[ap, zero], [bp, cp]])
-        trip = _comax_cofactors(cache, gens[0], ap, bp, cp)
-        if trip is None:
-            self._fail("no comaximal cofactor triple for the 2x2 block",
-                       [[ap, zero], [bp, cp]])
-        ta, tb, tc = trip
-        n, add, mul, comax = cache.n, cache.add, cache.mul, cache.comax
-        tb_row, tc_row = tb * n, tc * n
-        for r in range(n):
-            w = add[tb_row + mul[tc_row + r]]
-            if comax[w][ta]:
-                break
-        else:
-            self._fail("no residue shift makes the block comaximal",
-                       [[cp, bp], [zero, ap]])
-        x, y = cache.comax_witness(w, ta)
-        s = neg(ops.mul(tc, x))
-        rs1 = ops.add(one, ops.mul(r, s))
-        L, Linv = [[y, x], [w, neg(ta)]], [[ta, x], [w, neg(y)]]
-        M, Minv = [[one, s], [r, rs1]], [[rs1, neg(s)], [neg(r), one]]
-        if R1 is not None:
-            M, Minv = ops.matmul(R1[0], M), ops.matmul(Minv, R1[1])
-        if self.rows == self.cols == 2:
-            self.A = ops.matmul(ops.matmul(L, self.A), M)
-            self.P, self.Pinv, self.Q, self.Qinv = L, Linv, M, Minv
-        else:
-            self.row_pair(k, j, L, Linv)
-            self.col_pair(k, j, M, Minv)
-
-    def _fail(self, reason, block):
-        raise ReductionFailed(reason, witness=_box(self.ops, block))
+        L, Linv, M, Minv, _, _ = _kernel_transforms(
+            self.ops, *self.A[k][k:], *self.A[j][k:])
+        self.row_pair(k, j, L, Linv)
+        self.col_pair(k, j, M, Minv)
 
     def normalize_units(self):
         ops = self.ops
@@ -927,14 +897,104 @@ def _comax_cofactors(cache: EngineCache, g: int, va: int, vb: int, vc: int):
     return None
 
 
+def _kernel_transforms(ops: _FiniteOps, a, b, c, d):
+    """Finite-ring kernel for the 2x2 block [[a, b], [c, d]].
+
+    A column step R1 triangularizes the block to [[a', 0], [b', c']].
+    The gcd generator g of a', b', c' is factored out with cofactors
+    (ta, tb, tc) comaximal as a triple, and a shift r makes
+    w = tb + tc*r comaximal with ta: w*x + ta*y = 1. With s = -tc*x,
+    one left and one right transform then reach diag(g, -g*ta*tc):
+
+        L = [[y, x], [w, -ta]],  L^-1 = [[ta, x], [w, -y]],
+        M = R1 * [[1, s], [r, 1 + r*s]],
+        M^-1 = [[1 + r*s, -s], [-r, 1]] * R1^-1.
+
+    L is [[x, y], [-ta, w]] times the row swap, and M is R1 times the
+    column swap, [[1, r], [0, 1]], [[1, 0], [s, 1]] and the column swap
+    again. Returns (L, L^-1, M, M^-1, g, -g*ta*tc); the zero block gets
+    identity transforms and g = 0. The ReductionFailed witnesses show the
+    block as those steps leave it: after R1, and also after the swaps for
+    a missing shift.
+    """
+    cache: EngineCache = ops.c
+    n, add, mul, neg = cache.n, cache.add, cache.mul, cache.neg
+    lin, one, zero = ops.lin, ops.one, ops.zero
+    if b == zero:
+        R1 = None
+        ap, bp, cp = a, c, d
+    else:
+        t = ops.divides(a, b)
+        if t is not None:  # b = a*t
+            R1 = ((one, neg[t]), (zero, one)), ((one, t), (zero, one))
+        else:
+            _, x, y, a1, b1 = ops.hermite(a, b)
+            R1 = _hermite_cols(ops, x, y, b1, a1)
+        (m00, m01), (m10, m11) = R1[0]
+        ap, bp, cp = lin(a, m00, b, m10), lin(c, m00, d, m10), lin(c, m01, d, m11)
+    if ap == bp == cp == zero:  # so b = 0, as R1 would make a' = gcd(a, b) != 0
+        return (*([[one, zero], [zero, one]] for _ in range(4)), zero, zero)
+    cls = cache.ideal_class
+    sum_id = cache.sum_ideal_id(cache.sum_ideal_id(cls[ap], cls[bp]), cls[cp])
+    gens = cache.generators_of(sum_id)
+    if not gens:
+        raise ReductionFailed("entry ideal of the 2x2 block is not principal",
+                              witness=_box(ops, [[ap, zero], [bp, cp]]))
+    trip = _comax_cofactors(cache, gens[0], ap, bp, cp)
+    if trip is None:
+        raise ReductionFailed("no comaximal cofactor triple for the 2x2 block",
+                              witness=_box(ops, [[ap, zero], [bp, cp]]))
+    ta, tb, tc = trip
+    comax, tb_row, tc_row = cache.comax, tb * n, tc * n
+    for r in range(n):
+        w = add[tb_row + mul[tc_row + r]]
+        if comax[w][ta]:
+            break
+    else:
+        raise ReductionFailed("no residue shift makes the block comaximal",
+                              witness=_box(ops, [[cp, bp], [zero, ap]]))
+    x, y = cache.comax_witness(w, ta)
+    s = neg[mul[tc * n + x]]
+    rs1, ns, nr = add[one * n + mul[r * n + s]], neg[s], neg[r]
+    L, Linv = [[y, x], [w, neg[ta]]], [[ta, x], [w, neg[y]]]
+    if R1 is None:
+        M, Minv = [[one, s], [r, rs1]], [[rs1, ns], [nr, one]]
+    else:
+        ((m00, m01), (m10, m11)), ((f00, f01), (f10, f11)) = R1
+        M = [[add[m00 * n + mul[m01 * n + r]], lin(m00, s, m01, rs1)],
+             [add[m10 * n + mul[m11 * n + r]], lin(m10, s, m11, rs1)]]
+        Minv = [[lin(rs1, f00, ns, f10), lin(rs1, f01, ns, f11)],
+                [add[mul[nr * n + f00] * n + f10], add[mul[nr * n + f01] * n + f11]]]
+    return L, Linv, M, Minv, gens[0], neg[mul[ap * n + tc]]  # g*ta = a'
+
+
+def _reduce_2x2(ops: _FiniteOps, a, b, c, d):
+    """The kernel on a whole 2x2 matrix: P = L and Q = M with their
+    inverses, and D = L*A*M written down as diag(g, -g*ta*tc). The unit
+    u that ``normalize_units`` would use on a diagonal entry scales that
+    row of P, and u^-1 that column of Pinv."""
+    L, Linv, M, Minv, g, h = _kernel_transforms(ops, a, b, c, d)
+    n, one, mul, canon = ops.n, ops.one, ops._mul, ops.c.associate_canon
+    for i, v in enumerate((g, h)):
+        _, u, uinv = canon[v]
+        if u != one:
+            L[i] = [mul[u * n + p] for p in L[i]]
+            for row in Linv:
+                row[i] = mul[row[i] * n + uinv]
+    return L, Linv, [[canon[g][0], ops.zero], [ops.zero, canon[h][0]]], M, Minv
+
+
 def _reduce_raw(ops, grid):
     """Reduce a raw grid; returns the raw (P, Pinv, D, Q, Qinv).
 
     Raises ReductionFailed; a missing Bezout gcd carries the whole input
     matrix as its witness.
     """
-    red = _Reducer(ops, [list(row) for row in grid], len(grid), len(grid[0]))
+    rows, cols = len(grid), len(grid[0])
     try:
+        if ops.kernel and rows == cols == 2:
+            return _reduce_2x2(ops, *grid[0], *grid[1])
+        red = _Reducer(ops, [list(row) for row in grid], rows, cols)
         red.run(use_kernel=ops.kernel)
     except NotBezout as exc:
         raise ReductionFailed(str(exc), witness=_box(ops, grid)) from exc

@@ -6,9 +6,11 @@ or by integer arithmetic), so it shares no code with the index and payload
 arithmetic that ``verify_certificate`` and ``diagonal_reduce`` run on.
 """
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from ringlab.concrete import make_ring
@@ -16,6 +18,7 @@ from ringlab.errors import NotComaximal
 from ringlab.reduction import (
     ReductionCertificate,
     RingMatrix,
+    _scalar_ops,
     comax_triangular_reduce,
     diagonal_reduce,
     verify_certificate,
@@ -222,3 +225,77 @@ def test_comax_kernel_matches_the_shear_product(data):
     assert cert.D == cert.P.mat_mul(A).mat_mul(Q)
     assert cert.D == m([[one, zero], [zero, neg(ring.mul(a, c))]])
     assert verify_certificate(ring, A, cert).verdict
+
+
+@pytest.mark.parametrize("spec", ["Z", "Zn:12", "prod(Zn:4,Zn:3)", "polyq:3:x^2-1"])
+def test_planted_faults_in_2x2_certificates(spec):
+    """Each kind of fault planted in a genuine 2x2 certificate is named
+    by the written-out 2x2 check exactly as by the reference: a changed
+    entry of D at each position, P or Q (or both) sheared so that
+    P*A*Q = D has off-diagonal entries, both transforms swapped so that
+    D's diagonal no longer divides (when its entries are not associates),
+    and a changed entry of Pinv or Qinv."""
+    ring = RINGS[spec]
+    assert type(_scalar_ops(ring)).products_2x2 is not None
+    one, zero, neg = ring.one, ring.zero, ring.neg
+    rng = random.Random(f"planted-{spec}")
+    if spec == "Z":
+        draw = lambda: ring.make(rng.randint(-40, 40))  # noqa: E731
+
+        def other(e):
+            return ring.make(e.value + rng.randint(1, 9))
+    else:
+        elems = FINITE_ELEMENTS[spec]
+        draw = lambda: rng.choice(elems)  # noqa: E731
+
+        def other(e):
+            return elems[(elems.index(e) + rng.randrange(1, len(elems))) % len(elems)]
+
+    shear_right = ([[one, one], [zero, one]], [[one, neg(one)], [zero, one]])
+    shear_left = ([[one, zero], [one, one]], [[one, zero], [neg(one), one]])
+    swap = [[zero, one], [one, zero]]
+    seen = set()
+    grids = [[[one, zero], [zero, zero]]]  # D = diag(1, 0): the swap breaks it
+    grids += [[[draw(), draw()], [draw(), draw()]] for _ in range(40)]
+    for A in grids:
+        if A == [[zero, zero], [zero, zero]]:
+            continue  # P*A*Q = 0 whatever the transforms
+        cert = diagonal_reduce(ring, RingMatrix(ring, A))
+        good = {name: [list(row) for row in getattr(cert, name).entries]
+                for name in NAMES}
+        assert assert_agrees(ring, A, good) is None
+        P, Pinv, D, Q, Qinv = (good[name] for name in NAMES)
+
+        def mul(X, Y):
+            return ref_mat_mul(ring, X, Y)
+
+        planted = []
+        for i in range(2):
+            for j in range(2):
+                bad = [row[:] for row in D]
+                bad[i][j] = other(D[i][j])
+                planted.append((("product", [i, j]), {**good, "D": bad}))
+        E, Einv = shear_right
+        planted.append((("diagonal", [0, 1]), {
+            **good, "Q": mul(Q, E), "Qinv": mul(Einv, Qinv), "D": mul(D, E)}))
+        F, Finv = shear_left
+        planted.append((("diagonal", [1, 0]), {
+            **good, "P": mul(F, P), "Pinv": mul(Pinv, Finv), "D": mul(F, D)}))
+        planted.append((("diagonal", [0, 1]), {
+            "P": mul(F, P), "Pinv": mul(Pinv, Finv), "D": mul(mul(F, D), E),
+            "Q": mul(Q, E), "Qinv": mul(Einv, Qinv)}))
+        if not ref_divides(ring, D[1][1], D[0][0]):
+            planted.append((("divisibility_chain", 0), {
+                "P": mul(swap, P), "Pinv": mul(Pinv, swap), "D": mul(mul(swap, D), swap),
+                "Q": mul(Q, swap), "Qinv": mul(swap, Qinv)}))
+        for name, want in (("Pinv", "P_invertible"), ("Qinv", "Q_invertible")):
+            i, j = rng.randrange(2), rng.randrange(2)
+            bad = [row[:] for row in good[name]]
+            bad[i][j] = other(bad[i][j])
+            planted.append(((want, None), {**good, name: bad}))
+        for want, mats in planted:
+            assert ref_verdict(ring, A, *(mats[name] for name in NAMES)) == want
+            assert assert_agrees(ring, A, mats) == want[0], (A, want)
+            seen.add(want[0])
+    assert seen == {"product", "diagonal", "divisibility_chain",
+                    "P_invertible", "Q_invertible"}

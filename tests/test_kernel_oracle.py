@@ -1,12 +1,15 @@
 """Oracle tests for the 2x2 kernel of the finite-ring reducer.
 
-``_Reducer.kernel_2x2`` applies one left and one right transform, each
-written in closed form. The reference here is the step-by-step kernel
-it replaced: the triangularizing column step, a swap of both rows and
-columns, a column shift by r, the comaximal row step, a column add and a
-final column swap, each applied on its own with the elementary row and
-column operations, which are kept here as they were too. Both must give
-the same (P, Pinv, D, Q, Qinv) index for index, and the same
+The kernel is one left and one right transform, each written in closed
+form (``_kernel_transforms``): ``_reduce_raw`` takes a whole 2x2 matrix
+through it as straight-line code (``_reduce_2x2``), and
+``_Reducer.kernel_2x2`` applies it to the trailing block of a larger
+one. The reference here is the step-by-step kernel it replaced: the
+triangularizing column step, a swap of both rows and columns, a column
+shift by r, the comaximal row step, a column add and a final column
+swap, each applied on its own with the elementary row and column
+operations, which are kept here as they were too. Both must give the
+same (P, Pinv, D, Q, Qinv) index for index, and the same
 ``ReductionFailed`` reason and witness.
 """
 
@@ -18,8 +21,15 @@ import pytest
 from hypothesis import given, settings
 
 from ringlab.concrete import builtin_table_path, make_ring
+from ringlab import reduction
 from ringlab.errors import NotBezout, ReductionFailed
-from ringlab.reduction import _box, _cache_ops, _comax_cofactors, _Reducer
+from ringlab.reduction import (
+    _box,
+    _cache_ops,
+    _comax_cofactors,
+    _reduce_raw,
+    _Reducer,
+)
 
 TABLE = f"table:{builtin_table_path()}"
 
@@ -105,42 +115,66 @@ class StepwiseReducer(_Reducer):
         return _box(self.ops, [row[k:] for row in self.A[k:]])
 
 
-def outcome(cls, ops, grid):
-    """(P, Pinv, D, Q, Qinv), or the failure's (reason, witness entries)."""
-    red = cls(ops, [list(row) for row in grid], len(grid), len(grid[0]))
+def stepwise_reduce(ops, grid):
+    """``_reduce_raw`` with the stepwise reducer for every shape."""
+    red = StepwiseReducer(ops, [list(row) for row in grid], len(grid), len(grid[0]))
     try:
         red.run(use_kernel=True)
-    except ReductionFailed as exc:
-        return "failed", exc.reason, exc.witness.entries
     except NotBezout as exc:
-        return "not bezout", str(exc)
+        raise ReductionFailed(str(exc), witness=_box(ops, grid)) from exc
     return red.P, red.Pinv, red.A, red.Q, red.Qinv
 
 
+def outcome(reduce, ops, grid):
+    """(P, Pinv, D, Q, Qinv), or the failure's (reason, witness entries)."""
+    try:
+        return reduce(ops, grid)
+    except ReductionFailed as exc:
+        return "failed", exc.reason, exc.witness.entries
+
+
 def assert_same(ops, grid):
-    want = outcome(StepwiseReducer, ops, grid)
-    assert outcome(_Reducer, ops, grid) == want, grid
+    want = outcome(stepwise_reduce, ops, grid)
+    assert outcome(_reduce_raw, ops, grid) == want, grid
     return want
 
 
+@pytest.fixture
+def whole_2x2_calls(monkeypatch):
+    """The grids ``_reduce_raw`` sends to its straight-line 2x2 path."""
+    calls = []
+    reduce_2x2 = reduction._reduce_2x2
+
+    def spy(ops, a, b, c, d):
+        calls.append([[a, b], [c, d]])
+        return reduce_2x2(ops, a, b, c, d)
+
+    monkeypatch.setattr(reduction, "_reduce_2x2", spy)
+    return calls
+
+
 @pytest.mark.parametrize("spec", ["Zn:6", TABLE])
-def test_every_2x2_matrix_matches_the_stepwise_kernel(spec):
+def test_every_2x2_matrix_matches_the_stepwise_kernel(spec, whole_2x2_calls):
     ops = _cache_ops(make_ring(spec).cache())
     failures = 0
-    for a, b, c, d in itertools.product(range(ops.n), repeat=4):
-        failures += assert_same(ops, [[a, b], [c, d]])[0] == "failed"
+    grids = [[[a, b], [c, d]]
+             for a, b, c, d in itertools.product(range(ops.n), repeat=4)]
+    for grid in grids:
+        failures += assert_same(ops, grid)[0] == "failed"
+    assert whole_2x2_calls == grids
     # The control ring refuses some blocks, so the witnesses were compared.
     assert (failures > 0) == (spec == TABLE)
 
 
 @pytest.mark.parametrize("spec", ["Zn:60", "prod(Zn:4,Zn:9)", "polyq:9:x^2-1"])
-def test_seeded_matrices_match_the_stepwise_kernel(spec):
+def test_seeded_matrices_match_the_stepwise_kernel(spec, whole_2x2_calls):
     ops = _cache_ops(make_ring(spec).cache())
     rng = random.Random(f"kernel-oracle-{spec}")
-    for size in (2, 3, 4):
-        for _ in range(60):
-            assert_same(ops, [[rng.randrange(ops.n) for _ in range(size)]
-                              for _ in range(size)])
+    grids = [[[rng.randrange(ops.n) for _ in range(size)] for _ in range(size)]
+             for size in (2, 3, 4) for _ in range(60)]
+    for grid in grids:
+        assert_same(ops, grid)
+    assert whole_2x2_calls == [grid for grid in grids if len(grid) == 2]
 
 
 class RecordingReducer(_Reducer):
@@ -174,30 +208,25 @@ def kernel_blocks(draw):
 @settings(max_examples=300, deadline=None)
 @given(kernel_blocks())
 def test_kernel_transforms_are_inverse_pairs(case):
-    """On a whole 2x2 matrix the kernel sets P, Pinv, Q and Qinv itself;
-    as the trailing block of a 3x3 matrix it applies its transforms
-    through ``row_pair`` and ``col_pair``. Either way every pair checked
-    here must be inverse, and a block the kernel does not refuse must
-    leave at least one pair to check."""
+    """On a whole 2x2 matrix ``_reduce_raw`` returns the kernel's
+    transforms as P, Pinv, Q and Qinv; as the trailing block of a 3x3
+    matrix the kernel applies them through ``row_pair`` and ``col_pair``.
+    Either way every pair checked here must be inverse."""
     spec, block, embedded = case
     ops = KERNEL_OPS[spec]
-    if embedded:
-        grid, k = [[ops.one, ops.zero, ops.zero]] + [[ops.zero] + row for row in block], 1
-    else:
-        grid, k = block, 0
-    size = len(grid)
-    red = RecordingReducer(ops, [row[:] for row in grid], size, size)
     try:
-        red.kernel_2x2(k)
+        if embedded:
+            grid = [[ops.one, ops.zero, ops.zero]] + [[ops.zero] + row for row in block]
+            red = RecordingReducer(ops, [row[:] for row in grid], 3, 3)
+            red.kernel_2x2(1)
+            # One left transform L and one right transform M.
+            assert len(red.pairs) == 2, (spec, block)
+            checked = red.pairs + [(red.P, red.Pinv), (red.Q, red.Qinv)]
+        else:
+            P, Pinv, _, Q, Qinv = _reduce_raw(ops, block)
+            checked = [(P, Pinv), (Q, Qinv)]
     except (ReductionFailed, NotBezout):
         return  # the control ring refuses the block
-    # At most one right transform M and one left transform L*S.
-    assert len(red.pairs) <= 2
-    checked = red.pairs + [(red.P, red.Pinv), (red.Q, red.Qinv)]
-    if embedded:
-        assert red.pairs or block == [[ops.zero] * 2] * 2, (spec, block)
-    else:
-        assert not red.pairs, (spec, block)
     for E, Einv in checked:
         identity = ops.identity(len(E))
         assert ops.matmul(E, Einv) == identity, (spec, block, embedded)

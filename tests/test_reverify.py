@@ -115,9 +115,13 @@ FORGERIES = {
     "feckly_clean": [_set(("map", "0"), "0")],
     "zero_adequate": [_set(("targets", "5", "y"), "1"),  # 0*x + 5*1 != 1
                       _set(("targets", "5", "j"), "6"),
-                      _set(("targets", "0", "r"), "2")],
+                      _set(("targets", "0", "r"), "2"),
+                      # r*s = 0 still, but 0 lies in 2R and 2 is comaximal
+                      # with the unit 5: only clause (3) fails.
+                      _set(("targets", "5", "s"), "0")],
     "feckly_zero_adequate": [_set(("targets", "5", "y"), "1"),
-                             _set(("targets", "2", "j"), "0")],
+                             _set(("targets", "2", "j"), "0"),
+                             _set(("targets", "5", "s"), "0")],
     "stable_range_1": [_set(("pairs", 0, "y"), "0"),
                        _set(("pairs", 0, "a"), "2"),   # (2, b) not comaximal
                        ],
