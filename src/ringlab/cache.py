@@ -342,11 +342,23 @@ class EngineCache:
             self._comax_x_memo[key] = x
         return x, self.pid_witness[j][add[one_row + neg[mul[row + x]]]]
 
+    def triple_sum_id(self, i: int, j: int, k: int) -> int:
+        """Id of the ideal iR + jR + kR.
+
+        Reads ``sum_ideal_id``'s memo inline and calls it only on a miss:
+        the reducer asks for nearly the same few sums over and over.
+        """
+        cls, memo = self.ideal_class, self._sum_memo
+        a, b, c = cls[i], cls[j], cls[k]
+        s = memo.get((a, b) if a <= b else (b, a))
+        if s is None:
+            s = self.sum_ideal_id(a, b)
+        t = memo.get((s, c) if s <= c else (c, s))
+        return self.sum_ideal_id(s, c) if t is None else t
+
     def triple_comax(self, i: int, j: int, k: int) -> bool:
         """True iff iR + jR + kR = R."""
-        cls = self.ideal_class
-        sid = self.sum_ideal_id(self.sum_ideal_id(cls[i], cls[j]), cls[k])
-        return sid == cls[self.one]
+        return self.triple_sum_id(i, j, k) == self.ideal_class[self.one]
 
     def triple_comax_witness(self, i: int, j: int, k: int) -> tuple[int, int, int] | None:
         """First (x, y, z) with i*x + j*y + k*z = 1, or None."""

@@ -154,7 +154,7 @@ def cmd_reduce(args) -> int:
     try:
         res = verify_certificate(ring, A, cert)
         payload = cert.to_json(verified=res.verdict)
-        diag = [ring.format_element(d) for d in cert.D.diagonal()]
+        diag = [payload["D"][i][i] for i in range(min(A.rows, A.cols))]
     except ValueError as exc:
         # An entry past sys.get_int_max_str_digits() cannot be written out.
         print(f"too large: a certificate entry cannot be formatted: {exc}",

@@ -321,7 +321,8 @@ class LocalizedIntegerRing(Ring):
         self.primes = tuple(ps)
 
     def _canon(self, value):
-        f = Fraction(value)
+        # A Fraction (what ``_parse`` returns) is already in lowest terms.
+        f = value if type(value) is Fraction else Fraction(value)
         for p in self.primes:
             if f.denominator % p == 0:
                 raise ParseError(

@@ -32,9 +32,17 @@ of rows) through one scalar adapter: cache indices on finite rings
 (``_FiniteOps``), canonical payloads on the others (``_ValueOps``,
 ``_NativeOps`` for Z and its subclass ``_RatioOps`` for zloc). The raw
 core is ``_reduce_raw``, ``_comax_triangular_raw`` and ``_verify_raw``.
-The public functions unbox their ``RingMatrix`` arguments once, with the
-membership check, and box their results once; the corpus runner calls the
-raw core directly and formats a matrix only when it reports a failure.
+A ``RingMatrix`` the library builds keeps its raw grid with the adapter
+that made it: ``_box`` wraps a result grid without boxing an entry,
+``from_strings`` parses straight to a grid (``cache.parsed`` on finite
+rings, ``_canon(_parse(s))`` on infinite ones), ``to_strings`` formats
+from the grid (``cache.names``, ``_format``), and ``entries`` boxes into
+``Element``s only when read. ``_unbox`` hands such a grid back to the
+same adapter as it is; every other matrix, built from elements or by
+another handle, is unboxed entry by entry with the membership check, on
+every call. A kept grid is never written to: the reducer copies its
+input. The corpus runner calls the raw core directly and formats a
+matrix only when it reports a failure.
 
 Every adapter offers the same fused kernels, and the raw core does its
 arithmetic through them alone: ``add``, ``mul``, ``neg``,
@@ -93,28 +101,29 @@ _SWEEP_LIMIT = 1000
 
 
 class RingMatrix:
-    """Immutable matrix of ring elements, row-major."""
+    """Immutable matrix of ring elements, row-major.
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    A matrix the library builds from a raw grid (``_box``) keeps it with
+    the scalar adapter that made it and boxes ``entries`` on first read.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "_entries", "_raw")
 
     def __init__(self, ring: Ring, entries):
         self._fill(ring, entries)
-        for row in self.entries:
+        for row in self._entries:
             for e in row:
                 ring._member(e)
 
     def _fill(self, ring: Ring, entries) -> None:
         """Set the fields from a grid of entries, checking its shape only."""
         entries = tuple(tuple(row) for row in entries)
-        if not entries or not entries[0]:
-            raise ValueError("matrix needs at least one row and column")
-        for row in entries:
-            if len(row) != len(entries[0]):
-                raise ValueError("ragged matrix")
+        _check_shape(entries)
         self.ring = ring
         self.rows = len(entries)
         self.cols = len(entries[0])
-        self.entries = entries
+        self._entries = entries
+        self._raw = None
 
     @classmethod
     def _of(cls, ring: Ring, entries) -> "RingMatrix":
@@ -127,18 +136,47 @@ class RingMatrix:
         M._fill(ring, entries)
         return M
 
+    @property
+    def entries(self) -> tuple[tuple[Element, ...], ...]:
+        entries = self._entries
+        if entries is None:
+            # Boxed on first read. Threads that race here store equal
+            # tuples, so either result may stay.
+            ops, grid = self._raw
+            to_elem = ops.to_elem
+            entries = self._entries = tuple(
+                tuple(map(to_elem, row)) for row in grid)
+        return entries
+
     @classmethod
     def from_raw(cls, ring: Ring, rows) -> "RingMatrix":
         return cls._of(ring, [[ring.make(v) for v in row] for row in rows])
 
     @classmethod
     def from_strings(cls, ring: Ring, rows) -> "RingMatrix":
+        """Parse a list of rows of element strings.
+
+        An infinite ring, or a finite handle that already holds its cache,
+        parses straight to a raw grid; a finite handle without a cache is
+        not given one here (a ring past the size bound would raise
+        TooLarge), so it parses each entry to an element.
+        """
         if not isinstance(rows, (list, tuple)) or not all(
                 isinstance(row, (list, tuple))
                 and all(isinstance(s, str) for s in row) for row in rows):
             raise ParseError("a matrix is a list of rows of element strings")
-        return cls._of(ring, [[ring.parse_element(s) for s in row]
-                              for row in rows])
+        if ring.cardinality is None:
+            ops = _scalar_ops(ring)
+        else:
+            cache = getattr(ring, "_cache_obj", None)
+            if cache is None:
+                return cls._of(ring, [[ring.parse_element(s) for s in row]
+                                      for row in rows])
+            ops = _cache_ops(cache)
+        parse = ops.parse
+        grid = [list(map(parse, row)) for row in rows]
+        _check_shape(grid)
+        return _box(ops, grid)
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
@@ -172,17 +210,25 @@ class RingMatrix:
     def diagonal(self) -> list[Element]:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
-    def is_diagonal(self) -> bool:
-        z = self.ring.zero
-        return all(self.entries[i][j] == z
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
-
     def to_strings(self) -> list[list[str]]:
-        fmt = self.ring.format_element
-        return [[fmt(e) for e in row] for row in self.entries]
+        if self._raw is None:
+            fmt = self.ring.format_element
+            return [[fmt(e) for e in row] for row in self._entries]
+        ops, grid = self._raw
+        fmt = ops.fmt
+        return [list(map(fmt, row)) for row in grid]
 
     def __repr__(self):
         return f"<{self.rows}x{self.cols} matrix over {self.ring.spec_string()}>"
+
+
+def _check_shape(grid) -> None:
+    """A matrix has at least one row and column, and all rows one length."""
+    if not grid or not grid[0]:
+        raise ValueError("matrix needs at least one row and column")
+    for row in grid:
+        if len(row) != len(grid[0]):
+            raise ValueError("ragged matrix")
 
 
 @dataclass(frozen=True)
@@ -267,6 +313,16 @@ class _FiniteOps(_Adapter):
 
     def to_elem(self, x: int) -> Element:
         return self.c.element(x)
+
+    @property
+    def fmt(self):
+        """Formatter of one raw entry: the cache's list of names."""
+        return self.c.names.__getitem__
+
+    @property
+    def parse(self):
+        """Parser of one element string to a raw entry, once per string."""
+        return self.c.parsed.__getitem__
 
     def add(self, x, y):
         return self._add[x * self.n + y]
@@ -384,6 +440,16 @@ class _ValueOps(_Adapter):
 
     def to_elem(self, x) -> Element:
         return Element(self.ring, x)
+
+    @property
+    def fmt(self):
+        """Formatter of one raw entry."""
+        return self.ring._format
+
+    def parse(self, text: str):
+        """Parser of one element string to a raw entry."""
+        ring = self.ring
+        return ring._canon(ring._parse(text))
 
     def lin(self, x, p, y, q):
         """x*p + y*q."""
@@ -585,18 +651,31 @@ def _ops_for(ring: Ring, strategy: str | None):
 
 
 def _box(ops, grid) -> RingMatrix:
-    """Box a raw grid into a RingMatrix over ``ops.ring``.
+    """A RingMatrix over ``ops.ring`` that keeps the raw grid.
 
-    The payloads come from ``ops`` arithmetic, so they belong to the ring
-    by construction and skip the membership checks of ``RingMatrix()``.
+    The payloads come from ``ops`` arithmetic or its parser, so they
+    belong to the ring by construction and skip the membership checks of
+    ``RingMatrix()``; ``entries`` boxes them on first read. The matrix
+    owns the grid from here on, and nothing writes to it.
     """
-    to_elem = ops.to_elem
-    return RingMatrix._of(ops.ring, [map(to_elem, row) for row in grid])
+    M = object.__new__(RingMatrix)
+    M.ring, M.rows, M.cols = ops.ring, len(grid), len(grid[0])
+    M._entries, M._raw = None, (ops, grid)
+    return M
 
 
 def _unbox(ops, M: RingMatrix) -> list[list]:
-    """Raw grid of a RingMatrix; ``ops.from_elem`` checks membership."""
-    return [[ops.from_elem(e) for e in row] for row in M.entries]
+    """Raw grid of a RingMatrix, for reading only.
+
+    A matrix that ``ops`` built hands back its kept grid. Any other one,
+    built from elements or by another handle's adapter, is unboxed entry
+    by entry, and ``ops.from_elem`` checks membership.
+    """
+    raw = M._raw
+    if raw is not None and raw[0] is ops:
+        return raw[1]
+    from_elem = ops.from_elem
+    return [list(map(from_elem, row)) for row in M.entries]
 
 
 def _verify_raw(ops, A, P, Pinv, D, Q, Qinv):
@@ -878,6 +957,7 @@ def _hermite_cols(ops, x, y, b1, a1):
 def _comax_cofactors(cache: EngineCache, g: int, va: int, vb: int, vc: int):
     """First cofactor triple (by ideal class) comaximal as a triple."""
     pre, ideal_class = cache._preimages(g), cache.ideal_class
+    triple_sum_id, full = cache.triple_sum_id, ideal_class[cache.one]
 
     def class_reps(target):
         """The first t of each ideal class with g*t = target, ascending."""
@@ -892,7 +972,7 @@ def _comax_cofactors(cache: EngineCache, g: int, va: int, vb: int, vc: int):
     for ta in class_reps(va):
         for tb in class_reps(vb):
             for tc in class_reps(vc):
-                if cache.triple_comax(ta, tb, tc):
+                if triple_sum_id(ta, tb, tc) == full:
                     return ta, tb, tc
     return None
 
@@ -919,7 +999,7 @@ def _kernel_transforms(ops: _FiniteOps, a, b, c, d):
     """
     cache: EngineCache = ops.c
     n, add, mul, neg = cache.n, cache.add, cache.mul, cache.neg
-    lin, one, zero = ops.lin, ops.one, ops.zero
+    one, zero = ops.one, ops.zero
     if b == zero:
         R1 = None
         ap, bp, cp = a, c, d
@@ -931,12 +1011,13 @@ def _kernel_transforms(ops: _FiniteOps, a, b, c, d):
             _, x, y, a1, b1 = ops.hermite(a, b)
             R1 = _hermite_cols(ops, x, y, b1, a1)
         (m00, m01), (m10, m11) = R1[0]
-        ap, bp, cp = lin(a, m00, b, m10), lin(c, m00, d, m10), lin(c, m01, d, m11)
+        an, bn, cn, dn = a * n, b * n, c * n, d * n
+        ap = add[mul[an + m00] * n + mul[bn + m10]]
+        bp = add[mul[cn + m00] * n + mul[dn + m10]]
+        cp = add[mul[cn + m01] * n + mul[dn + m11]]
     if ap == bp == cp == zero:  # so b = 0, as R1 would make a' = gcd(a, b) != 0
         return (*([[one, zero], [zero, one]] for _ in range(4)), zero, zero)
-    cls = cache.ideal_class
-    sum_id = cache.sum_ideal_id(cache.sum_ideal_id(cls[ap], cls[bp]), cls[cp])
-    gens = cache.generators_of(sum_id)
+    gens = cache.generators_of(cache.triple_sum_id(ap, bp, cp))
     if not gens:
         raise ReductionFailed("entry ideal of the 2x2 block is not principal",
                               witness=_box(ops, [[ap, zero], [bp, cp]]))
@@ -961,10 +1042,12 @@ def _kernel_transforms(ops: _FiniteOps, a, b, c, d):
         M, Minv = [[one, s], [r, rs1]], [[rs1, ns], [nr, one]]
     else:
         ((m00, m01), (m10, m11)), ((f00, f01), (f10, f11)) = R1
-        M = [[add[m00 * n + mul[m01 * n + r]], lin(m00, s, m01, rs1)],
-             [add[m10 * n + mul[m11 * n + r]], lin(m10, s, m11, rs1)]]
-        Minv = [[lin(rs1, f00, ns, f10), lin(rs1, f01, ns, f11)],
-                [add[mul[nr * n + f00] * n + f10], add[mul[nr * n + f01] * n + f11]]]
+        sn, rs1n, nrn = s * n, rs1 * n, nr * n
+        M = [[add[m00 * n + mul[m01 * n + r]], add[mul[sn + m00] * n + mul[rs1n + m01]]],
+             [add[m10 * n + mul[m11 * n + r]], add[mul[sn + m10] * n + mul[rs1n + m11]]]]
+        Minv = [[add[mul[rs1n + f00] * n + mul[ns * n + f10]],
+                 add[mul[rs1n + f01] * n + mul[ns * n + f11]]],
+                [add[mul[nrn + f00] * n + f10], add[mul[nrn + f01] * n + f11]]]
     return L, Linv, M, Minv, gens[0], neg[mul[ap * n + tc]]  # g*ta = a'
 
 
@@ -1133,13 +1216,15 @@ def verify_certificate(ring: Ring, A: RingMatrix,
         return PropertyResult("certificate", False,
                               counterexample=_violation("shape"))
     ops = _scalar_ops(ring)
-    bad = _verify_raw(ops, *(_unbox(ops, M) for M in (A, *mats)))
+    raw = [_unbox(ops, M) for M in (A, *mats)]
+    bad = _verify_raw(ops, *raw)
     if bad is not None:
         return PropertyResult("certificate", False,
                               counterexample=_violation(*bad))
+    D, fmt = raw[3], ops.fmt
     return PropertyResult("certificate", True,
-                          witness={"diagonal": [ring.format_element(d)
-                                                for d in cert.D.diagonal()]})
+                          witness={"diagonal": [fmt(D[i][i])
+                                                for i in range(min(r, c))]})
 
 
 def matrix_to_json(A: RingMatrix) -> dict:

@@ -1,0 +1,161 @@
+"""Certificates keep their raw grids through the public reduce path.
+
+A matrix that ``diagonal_reduce`` or ``from_strings`` builds keeps the raw
+grid it came from, with the scalar adapter that made it, and boxes its
+entries only when they are read. These tests pin what that must not
+change: the conversions a reduce -> verify -> JSON -> verify cycle makes,
+equality with the element-level copy, rejection of another handle's
+matrices, the ownership of a kept grid, and pickling.
+"""
+
+import copy
+import json
+import pickle
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from ringlab.concrete import builtin_table_path, make_ring
+from ringlab.errors import MixedRings, ReductionFailed
+from ringlab.reduction import (
+    ReductionCertificate,
+    RingMatrix,
+    _scalar_ops,
+    _unbox,
+    diagonal_reduce,
+    verify_certificate,
+)
+
+TABLE_SPEC = f"table:{builtin_table_path()}"
+# One ring of each kind the reduce benchmark runs.
+SPECS = ("Z", "zloc:{2,3}", "Zn:72", "prod(Zn:8,Zn:9)", "polyq:3:x^2-1",
+         TABLE_SPEC)
+SPEC_IDS = ["table" if spec == TABLE_SPEC else spec for spec in SPECS]
+SHAPES = ((2, 2), (3, 3), (2, 3), (4, 4))
+NAMES = ("P", "Pinv", "D", "Q", "Qinv")
+
+
+def draw(ring, rng):
+    if ring.kind == "Z":
+        return ring.make(rng.randint(-10**4, 10**4))
+    if ring.kind == "zloc":
+        return ring.make(Fraction(rng.randint(-200, 200),
+                                  rng.choice((1, 5, 7, 25, 35))))
+    return rng.choice(list(ring.elements()))
+
+
+def reducible(spec, seed=0, count=3):
+    """(ring, user-built A, certificate) for seeded matrices of each shape
+    that reduce; the non-Bezout table ring refuses some of them."""
+    ring = make_ring(spec)
+    rng = random.Random(f"raw-certificates:{spec}:{seed}")
+    out = []
+    for rows, cols in SHAPES:
+        got = 0
+        while got < count:
+            A = RingMatrix(ring, [[draw(ring, rng) for _ in range(cols)]
+                                  for _ in range(rows)])
+            try:
+                cert = diagonal_reduce(ring, A)
+            except ReductionFailed:
+                continue
+            out.append((ring, A, cert))
+            got += 1
+    return out
+
+
+def cycle(ring, A):
+    """The reduce benchmark's op: reduce, verify, JSON round trip, verify."""
+    cert = diagonal_reduce(ring, A)
+    ok = verify_certificate(ring, A, cert).verdict
+    data = json.loads(json.dumps(cert.to_json(ok)))
+    back = ReductionCertificate.from_json(ring, data)
+    return ok and verify_certificate(ring, A, back).verdict
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_cycle_converts_only_the_user_matrix(spec, monkeypatch):
+    """No entry is boxed, and only the user's A is unboxed: once for the
+    reduction and once for each verification."""
+    cases = reducible(spec)
+    ops_type = type(_scalar_ops(cases[0][0]))
+    calls = Counter()
+    for name in ("from_elem", "to_elem"):
+        def spy(self, x, name=name, orig=getattr(ops_type, name)):
+            calls[name] += 1
+            return orig(self, x)
+        monkeypatch.setattr(ops_type, name, spy)
+    for ring, A, _ in cases:
+        calls.clear()
+        assert cycle(ring, A)
+        assert calls == {"from_elem": 3 * A.rows * A.cols}, A.to_strings()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_library_matrices_match_their_element_copies(spec):
+    for ring, A, cert in reducible(spec):
+        data = json.loads(json.dumps(cert.to_json(True)))
+        d00 = ring.parse_element(data["D"][0][0])
+        data["D"][0][0] = ring.format_element(ring.add(d00, ring.one))
+        tampered = ReductionCertificate.from_json(ring, data)
+        for c in (cert, ReductionCertificate.from_json(ring, cert.to_json(True)),
+                  tampered):
+            mats = [getattr(c, name) for name in NAMES]
+            strings = [M.to_strings() for M in mats]  # before any boxing
+            verdict = verify_certificate(ring, A, c)
+            copies = [RingMatrix(ring, M.entries) for M in mats]
+            assert [E.to_strings() for E in copies] == strings
+            for M, E in zip(mats, copies):
+                assert M == E and E == M and hash(M) == hash(E)
+            assert verify_certificate(
+                ring, A, ReductionCertificate(*copies)) == verdict
+        assert not verify_certificate(ring, A, tampered).verdict
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_matrices_of_another_handle_are_rejected(spec):
+    ring, A, cert = reducible(spec, count=1)[0]
+    other = make_ring(spec)  # a second handle of the same spec
+    A_other = RingMatrix.from_strings(other, A.to_strings())
+    cert_other = diagonal_reduce(other, A_other)
+    parsed_other = ReductionCertificate.from_json(other, cert_other.to_json(True))
+    for foreign in (cert_other, parsed_other):
+        for i, name in enumerate(NAMES):
+            mats = [getattr(cert, n) for n in NAMES]
+            mats[i] = getattr(foreign, name)
+            with pytest.raises(MixedRings):
+                verify_certificate(ring, A, ReductionCertificate(*mats))
+    with pytest.raises(MixedRings):
+        verify_certificate(ring, A_other, cert)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_kept_grid_is_unchanged_after_reducing_it(spec):
+    for ring, A, cert in reducible(spec):
+        ops = _scalar_ops(ring)
+        parsed = ReductionCertificate.from_json(ring, cert.to_json(True))
+        for c in (cert, parsed):
+            for name in NAMES:
+                M = getattr(c, name)
+                grid = _unbox(ops, M)
+                assert grid is M._raw[1]  # the kept grid, not a copy
+                before = copy.deepcopy(grid)
+                try:
+                    diagonal_reduce(ring, M)
+                except ReductionFailed:
+                    pass
+                assert grid == before, (name, M.to_strings())
+            assert verify_certificate(ring, A, c).verdict
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_pickled_certificate_still_verifies(spec):
+    for ring, A, cert in reducible(spec, count=1):
+        for c in (cert, ReductionCertificate.from_json(ring, cert.to_json(True))):
+            ring2, A2, c2 = pickle.loads(pickle.dumps((ring, A, c)))
+            assert c2.D.to_strings() == c.D.to_strings()
+            res = verify_certificate(ring2, A2, c2)
+            assert res.verdict
+            assert res == verify_certificate(ring, A, c)

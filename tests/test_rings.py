@@ -193,6 +193,15 @@ def test_zloc_rejects_bad_denominator():
         zl.parse_element("7/10")
 
 
+def test_zloc_canon_keeps_a_fraction():
+    zl = make_ring("zloc:{3,5}")
+    f = Fraction(-10, 4)
+    assert zl._canon(f) is f
+    assert zl._canon(7) == Fraction(7) and type(zl._canon(7)) is Fraction
+    with pytest.raises(ParseError, match="divisible by 5"):
+        zl._canon(Fraction(7, 10))
+
+
 def fraction_parse(text):
     """The zloc parse written with ``Fraction(str)`` alone, for comparison."""
     s = text.strip()
