@@ -32,16 +32,19 @@ of rows) through one scalar adapter: cache indices on finite rings
 (``_FiniteOps``), canonical payloads on the others (``_ValueOps``,
 ``_NativeOps`` for Z and its subclass ``_RatioOps`` for zloc). The raw
 core is ``_reduce_raw``, ``_comax_triangular_raw`` and ``_verify_raw``.
-A ``RingMatrix`` the library builds keeps its raw grid with the adapter
-that made it: ``_box`` wraps a result grid without boxing an entry,
-``from_strings`` parses straight to a grid (``cache.parsed`` on finite
-rings, ``_canon(_parse(s))`` on infinite ones), ``to_strings`` formats
-from the grid (``cache.names``, ``_format``), and ``entries`` boxes into
-``Element``s only when read. ``_unbox`` hands such a grid back to the
-same adapter as it is; every other matrix, built from elements or by
-another handle, is unboxed entry by entry with the membership check, on
-every call. A kept grid is never written to: the reducer copies its
-input. The corpus runner calls the raw core directly and formats a
+Every ``RingMatrix`` holds a raw grid with its ring's adapter, the
+handle's cache adapter when the handle holds a cache, and boxes
+``entries`` into ``Element``s only when read. ``RingMatrix(ring,
+entries)`` unboxes its elements once, when it is built, with the
+membership check; ``_box`` wraps a result grid, ``from_strings`` parses
+straight to a grid (``cache.parsed`` on finite rings,
+``_canon(_parse(s))`` on infinite ones) and ``to_strings`` formats from
+it (``cache.names``, ``_format``). ``_unbox`` hands the grid back as it
+is, and a matrix of another ring handle raises MixedRings. On a finite
+ring the adapter needs the cache, so a matrix over a ring past the size
+bound, with no cache on its handle, raises TooLarge when it is built.
+A kept grid is never written to: the reducer copies its input.
+The corpus runner calls the raw core directly and formats a
 matrix only when it reports a failure.
 
 Every adapter offers the same fused kernels, and the raw core does its
@@ -88,6 +91,7 @@ from functools import reduce
 from .cache import EngineCache
 from .engine import PropertyResult, build_cache
 from .errors import (
+    MixedRings,
     NoResidue,
     NotBezout,
     NotComaximal,
@@ -103,38 +107,22 @@ _SWEEP_LIMIT = 1000
 class RingMatrix:
     """Immutable matrix of ring elements, row-major.
 
-    A matrix the library builds from a raw grid (``_box``) keeps it with
-    the scalar adapter that made it and boxes ``entries`` on first read.
+    Every matrix holds a raw grid with the scalar adapter of its ring and
+    boxes ``entries`` into ``Element``s on first read. ``RingMatrix(ring,
+    entries)`` unboxes its elements once, checking that each belongs to
+    the ring; ``from_strings``, ``identity`` and the reducer's results
+    write the grid directly.
     """
 
     __slots__ = ("ring", "rows", "cols", "_entries", "_raw")
 
     def __init__(self, ring: Ring, entries):
-        self._fill(ring, entries)
-        for row in self._entries:
-            for e in row:
-                ring._member(e)
-
-    def _fill(self, ring: Ring, entries) -> None:
-        """Set the fields from a grid of entries, checking its shape only."""
-        entries = tuple(tuple(row) for row in entries)
-        _check_shape(entries)
-        self.ring = ring
-        self.rows = len(entries)
-        self.cols = len(entries[0])
-        self._entries = entries
-        self._raw = None
-
-    @classmethod
-    def _of(cls, ring: Ring, entries) -> "RingMatrix":
-        """A matrix of elements the ring itself just made.
-
-        Their membership holds by construction, so only the shape is
-        checked, not each entry as ``RingMatrix()`` does.
-        """
-        M = object.__new__(cls)
-        M._fill(ring, entries)
-        return M
+        ops = _matrix_ops(ring)
+        from_elem = ops.from_elem
+        grid = [list(map(from_elem, row)) for row in entries]
+        _check_shape(grid)
+        self.ring, self.rows, self.cols = ring, len(grid), len(grid[0])
+        self._entries, self._raw = None, (ops, grid)
 
     @property
     def entries(self) -> tuple[tuple[Element, ...], ...]:
@@ -150,29 +138,20 @@ class RingMatrix:
 
     @classmethod
     def from_raw(cls, ring: Ring, rows) -> "RingMatrix":
-        return cls._of(ring, [[ring.make(v) for v in row] for row in rows])
+        return cls(ring, [[ring.make(v) for v in row] for row in rows])
 
     @classmethod
     def from_strings(cls, ring: Ring, rows) -> "RingMatrix":
         """Parse a list of rows of element strings.
 
-        An infinite ring, or a finite handle that already holds its cache,
-        parses straight to a raw grid; a finite handle without a cache is
-        not given one here (a ring past the size bound would raise
-        TooLarge), so it parses each entry to an element.
+        The ring's adapter comes first, so a finite ring past the size
+        bound raises TooLarge before any entry is read.
         """
+        ops = _matrix_ops(ring)
         if not isinstance(rows, (list, tuple)) or not all(
                 isinstance(row, (list, tuple))
                 and all(isinstance(s, str) for s in row) for row in rows):
             raise ParseError("a matrix is a list of rows of element strings")
-        if ring.cardinality is None:
-            ops = _scalar_ops(ring)
-        else:
-            cache = getattr(ring, "_cache_obj", None)
-            if cache is None:
-                return cls._of(ring, [[ring.parse_element(s) for s in row]
-                                      for row in rows])
-            ops = _cache_ops(cache)
         parse = ops.parse
         grid = [list(map(parse, row)) for row in rows]
         _check_shape(grid)
@@ -180,40 +159,28 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
-        z, o = ring.zero, ring.one
-        return cls._of(ring, [[o if i == j else z for j in range(n)]
-                              for i in range(n)])
+        ops = _matrix_ops(ring)
+        grid = ops.identity(n)  # the template: a kept grid is never written to
+        _check_shape(grid)
+        return _box(ops, grid)
 
     def mat_mul(self, other: "RingMatrix") -> "RingMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        ring = self.ring
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ring.zero
-                for k in range(self.cols):
-                    acc = ring.add(acc, ring.mul(self.entries[i][k],
-                                                 other.entries[k][j]))
-                row.append(acc)
-            out.append(row)
-        return RingMatrix._of(ring, out)
+        ops, grid = self._raw
+        return _box(ops, ops.matmul(grid, _unbox(ops, other)))
 
     def __eq__(self, other):
         return (isinstance(other, RingMatrix) and self.ring is other.ring
-                and self.entries == other.entries)
+                and self._raw[1] == other._raw[1])
 
     def __hash__(self):
-        return hash((id(self.ring), self.entries))
+        return hash((id(self.ring), tuple(map(tuple, self._raw[1]))))
 
     def diagonal(self) -> list[Element]:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
     def to_strings(self) -> list[list[str]]:
-        if self._raw is None:
-            fmt = self.ring.format_element
-            return [[fmt(e) for e in row] for row in self._entries]
         ops, grid = self._raw
         fmt = ops.fmt
         return [list(map(fmt, row)) for row in grid]
@@ -309,7 +276,7 @@ class _FiniteOps(_Adapter):
         self._neg = cache.neg
 
     def from_elem(self, e: Element) -> int:
-        return self.c.index_of(e)
+        return self.c.idx[self.ring._member(e)]
 
     def to_elem(self, x: int) -> Element:
         return self.c.element(x)
@@ -487,17 +454,12 @@ class _ValueOps(_Adapter):
     def unit_canon(self, x):
         return self.ring._unit_canon_raw(x)
 
-    def pivot_key(self, x):
-        if self.ring.kind == "Z":
-            return abs(x)
-        if self.ring.kind == "zloc":
-            return self.ring.prime_part(x)
-        return 0
-
 
 class _NativeOps(_ValueOps):
     """Payload kernels for Z, whose raw add and mul are the + and * of int:
     the kernels use the operators themselves."""
+
+    pivot_key = staticmethod(abs)
 
     def __init__(self, ring: Ring):
         super().__init__(ring)
@@ -569,6 +531,9 @@ class _RatioOps(_NativeOps):
     for each product and each sum. Only public Fraction API is used.
     """
 
+    def pivot_key(self, x):
+        return self.ring.prime_part(x)
+
     def lin(self, x, p, y, q):
         a, b = x.as_integer_ratio()
         c, d = p.as_integer_ratio()
@@ -623,6 +588,14 @@ def _scalar_ops(ring: Ring):
     return ops
 
 
+def _matrix_ops(ring: Ring):
+    """The adapter a RingMatrix over ``ring`` keeps: the handle's own
+    cache adapter if the handle holds a cache (whatever bound it was
+    built under), else ``_scalar_ops(ring)``."""
+    cache = getattr(ring, "_cache_obj", None)
+    return _scalar_ops(ring) if cache is None else _cache_ops(cache)
+
+
 def _ops_for(ring: Ring, strategy: str | None):
     finite = ring.cardinality is not None
     if strategy is None:
@@ -655,8 +628,8 @@ def _box(ops, grid) -> RingMatrix:
 
     The payloads come from ``ops`` arithmetic or its parser, so they
     belong to the ring by construction and skip the membership checks of
-    ``RingMatrix()``; ``entries`` boxes them on first read. The matrix
-    owns the grid from here on, and nothing writes to it.
+    ``RingMatrix()``. The matrix owns the grid from here on, and nothing
+    writes to it.
     """
     M = object.__new__(RingMatrix)
     M.ring, M.rows, M.cols = ops.ring, len(grid), len(grid[0])
@@ -665,17 +638,15 @@ def _box(ops, grid) -> RingMatrix:
 
 
 def _unbox(ops, M: RingMatrix) -> list[list]:
-    """Raw grid of a RingMatrix, for reading only.
+    """The raw grid of a RingMatrix over ``ops.ring``, for reading only.
 
-    A matrix that ``ops`` built hands back its kept grid. Any other one,
-    built from elements or by another handle's adapter, is unboxed entry
-    by entry, and ``ops.from_elem`` checks membership.
+    A matrix of another ring handle, even one of the same spec, raises
+    MixedRings.
     """
-    raw = M._raw
-    if raw is not None and raw[0] is ops:
-        return raw[1]
-    from_elem = ops.from_elem
-    return [list(map(from_elem, row)) for row in M.entries]
+    kept, grid = M._raw
+    if kept is not ops:
+        raise MixedRings(f"{M!r} belongs to another handle than {ops.ring!r}")
+    return grid
 
 
 def _verify_raw(ops, A, P, Pinv, D, Q, Qinv):
@@ -1126,17 +1097,17 @@ def hermite_step(ring: Ring, a: Element, b: Element
                  ) -> tuple[Element, RingMatrix]:
     """One Hermite column step: (a b) * Q = (d 0) with Q invertible.
 
-    Q is assembled from the Bezout witness as columns (x, y) and (-b1, a1);
-    its determinant is x*a1 + y*b1, the comaximality combination, which the
-    witness construction pins to 1. The degenerate pair (0, 0) returns the
-    identity transform.
+    Q is assembled from the raw Hermite witness as columns (x, y) and
+    (-b1, a1); its determinant is x*a1 + y*b1, the comaximality
+    combination, which the witness construction pins to 1. The degenerate
+    pair (0, 0) returns the identity transform.
     """
-    if a == ring.zero and b == ring.zero:
+    ops = _scalar_ops(ring)
+    x, y = ops.from_elem(a), ops.from_elem(b)
+    if ops.is_zero(x) and ops.is_zero(y):
         return ring.zero, RingMatrix.identity(ring, 2)
-    data = ring.bezout_gcd(a, b)
-    q = RingMatrix._of(ring, [[data.x, ring.neg(data.b1)],
-                              [data.y, data.a1]])
-    return data.d, q
+    d, x, y, a1, b1 = ops.hermite(x, y)
+    return ops.to_elem(d), _box(ops, [[x, ops.neg(b1)], [y, a1]])
 
 
 def comax_triangular_reduce(ring: Ring, a: Element, b: Element, c: Element,

@@ -122,6 +122,18 @@ def test_reduce_result_past_the_digit_limit_exit_4(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", [[["1", "2"], ["3", "4"]],
+                                  [["abc", "2"], ["3", "4"]]])
+def test_reduce_past_the_size_bound_exit_4(tmp_path, rows):
+    """Zn:5000 is past the default size bound: the bound is checked before
+    the entries are parsed, so a bad entry exits 4 as well."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"ring": "Zn:5000", "rows": rows}))
+    res = run_cli("reduce", str(path))
+    assert res.returncode == 4, res.stderr
+    assert "too large" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_reduce_failure_exit_3(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({

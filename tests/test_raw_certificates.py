@@ -1,11 +1,12 @@
-"""Certificates keep their raw grids through the public reduce path.
+"""Every matrix keeps a raw grid through the public reduce path.
 
-A matrix that ``diagonal_reduce`` or ``from_strings`` builds keeps the raw
-grid it came from, with the scalar adapter that made it, and boxes its
-entries only when they are read. These tests pin what that must not
-change: the conversions a reduce -> verify -> JSON -> verify cycle makes,
-equality with the element-level copy, rejection of another handle's
-matrices, the ownership of a kept grid, and pickling.
+A ``RingMatrix`` holds a raw grid with its ring's scalar adapter and boxes
+its entries only when they are read; ``RingMatrix(ring, entries)``
+unboxes the elements once, when it is built. These tests pin what that
+must not change: the conversions a reduce -> verify -> JSON -> verify
+cycle makes, equality with the element-level copy, rejection of another
+handle's matrices, the ownership of a kept grid, pickling, and the size
+bound, which a finite ring meets when a matrix is built.
 """
 
 import copy
@@ -14,11 +15,12 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from ringlab.concrete import builtin_table_path, make_ring
-from ringlab.errors import MixedRings, ReductionFailed
+from ringlab.errors import MixedRings, ReductionFailed, TooLarge
 from ringlab.reduction import (
     ReductionCertificate,
     RingMatrix,
@@ -77,8 +79,8 @@ def cycle(ring, A):
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_cycle_converts_only_the_user_matrix(spec, monkeypatch):
-    """No entry is boxed, and only the user's A is unboxed: once for the
-    reduction and once for each verification."""
+    """The user's A is unboxed once, when it is built; the cycle then
+    boxes and unboxes no entry."""
     cases = reducible(spec)
     ops_type = type(_scalar_ops(cases[0][0]))
     calls = Counter()
@@ -88,9 +90,13 @@ def test_cycle_converts_only_the_user_matrix(spec, monkeypatch):
             return orig(self, x)
         monkeypatch.setattr(ops_type, name, spy)
     for ring, A, _ in cases:
+        entries = A.entries
+        calls.clear()
+        A = RingMatrix(ring, entries)
+        assert calls == {"from_elem": A.rows * A.cols}, A.to_strings()
         calls.clear()
         assert cycle(ring, A)
-        assert calls == {"from_elem": 3 * A.rows * A.cols}, A.to_strings()
+        assert not calls, A.to_strings()
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
@@ -132,6 +138,36 @@ def test_matrices_of_another_handle_are_rejected(spec):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_entries_that_are_not_elements_are_rejected(spec):
+    ring = make_ring(spec)
+    with pytest.raises(MixedRings):
+        RingMatrix(ring, [[ring.one, 1]])
+
+
+def element_product(ring, X, Y):
+    """X*Y entry by entry in Element arithmetic, as a RingMatrix."""
+    return RingMatrix(ring, [[reduce(ring.add, map(ring.mul, row, col), ring.zero)
+                              for col in zip(*Y.entries)] for row in X.entries])
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_mat_mul_multiplies_the_grids_of_one_handle(spec):
+    """mat_mul agrees with Element arithmetic, multiplies a certificate
+    out to D and to identities, and rejects another handle's matrix."""
+    other = make_ring(spec)
+    for ring, A, cert in reducible(spec, count=1):
+        for X, Y in ((A, cert.Q), (cert.P, A), (cert.Pinv, cert.D)):
+            assert X.mat_mul(Y) == element_product(ring, X, Y)
+        assert cert.P.mat_mul(A).mat_mul(cert.Q) == cert.D
+        assert cert.P.mat_mul(cert.Pinv) == RingMatrix.identity(ring, A.rows)
+        assert cert.Qinv.mat_mul(cert.Q) == RingMatrix.identity(ring, A.cols)
+        A_other = RingMatrix.from_strings(other, A.to_strings())
+        for X, Y in ((A, RingMatrix.identity(other, A.cols)), (A_other, cert.Q)):
+            with pytest.raises(MixedRings):
+                X.mat_mul(Y)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_kept_grid_is_unchanged_after_reducing_it(spec):
     for ring, A, cert in reducible(spec):
         ops = _scalar_ops(ring)
@@ -159,3 +195,37 @@ def test_pickled_certificate_still_verifies(spec):
             res = verify_certificate(ring2, A2, c2)
             assert res.verdict
             assert res == verify_certificate(ring, A, c)
+
+
+def test_matrix_past_the_bound_is_too_large_without_a_cache():
+    """Zn:5000 is past the default size bound of 4096: a matrix over a
+    handle with no cache cannot be built, and no cache is left behind."""
+    ring = make_ring("Zn:5000")
+    builds = (lambda: RingMatrix(ring, [[ring.make(1), ring.make(2)]]),
+              lambda: RingMatrix.from_strings(ring, [["1", "2"]]),
+              lambda: RingMatrix.from_strings(ring, [["abc"]]),
+              lambda: RingMatrix.identity(ring, 2))
+    for build in builds:
+        with pytest.raises(TooLarge):
+            build()
+    assert getattr(ring, "_cache_obj", None) is None
+
+
+def test_matrix_past_the_bound_on_a_cached_handle():
+    """A handle that holds a cache built under a larger bound makes its
+    matrices with that cache; reducing still needs the default bound.
+    Zn:4097 is the smallest ring past the default bound of 4096, so its
+    tables are the cheapest to build."""
+    ring = make_ring("Zn:4097")
+    ring.cache(bound=8192)
+    A = RingMatrix(ring, [[ring.make(2), ring.make(3)],
+                          [ring.make(4), ring.make(4096)]])
+    assert A.to_strings() == [["2", "3"], ["4", "4096"]]
+    assert RingMatrix.from_strings(ring, A.to_strings()) == A
+    eye = RingMatrix.identity(ring, 2)
+    assert eye.to_strings() == [["1", "0"], ["0", "1"]]
+    assert A.mat_mul(eye) == A and eye.mat_mul(A) == A
+    with pytest.raises(TooLarge):
+        diagonal_reduce(ring, A)
+    with pytest.raises(TooLarge):
+        verify_certificate(ring, A, ReductionCertificate(*[eye] * 5))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -8,8 +9,10 @@ from ringlab.concrete import builtin_table_path, make_ring
 from ringlab.errors import (
     MixedRings,
     NoResidue,
+    NotBezout,
     NotComaximal,
     ReductionFailed,
+    TooLarge,
     UnsupportedSpec,
 )
 from ringlab.reduction import (
@@ -17,6 +20,7 @@ from ringlab.reduction import (
     RingMatrix,
     _cache_ops,
     _reduce_raw,
+    _scalar_ops,
     _verify_raw,
     comax_triangular_reduce,
     diagonal_reduce,
@@ -56,6 +60,52 @@ def test_hermite_step_z6():
     assert d == Z6.one
     row = RingMatrix.from_raw(Z6, [[2, 3]])
     assert row.mat_mul(Q).to_strings() == [["1", "0"]]
+
+
+def _hermite_sample(ring):
+    if ring.cardinality is not None:
+        return list(ring.elements())
+    if ring.kind == "zloc":
+        return [ring.make(Fraction(v, d)) for v in range(-6, 7) for d in (1, 5)]
+    return [ring.make(v) for v in range(-12, 13)]
+
+
+@pytest.mark.parametrize("spec", ["Z", "zloc:{2,3}", "Zn:12", "prod(Zn:4,Zn:3)",
+                                  "polyq:2:x^3", f"table:{builtin_table_path()}"])
+def test_hermite_step_matches_the_bezout_witness(spec):
+    """hermite_step runs the raw Hermite kernel, the search behind
+    ``bezout_gcd``: d and Q are that witness's, and a pair without a
+    Bezout gcd raises NotBezout as ``bezout_gcd`` does."""
+    ring = make_ring(spec)
+    sample = _hermite_sample(ring)
+    for a, b in itertools.product(sample, repeat=2):
+        if a == ring.zero and b == ring.zero:
+            continue
+        try:
+            data = ring.bezout_gcd(a, b)
+        except NotBezout:
+            with pytest.raises(NotBezout):
+                hermite_step(ring, a, b)
+            continue
+        d, Q = hermite_step(ring, a, b)
+        assert d == data.d
+        assert Q == RingMatrix(ring, [[data.x, ring.neg(data.b1)],
+                                      [data.y, data.a1]])
+
+
+def test_hermite_step_past_the_bound_is_too_large():
+    ring = make_ring("Zn:5000")
+    with pytest.raises(TooLarge):
+        hermite_step(ring, ring.make(2), ring.make(3))
+
+
+def test_pivot_keys_of_the_payload_adapters():
+    """The reducer pivots on the least |x| over Z and on the least prime
+    part, the product of p^v_p over the localized primes, over zloc."""
+    Z, zl = make_ring("Z"), make_ring("zloc:{2,3}")
+    assert [_scalar_ops(Z).pivot_key(v) for v in (-7, 0, 12)] == [7, 0, 12]
+    values = [Fraction(0), Fraction(-36, 5), Fraction(7, 25), Fraction(2, 7)]
+    assert [_scalar_ops(zl).pivot_key(v) for v in values] == [0, 36, 1, 2]
 
 
 def test_triangular_kernel_z_example(Z):
