@@ -1,20 +1,25 @@
 """Corpus runner: maps ring-theoretic claims to machine checks.
 
-Each check either runs per corpus ring (with an explicit hypothesis
-filter, so rings that do not satisfy the hypothesis are recorded as
-vacuous rather than silently passing) or runs once against a fixed
-structured ring. Every witness produced by the predicate engine is
-re-verified before it enters the report, and counterexamples are
-re-verified too, so a failing report is itself certified. A corpus spec
-that cannot be built fails every requested per-ring check with an
-``error`` row instead of passing as vacuous.
+Every check is one entry of the ordered table ``_CHECKS``. A per-ring
+check names its hypotheses, each a ``(reason, holds)`` pair such as
+``_FINITE`` or ``_BEZOUT``; ``_run_check`` tests them in order on each
+corpus ring and records the ring as vacuous, with the reason of the first
+that fails, so a ring outside a theorem's hypotheses never passes
+silently. A global check runs once, from the seed, on fixed structured
+rings. An info check counts neither as a pass nor as a failure.
+
+Every witness produced by the predicate engine is re-verified before it
+enters the report, and counterexamples are re-verified too, so a failing
+report is itself certified. A corpus spec that cannot be built fails every
+requested per-ring check with an ``error`` row instead of passing as
+vacuous.
 
 Reports are deterministic: a fixed seed drives all sampling, per-check
 ring entries are sorted by ring spec, and the JSON serializer sorts keys.
 Set the environment variable RINGLAB_WORKERS to fan per-ring work out to
 that many processes; the merged report is identical either way. A value
-that is not an integer of at least 1, or a check id outside CHECK_ORDER,
-raises ValueError before any work starts.
+that is not an integer of at least 1, a check id outside CHECK_ORDER, or
+an empty check list raises ValueError before any work starts.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -29,7 +35,6 @@ from itertools import compress
 from . import adequacy, engine
 from .concrete import (
     LocalizedIntegerRing,
-    ModularRing,
     ProductRing,
     builtin_table_path,
     localized_residue_map,
@@ -50,15 +55,6 @@ from .rings import Ring, int_xgcd
 
 DEFAULT_SEED = 1729
 
-CHECK_ORDER = (
-    "T2.5", "L2.3", "L2.4", "C2.6", "C2.7", "C2.8", "C2.9", "E2.10",
-    "E2.11", "P2.13", "C2.14", "C2.15", "T2.16", "C2.17", "T3.1",
-    "C3.2-info", "P3.3-info", "L3.7", "T3.8", "C3.9", "E3.10", "ZALPHA",
-)
-
-INFO_CHECKS = frozenset({"C3.2-info", "P3.3-info"})
-GLOBAL_CHECKS = frozenset({"E2.11", "L3.7", "E3.10", "ZALPHA"})
-
 
 @dataclass(frozen=True)
 class CorpusConfig:
@@ -76,7 +72,10 @@ class CorpusConfig:
     large_sample_3x3: int = 10
 
     def __post_init__(self):
-        unknown = [cid for cid in self.checks or () if cid not in CHECK_ORDER]
+        if self.checks is not None and not self.checks:
+            raise ValueError("no check requested: name at least one check id, "
+                             "or leave checks unset to run them all")
+        unknown = [cid for cid in self.checks or () if cid not in _CHECKS]
         if unknown:
             raise ValueError("unknown check id(s): " + ", ".join(map(repr, unknown)))
 
@@ -149,11 +148,6 @@ class _RingCtx:
         """The ring-level notion: Bezout and 0 feckly adequate."""
         return self.is_bezout() and self.verdict("feckly_zero_adequate")
 
-    def fa_elements(self) -> list[int]:
-        """Indices of the feckly adequate elements."""
-        return list(compress(range(self.cache.n),
-                             engine._adequate_flags(self.cache, "feckly")))
-
     @classmethod
     def from_ring(cls, ring: Ring, config: CorpusConfig) -> "_RingCtx":
         """Context of a ring built in the run, such as a quotient, named by
@@ -178,7 +172,44 @@ def _entry(spec: str, verdict: bool, exercised=None, detail=None,
 
 
 # ---------------------------------------------------------------------------
-# matrix sampling shared by C2.6 / C3.9 / T3.8
+# hypotheses: (vacuous reason, holds(ctx)), tested in a check's order
+# ---------------------------------------------------------------------------
+
+
+def _is_domain(cache) -> bool:
+    n = cache.n
+    for a in range(n):
+        if a == cache.zero:
+            continue
+        row = a * n
+        for b in range(n):
+            if b != cache.zero and cache.mul[row + b] == cache.zero:
+                return False
+    return True
+
+
+def _nonradical_elements_fa(ctx: _RingCtx) -> bool:
+    """Every element outside the Jacobson radical is feckly adequate."""
+    fa = engine._adequate_flags(ctx.cache, "feckly")
+    return all(fa[i] for i in range(ctx.cache.n) if i not in ctx.cache.jac)
+
+
+_FINITE = ("infinite ring", lambda ctx: ctx.finite)
+_BEZOUT = ("not Bezout", _RingCtx.is_bezout)
+_FZA = ("not a feckly zero-adequate ring", _RingCtx.is_fza_ring)
+_PRODUCT = ("not a product ring", lambda ctx: isinstance(ctx.ring, ProductRing))
+_DOMAIN = ("not a finite Bezout domain",
+           lambda ctx: ctx.finite and ctx.is_bezout() and _is_domain(ctx.cache))
+_SMALL = ("beyond the exhaustive size bound",
+          lambda ctx: ctx.cache.n <= ctx.config.exhaustive_2x2_max)
+_FAR1 = ("no feckly adequate range 1",
+         lambda ctx: ctx.is_bezout() and ctx.verdict("feckly_adequate_range_1"))
+_NONRADICAL_FA = ("some element outside the radical is not feckly adequate",
+                  _nonradical_elements_fa)
+
+
+# ---------------------------------------------------------------------------
+# seeded sampling, and the matrix battery of the reduction checks
 # ---------------------------------------------------------------------------
 
 
@@ -260,45 +291,32 @@ def _matrix_battery(ctx: _RingCtx) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_t25(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_bezout():
-        return _vacuous(ctx.spec, "not Bezout")
-    verdicts = {
-        "feckly_zero_adequate": ctx.verdict("feckly_zero_adequate"),
-        "regular_mod_J": ctx.verdict("regular_mod_J"),
-        "pi_regular_mod_J": ctx.verdict("pi_regular_mod_J"),
-    }
-    ok = len(set(verdicts.values())) == 1
-    return _entry(ctx.spec, ok, exercised={"elements": ctx.cache.n},
-                  detail=verdicts)
+def _agree(ctx: _RingCtx, detail: dict, exercised=None) -> dict:
+    """A row that passes when every verdict in ``detail`` is the same."""
+    return _entry(ctx.spec, len(set(detail.values())) == 1,
+                  exercised=exercised, detail=detail)
 
 
-def _check_l23(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_fza_ring():
-        return _vacuous(ctx.spec, "not a feckly zero-adequate ring")
-    return _entry(ctx.spec, ctx.verdict("feckly_clean"),
-                  exercised={"elements": ctx.cache.n})
+def _same_verdicts(*predicates: str, elements: bool = False):
+    """A check that the ring predicates all reach one verdict; with
+    ``elements`` its rows also give the ring size as exercised."""
+    return lambda ctx: _agree(ctx, {p: ctx.verdict(p) for p in predicates},
+                              {"elements": ctx.cache.n} if elements else None)
+
+
+def _holds(predicate: str):
+    """A check that one ring predicate holds."""
+    return lambda ctx: _entry(ctx.spec, ctx.verdict(predicate),
+                              exercised={"elements": ctx.cache.n})
 
 
 def _check_l24(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_fza_ring():
-        return _vacuous(ctx.spec, "not a feckly zero-adequate ring")
     res = engine.j_characterization_check(ctx.cache)
     return _entry(ctx.spec, res.verdict, exercised=res.exercised,
                   counterexample=res.counterexample)
 
 
 def _check_c26(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_fza_ring():
-        return _vacuous(ctx.spec, "not a feckly zero-adequate ring")
     battery = _matrix_battery(ctx)
     return _entry(ctx.spec, not battery["failures"],
                   exercised={"matrices": battery["matrices"],
@@ -316,53 +334,22 @@ def _radical_quotient_ctx(ctx: _RingCtx) -> _RingCtx:
 
 
 def _check_c27(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
     lhs = ctx.is_fza_ring()
     rq = _radical_quotient_ctx(ctx)
     rhs = ctx.is_bezout() and rq.is_bezout() and rq.verdict("zero_adequate")
-    return _entry(ctx.spec, lhs == rhs,
-                  detail={"fza_ring": lhs, "radical_quotient_zero_adequate": rhs},
-                  exercised={"quotient_size": rq.cache.n})
+    return _agree(ctx, {"fza_ring": lhs, "radical_quotient_zero_adequate": rhs},
+                  {"quotient_size": rq.cache.n})
 
 
 def _check_c28(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_bezout():
-        return _vacuous(ctx.spec, "not Bezout")
-    lhs = ctx.verdict("zero_adequate")
-    rhs = (ctx.verdict("feckly_zero_adequate")
-           and ctx.verdict("idempotents_lift_mod_J"))
-    return _entry(ctx.spec, lhs == rhs,
-                  detail={"zero_adequate": lhs, "fza_and_lifts": rhs})
-
-
-def _check_c29(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_bezout():
-        return _vacuous(ctx.spec, "not Bezout")
-    lhs = ctx.verdict("zero_adequate")
-    rhs = ctx.verdict("semiregular")
-    return _entry(ctx.spec, lhs == rhs,
-                  detail={"zero_adequate": lhs, "semiregular": rhs})
-
-
-def _check_e210(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_bezout():
-        return _vacuous(ctx.spec, "not Bezout")
-    return _entry(ctx.spec, ctx.verdict("feckly_zero_adequate"),
-                  exercised={"elements": ctx.cache.n})
+    return _agree(ctx, {
+        "zero_adequate": ctx.verdict("zero_adequate"),
+        "fza_and_lifts": (ctx.verdict("feckly_zero_adequate")
+                          and ctx.verdict("idempotents_lift_mod_J")),
+    })
 
 
 def _check_p213(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_fza_ring():
-        return _vacuous(ctx.spec, "not a feckly zero-adequate ring")
     cache = ctx.cache
     classes = sorted(set(cache.ideal_class))
     bad = None
@@ -370,8 +357,7 @@ def _check_p213(ctx: _RingCtx) -> dict:
         gen = cache.generators_of(cls)[0]
         sub = _quotient_ctx(ctx, [cache.element(gen)])
         if not sub.verdict("feckly_zero_adequate"):
-            bad = {"generator": cache.ring._format(cache.vals[gen]),
-                   "quotient_size": sub.cache.n}
+            bad = {"generator": cache.names[gen], "quotient_size": sub.cache.n}
             break
     return _entry(ctx.spec, bad is None,
                   exercised={"principal_ideals": len(classes)},
@@ -379,66 +365,23 @@ def _check_p213(ctx: _RingCtx) -> dict:
 
 
 def _check_c214(ctx: _RingCtx) -> dict:
-    if not isinstance(ctx.ring, ProductRing):
-        return _vacuous(ctx.spec, "not a product ring")
     lhs = ctx.is_fza_ring()
-    factor_verdicts = []
-    for f in ctx.ring.factors:
-        fcache = engine.build_cache(f, ctx.config.size_bound)
-        fz = (engine.ring_predicate(fcache, "bezout").verdict
-              and engine.ring_predicate(fcache, "feckly_zero_adequate").verdict)
-        factor_verdicts.append(fz)
-    rhs = all(factor_verdicts)
-    return _entry(ctx.spec, lhs == rhs,
-                  detail={"product": lhs, "factors": factor_verdicts})
+    factors = [_RingCtx.from_ring(f, ctx.config).is_fza_ring()
+               for f in ctx.ring.factors]
+    return _entry(ctx.spec, lhs == all(factors),
+                  detail={"product": lhs, "factors": factors})
 
 
 def _check_c215(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_bezout():
-        return _vacuous(ctx.spec, "not Bezout")
     rq = _radical_quotient_ctx(ctx)
-    lhs = ctx.verdict("feckly_zero_adequate")
-    rhs = rq.verdict("feckly_zero_adequate")
-    return _entry(ctx.spec, lhs == rhs,
-                  detail={"ring": lhs, "radical_quotient": rhs},
-                  exercised={"quotient_size": rq.cache.n})
-
-
-def _check_t216(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_bezout():
-        return _vacuous(ctx.spec, "not Bezout")
-    verdicts = {
-        "feckly_zero_adequate": ctx.verdict("feckly_zero_adequate"),
-        "t216_cond2": ctx.verdict("t216_cond2"),
-        "t216_cond3": ctx.verdict("t216_cond3"),
-    }
-    return _entry(ctx.spec, len(set(verdicts.values())) == 1, detail=verdicts)
-
-
-def _check_c217(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_bezout():
-        return _vacuous(ctx.spec, "not Bezout")
-    verdicts = {
-        "zero_adequate": ctx.verdict("zero_adequate"),
-        "c217_cond2": ctx.verdict("c217_cond2"),
-        "c217_cond3": ctx.verdict("c217_cond3"),
-    }
-    return _entry(ctx.spec, len(set(verdicts.values())) == 1, detail=verdicts)
+    return _agree(ctx, {"ring": ctx.verdict("feckly_zero_adequate"),
+                        "radical_quotient": rq.verdict("feckly_zero_adequate")},
+                  {"quotient_size": rq.cache.n})
 
 
 def _check_t31(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_bezout():
-        return _vacuous(ctx.spec, "not Bezout")
     cache = ctx.cache
-    fa = ctx.fa_elements()
+    fa = list(compress(range(cache.n), engine._adequate_flags(cache, "feckly")))
     ideals = {}
     for i in fa:
         ideals.setdefault(cache.ideal_class[i], i)
@@ -447,27 +390,14 @@ def _check_t31(ctx: _RingCtx) -> dict:
     for cls, gen in sorted(ideals.items()):
         sub = _quotient_ctx(ctx, [cache.element(gen)])
         ok = sub.verdict("feckly_zero_adequate")
-        per_ideal[cache.ring._format(cache.vals[gen])] = ok
+        per_ideal[cache.names[gen]] = ok
         if not ok and bad is None:
-            bad = {"element": cache.ring._format(cache.vals[gen]),
-                   "quotient_size": sub.cache.n}
+            bad = {"element": cache.names[gen], "quotient_size": sub.cache.n}
     return _entry(ctx.spec, bad is None,
                   exercised={"elements": cache.n, "feckly_adequate": len(fa),
                              "ideals_tested": len(ideals)},
                   detail={"quotients_by_generator": per_ideal},
                   counterexample=bad)
-
-
-def _is_domain(cache) -> bool:
-    n = cache.n
-    for a in range(n):
-        if a == cache.zero:
-            continue
-        row = a * n
-        for b in range(n):
-            if b != cache.zero and cache.mul[row + b] == cache.zero:
-                return False
-    return True
 
 
 def _is_local(cache) -> bool:
@@ -477,8 +407,6 @@ def _is_local(cache) -> bool:
 
 
 def _check_c32_info(ctx: _RingCtx) -> dict:
-    if not ctx.finite or not ctx.is_bezout() or not _is_domain(ctx.cache):
-        return _vacuous(ctx.spec, "not a finite Bezout domain")
     cache = ctx.cache
     bad = None
     classic, feckly = (engine._adequate_flags(cache, v) for v in ("classic", "feckly"))
@@ -487,21 +415,18 @@ def _check_c32_info(ctx: _RingCtx) -> dict:
         sub = _quotient_ctx(ctx, [cache.element(a)])
         lifts = sub.verdict("idempotents_lift_mod_J")
         if lhs != (fa and lifts):
-            bad = {"a": cache.ring._format(cache.vals[a])}
+            bad = {"a": cache.names[a]}
             break
     return _entry(ctx.spec, bad is None, exercised={"elements": cache.n},
                   counterexample=bad)
 
 
 def _check_p33_info(ctx: _RingCtx) -> dict:
-    if not ctx.finite or not ctx.is_bezout() or not _is_domain(ctx.cache):
-        return _vacuous(ctx.spec, "not a finite Bezout domain")
-    verdicts = {
+    return _agree(ctx, {
         "zero_adequate": ctx.verdict("zero_adequate"),
         "everywhere_adequate": ctx.verdict("everywhere_adequate"),
         "local": _is_local(ctx.cache),
-    }
-    return _entry(ctx.spec, len(set(verdicts.values())) == 1, detail=verdicts)
+    })
 
 
 def _step_one_row_reduction(ctx: _RingCtx, a: int, b: int, c: int):
@@ -525,39 +450,28 @@ def _step_one_row_reduction(ctx: _RingCtx, a: int, b: int, c: int):
         return None
     x, y, z = wit
     byz = s(m(b, y), m(c, z))
-    k, fa = None, engine._adequate_flags(cache, "feckly")
-    for cand in range(n):
-        if fa[s(a, m(byz, cand))]:
-            k = cand
+    fa = engine._adequate_flags(cache, "feckly")
+    for k in range(n):
+        if fa[s(a, m(byz, k))]:
             break
-    if k is None:
+    else:
         return None
     w = s(a, m(byz, k))
     one_kx = cache.sub(cache.one, m(k, x))
-    h = None
-    for cand in range(n):
-        big_b = s(b, m(m(m(c, z), one_kx), cand))
+    for h in range(n):
+        big_b = s(b, m(m(m(c, z), one_kx), h))
         if cache.comax[big_b][w]:
-            h = cand
             break
-    if h is None:
+    else:
         return None
-    big_b = s(b, m(m(m(c, z), one_kx), h))
     inner = cache.sub(cache.one, m(m(one_kx, h), y))
     big_a = s(a, m(m(m(c, z), k), inner))
     return big_b, big_a, cache.comax[big_b][big_a]
 
 
 def _check_t38(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    cfg = ctx.config
     cache = ctx.cache
     n = cache.n
-    if n > cfg.exhaustive_2x2_max:
-        return _vacuous(ctx.spec, "beyond the exhaustive size bound")
-    if not ctx.is_bezout() or not ctx.verdict("feckly_adequate_range_1"):
-        return _vacuous(ctx.spec, "no feckly adequate range 1")
     ops = _cache_ops(ctx.cache)  # the run's size bound, not the default
     triples = step1_fail = step2_fail = 0
     for a in range(n):
@@ -583,42 +497,10 @@ def _check_t38(ctx: _RingCtx) -> dict:
 
 
 def _check_c39(ctx: _RingCtx) -> dict:
-    if not ctx.finite:
-        return _vacuous(ctx.spec, "infinite ring")
-    if not ctx.is_bezout():
-        return _vacuous(ctx.spec, "not Bezout")
-    cache = ctx.cache
-    fa = set(ctx.fa_elements())
-    outside = [i for i in range(cache.n) if i not in cache.jac]
-    if not all(i in fa for i in outside):
-        return _vacuous(ctx.spec, "some element outside the radical is not "
-                                  "feckly adequate")
     battery = _matrix_battery(ctx)
     return _entry(ctx.spec, not battery["failures"],
                   exercised={"matrices": battery["matrices"],
-                             "nonradical_elements": len(outside)})
-
-
-_PER_RING_CHECKS = {
-    "T2.5": _check_t25,
-    "L2.3": _check_l23,
-    "L2.4": _check_l24,
-    "C2.6": _check_c26,
-    "C2.7": _check_c27,
-    "C2.8": _check_c28,
-    "C2.9": _check_c29,
-    "E2.10": _check_e210,
-    "P2.13": _check_p213,
-    "C2.14": _check_c214,
-    "C2.15": _check_c215,
-    "T2.16": _check_t216,
-    "C2.17": _check_c217,
-    "T3.1": _check_t31,
-    "C3.2-info": _check_c32_info,
-    "P3.3-info": _check_p33_info,
-    "T3.8": _check_t38,
-    "C3.9": _check_c39,
-}
+                             "nonradical_elements": ctx.cache.n - len(ctx.cache.jac)})
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +654,62 @@ def _check_zalpha_global() -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
+# the check table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Check:
+    """One entry of the check table.
+
+    A per-ring check's ``run`` maps a ``_RingCtx`` that meets every
+    hypothesis in ``needs`` to the ring's row. A global check's ``run``
+    maps the run's seed to the rows of its fixed rings. An ``info`` check
+    counts neither as a pass nor as a failure.
+    """
+
+    run: Callable
+    needs: tuple[tuple[str, Callable[[_RingCtx], bool]], ...] = ()
+    per_ring: bool = True
+    info: bool = False
+
+
+_CHECKS = {
+    "T2.5": _Check(_same_verdicts("feckly_zero_adequate", "regular_mod_J",
+                                  "pi_regular_mod_J", elements=True),
+                   (_FINITE, _BEZOUT)),
+    "L2.3": _Check(_holds("feckly_clean"), (_FINITE, _FZA)),
+    "L2.4": _Check(_check_l24, (_FINITE, _FZA)),
+    "C2.6": _Check(_check_c26, (_FINITE, _FZA)),
+    "C2.7": _Check(_check_c27, (_FINITE,)),
+    "C2.8": _Check(_check_c28, (_FINITE, _BEZOUT)),
+    "C2.9": _Check(_same_verdicts("zero_adequate", "semiregular"),
+                   (_FINITE, _BEZOUT)),
+    "E2.10": _Check(_holds("feckly_zero_adequate"), (_FINITE, _BEZOUT)),
+    "E2.11": _Check(lambda seed: [check_example_2_11(seed)], per_ring=False),
+    "P2.13": _Check(_check_p213, (_FINITE, _FZA)),
+    "C2.14": _Check(_check_c214, (_PRODUCT,)),
+    "C2.15": _Check(_check_c215, (_FINITE, _BEZOUT)),
+    "T2.16": _Check(_same_verdicts("feckly_zero_adequate", "t216_cond2",
+                                   "t216_cond3"), (_FINITE, _BEZOUT)),
+    "C2.17": _Check(_same_verdicts("zero_adequate", "c217_cond2", "c217_cond3"),
+                    (_FINITE, _BEZOUT)),
+    "T3.1": _Check(_check_t31, (_FINITE, _BEZOUT)),
+    "C3.2-info": _Check(_check_c32_info, (_DOMAIN,), info=True),
+    "P3.3-info": _Check(_check_p33_info, (_DOMAIN,), info=True),
+    "L3.7": _Check(_check_l37_global, per_ring=False),
+    "T3.8": _Check(_check_t38, (_FINITE, _SMALL, _FAR1)),
+    "C3.9": _Check(_check_c39, (_FINITE, _BEZOUT, _NONRADICAL_FA)),
+    "E3.10": _Check(_check_e310_global, per_ring=False),
+    "ZALPHA": _Check(lambda seed: _check_zalpha_global(), per_ring=False),
+}
+
+CHECK_ORDER = tuple(_CHECKS)
+GLOBAL_CHECKS = frozenset(cid for cid, check in _CHECKS.items()
+                          if not check.per_ring)
+
+
+# ---------------------------------------------------------------------------
 # the runner
 # ---------------------------------------------------------------------------
 
@@ -779,6 +717,15 @@ def _check_zalpha_global() -> list[dict]:
 def _error_row(spec: str, exc: RinglabError) -> dict:
     """A failing row: the ring could not be built, or a check raised."""
     return {"ring": spec, "verdict": False, "vacuous": False, "error": str(exc)}
+
+
+def _run_check(check: _Check, ctx: _RingCtx) -> dict:
+    """The ring's row: vacuous, with the reason of the first hypothesis of
+    the check that fails, or else the check's own."""
+    for reason, holds in check.needs:
+        if not holds(ctx):
+            return _vacuous(ctx.spec, reason)
+    return check.run(ctx)
 
 
 def _ring_task(args) -> tuple[str, dict]:
@@ -789,8 +736,8 @@ def _ring_task(args) -> tuple[str, dict]:
     row, so it can never pass as vacuous.
     """
     spec, config = args
-    wanted = [cid for cid in _PER_RING_CHECKS
-              if config.checks is None or cid in config.checks]
+    wanted = [cid for cid, check in _CHECKS.items() if check.per_ring
+              and (config.checks is None or cid in config.checks)]
     try:
         ctx = _RingCtx(spec, make_ring(spec), config)
     except RinglabError as exc:
@@ -798,7 +745,7 @@ def _ring_task(args) -> tuple[str, dict]:
     out = {}
     for cid in wanted:
         try:
-            out[cid] = _PER_RING_CHECKS[cid](ctx)
+            out[cid] = _run_check(_CHECKS[cid], ctx)
         except RinglabError as exc:
             out[cid] = _error_row(spec, exc)
     return spec, out
@@ -838,26 +785,19 @@ def run_corpus(config: CorpusConfig) -> dict:
         per_ring = dict(map(_ring_task, tasks))
 
     results = []
-    for cid in CHECK_ORDER:
+    for cid, check in _CHECKS.items():
         if wanted is not None and cid not in wanted:
             continue
-        if cid in GLOBAL_CHECKS:
-            if cid == "E2.11":
-                rows = [check_example_2_11(config.seed)]
-            elif cid == "L3.7":
-                rows = _check_l37_global(config.seed)
-            elif cid == "E3.10":
-                rows = _check_e310_global(config.seed)
-            else:
-                rows = _check_zalpha_global()
+        if check.per_ring:
+            rows = [per_ring[spec][cid] for spec in specs]
         else:
-            rows = [per_ring[spec][cid] for spec in specs if cid in per_ring[spec]]
+            rows = check.run(config.seed)
         rows.sort(key=lambda r: r["ring"])
         exercised = sum(1 for r in rows if not r.get("vacuous"))
         aggregate = all(r["verdict"] for r in rows if r.get("verdict") is not None)
         results.append({
             "id": cid,
-            "info": cid in INFO_CHECKS,
+            "info": check.info,
             "aggregate": aggregate,
             "rings_exercised": exercised,
             "rings": rows,

@@ -259,3 +259,53 @@ def test_l37_draws_the_randint_stream(monkeypatch, seed):
         if gcd(b + a * r, c) == 1:
             want.append((a, b, c, r))
     assert got == want
+
+
+def test_every_check_and_reason_pinned():
+    """sha256 of one report that reaches every check id, every vacuous
+    reason a corpus ring can reach, an error row and three infinite rings.
+
+    The checkout path of the built-in table is replaced by ``<table>``, so
+    the digest does not depend on where the package lives.
+    """
+    import hashlib
+
+    table = builtin_table_path()
+    cfg = lab.CorpusConfig(
+        ring_specs=("Zn:5", "Zn:12", "Zn:4", "prod(Zn:2,Zn:2)", "polyq:2:x^2",
+                    "quot(polyq:4:x^2,2x)", f"table:{table}", "Z", "zloc:{2}",
+                    "dualint", "bogus"),
+        sample_2x2=25, sample_3x3=5)
+    text = lab.report_to_json(lab.run_corpus(cfg)).replace(table, "<table>")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7741a27a46911679cf2cfe453ef82f54b02684d7eab899e327d226fb4fb09cc2")
+
+
+def test_c214_factor_verdicts_are_reverified(monkeypatch):
+    """C2.14's factor verdicts go through reverify like every other verdict:
+    a factor whose payload fails re-verification makes an error row."""
+    reverify = lab.engine.reverify
+    monkeypatch.setattr(lab.engine, "reverify",
+                        lambda cache, res: cache.n != 4 and reverify(cache, res))
+    rep = lab.run_corpus(lab.CorpusConfig(ring_specs=("prod(Zn:4,Zn:9)",),
+                                          checks=("C2.14",)))
+    row = rep["results"][0]["rings"][0]
+    assert row["verdict"] is False and "Zn:4" in row["error"]
+    assert rep["summary"]["fail"] == 1
+
+
+def test_empty_check_list_is_rejected():
+    """checks=() would run nothing and report "checks": null, which means
+    every check; it is an error, as ``--checks ""`` is on the command line."""
+    with pytest.raises(ValueError, match="no check"):
+        _small_config(checks=())
+
+
+def test_t38_tests_the_size_before_bezout():
+    """A ring that fails two hypotheses of a check gets the reason of the
+    first in the check's order. The 16-element non-Bezout ring below is
+    past T3.8's exhaustive size bound, so T3.8 reports the size."""
+    rep = lab.run_corpus(lab.CorpusConfig(
+        ring_specs=("prod(Zn:2,quot(polyq:4:x^2,2x))",), checks=("T3.8",)))
+    row = rep["results"][0]["rings"][0]
+    assert row["vacuous"] and row["reason"] == "beyond the exhaustive size bound"
