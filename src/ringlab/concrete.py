@@ -26,6 +26,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import product as iter_product
+from math import gcd
 from pathlib import Path
 from typing import Callable
 
@@ -323,13 +324,19 @@ class LocalizedIntegerRing(Ring):
     def _canon(self, value):
         # A Fraction (what ``_parse`` returns) is already in lowest terms.
         f = value if type(value) is Fraction else Fraction(value)
-        for p in self.primes:
-            if f.denominator % p == 0:
-                raise ParseError(
-                    f"{f} is not in {self.spec_string()}: denominator "
-                    f"divisible by {p}"
-                )
+        self._local_pair(f.numerator, f.denominator)
         return f
+
+    def _local_pair(self, num: int, den: int) -> tuple[int, int]:
+        """``(num, den)``, in lowest terms with den > 0, if no localized
+        prime divides den; ParseError otherwise."""
+        for p in self.primes:
+            if den % p == 0:
+                raise ParseError(
+                    f"{Fraction(num, den)} is not in {self.spec_string()}: "
+                    f"denominator divisible by {p}"
+                )
+        return num, den
 
     def _add(self, x, y):
         return x + y
@@ -351,28 +358,43 @@ class LocalizedIntegerRing(Ring):
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
 
+    def _ascii_ratio(self, text: str) -> tuple[int, int] | None:
+        """The ASCII ``m`` and ``m/n`` forms, which ``_format`` writes, as
+        ``(num, den)`` in lowest terms with den > 0; None for any other
+        string. ``int`` enforces the digit limit."""
+        ratio = _RATIO_RE.fullmatch(text)
+        if ratio is None:
+            return None
+        num, den = ratio.groups()
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:
+            raise ParseError(f"bad fraction {text!r}") from exc
+        if not den:
+            raise ParseError(f"bad fraction {text!r}")
+        g = gcd(num, den)
+        return num // g, den // g
+
     def _parse(self, text):
         """A fraction string; at most ``sys.get_int_max_str_digits()``
         digits in the numerator and in the denominator, as for Z.
 
-        The ASCII ``m`` and ``m/n`` forms, which ``_format`` writes, are
-        read with ``int``; every other string goes through ``Fraction``.
+        The ASCII forms are read by ``_ascii_ratio``; every other string
+        goes through ``Fraction``.
         """
+        ratio = self._ascii_ratio(text)
+        if ratio is not None:
+            return Fraction(*ratio)
         limit = _int_max_str_digits()
-        ratio = _RATIO_RE.fullmatch(text)
         try:
-            if ratio is not None:
-                num, den = ratio.groups()
-                f = Fraction(int(num), int(den)) if den else Fraction(int(num))
-            else:
-                s = text.strip()
-                exp = _EXPONENT_RE.search(s)
-                if limit and exp and abs(int(exp.group(1))) > limit + len(s):
-                    # Fraction would compute 10**exponent first (even for a
-                    # zero mantissa); a nonzero value would have too many
-                    # digits.
-                    raise ParseError(f"exponent of {text!r} is out of range")
-                f = Fraction(s)
+            s = text.strip()
+            exp = _EXPONENT_RE.search(s)
+            if limit and exp and abs(int(exp.group(1))) > limit + len(s):
+                # Fraction would compute 10**exponent first (even for a
+                # zero mantissa); a nonzero value would have too many
+                # digits.
+                raise ParseError(f"exponent of {text!r} is out of range")
+            f = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad fraction {text!r}") from exc
         if limit and (_more_digits(f.numerator, limit)
@@ -393,11 +415,18 @@ class LocalizedIntegerRing(Ring):
 
     def prime_part(self, value: Fraction) -> int:
         """Product of p^v_p over the localized primes (1 for units, 0 for 0)."""
-        if value == 0:
+        return self._int_prime_part(value.numerator)
+
+    def _int_prime_part(self, m: int) -> int:
+        """Product of p^v_p(m) over the localized primes for an int m; 0 for
+        0. The prime part of a value is that of its numerator."""
+        if not m:
             return 0
         out = 1
         for p in self.primes:
-            out *= p ** self.valuation(value, p)
+            while m % p == 0:
+                m //= p
+                out *= p
         return out
 
     def _is_unit_raw(self, x):
@@ -430,9 +459,7 @@ class LocalizedIntegerRing(Ring):
             else:
                 u, v = 1 / a1, zero
             return (d, u, v, a1, b1, u, v)
-        d = Fraction(1)
-        for p in self.primes:
-            d *= p ** min(self.valuation(x, p), self.valuation(y, p))
+        d = Fraction(gcd(self.prime_part(x), self.prime_part(y)))
         a1, b1 = x / d, y / d
         g, k, l = int_xgcd(self.prime_part(a1), self.prime_part(b1))
         # The prime parts are coprime by construction, so g = 1.
@@ -452,8 +479,6 @@ class LocalizedIntegerRing(Ring):
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     """Positive generator of the additive group aZ + bZ inside Q."""
-    from math import gcd
-
     if a == 0 and b == 0:
         return Fraction(0)
     num = gcd(abs(a.numerator) * b.denominator, abs(b.numerator) * a.denominator)

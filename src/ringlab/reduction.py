@@ -29,17 +29,18 @@ not reducible here.
 
 Reduction, the 2x2 kernel and verification all run on raw grids (lists
 of rows) through one scalar adapter: cache indices on finite rings
-(``_FiniteOps``), canonical payloads on the others (``_ValueOps``,
-``_NativeOps`` for Z and its subclass ``_RatioOps`` for zloc). The raw
-core is ``_reduce_raw``, ``_comax_triangular_raw`` and ``_verify_raw``.
+(``_FiniteOps``), reduced integer pairs on zloc (``_RatioOps``), and
+canonical payloads on the others (``_ValueOps``, ``_NativeOps`` for Z).
+The raw core is ``_reduce_raw``, ``_comax_triangular_raw`` and
+``_verify_raw``.
 Every ``RingMatrix`` holds a raw grid with its ring's adapter, the
 handle's cache adapter when the handle holds a cache, and boxes
 ``entries`` into ``Element``s only when read. ``RingMatrix(ring,
 entries)`` unboxes its elements once, when it is built, with the
-membership check; ``_box`` wraps a result grid, ``from_strings`` parses
-straight to a grid (``cache.parsed`` on finite rings,
-``_canon(_parse(s))`` on infinite ones) and ``to_strings`` formats from
-it (``cache.names``, ``_format``). ``_unbox`` hands the grid back as it
+membership check; ``_box`` wraps a result grid, and ``from_strings``
+and ``to_strings`` go straight between strings and the grid through the
+adapter's ``parse`` and ``fmt``, which reject an entry that is not a
+string with ParseError. ``_unbox`` hands the grid back as it
 is, and a matrix of another ring handle raises MixedRings. On a finite
 ring the adapter needs the cache, so a matrix over a ring past the size
 bound, with no cache on its handle, raises TooLarge when it is built.
@@ -61,12 +62,18 @@ adapters also write out the three products that check a 2x2 certificate
 (``products_2x2``), and the verifier then checks that shape in one
 straight-line pass. On Z the raw add and mul
 are the + and * of int, so its kernels use the operators directly. On
-zloc the kernels work on the ``as_integer_ratio()`` pairs of the
-Fractions: an output entry such as x*p + y*q is worked out as one integer
-numerator over one common denominator and made into one
-``Fraction(num, den)``, which normalises once, where the operators would
-normalise each product and the sum. Other value kinds go through the
-ring's raw methods.
+zloc a raw entry is ``(num, den)``, the ints in lowest terms with
+den > 0 that ``Fraction.as_integer_ratio()`` gives, so equal values are
+equal tuples and the verifier's comparisons are tuple comparisons. An
+output entry such as x*p + y*q is worked out as one numerator over one
+common denominator with one ``math.gcd``, where the Fraction operators
+would normalise each product and the sum. Units, divisibility, the
+Hermite data and the unit canon come from the ring's integer prime part
+(``_int_prime_part``) and equal the ring's raw methods pair for pair. A
+``Fraction`` is made only at the boundary: boxing an entry
+(``Element.value`` stays a Fraction), and parsing a string other than the
+ASCII ``m`` and ``m/n`` forms that ``fmt`` writes. Other value kinds go
+through the ring's raw methods.
 ``_scalar_ops`` builds the adapter once per cache (or per ring handle for
 infinite rings), since every public call asks for it. The adapter also
 keeps one identity grid per size as a template: the reducer copies its
@@ -87,6 +94,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 from .cache import EngineCache
 from .engine import PropertyResult, build_cache
@@ -99,7 +107,7 @@ from .errors import (
     ReductionFailed,
     UnsupportedSpec,
 )
-from .rings import Element, Ring
+from .rings import Element, Ring, int_xgcd
 
 _SWEEP_LIMIT = 1000
 
@@ -149,10 +157,9 @@ class RingMatrix:
         """
         ops = _matrix_ops(ring)
         if not isinstance(rows, (list, tuple)) or not all(
-                isinstance(row, (list, tuple))
-                and all(isinstance(s, str) for s in row) for row in rows):
+                isinstance(row, (list, tuple)) for row in rows):
             raise ParseError("a matrix is a list of rows of element strings")
-        parse = ops.parse
+        parse = ops.parse  # raises ParseError on an entry that is not a str
         grid = [list(map(parse, row)) for row in rows]
         _check_shape(grid)
         return _box(ops, grid)
@@ -235,7 +242,9 @@ class ReductionCertificate:
 
 
 class _Adapter:
-    """What every scalar adapter shares: identity grids made once per size.
+    """What every scalar adapter shares: identity grids made once per size,
+    and a matrix product of one ``dot`` per entry, which the finite and Z
+    adapters replace with their own loops.
 
     ``identity(n)`` is a template: callers copy its rows before writing
     to them, and compare other grids with it as a whole.
@@ -253,6 +262,12 @@ class _Adapter:
             grid = self._identities[n] = [
                 [o if i == j else z for j in range(n)] for i in range(n)]
         return grid
+
+    def matmul(self, X, Y):
+        """The product of two raw grids, one ``dot`` per entry."""
+        cols = list(zip(*Y))
+        dot = self.dot
+        return [[dot(row, col) for col in cols] for row in X]
 
 
 class _FiniteOps(_Adapter):
@@ -274,6 +289,7 @@ class _FiniteOps(_Adapter):
         self._add = cache.add
         self._mul = cache.mul
         self._neg = cache.neg
+        self._parsed = cache.parsed
 
     def from_elem(self, e: Element) -> int:
         return self.c.idx[self.ring._member(e)]
@@ -286,10 +302,12 @@ class _FiniteOps(_Adapter):
         """Formatter of one raw entry: the cache's list of names."""
         return self.c.names.__getitem__
 
-    @property
-    def parse(self):
+    def parse(self, text):
         """Parser of one element string to a raw entry, once per string."""
-        return self.c.parsed.__getitem__
+        try:
+            return self._parsed[text]
+        except TypeError:  # unhashable, so not a string either
+            raise ParseError(f"element {text!r} is not a string") from None
 
     def add(self, x, y):
         return self._add[x * self.n + y]
@@ -415,6 +433,8 @@ class _ValueOps(_Adapter):
 
     def parse(self, text: str):
         """Parser of one element string to a raw entry."""
+        if not isinstance(text, str):
+            raise ParseError(f"element {text!r} is not a string")
         ring = self.ring
         return ring._canon(ring._parse(text))
 
@@ -431,12 +451,6 @@ class _ValueOps(_Adapter):
     def dot(self, xs, ys):
         """Sum of the products x*y over the paired entries."""
         return reduce(self.add, map(self.mul, xs, ys), self.zero)
-
-    def matmul(self, X, Y):
-        """The product of two raw grids."""
-        cols = list(zip(*Y))
-        dot = self.dot
-        return [[dot(row, col) for col in cols] for row in X]
 
     def is_zero(self, x):
         return x == self.zero
@@ -508,57 +522,162 @@ class _NativeOps(_ValueOps):
                  q10 * j00 + q11 * j10, q10 * j01 + q11 * j11))
 
 
-def _ratio_dot(xs, ys) -> Fraction:
-    """Sum of the products over paired (numerator, denominator) pairs."""
-    num, den = 0, 1
-    for (a, b), (c, d) in zip(xs, ys):
-        bd = b * d
-        if bd == den:
-            num += a * c
-        else:
-            num = num * bd + a * c * den
-            den *= bd
-    return Fraction(num, den)
+class _RatioOps(_Adapter):
+    """Scalar kernels for zloc on reduced integer pairs.
 
-
-class _RatioOps(_NativeOps):
-    """Payload kernels for zloc on the integer ratios of the Fractions.
-
-    Each kernel reads its operands once through ``as_integer_ratio()``,
-    works out the output entry as one integer numerator over one positive
-    integer denominator, and builds one ``Fraction(num, den)`` from them,
-    where the Fraction operators would make and gcd-normalise a Fraction
-    for each product and each sum. Only public Fraction API is used.
+    A raw entry is ``(num, den)``, ints in lowest terms with den > 0. Each
+    kernel works an output entry out as one numerator over one
+    denominator and divides out one ``math.gcd``; ``is_unit``,
+    ``divides``, ``hermite`` and ``unit_canon`` return the pairs of what
+    the ring's raw methods return. A ``Fraction`` is made only in
+    ``to_elem``, and in ``parse`` for strings that are not ASCII ``m`` or
+    ``m/n``.
     """
 
+    kernel = False
+    zero, one = (0, 1), (1, 1)
+
+    def __init__(self, ring: Ring):
+        super().__init__()
+        self.ring = ring
+        self.primes = ring.primes
+        self._prime_part = ring._int_prime_part
+
+    def from_elem(self, e: Element):
+        return self.ring._member(e).as_integer_ratio()
+
+    def to_elem(self, x) -> Element:
+        return Element(self.ring, Fraction(*x))
+
+    @staticmethod
+    def fmt(x) -> str:
+        """Formatter of one raw entry, as the ring's ``_format`` writes it."""
+        num, den = x
+        return str(num) if den == 1 else f"{num}/{den}"
+
+    def parse(self, text):
+        """Parser of one element string to a raw entry."""
+        ring = self.ring
+        try:
+            ratio = ring._ascii_ratio(text)
+        except TypeError:
+            raise ParseError(f"element {text!r} is not a string") from None
+        if ratio is None:
+            return ring._canon(ring._parse(text)).as_integer_ratio()
+        return ring._local_pair(*ratio)
+
+    @staticmethod
+    def add(x, y):
+        (a, b), (c, d) = x, y
+        return _lowest(a * d + c * b, b * d)
+
+    @staticmethod
+    def mul(x, y):
+        return _lowest(x[0] * y[0], x[1] * y[1])
+
+    @staticmethod
+    def neg(x):
+        return -x[0], x[1]
+
+    @staticmethod
+    def lin(x, p, y, q):
+        """x*p + y*q."""
+        (a, b), (c, d), (e, f), (u, v) = x, p, y, q
+        bd, fv = b * d, f * v
+        if bd == fv:
+            num, den = a * c + e * u, bd
+        else:
+            num, den = a * c * fv + e * u * bd, bd * fv
+        g = gcd(num, den)
+        return (num // g, den // g) if g != 1 else (num, den)
+
+    @staticmethod
+    def comb(xs, u, ys, v):
+        """The row x*u + y*v over the paired entries of two rows."""
+        (c, d), (s, t) = u, v
+        out = []
+        for (a, b), (e, f) in zip(xs, ys):
+            bd, ft = b * d, f * t
+            if bd == ft:
+                num, den = a * c + e * s, bd
+            else:
+                num, den = a * c * ft + e * s * bd, bd * ft
+            g = gcd(num, den)
+            out.append((num // g, den // g) if g != 1 else (num, den))
+        return out
+
+    @staticmethod
+    def dot(xs, ys):
+        """Sum of the products x*y over one common denominator."""
+        num, den = 0, 1
+        for (a, b), (c, d) in zip(xs, ys):
+            bd = b * d
+            if bd == den:
+                num += a * c
+            else:
+                num, den = num * bd + a * c * den, den * bd
+        g = gcd(num, den)
+        return (num // g, den // g) if g != 1 else (num, den)
+
+    @staticmethod
+    def is_zero(x):
+        return not x[0]
+
     def pivot_key(self, x):
-        return self.ring.prime_part(x)
+        return self._prime_part(x[0])
 
-    def lin(self, x, p, y, q):
-        a, b = x.as_integer_ratio()
-        c, d = p.as_integer_ratio()
-        e, f = y.as_integer_ratio()
-        g, h = q.as_integer_ratio()
-        bd, fh = b * d, f * h
-        if bd == fh:
-            return Fraction(a * c + e * g, bd)
-        return Fraction(a * c * fh + e * g * bd, bd * fh)
+    def is_unit(self, x):
+        num, den = x
+        if not num or any(num % p == 0 for p in self.primes):
+            return None
+        return _lowest(den, num)
 
-    def comb(self, xs, u, ys, v):
-        lin = self.lin
-        return [lin(x, u, y, v) for x, y in zip(xs, ys)]
+    def divides(self, x, y):
+        """y/x, if its denominator is prime to the localized primes."""
+        (a, b), (c, d) = x, y
+        if not c:
+            return self.zero
+        if not a:
+            return None
+        t = _lowest(c * b, d * a)
+        return None if any(t[1] % p == 0 for p in self.primes) else t
 
-    def dot(self, xs, ys):
-        ratio = Fraction.as_integer_ratio
-        return _ratio_dot(map(ratio, xs), map(ratio, ys))
+    def hermite(self, x, y):
+        """d = gcd of the prime parts, a1 = x/d, b1 = y/d, and (gx, gy)
+        from the integer Bezout pair of the prime parts of a1 and b1."""
+        (xn, xd), (yn, yd) = x, y
+        zero, prime_part = self.zero, self._prime_part
+        if not xn or not yn:
+            if not xn and not yn:
+                return zero, zero, zero, self.one, zero
+            num, den = x if xn else y
+            d = prime_part(num)
+            unit, inv = (num // d, den), _lowest(den, num // d)
+            if xn:
+                return (d, 1), inv, zero, unit, zero
+            return (d, 1), zero, inv, zero, unit
+        px, py = prime_part(xn), prime_part(yn)
+        d = gcd(px, py)
+        _, k, l = int_xgcd(px // d, py // d)
+        # gx = k * pp(a1) / a1 = k * xd / (xn / px); gy likewise.
+        return ((d, 1), _lowest(k * xd, xn // px), _lowest(l * yd, yn // py),
+                (xn // d, xd), (yn // d, yd))
 
-    products_2x2 = None  # matmul already reads each operand's ratio once
+    def unit_canon(self, x):
+        """(c, c/x, x/c) for c the prime part of x."""
+        num, den = x
+        if not num:
+            return self.zero, self.one, self.one
+        c = self._prime_part(num)
+        return (c, 1), _lowest(den, num // c), (num // c, den)
 
-    def matmul(self, X, Y):
-        ratio = Fraction.as_integer_ratio
-        rows = [list(map(ratio, row)) for row in X]
-        cols = [list(map(ratio, col)) for col in zip(*Y)]
-        return [[_ratio_dot(row, col) for col in cols] for row in rows]
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den as a zloc raw pair, for den != 0: lowest terms, den > 0."""
+    if den < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
 
 
 _PAYLOAD_OPS = {"Z": _NativeOps, "zloc": _RatioOps}

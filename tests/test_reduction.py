@@ -105,7 +105,9 @@ def test_pivot_keys_of_the_payload_adapters():
     Z, zl = make_ring("Z"), make_ring("zloc:{2,3}")
     assert [_scalar_ops(Z).pivot_key(v) for v in (-7, 0, 12)] == [7, 0, 12]
     values = [Fraction(0), Fraction(-36, 5), Fraction(7, 25), Fraction(2, 7)]
-    assert [_scalar_ops(zl).pivot_key(v) for v in values] == [0, 36, 1, 2]
+    ops = _scalar_ops(zl)
+    assert [ops.pivot_key(ops.from_elem(zl.make(v))) for v in values] == \
+        [0, 36, 1, 2]
 
 
 def test_triangular_kernel_z_example(Z):

@@ -214,32 +214,43 @@ def assert_same_fraction(got, want):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_ratio_kernels_match_fraction_operators(data):
-    ops = _scalar_ops(RINGS["zloc:{2,3}"])
+    ring = RINGS["zloc:{2,3}"]
+    ops = _scalar_ops(ring)
+
+    def raw(f):
+        return ops.from_elem(ring.make(f))
+
+    def box(v):
+        return ops.to_elem(v).value
+
     fractions = zloc_fractions()
     x, p, y, q = (data.draw(fractions) for _ in range(4))
-    assert_same_fraction(ops.lin(x, p, y, q), x * p + y * q)
+    assert_same_fraction(box(ops.lin(raw(x), raw(p), raw(y), raw(q))),
+                         x * p + y * q)
     k = data.draw(st.integers(0, 4))
     xs, ys = (data.draw(st.lists(fractions, min_size=k, max_size=k))
               for _ in range(2))
-    got = ops.comb(xs, p, ys, q)
+    got = ops.comb(list(map(raw, xs)), raw(p), list(map(raw, ys)), raw(q))
     assert len(got) == k
     for v, a, b in zip(got, xs, ys):
-        assert_same_fraction(v, a * p + b * q)
+        assert_same_fraction(box(v), a * p + b * q)
     want = Fraction(0)
     for a, b in zip(xs, ys):
         want = want + a * b
-    assert_same_fraction(ops.dot(xs, ys), want)
+    assert_same_fraction(box(ops.dot(list(map(raw, xs)), list(map(raw, ys)))),
+                         want)
     r, c, k = (data.draw(st.integers(1, 3)) for _ in range(3))
     X, Y = ([data.draw(st.lists(fractions, min_size=m, max_size=m))
              for _ in range(n)] for n, m in ((r, k), (k, c)))
-    got = ops.matmul(X, Y)
+    got = ops.matmul([list(map(raw, row)) for row in X],
+                     [list(map(raw, row)) for row in Y])
     assert len(got) == r and all(len(row) == c for row in got)
     for i in range(r):
         for j in range(c):
             want = Fraction(0)
             for t in range(k):
                 want = want + X[i][t] * Y[t][j]
-            assert_same_fraction(got[i][j], want)
+            assert_same_fraction(box(got[i][j]), want)
 
 
 # sha256 of the certificates of a seeded batch, one JSON line per matrix
