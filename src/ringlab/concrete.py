@@ -997,6 +997,25 @@ def check_ideal(c: EngineCache, ideal: frozenset[int]) -> None:
             raise AxiomViolation("set is not closed under multiplication by the ring")
 
 
+def _generated_ideal(c: EngineCache, gens: list[int]) -> frozenset[int]:
+    """The set g1·R + ... + gk·R, as cache indices, for generator indices.
+
+    One generator gives its principal ideal, the cache's own ``pid`` set.
+    Each further generator g is added by pairwise sums with g·R, since the
+    sum of two additive subgroups is already a subgroup, unless the set
+    already holds g: a sum of right ideals is a right ideal, so it then
+    holds g·R too. ``quotient_ring`` checks that the result is an ideal.
+    """
+    if not gens:
+        return frozenset([c.zero])
+    n, add, pid = c.n, c.add, c.pid
+    ideal = pid[gens[0]]
+    for g in gens[1:]:
+        if g not in ideal:
+            ideal = frozenset(add[x * n + y] for x in ideal for y in pid[g])
+    return ideal
+
+
 def quotient_ring(ring: Ring, gens: list[Element]
                   ) -> tuple[TableRing, dict[Element, Element]]:
     """Quotient of a finite ring by the ideal generated by ``gens``.
@@ -1025,11 +1044,7 @@ def quotient_ring(ring: Ring, gens: list[Element]
         raise UnsupportedSpec("quotients are supported for finite rings only")
     c: EngineCache = ring.cache()
     n, add, mul = c.n, c.add, c.mul
-    ideal = frozenset([c.zero])
-    for g in gens:
-        gi = c.index_of(g)
-        # Sum of two additive subgroups is already a subgroup.
-        ideal = frozenset(add[x * n + y] for x in ideal for y in c.pid[gi])
+    ideal = _generated_ideal(c, [c.index_of(g) for g in gens])
     check_ideal(c, ideal)
     rep_of = [-1] * n
     reps = []

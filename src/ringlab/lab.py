@@ -14,6 +14,12 @@ report is itself certified. A corpus spec that cannot be built fails every
 requested per-ring check with an ``error`` row instead of passing as
 vacuous.
 
+A ring task does each piece of work once. Its context memoizes predicate
+verdicts, the matrix battery, and the context of every quotient R/I a
+check asks for, keyed by the ideal I, since R/I does not depend on the
+generators that name I. These memos live on the task's ``_RingCtx`` and
+die with it; nothing is cached across tasks or runs.
+
 Reports are deterministic: a fixed seed drives all sampling, per-check
 ring entries are sorted by ring spec, and the JSON serializer sorts keys.
 Set the environment variable RINGLAB_WORKERS to fan per-ring work out to
@@ -36,6 +42,7 @@ from . import adequacy, engine
 from .concrete import (
     LocalizedIntegerRing,
     ProductRing,
+    _generated_ideal,
     builtin_table_path,
     localized_residue_map,
     make_ring,
@@ -116,7 +123,13 @@ def default_config(**overrides) -> CorpusConfig:
 
 
 class _RingCtx:
-    """One corpus ring with memoized, re-verified predicate results."""
+    """One corpus ring with memoized, re-verified predicate results.
+
+    ``_quotients`` holds the context of each quotient R/I a check asks
+    for, keyed by the ideal I as a frozenset of cache indices, so every
+    ideal is built and searched once however many generators name it. It
+    lives as long as the context: a ring task's memo dies with the task.
+    """
 
     def __init__(self, spec: str, ring: Ring, config: CorpusConfig):
         self.spec = spec
@@ -126,6 +139,7 @@ class _RingCtx:
         self.cache = (engine.build_cache(self.ring, config.size_bound)
                       if self.finite else None)
         self._preds: dict[str, engine.PropertyResult] = {}
+        self._quotients: dict[frozenset[int], _RingCtx] = {}
         self._matrix_entry = None
 
     def pred(self, predicate: str) -> engine.PropertyResult:
@@ -240,48 +254,51 @@ def _matrix_battery(ctx: _RingCtx) -> dict:
     entries are drawn with ``_draw_below``, which runs CPython's own
     ``randrange`` algorithm on ``getrandbits``: the seeded stream is the
     one ``rng.randrange(n)`` gives, at a fraction of its cost per draw.
+
+    On a ring small enough for the exhaustive pass, that pass records the
+    outcome of every 2x2 grid [[a, b], [c, d]] under its code
+    a + n·(b + n·(c + n·d)), and a sampled 2x2 grid reuses the outcome of
+    its code instead of being reduced again. It still counts as a matrix,
+    and a failing one adds its failure again.
     """
     if ctx._matrix_entry is not None:
         return ctx._matrix_entry
     cfg = ctx.config
     ops = _cache_ops(ctx.cache)  # the run's size bound, not the default
     n = ctx.cache.n
-    failures = []
-    total = 0
 
-    def run_one(rows):
-        nonlocal total
-        total += 1
+    def failure(rows):
+        """None if the grid reduces and verifies, else its failure entry."""
         try:
             bad = _verify_raw(ops, rows, *_reduce_raw(ops, rows))
         except ReductionFailed as exc:
-            failures.append({"matrix": _box(ops, rows).to_strings(),
-                             "reason": exc.reason})
-            return
-        if bad is not None:
-            failures.append({"matrix": _box(ops, rows).to_strings(),
-                             "violation": _violation(*bad)})
+            return {"matrix": _box(ops, rows).to_strings(), "reason": exc.reason}
+        if bad is None:
+            return None
+        return {"matrix": _box(ops, rows).to_strings(),
+                "violation": _violation(*bad)}
 
-    exhaustive = 0
+    exhaustive = []  # the outcome of every 2x2 grid, by code
     if n <= cfg.exhaustive_2x2_max:
-        for code in range(n**4):
-            t = code
-            rows = [[t % n, (t // n) % n], [(t // n**2) % n, (t // n**3) % n]]
-            run_one(rows)
-            exhaustive += 1
+        exhaustive = [failure([[t % n, (t // n) % n],
+                               [(t // n**2) % n, (t // n**3) % n]])
+                      for t in range(n**4)]
     if n <= cfg.sampled_max_size:
         count2, count3 = cfg.sample_2x2, cfg.sample_3x3
     else:
         count2, count3 = cfg.large_sample_2x2, cfg.large_sample_3x3
     draw = _draw_below(random.Random(f"{cfg.seed}:{ctx.spec}:matrices"), n)
+    outcomes = list(exhaustive)
     for _ in range(count2):
-        run_one([[draw(), draw()], [draw(), draw()]])
+        a, b, c, d = draw(), draw(), draw(), draw()
+        outcomes.append(exhaustive[a + n * (b + n * (c + n * d))] if exhaustive
+                        else failure([[a, b], [c, d]]))
     for _ in range(count3):
-        run_one([[draw() for _ in range(3)] for _ in range(3)])
+        outcomes.append(failure([[draw() for _ in range(3)] for _ in range(3)]))
     ctx._matrix_entry = {
-        "matrices": total,
-        "exhaustive_2x2": exhaustive,
-        "failures": failures,
+        "matrices": len(outcomes),
+        "exhaustive_2x2": len(exhaustive),
+        "failures": [f for f in outcomes if f is not None],
     }
     return ctx._matrix_entry
 
@@ -324,13 +341,24 @@ def _check_c26(ctx: _RingCtx) -> dict:
                   counterexample=battery["failures"][:3] or None)
 
 
-def _quotient_ctx(ctx: _RingCtx, gens) -> _RingCtx:
-    return _RingCtx.from_ring(quotient_ring(ctx.ring, gens)[0], ctx.config)
+def _quotient_ctx(ctx: _RingCtx, gens: list[int]) -> _RingCtx:
+    """Context of R/I, for the ideal I the generator indices produce.
+
+    ``quotient_ring`` names each coset by its least representative, so
+    R/I's tables depend on I alone, not on its generators; only the spec
+    label differs, and no label enters the report. So the first request
+    for I builds the context and every later one reuses it.
+    """
+    ideal = _generated_ideal(ctx.cache, gens)
+    sub = ctx._quotients.get(ideal)
+    if sub is None:
+        q = quotient_ring(ctx.ring, [ctx.cache.element(g) for g in gens])[0]
+        sub = ctx._quotients[ideal] = _RingCtx.from_ring(q, ctx.config)
+    return sub
 
 
 def _radical_quotient_ctx(ctx: _RingCtx) -> _RingCtx:
-    gens = [ctx.cache.element(i) for i in sorted(ctx.cache.jac)]
-    return _quotient_ctx(ctx, gens or [ctx.ring.zero])
+    return _quotient_ctx(ctx, sorted(ctx.cache.jac))
 
 
 def _check_c27(ctx: _RingCtx) -> dict:
@@ -355,7 +383,7 @@ def _check_p213(ctx: _RingCtx) -> dict:
     bad = None
     for cls in classes:
         gen = cache.generators_of(cls)[0]
-        sub = _quotient_ctx(ctx, [cache.element(gen)])
+        sub = _quotient_ctx(ctx, [gen])
         if not sub.verdict("feckly_zero_adequate"):
             bad = {"generator": cache.names[gen], "quotient_size": sub.cache.n}
             break
@@ -388,7 +416,7 @@ def _check_t31(ctx: _RingCtx) -> dict:
     bad = None
     per_ideal = {}
     for cls, gen in sorted(ideals.items()):
-        sub = _quotient_ctx(ctx, [cache.element(gen)])
+        sub = _quotient_ctx(ctx, [gen])
         ok = sub.verdict("feckly_zero_adequate")
         per_ideal[cache.names[gen]] = ok
         if not ok and bad is None:
@@ -412,7 +440,7 @@ def _check_c32_info(ctx: _RingCtx) -> dict:
     classic, feckly = (engine._adequate_flags(cache, v) for v in ("classic", "feckly"))
     for a in range(cache.n):
         lhs, fa = classic[a], feckly[a]
-        sub = _quotient_ctx(ctx, [cache.element(a)])
+        sub = _quotient_ctx(ctx, [a])
         lifts = sub.verdict("idempotents_lift_mod_J")
         if lhs != (fa and lifts):
             bad = {"a": cache.names[a]}
