@@ -469,6 +469,3 @@ class EngineCache:
                 got.setdefault(v, []).append(t)
             self._preimage_memo[d] = got
         return got
-
-    def is_unit_idx(self, i: int) -> int | None:
-        return self.units.get(i)

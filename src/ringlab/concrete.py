@@ -161,29 +161,6 @@ class IntegerRing(Ring):
         except ValueError as exc:
             raise ParseError(f"bad integer {text!r}") from exc
 
-    def _is_unit_raw(self, x):
-        return x if x in (1, -1) else None
-
-    def _divides_raw(self, x, y):
-        if x == 0:
-            return 0 if y == 0 else None
-        q, r = divmod(y, x)
-        return q if r == 0 else None
-
-    def _bezout_raw(self, x, y):
-        if x == 0 and y == 0:
-            # Zero-ideal convention: keep the comaximality slot total.
-            return (0, 0, 0, 1, 0, 1, 0)
-        g, s, t = int_xgcd(x, y)
-        a1, b1 = x // g, y // g
-        # Over a domain a1*s + b1*t = 1 follows from x*s + y*t = g.
-        return (g, s, t, a1, b1, s, t)
-
-    def _unit_canon_raw(self, x):
-        if x < 0:
-            return (-x, -1, -1)
-        return (x, 1, 1)
-
     def spec_string(self):
         return "Z"
 
@@ -429,50 +406,6 @@ class LocalizedIntegerRing(Ring):
                 out *= p
         return out
 
-    def _is_unit_raw(self, x):
-        if x == 0:
-            return None
-        if any(x.numerator % p == 0 for p in self.primes):
-            return None
-        return 1 / x
-
-    def _divides_raw(self, x, y):
-        if x == 0:
-            return Fraction(0) if y == 0 else None
-        if y == 0:
-            return Fraction(0)
-        t = y / x
-        if any(t.denominator % p == 0 for p in self.primes):
-            return None
-        return t
-
-    def _bezout_raw(self, x, y):
-        zero, one = Fraction(0), Fraction(1)
-        if x == 0 and y == 0:
-            return (zero, zero, zero, one, zero, one, zero)
-        if x == 0 or y == 0:
-            nz = x if x != 0 else y
-            d = Fraction(self.prime_part(nz))
-            a1, b1 = x / d, y / d  # one is 0, the other a unit
-            if x == 0:
-                u, v = zero, 1 / b1
-            else:
-                u, v = 1 / a1, zero
-            return (d, u, v, a1, b1, u, v)
-        d = Fraction(gcd(self.prime_part(x), self.prime_part(y)))
-        a1, b1 = x / d, y / d
-        g, k, l = int_xgcd(self.prime_part(a1), self.prime_part(b1))
-        # The prime parts are coprime by construction, so g = 1.
-        u = k * Fraction(self.prime_part(a1)) / a1
-        v = l * Fraction(self.prime_part(b1)) / b1
-        return (d, u, v, a1, b1, u, v)
-
-    def _unit_canon_raw(self, x):
-        if x == 0:
-            return (Fraction(0), Fraction(1), Fraction(1))
-        c = Fraction(self.prime_part(x))
-        return (c, c / x, x / c)
-
     def spec_string(self):
         return "zloc:{" + ",".join(str(p) for p in self.primes) + "}"
 
@@ -624,7 +557,8 @@ class DualIntRing(Ring):
 
 
 class FiniteRingMixin:
-    """Cache-backed implementations of the witness operations by search."""
+    """The handle's EngineCache, and element parsing and formatting served
+    from it. The witness operations run on the cache's scalar adapter."""
 
     def cache(self, bound: int = DEFAULT_SIZE_BOUND) -> EngineCache:
         c = getattr(self, "_cache_obj", None)
@@ -655,21 +589,6 @@ class FiniteRingMixin:
         if c is None:
             return super().format_element(a)
         return c.names[c.idx[self._member(a)]]
-
-    def _is_unit_raw(self, x):
-        c = self.cache()
-        inv = c.is_unit_idx(c.idx[x])
-        return None if inv is None else c.vals[inv]
-
-    def _divides_raw(self, x, y):
-        c = self.cache()
-        t = c.divides(c.idx[x], c.idx[y])
-        return None if t is None else c.vals[t]
-
-    def _bezout_raw(self, x, y):
-        c = self.cache()
-        parts = c.bezout(c.idx[x], c.idx[y])
-        return tuple(c.vals[i] for i in parts)
 
 
 class ModularRing(FiniteRingMixin, Ring):

@@ -125,10 +125,11 @@ def default_config(**overrides) -> CorpusConfig:
 class _RingCtx:
     """One corpus ring with memoized, re-verified predicate results.
 
-    ``_quotients`` holds the context of each quotient R/I a check asks
-    for, keyed by the ideal I as a frozenset of cache indices, so every
-    ideal is built and searched once however many generators name it. It
-    lives as long as the context: a ring task's memo dies with the task.
+    ``_quotients`` holds the context of each quotient R/I by a nonzero
+    ideal that a check asks for, keyed by the ideal I as a frozenset of
+    cache indices, so every ideal is built and searched once however many
+    generators name it. It lives as long as the context: a ring task's
+    memo dies with the task.
     """
 
     def __init__(self, spec: str, ring: Ring, config: CorpusConfig):
@@ -348,8 +349,12 @@ def _quotient_ctx(ctx: _RingCtx, gens: list[int]) -> _RingCtx:
     R/I's tables depend on I alone, not on its generators; only the spec
     label differs, and no label enters the report. So the first request
     for I builds the context and every later one reuses it.
+    R/0 is R: its singleton cosets keep their indices, so its tables are
+    R's. It gets ``ctx`` itself, kept out of the memo (a reference cycle).
     """
     ideal = _generated_ideal(ctx.cache, gens)
+    if len(ideal) == 1:  # the zero ideal
+        return ctx
     sub = ctx._quotients.get(ideal)
     if sub is None:
         q = quotient_ring(ctx.ring, [ctx.cache.element(g) for g in gens])[0]

@@ -68,12 +68,15 @@ equal tuples and the verifier's comparisons are tuple comparisons. An
 output entry such as x*p + y*q is worked out as one numerator over one
 common denominator with one ``math.gcd``, where the Fraction operators
 would normalise each product and the sum. Units, divisibility, the
-Hermite data and the unit canon come from the ring's integer prime part
-(``_int_prime_part``) and equal the ring's raw methods pair for pair. A
-``Fraction`` is made only at the boundary: boxing an entry
-(``Element.value`` stays a Fraction), and parsing a string other than the
-ASCII ``m`` and ``m/n`` forms that ``fmt`` writes. Other value kinds go
-through the ring's raw methods.
+Bezout data and the unit canon come from the ring's integer prime part
+(``_int_prime_part``). A ``Fraction`` is made only at the boundary:
+boxing an entry (``Element.value`` stays a Fraction), and parsing a
+string other than the ASCII ``m`` and ``m/n`` forms that ``fmt`` writes.
+dualint and ``polyq:0`` go through the ring's raw methods.
+The adapters are the one definition of the witness operations:
+``is_unit``, ``divides``, ``bezout`` (the values of ``BezoutData``, in
+its order) and ``unit_canon``. ``Ring.is_unit``, ``divides`` and
+``bezout_gcd`` unbox their arguments, call the adapter and box the result.
 ``_scalar_ops`` builds the adapter once per cache (or per ring handle for
 infinite rings), since every public call asks for it. The adapter also
 keeps one identity grid per size as a template: the reducer copies its
@@ -395,9 +398,8 @@ class _FiniteOps(_Adapter):
     def divides(self, x, y):
         return self.c.divides(x, y)
 
-    def hermite(self, x, y):
-        d, gx, gy, a1, b1, u, v = self.c.bezout(x, y)
-        return d, gx, gy, a1, b1
+    def bezout(self, x, y):
+        return self.c.bezout(x, y)
 
     def unit_canon(self, x):
         return self.c.associate_canon[x]
@@ -407,7 +409,8 @@ class _FiniteOps(_Adapter):
 
 
 class _ValueOps(_Adapter):
-    """Scalar kernels on raw payloads, through the ring's raw methods."""
+    """Scalar kernels on raw payloads, through the ring's raw methods
+    (dualint and ``polyq:0``; Z overrides them in ``_NativeOps``)."""
 
     kernel = False
 
@@ -461,23 +464,39 @@ class _ValueOps(_Adapter):
     def divides(self, x, y):
         return self.ring._divides_raw(x, y)
 
-    def hermite(self, x, y):
-        d, gx, gy, a1, b1, u, v = self.ring._bezout_raw(x, y)
-        return d, gx, gy, a1, b1
-
-    def unit_canon(self, x):
-        return self.ring._unit_canon_raw(x)
+    def bezout(self, x, y):
+        return self.ring._bezout_raw(x, y)
 
 
 class _NativeOps(_ValueOps):
     """Payload kernels for Z, whose raw add and mul are the + and * of int:
-    the kernels use the operators themselves."""
+    the kernels use the operators themselves. Its witness kernels are Z's
+    one definition of them, with extended Euclid for the Bezout data."""
 
     pivot_key = staticmethod(abs)
 
     def __init__(self, ring: Ring):
         super().__init__(ring)
         self.add, self.mul, self.neg = operator.add, operator.mul, operator.neg
+
+    def is_unit(self, x):
+        return x if x in (1, -1) else None
+
+    def divides(self, x, y):
+        if x == 0:
+            return 0 if y == 0 else None
+        q, r = divmod(y, x)
+        return q if r == 0 else None
+
+    def bezout(self, x, y):
+        if x == 0 and y == 0:  # zero ideal: keep the comaximality slot total
+            return (0, 0, 0, 1, 0, 1, 0)
+        g, s, t = int_xgcd(x, y)
+        # Over a domain a1*s + b1*t = 1 follows from x*s + y*t = g.
+        return (g, s, t, x // g, y // g, s, t)
+
+    def unit_canon(self, x):
+        return (-x, -1, -1) if x < 0 else (x, 1, 1)
 
     def lin(self, x, p, y, q):
         return x * p + y * q
@@ -528,10 +547,10 @@ class _RatioOps(_Adapter):
     A raw entry is ``(num, den)``, ints in lowest terms with den > 0. Each
     kernel works an output entry out as one numerator over one
     denominator and divides out one ``math.gcd``; ``is_unit``,
-    ``divides``, ``hermite`` and ``unit_canon`` return the pairs of what
-    the ring's raw methods return. A ``Fraction`` is made only in
-    ``to_elem``, and in ``parse`` for strings that are not ASCII ``m`` or
-    ``m/n``.
+    ``divides``, ``bezout`` and ``unit_canon`` read the prime part of the
+    numerator, and are zloc's only definition of them. A ``Fraction`` is
+    made only in ``to_elem``, and in ``parse`` for strings that are not
+    ASCII ``m`` or ``m/n``.
     """
 
     kernel = False
@@ -642,26 +661,27 @@ class _RatioOps(_Adapter):
         t = _lowest(c * b, d * a)
         return None if any(t[1] % p == 0 for p in self.primes) else t
 
-    def hermite(self, x, y):
+    def bezout(self, x, y):
         """d = gcd of the prime parts, a1 = x/d, b1 = y/d, and (gx, gy)
-        from the integer Bezout pair of the prime parts of a1 and b1."""
+        from the integer Bezout pair of the prime parts of a1 and b1; the
+        cofactors a1 and b1 are comaximal through (gx, gy) as well."""
         (xn, xd), (yn, yd) = x, y
         zero, prime_part = self.zero, self._prime_part
         if not xn or not yn:
             if not xn and not yn:
-                return zero, zero, zero, self.one, zero
+                return zero, zero, zero, self.one, zero, self.one, zero
             num, den = x if xn else y
             d = prime_part(num)
             unit, inv = (num // d, den), _lowest(den, num // d)
             if xn:
-                return (d, 1), inv, zero, unit, zero
-            return (d, 1), zero, inv, zero, unit
+                return (d, 1), inv, zero, unit, zero, inv, zero
+            return (d, 1), zero, inv, zero, unit, zero, inv
         px, py = prime_part(xn), prime_part(yn)
         d = gcd(px, py)
         _, k, l = int_xgcd(px // d, py // d)
         # gx = k * pp(a1) / a1 = k * xd / (xn / px); gy likewise.
-        return ((d, 1), _lowest(k * xd, xn // px), _lowest(l * yd, yn // py),
-                (xn // d, xd), (yn // d, yd))
+        gx, gy = _lowest(k * xd, xn // px), _lowest(l * yd, yn // py)
+        return (d, 1), gx, gy, (xn // d, xd), (yn // d, yd), gx, gy
 
     def unit_canon(self, x):
         """(c, c/x, x/c) for c the prime part of x."""
@@ -970,7 +990,7 @@ class _Reducer:
                 if t is not None:
                     self.col_add(j, k, ops.neg(t))
                 else:
-                    d, x, y, a1, b1 = ops.hermite(A[k][k], e)
+                    d, x, y, a1, b1, _, _ = ops.bezout(A[k][k], e)
                     self.col_combine(k, j, x, y, b1, a1)
             dirty = False
             for i in range(k + 1, self.rows):
@@ -981,7 +1001,7 @@ class _Reducer:
                 if t is not None:
                     self.row_add(i, k, ops.neg(t))
                 else:
-                    d, x, y, a1, b1 = ops.hermite(A[k][k], e)
+                    d, x, y, a1, b1, _, _ = ops.bezout(A[k][k], e)
                     self.row_combine(k, i, x, y, b1, a1)
                     dirty = True  # the Hermite row step mixes row i into row k
             if not dirty:
@@ -1098,7 +1118,7 @@ def _kernel_transforms(ops: _FiniteOps, a, b, c, d):
         if t is not None:  # b = a*t
             R1 = ((one, neg[t]), (zero, one)), ((one, t), (zero, one))
         else:
-            _, x, y, a1, b1 = ops.hermite(a, b)
+            _, x, y, a1, b1, _, _ = ops.bezout(a, b)
             R1 = _hermite_cols(ops, x, y, b1, a1)
         (m00, m01), (m10, m11) = R1[0]
         an, bn, cn, dn = a * n, b * n, c * n, d * n
@@ -1185,7 +1205,7 @@ def _comax_triangular_raw(ops, a, b, c, r):
     The verifier still multiplies P*A*Q and compares it with D.
     """
     w = ops.add(b, ops.mul(a, r))
-    d, gx, gy, _, _ = ops.hermite(w, c)
+    d, gx, gy, _, _, _, _ = ops.bezout(w, c)
     dinv = ops.is_unit(d)
     if dinv is None:
         raise NotComaximal(
@@ -1225,7 +1245,7 @@ def hermite_step(ring: Ring, a: Element, b: Element
     x, y = ops.from_elem(a), ops.from_elem(b)
     if ops.is_zero(x) and ops.is_zero(y):
         return ring.zero, RingMatrix.identity(ring, 2)
-    d, x, y, a1, b1 = ops.hermite(x, y)
+    d, x, y, a1, b1, _, _ = ops.bezout(x, y)
     return ops.to_elem(d), _box(ops, [[x, ops.neg(b1)], [y, a1]])
 
 
@@ -1269,7 +1289,7 @@ def solve_reduction_residue(ring: Ring, a: Element, b: Element, c: Element,
         for r in range(n):
             w = cache.add[ib * n + cache.mul[ia * n + r]]
             img = proj[cache.element(w)]
-            if qcache.is_unit_idx(qcache.index_of(img)) is not None:
+            if qcache.index_of(img) in qcache.units:
                 return cache.element(r)
         raise NoResidue("no residue shift exists for this triple (quotient route)")
     raise ValueError(f"unknown strategy {strategy!r}")

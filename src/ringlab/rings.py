@@ -107,14 +107,26 @@ def verify_bezout(ring: "Ring", a: Element, b: Element, data: BezoutData) -> lis
     return failed
 
 
+def _scalar_ops(ring: "Ring"):
+    """The ring's scalar adapter (reduction, its home, imports this module)."""
+    from .reduction import _scalar_ops
+
+    return _scalar_ops(ring)
+
+
 class Ring:
     """Abstract commutative ring with identity.
 
     Subclasses implement the raw payload layer (``_canon``, ``_add``,
     ``_mul``, ``_neg``, ``_format``, ``_parse`` and, where meaningful,
-    ``_values`` / ``_is_unit_raw`` / ``_divides_raw`` / ``_bezout_raw``).
-    The public layer wraps payloads in ``Element`` and enforces handle
-    membership.
+    ``_values``). The public layer wraps payloads in ``Element`` and
+    enforces handle membership.
+
+    The witness methods ``is_unit``, ``divides`` and ``bezout_gcd`` are
+    served by the ring's scalar adapter (see ``reduction``), so a finite
+    ring past the default size bound raises TooLarge. dualint and
+    ``polyq:0`` define the ``_is_unit_raw``, ``_divides_raw`` and
+    ``_bezout_raw`` that their adapter calls.
     """
 
     kind: str = "?"
@@ -150,14 +162,6 @@ class Ring:
         raise NotImplementedError
 
     def _parse(self, text: str):
-        raise NotImplementedError
-
-    def _is_unit_raw(self, x):
-        """Return the inverse payload, or None."""
-        raise NotImplementedError
-
-    def _divides_raw(self, x, y):
-        """Return t with y = x*t, or None."""
         raise NotImplementedError
 
     def _bezout_raw(self, x, y):
@@ -215,18 +219,21 @@ class Ring:
 
     def is_unit(self, a: Element) -> Element | None:
         """Return the inverse of ``a`` if ``a`` is a unit, else None."""
-        inv = self._is_unit_raw(self._member(a))
-        return None if inv is None else Element(self, inv)
+        ops = _scalar_ops(self)
+        inv = ops.is_unit(ops.from_elem(a))
+        return None if inv is None else ops.to_elem(inv)
 
     def divides(self, a: Element, b: Element) -> Element | None:
         """Return t with ``b = a*t`` if one exists, else None."""
-        t = self._divides_raw(self._member(a), self._member(b))
-        return None if t is None else Element(self, t)
+        ops = _scalar_ops(self)
+        t = ops.divides(ops.from_elem(a), ops.from_elem(b))
+        return None if t is None else ops.to_elem(t)
 
     def bezout_gcd(self, a: Element, b: Element) -> BezoutData:
         """Full gcd witness for ``aR + bR``; raises NotBezout if none exists."""
-        parts = self._bezout_raw(self._member(a), self._member(b))
-        return BezoutData(*(Element(self, p) for p in parts))
+        ops = _scalar_ops(self)
+        parts = ops.bezout(ops.from_elem(a), ops.from_elem(b))
+        return BezoutData(*map(ops.to_elem, parts))
 
     def parse_element(self, text: str) -> Element:
         return Element(self, self._canon(self._parse(text)))

@@ -55,3 +55,39 @@ def test_unit_witnesses_across_corpus(corpus_rings):
             inv = ring.is_unit(a)
             if inv is not None:
                 assert ring.mul(a, inv) == ring.one, (ring.spec_string(), str(a))
+
+
+def test_witness_methods_are_exact_on_small_rings(corpus_rings):
+    """On every corpus ring of at most 16 elements, the non-Bezout control
+    ring among them, the witness methods give exactly what a search of
+    ``ring.elements()`` with public arithmetic finds, at every pair (a, b):
+    a unit is a with some a*b = 1, ``divides`` returns the first t in
+    enumeration order with a*t = b, and ``bezout_gcd`` raises NotBezout
+    exactly when aR + bR is not principal, and otherwise returns a
+    verified record whose d generates aR + bR."""
+    small = [ring for ring in corpus_rings if ring.cardinality <= 16]
+    assert len(small) == 23
+    assert any(ring.kind == "table" for ring in small)
+    for ring in small:
+        spec, elems = ring.spec_string(), list(ring.elements())
+        prod = {(a, b): ring.mul(a, b) for a in elems for b in elems}
+        principal = {a: frozenset(prod[a, t] for t in elems) for a in elems}
+        for a in elems:
+            inv = ring.is_unit(a)
+            if inv is None:
+                assert all(prod[a, b] != ring.one for b in elems), (spec, str(a))
+            else:
+                assert prod[a, inv] == ring.one, (spec, str(a))
+            for b in elems:
+                first = next((t for t in elems if prod[a, t] == b), None)
+                assert ring.divides(a, b) == first, (spec, str(a), str(b))
+                ideal = {ring.add(x, y) for x in principal[a] for y in principal[b]}
+                is_principal = ideal in principal.values()
+                try:
+                    data = ring.bezout_gcd(a, b)
+                except NotBezout:
+                    assert not is_principal, (spec, str(a), str(b))
+                    continue
+                assert is_principal, (spec, str(a), str(b))
+                assert verify_bezout(ring, a, b, data) == [], (spec, str(a), str(b))
+                assert principal[data.d] == ideal, (spec, str(a), str(b))

@@ -75,7 +75,7 @@ class StepwiseReducer(_Reducer):
             if t is not None:
                 self.col_add(j, k, ops.neg(t))
             else:
-                d, x, y, a1, b1 = ops.hermite(A[k][k], A[k][j])
+                d, x, y, a1, b1, _, _ = ops.bezout(A[k][k], A[k][j])
                 self.col_combine(k, j, x, y, b1, a1)
         ap, bp, cp = A[k][k], A[j][k], A[j][j]
         if ops.is_zero(ap) and ops.is_zero(bp) and ops.is_zero(cp):

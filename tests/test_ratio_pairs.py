@@ -1,11 +1,12 @@
 """zloc grids on reduced integer pairs.
 
 The zloc scalar adapter (``_RatioOps``) keeps every entry as ``(num,
-den)``: ints in lowest terms with den > 0. The oracles share no code with
-its kernels: the ``Fraction`` operators for the arithmetic, the ring's
-raw methods (still on ``Fraction``) for units, divisibility, the Hermite
-data, the unit canon and the prime part, and the parser zloc had before
-the pairs for ``parse``. A spy on ``Fraction.__new__`` checks that a
+den)``: ints in lowest terms with den > 0. It is the one definition of
+zloc's units, divisibility, Bezout data and unit canon, and the oracles
+share no code with it: the ``Fraction`` operators for the arithmetic; for
+the witness kernels, their defining properties in ``Fraction`` arithmetic
+with the prime part found by trial division; and the parser zloc had
+before the pairs for ``parse``. A spy on ``Fraction.__new__`` checks that a
 reduce -> verify -> JSON -> verify cycle makes no ``Fraction``, and every
 adapter must reject an entry that is not a string with ParseError.
 """
@@ -85,6 +86,38 @@ def check_pairs(ops, got, want):
         check_pair(ops, g, w)
 
 
+def prime_part(ring, value):
+    """The product of p^v_p of the numerator over the localized primes,
+    by trial division; 0 for 0."""
+    m, out = value.numerator, 1
+    if not m:
+        return 0
+    for p in ring.primes:
+        while m % p == 0:
+            m, out = m // p, out * p
+    return out
+
+
+def check_bezout(ring, ops, x, y, got):
+    """``got`` is a Bezout record (d, x', y', a1, b1, u, v) of (x, y), as
+    reduced pairs of the ring: the four identities of ``verify_bezout``
+    hold in Fraction arithmetic, d is the gcd of the prime parts, and
+    (u, v) = (x', y') unless x = y = 0."""
+    assert len(got) == 7
+    for v in got:
+        num, den = v
+        assert type(num) is int and type(den) is int
+        assert den > 0 and gcd(num, den) == 1
+        assert all(den % p for p in ring.primes)
+    d, gx, gy, a1, b1, u, v = (Fraction(*w) for w in got)
+    assert x * gx + y * gy == d
+    assert a1 * d == x and b1 * d == y
+    assert a1 * u + b1 * v == 1
+    assert d == gcd(prime_part(ring, x), prime_part(ring, y))
+    if x != 0 or y != 0:
+        assert (u, v) == (gx, gy)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_pair_kernels_match_fractions_and_the_ring(data):
@@ -124,19 +157,30 @@ def test_pair_kernels_match_fractions_and_the_ring(data):
                        sum((A[i][t] * B[t][j] for t in range(k)), Fraction(0)))
 
     assert ops.is_zero(X) == (x == 0)
-    assert ops.pivot_key(X) == ring.prime_part(x)
+    assert ops.pivot_key(X) == prime_part(ring, x)
 
-    def one(v):
-        return None if v is None else (v,)
-
-    check_pairs(ops, one(ops.is_unit(X)), one(ring._is_unit_raw(x)))
+    primes = ring.primes
+    inv = ops.is_unit(X)
+    if x == 0 or any(x.numerator % p == 0 for p in primes):
+        assert inv is None
+    else:
+        check_pair(ops, inv, 1 / x)
     # y itself, and a multiple x*t that x always divides
     t = data.draw(values)
     for z in (y, x * t):
-        check_pairs(ops, one(ops.divides(X, raw(z))),
-                    one(ring._divides_raw(x, z)))
-    check_pairs(ops, ops.hermite(X, Y), ring._bezout_raw(x, y)[:5])
-    check_pairs(ops, ops.unit_canon(X), ring._unit_canon_raw(x))
+        got = ops.divides(X, raw(z))
+        if x == 0:
+            assert got is None if z != 0 else got == ops.zero
+        elif any((z / x).denominator % p == 0 for p in primes):
+            assert got is None
+        else:
+            check_pair(ops, got, z / x)
+    check_bezout(ring, ops, x, y, ops.bezout(X, Y))
+    c = Fraction(prime_part(ring, x))
+    if x == 0:
+        check_pairs(ops, ops.unit_canon(X), (c, Fraction(1), Fraction(1)))
+    else:
+        check_pairs(ops, ops.unit_canon(X), (c, c / x, x / c))
 
 
 def old_parse(ring, text):

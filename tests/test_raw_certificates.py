@@ -199,12 +199,17 @@ def test_pickled_certificate_still_verifies(spec):
 
 def test_matrix_past_the_bound_is_too_large_without_a_cache():
     """Zn:5000 is past the default size bound of 4096: a matrix over a
-    handle with no cache cannot be built, and no cache is left behind."""
+    handle with no cache cannot be built, no witness method answers, and
+    no cache is left behind."""
     ring = make_ring("Zn:5000")
+    two, three = ring.make(2), ring.make(3)
     builds = (lambda: RingMatrix(ring, [[ring.make(1), ring.make(2)]]),
               lambda: RingMatrix.from_strings(ring, [["1", "2"]]),
               lambda: RingMatrix.from_strings(ring, [["abc"]]),
-              lambda: RingMatrix.identity(ring, 2))
+              lambda: RingMatrix.identity(ring, 2),
+              lambda: ring.is_unit(three),
+              lambda: ring.divides(two, three),
+              lambda: ring.bezout_gcd(two, three))
     for build in builds:
         with pytest.raises(TooLarge):
             build()
@@ -213,7 +218,8 @@ def test_matrix_past_the_bound_is_too_large_without_a_cache():
 
 def test_matrix_past_the_bound_on_a_cached_handle():
     """A handle that holds a cache built under a larger bound makes its
-    matrices with that cache; reducing still needs the default bound.
+    matrices with that cache; reducing and the witness methods still
+    need the default bound.
     Zn:4097 is the smallest ring past the default bound of 4096, so its
     tables are the cheapest to build."""
     ring = make_ring("Zn:4097")
@@ -229,3 +235,9 @@ def test_matrix_past_the_bound_on_a_cached_handle():
         diagonal_reduce(ring, A)
     with pytest.raises(TooLarge):
         verify_certificate(ring, A, ReductionCertificate(*[eye] * 5))
+    two, three = ring.make(2), ring.make(3)
+    for witness in (lambda: ring.is_unit(three),
+                    lambda: ring.divides(two, three),
+                    lambda: ring.bezout_gcd(two, three)):
+        with pytest.raises(TooLarge):
+            witness()

@@ -40,7 +40,8 @@ def _same_quotient(memo, fresh):
                                   "prod(Zn:4,Zn:9)", "polyq:9:x^2-1"])
 def test_quotient_memo_matches_fresh_quotients(spec):
     """Every generator of a principal ideal gets the one memoized context,
-    and it reaches the verdicts of a quotient built afresh; so does R/J."""
+    and it reaches the verdicts of a quotient built afresh; so does R/J.
+    R/0 is the ring's own context, and is not kept in the memo."""
     ctx = _ctx(spec)
     cache = ctx.cache
     for cls in sorted(set(cache.ideal_class)):
@@ -48,9 +49,11 @@ def test_quotient_memo_matches_fresh_quotients(spec):
         memo = lab._quotient_ctx(ctx, [gens[0]])
         assert all(lab._quotient_ctx(ctx, [g]) is memo for g in gens)
         _same_quotient(memo, _fresh(ctx, [gens[0]]))
+    assert lab._quotient_ctx(ctx, [cache.zero]) is ctx
     jac = sorted(cache.jac)
     _same_quotient(lab._radical_quotient_ctx(ctx), _fresh(ctx, jac))
-    assert len(ctx._quotients) == len(set(cache.pid) | {cache.jac})
+    ideals = set(cache.pid) | {cache.jac}
+    assert len(ctx._quotients) == len(ideals - {frozenset({cache.zero})})
 
 
 def test_generators_of_one_ideal_share_one_build(monkeypatch):
