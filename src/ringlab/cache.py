@@ -110,6 +110,16 @@ class _ParseMemo(dict):
         return got
 
 
+def _count(n: int) -> str:
+    """``n`` in decimal, or the largest power of two at most ``n`` when
+    ``n`` has more digits than ``sys.get_int_max_str_digits()`` allows to
+    print."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 class EngineCache:
     """Exhaustive index tables for one finite ring handle."""
 
@@ -118,7 +128,7 @@ class EngineCache:
             raise TooLarge(f"{ring.spec_string()} is infinite")
         if ring.cardinality > bound:
             raise TooLarge(
-                f"{ring.spec_string()} has {ring.cardinality} elements, "
+                f"{ring.spec_string()} has {_count(ring.cardinality)} elements, "
                 f"bound is {bound}"
             )
         self.ring = ring

@@ -7,13 +7,13 @@ Subcommands:
     check-theorems  run the corpus checks and emit the JSON report
     case-study      the Z[x]/(x^2-1) divisibility case study
 
-Exit codes are a stable contract: 0 ok, 2 parse error (or an output file
-that cannot be written), 3 reduction failed (or, for classify and for
-adequate on a finite ring, a payload or witness that failed
-re-verification), 4 ring too large, 5 unsupported ring/element
-combination. All file writes are atomic (write to a temp file, then
-rename). Output is JSON first; a short human-readable summary goes to
-stdout.
+Exit codes are a stable contract, decided in one place: ``EXIT_TABLE``
+maps each error type to its exit code and stderr prefix, and ``main``
+applies it. The subcommands raise; the only ``except`` clauses in them
+turn a malformed input file or value into a ParseError and an
+unprintable certificate entry into TooLarge. All file writes are atomic
+(write to a temp file, then rename). Output is JSON first; a short
+human-readable summary goes to stdout.
 """
 
 from __future__ import annotations
@@ -23,21 +23,21 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import adequacy, engine, lab
+from .cache import DEFAULT_SIZE_BOUND
 from .concrete import (
     DualIntRing,
     IntegerRing,
     IntQuadRing,
     LocalizedIntegerRing,
     export_table_data,
+    localized_residue_map,
     make_ring,
 )
 from .errors import (
-    NoResidue,
-    NotBezout,
-    NotComaximal,
     ParseError,
     ReductionFailed,
     ReverifyFailed,
@@ -63,6 +63,30 @@ EXIT_UNSUPPORTED = 5
 
 class CannotWrite(Exception):
     """An output file could not be written; ``main`` exits 2."""
+
+
+# The exit-code contract: the first row whose type matches the error
+# raised by a subcommand gives the exit code and the stderr prefix.
+EXIT_TABLE = (
+    (CannotWrite, EXIT_PARSE, "error"),
+    (ParseError, EXIT_PARSE, "parse error"),
+    (ReductionFailed, EXIT_REDUCTION, "reduction failed"),
+    (ReverifyFailed, EXIT_REDUCTION, "error"),
+    (TooLarge, EXIT_TOO_LARGE, "too large"),
+    (UnsupportedSpec, EXIT_UNSUPPORTED, "unsupported"),
+    ((ZeroInput, ZeroIntegerPart), EXIT_UNSUPPORTED, "unsupported input"),
+    (RinglabError, EXIT_UNSUPPORTED, "error"),
+)
+
+
+@contextmanager
+def _parsing():
+    """Turn an unreadable file, a missing key or a bad value (bad JSON
+    included) into a ParseError."""
+    try:
+        yield
+    except (OSError, KeyError, ValueError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -103,65 +127,32 @@ def _read_json_object(path: str) -> dict:
 
 
 def cmd_reduce(args) -> int:
-    try:
+    with _parsing():
         data = _read_json_object(args.matrix)
         if not isinstance(data.get("ring"), str):
             raise ParseError("the matrix file needs a ring spec string")
         ring = make_ring(data["ring"])
         A = RingMatrix.from_strings(ring, data["rows"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, ParseError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedSpec as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except TooLarge as exc:
-        print(f"too large: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-
-    if args.verify:
-        try:
+        if args.verify:
             cert = ReductionCertificate.from_json(
                 ring, _read_json_object(args.verify))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError,
-                ParseError) as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        try:
-            res = verify_certificate(ring, A, cert)
-        except TooLarge as exc:
-            print(f"too large: {exc}", file=sys.stderr)
-            return EXIT_TOO_LARGE
+
+    if args.verify:
+        res = verify_certificate(ring, A, cert)
         print("certificate " + ("VERIFIED" if res.verdict
                                 else f"REJECTED: {res.counterexample}"))
         return EXIT_OK if res.verdict else EXIT_REDUCTION
 
-    try:
-        cert = diagonal_reduce(ring, A, strategy=args.strategy)
-    except ReductionFailed as exc:
-        print(f"reduction failed: {exc.reason}", file=sys.stderr)
-        if exc.witness is not None:
-            print("irreducible block:", file=sys.stderr)
-            for row in exc.witness.to_strings():
-                print("  " + "  ".join(row), file=sys.stderr)
-        return EXIT_REDUCTION
-    except TooLarge as exc:
-        print(f"too large: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except UnsupportedSpec as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    cert = diagonal_reduce(ring, A, strategy=args.strategy)
     try:
         res = verify_certificate(ring, A, cert)
         payload = cert.to_json(verified=res.verdict)
         diag = [payload["D"][i][i] for i in range(min(A.rows, A.cols))]
     except ValueError as exc:
         # An entry past sys.get_int_max_str_digits() cannot be written out.
-        print(f"too large: a certificate entry cannot be formatted: {exc}",
-              file=sys.stderr)
-        return EXIT_TOO_LARGE
+        raise TooLarge(f"a certificate entry cannot be formatted: {exc}") from exc
     if args.out:
-        _atomic_write(args.out, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        _emit(payload, args.out)
     print("D = diag(" + ", ".join(diag) + ")")
     print("chain: " + " | ".join(diag))
     print("verified:", res.verdict)
@@ -197,8 +188,6 @@ def _classify_finite(ring, bound: int) -> dict:
 
 
 def _classify_zloc(ring: LocalizedIntegerRing) -> dict:
-    from .concrete import localized_residue_map
-
     target, _ = localized_residue_map(ring)
     image_cache = engine.build_cache(target)
     image_regular = engine.ring_predicate(image_cache, "regular").verdict
@@ -289,46 +278,31 @@ def _classify_z(ring: IntegerRing) -> dict:
     }
 
 
+def _classify_intquad(ring: IntQuadRing) -> dict:
+    return {"ring_spec": ring.spec_string(),
+            "cardinality": "infinite",
+            "predicates": {},
+            "note": "supports arithmetic, units, and divisibility "
+                    "only; see the case-study command"}
+
+
+_CLASSIFY_INFINITE = {
+    LocalizedIntegerRing: _classify_zloc,
+    DualIntRing: _classify_dualint,
+    IntegerRing: _classify_z,
+    IntQuadRing: _classify_intquad,
+}
+
+
 def cmd_classify(args) -> int:
-    try:
-        ring = make_ring(args.ring)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedSpec as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except TooLarge as exc:
-        print(f"too large: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    try:
-        if ring.cardinality is not None:
-            report = _classify_finite(ring, args.size_bound)
-        elif isinstance(ring, LocalizedIntegerRing):
-            report = _classify_zloc(ring)
-        elif isinstance(ring, DualIntRing):
-            report = _classify_dualint(ring)
-        elif isinstance(ring, IntegerRing):
-            report = _classify_z(ring)
-        elif isinstance(ring, IntQuadRing):
-            report = {"ring_spec": ring.spec_string(),
-                      "cardinality": "infinite",
-                      "predicates": {},
-                      "note": "supports arithmetic, units, and divisibility "
-                              "only; see the case-study command"}
-        else:
-            print("unsupported ring kind", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-    except TooLarge as exc:
-        print(f"too large: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except ReverifyFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REDUCTION
+    ring = make_ring(args.ring)
+    if ring.cardinality is not None:
+        report = _classify_finite(ring, args.size_bound)
+    else:  # make_ring builds no other infinite kind
+        report = _CLASSIFY_INFINITE[type(ring)](ring)
     if args.export_table:
         if ring.cardinality is None:
-            print("cannot export an infinite ring", file=sys.stderr)
-            return EXIT_UNSUPPORTED
+            raise UnsupportedSpec("cannot export an infinite ring")
         _atomic_write(args.export_table,
                       json.dumps(export_table_data(ring), sort_keys=True) + "\n")
     _emit(report, args.out)
@@ -341,64 +315,45 @@ def cmd_classify(args) -> int:
 
 
 def cmd_adequate(args) -> int:
-    try:
-        ring = make_ring(args.ring)
-        c = ring.parse_element(args.c)
-        a = ring.parse_element(args.a)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (UnsupportedSpec, TooLarge) as exc:
-        code = EXIT_TOO_LARGE if isinstance(exc, TooLarge) else EXIT_UNSUPPORTED
-        print(f"{exc}", file=sys.stderr)
-        return code
+    ring = make_ring(args.ring)
+    c = ring.parse_element(args.c)
+    a = ring.parse_element(args.a)
     variant = args.variant
-    try:
-        if isinstance(ring, IntegerRing):
-            fac = adequacy.adequate_factor_Z(c.value, a.value)
-            payload = {"ring": "Z", "c": str(fac.c), "a": str(fac.a),
-                       "variant": variant, "r": str(fac.r), "s": str(fac.s),
-                       "clauses_hold": fac.holds()}
-        elif isinstance(ring, LocalizedIntegerRing):
-            r, s = adequacy.adequate_witness_zloc(ring, c, a)
-            payload = {"ring": ring.spec_string(), "c": str(c), "a": str(a),
-                       "variant": variant,
-                       "r": str(r), "s": str(s),
-                       "clauses_hold": adequacy.zloc_witness_clauses_hold(
-                           ring, c, a, r, s)}
-        elif isinstance(ring, DualIntRing):
-            wit = adequacy.adequate_witness_dualint(c, a)
-            payload = {"ring": "dualint", "c": str(c), "a": str(a),
-                       "variant": variant,
-                       "s": str(wit.s), "t": str(wit.t),
-                       "comax_certificate": {"k": wit.comax_k, "l": wit.comax_l},
-                       "product_holds": ring.mul(wit.s, wit.t) == c,
-                       "comax_holds": adequacy.dual_comax_certificate_holds(
-                           wit, a)}
-        elif ring.cardinality is not None:
-            cache = engine.build_cache(ring, args.size_bound)
-            wit = engine.adequate_witness_single(cache, c, a, variant)
-            if wit is None:
-                payload = {"ring": ring.spec_string(), "c": str(c),
-                           "a": str(a), "variant": variant, "witness": None,
-                           "note": "no (r, s) pair satisfies the three "
-                                   "clauses; search was exhaustive"}
-            else:
-                payload = {"ring": ring.spec_string(), "c": str(c),
-                           "a": str(a), "variant": variant,
-                           "witness": wit.payload(ring)}
+    if isinstance(ring, IntegerRing):
+        fac = adequacy.adequate_factor_Z(c.value, a.value)
+        payload = {"ring": "Z", "c": str(fac.c), "a": str(fac.a),
+                   "variant": variant, "r": str(fac.r), "s": str(fac.s),
+                   "clauses_hold": fac.holds()}
+    elif isinstance(ring, LocalizedIntegerRing):
+        r, s = adequacy.adequate_witness_zloc(ring, c, a)
+        payload = {"ring": ring.spec_string(), "c": str(c), "a": str(a),
+                   "variant": variant,
+                   "r": str(r), "s": str(s),
+                   "clauses_hold": adequacy.zloc_witness_clauses_hold(
+                       ring, c, a, r, s)}
+    elif isinstance(ring, DualIntRing):
+        wit = adequacy.adequate_witness_dualint(c, a)
+        payload = {"ring": "dualint", "c": str(c), "a": str(a),
+                   "variant": variant,
+                   "s": str(wit.s), "t": str(wit.t),
+                   "comax_certificate": {"k": wit.comax_k, "l": wit.comax_l},
+                   "product_holds": ring.mul(wit.s, wit.t) == c,
+                   "comax_holds": adequacy.dual_comax_certificate_holds(
+                       wit, a)}
+    elif ring.cardinality is not None:
+        cache = engine.build_cache(ring, args.size_bound)
+        wit = engine.adequate_witness_single(cache, c, a, variant)
+        if wit is None:
+            payload = {"ring": ring.spec_string(), "c": str(c),
+                       "a": str(a), "variant": variant, "witness": None,
+                       "note": "no (r, s) pair satisfies the three "
+                               "clauses; search was exhaustive"}
         else:
-            print("unsupported ring kind for adequacy", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-    except (ZeroInput, ZeroIntegerPart) as exc:
-        print(f"unsupported input: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except TooLarge as exc:
-        print(f"too large: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except ReverifyFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REDUCTION
+            payload = {"ring": ring.spec_string(), "c": str(c),
+                       "a": str(a), "variant": variant,
+                       "witness": wit.payload(ring)}
+    else:
+        raise UnsupportedSpec("unsupported ring kind for adequacy")
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -417,7 +372,7 @@ def _read_corpus(path: str) -> tuple[str, ...]:
 
 
 def cmd_check_theorems(args) -> int:
-    try:
+    with _parsing():
         if args.corpus:
             specs = _read_corpus(args.corpus)
         else:
@@ -428,15 +383,8 @@ def cmd_check_theorems(args) -> int:
         config = lab.CorpusConfig(ring_specs=specs, seed=args.seed,
                                   size_bound=args.size_bound, checks=checks)
         lab.worker_count()  # a bad RINGLAB_WORKERS fails before any work
-    except (OSError, ParseError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     report = lab.run_corpus(config)
-    text = lab.report_to_json(report)
-    if args.out:
-        _atomic_write(args.out, text + "\n")
-    else:
-        print(text)
+    _emit(report, args.out)
     for res in report["results"]:
         tag = "info" if res["info"] else ("pass" if res["aggregate"] else "FAIL")
         print(f"{res['id']:<10} {tag:<5} rings_exercised={res['rings_exercised']}",
@@ -476,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="evaluate predicates on one ring")
     p.add_argument("ring", help="ring spec, e.g. Zn:12 or zloc:{3,5}")
     p.add_argument("--out")
-    p.add_argument("--size-bound", type=int, default=4096)
+    p.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND)
     p.add_argument("--export-table", metavar="PATH",
                    help="also export the ring as table-ring JSON")
     p.set_defaults(fn=cmd_classify)
@@ -487,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="the target element")
     p.add_argument("--variant", choices=["classic", "feckly", "cvariant"],
                    default="classic")
-    p.add_argument("--size-bound", type=int, default=4096)
+    p.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_adequate)
 
@@ -495,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="JSON file with a list of ring specs")
     p.add_argument("--checks", help="comma-separated check ids to run")
     p.add_argument("--seed", type=int, default=lab.DEFAULT_SEED)
-    p.add_argument("--size-bound", type=int, default=4096)
+    p.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_check_theorems)
 
@@ -510,13 +458,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CannotWrite as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except RinglabError as exc:
-        # Anything not mapped above is a generic unsupported-input failure.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    except (CannotWrite, RinglabError) as exc:
+        code, prefix = next((code, prefix) for kinds, code, prefix in EXIT_TABLE
+                            if isinstance(exc, kinds))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        if isinstance(exc, ReductionFailed) and exc.witness is not None:
+            print("irreducible block:", file=sys.stderr)
+            for row in exc.witness.to_strings():
+                print("  " + "  ".join(row), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

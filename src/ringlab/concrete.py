@@ -8,14 +8,15 @@ Supported kinds (spec syntax in parentheses):
 * polynomial quotients Z[x]/(n, f) (``polyq:<n>:<f>``, monic f; ``n=0`` is
   allowed only with ``f = x^2-1`` and gives the infinite ring Z[a], a^2 = 1)
 * the integers localized away from a finite prime set
-  (``zloc:{p1,p2,...}``: fractions m/n with no p dividing n)
+  (``zloc:{p1,p2,...}``: fractions m/n with no p dividing n; each p < 2^31)
 * dual integers a + b*x with integer a, rational b and x^2 = 0 (``dualint``)
 * table rings loaded from JSON files (``table:<path>``)
 * quotients of finite rings by one element (``quot(<finite-spec>,<element>)``)
 
 Table-ring files are JSON objects ``{size, add, mul, zero, one}`` with
-row-major integer index tables; the ring axioms are verified exhaustively
-at load time. Quotient rings are materialized as table rings whose elements
+row-major integer index tables (``size``, ``zero``, ``one`` and every
+entry a JSON integer); the ring axioms are verified exhaustively at load
+time. Quotient rings are materialized as table rings whose elements
 are coset representatives of least enumeration index.
 """
 
@@ -26,7 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 from typing import Callable
 
@@ -40,6 +41,14 @@ from .errors import (
 from .rings import Element, Ring, check_ring_axioms, int_xgcd
 
 TABLE_VERIFY_LIMIT = 128
+# The largest exponent a polynomial string may name: parsing allocates one
+# coefficient per power.
+POLY_DEGREE_LIMIT = 100_000
+# zloc primes are tested by trial division up to sqrt(p) < 46,341.
+ZLOC_PRIME_LIMIT = 2**31
+# polyq:n:f is refused (TooLarge) when deg(f) times the bit length of n
+# exceeds this, so that its cardinality n^deg(f) is never computed.
+POLYQ_SIZE_BITS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +62,9 @@ def parse_int_poly(text: str) -> tuple[int, ...]:
     """Parse a univariate integer polynomial like ``x^2-1`` or ``3+2x``.
 
     Returns ascending coefficients, trailing zeros stripped (``(0,)`` for
-    the zero polynomial).
+    the zero polynomial). An exponent above ``POLY_DEGREE_LIMIT`` or an
+    integer past ``sys.get_int_max_str_digits()`` is a ParseError, raised
+    before the coefficient list is allocated.
     """
     s = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not s:
@@ -67,11 +78,14 @@ def parse_int_poly(text: str) -> tuple[int, ...]:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ParseError(f"bad term {term!r} in polynomial {text!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coef = int(m.group(2)) if m.group(2) is not None else 1
-        if m.group(3):
-            power = int(m.group(4)) if m.group(4) is not None else 1
-        else:
-            power = 0
+        try:
+            coef = int(m.group(2)) if m.group(2) is not None else 1
+            power = int(m.group(4) or 1) if m.group(3) else 0
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise ParseError(f"bad term in polynomial: {exc}") from exc
+        if power > POLY_DEGREE_LIMIT:
+            raise ParseError(f"exponent {power} is above the limit "
+                             f"{POLY_DEGREE_LIMIT}")
         coeffs[power] = coeffs.get(power, 0) + sign * coef
     deg = max(coeffs)
     out = [coeffs.get(i, 0) for i in range(deg + 1)]
@@ -292,7 +306,9 @@ class LocalizedIntegerRing(Ring):
         if not ps:
             raise UnsupportedSpec("zloc needs at least one prime")
         for p in ps:
-            if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+            if p >= ZLOC_PRIME_LIMIT:
+                raise UnsupportedSpec(f"zloc primes must be below 2^31, got {p}")
+            if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
                 raise UnsupportedSpec(f"{p} is not prime")
         if len(ps) != len(list(primes)):
             raise UnsupportedSpec("zloc primes must be distinct")
@@ -718,6 +734,10 @@ class PolyQuotientRing(FiniteRingMixin, Ring):
         self.n = n
         self.f = f
         self.deg = len(f) - 1
+        if self.deg * n.bit_length() > POLYQ_SIZE_BITS:
+            raise TooLarge(f"polyq with a {n.bit_length()}-bit modulus and "
+                           f"degree {self.deg}: degree times modulus bits "
+                           f"exceeds {POLYQ_SIZE_BITS}")
         self.cardinality = n ** self.deg
 
     def _reduce(self, coeffs) -> tuple[int, ...]:
@@ -862,15 +882,25 @@ def load_table_ring(path: str) -> TableRing:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ParseError(f"cannot read table ring file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
         raise ParseError(f"bad JSON in table ring file {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"table ring file {path!r} is not a JSON object")
     try:
-        return TableRing(
-            data["size"], data["add"], data["mul"], data["zero"], data["one"],
-            spec_str=f"table:{path}",
-        )
+        size, add, mul, zero, one = (data[k] for k in
+                                     ("size", "add", "mul", "zero", "one"))
     except KeyError as exc:
         raise ParseError(f"table ring file {path!r} is missing key {exc}") from exc
+    # bool is a subclass of int, and float or string entries would be
+    # rounded or parsed by TableRing: only plain JSON integers are indices.
+    tables_ok = all(isinstance(tab, list)
+                    and all(isinstance(row, list)
+                            and all(type(v) is int for v in row) for row in tab)
+                    for tab in (add, mul))
+    if not (tables_ok and all(type(v) is int for v in (size, zero, one))):
+        raise ParseError(f"table ring file {path!r}: size, zero and one must "
+                         f"be integers, add and mul lists of rows of integers")
+    return TableRing(size, add, mul, zero, one, spec_str=f"table:{path}")
 
 
 def export_table_data(ring: Ring) -> dict:
@@ -995,23 +1025,27 @@ def quotient_ring(ring: Ring, gens: list[Element]
 
 
 def localized_residue_map(ring: LocalizedIntegerRing
-                          ) -> tuple[ProductRing, Callable[[Element], Element]]:
+                          ) -> tuple[Ring, Callable[[Element], Element]]:
     """Reduction of a localized ring onto the product of its residue fields.
 
     Sends m/den to (m * den^-1 mod p) componentwise; the map is a surjective
     homomorphism whose kernel is the set of elements whose numerator is
-    divisible by every localized prime.
+    divisible by every localized prime. For one prime p the target is the
+    residue field Zn:p itself.
     """
     if not isinstance(ring, LocalizedIntegerRing):
         raise UnsupportedSpec("residue map is defined for zloc rings")
-    target = ProductRing([ModularRing(p) for p in ring.primes])
+    primes = ring.primes
+    single = len(primes) == 1
+    target = (ModularRing(primes[0]) if single
+              else ProductRing([ModularRing(p) for p in primes]))
 
     def mapping(a: Element) -> Element:
         f = ring._member(a)
         comps = tuple(
-            (f.numerator * pow(f.denominator, -1, p)) % p for p in ring.primes
+            (f.numerator * pow(f.denominator, -1, p)) % p for p in primes
         )
-        return target.make(comps)
+        return target.make(comps[0] if single else comps)
 
     return target, mapping
 

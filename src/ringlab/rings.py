@@ -108,7 +108,10 @@ def verify_bezout(ring: "Ring", a: Element, b: Element, data: BezoutData) -> lis
 
 
 def _scalar_ops(ring: "Ring"):
-    """The ring's scalar adapter (reduction, its home, imports this module)."""
+    """The ring's scalar adapter. Its home, reduction, imports this module,
+    so the first call imports it and rebinds this name to
+    ``reduction._scalar_ops``, which checks the size bound on every call."""
+    global _scalar_ops
     from .reduction import _scalar_ops
 
     return _scalar_ops(ring)
