@@ -28,13 +28,17 @@ and quotients by the ideal check in ``concrete.quotient_ring``. A table
 ring built with ``verify=False`` is trusted to be a ring: if it is not,
 its cache tables are not its given tables.
 
-Heavy artifacts are built lazily and memoized on the cache. Ideal-valued
-computations are keyed by ideal identity, not by element, because distinct
-elements frequently generate the same principal ideal. So ``comax`` holds
-one row per ideal class, shared by the elements of the class: k·n entries
-for k classes, not n². ``bezout`` memoizes ``bezout_search`` per pair for
-the reducer only; the engine's exhaustive ``hermite`` search calls
-``bezout_search`` and keeps nothing.
+Heavy artifacts are built lazily and memoized on the cache. Distinct
+elements often generate the same principal ideal, so principal ideals
+are kept per class: one pass (``ideal_class``) reads each mul row once as
+the set aR and interns it in a registry of one set per ideal, which
+``ideal_set`` and ``generators_of`` read by id. ``sum_ideal_id`` is the
+one place that forms an ideal sum and interns it too, so equal ideals
+have equal ids. What depends on a only through aR is kept per class:
+``comax`` (k·n entries for k classes, not n²) and ``nonunit_divisors``.
+``bezout`` memoizes ``bezout_search`` per pair for the reducer only; the
+engine's exhaustive ``hermite`` search calls ``bezout_search`` and keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -147,6 +151,8 @@ class EngineCache:
         self.add, self.mul = _build_tables(ring, self.vals, self.idx, self.zero)
         self.neg = [self.idx[ring._neg(v)] for v in self.vals]
         self._bezout_memo: dict[tuple[int, int], tuple] = {}
+        self._ideal_ids: dict[frozenset[int], int] = {}  # the ideal registry
+        self._ideal_sets: list[frozenset[int]] = []      # and its inverse
         self._sum_memo: dict[tuple[int, int], int] = {}
         self._comax_x_memo: dict[tuple[int, int], int] = {}
         self._preimage_memo: dict[int, dict[int, list[int]]] = {}
@@ -223,12 +229,6 @@ class EngineCache:
     # --- principal ideals -------------------------------------------------------
 
     @cached_property
-    def pid(self) -> list[frozenset[int]]:
-        """Principal ideal of each element, as an index set."""
-        n, mul = self.n, self.mul
-        return [frozenset(mul[i * n + t] for t in range(n)) for i in range(n)]
-
-    @cached_property
     def pid_witness(self) -> list[dict[int, int]]:
         """Per element a: map value v -> first t with a*t = v."""
         n, mul = self.n, self.mul
@@ -244,37 +244,41 @@ class EngineCache:
         return out
 
     @cached_property
-    def _ideal_registry(self) -> dict[frozenset[int], int]:
-        """Canonical id for every principal ideal (in first-generator order)."""
-        reg: dict[frozenset[int], int] = {}
-        for i in range(self.n):
-            s = self.pid[i]
-            if s not in reg:
-                reg[s] = len(reg)
-        return reg
-
-    @cached_property
-    def _ideal_sets(self) -> list[frozenset[int]]:
-        sets: list[frozenset[int]] = [frozenset()] * len(self._ideal_registry)
-        for s, ident in self._ideal_registry.items():
-            sets[ident] = s
-        return sets
-
-    @cached_property
     def ideal_class(self) -> list[int]:
-        """Element index -> id of its principal ideal."""
-        reg = self._ideal_registry
-        return [reg[self.pid[i]] for i in range(self.n)]
+        """Element index -> id of its principal ideal iR.
+
+        The one pass of the class layer: each mul row is interned as the
+        set iR, and its element joins its class in ``class_gens``. Ids
+        0..k-1 number the k principal classes by least generator.
+        """
+        n, mul = self.n, self.mul
+        cls: list[int] = []
+        gens: list[list[int]] = []
+        for i in range(n):
+            ident = self.ideal_id_of_set(frozenset(mul[i * n:i * n + n]))
+            if ident == len(gens):
+                gens.append([])
+            gens[ident].append(i)
+            cls.append(ident)
+        self.class_gens = list(map(tuple, gens))
+        return cls
+
+    @cached_property
+    def class_gens(self) -> list[tuple[int, ...]]:
+        """Principal class id -> its generators, ascending (filled in by
+        the ``ideal_class`` pass)."""
+        self.ideal_class
+        return self.__dict__["class_gens"]
 
     def ideal_id_of_set(self, s: frozenset[int]) -> int:
         """Intern an arbitrary ideal set (registering it if new)."""
-        reg = self._ideal_registry
-        if s not in reg:
-            reg[s] = len(reg)
+        ident = self._ideal_ids.setdefault(s, len(self._ideal_ids))
+        if ident == len(self._ideal_sets):
             self._ideal_sets.append(s)
-        return reg[s]
+        return ident
 
     def ideal_set(self, ident: int) -> frozenset[int]:
+        """The index set of the ideal with this id."""
         return self._ideal_sets[ident]
 
     def sum_ideal_id(self, id1: int, id2: int) -> int:
@@ -293,25 +297,15 @@ class EngineCache:
         return ident
 
     @cached_property
-    def _principal_gens(self) -> dict[int, tuple[int, ...]]:
-        """Ideal id -> generators of that ideal, ascending (principal ones only)."""
-        out: dict[int, list[int]] = {}
-        for i in range(self.n):
-            out.setdefault(self.ideal_class[i], []).append(i)
-        return {k: tuple(v) for k, v in out.items()}
-
-    @cached_property
     def class_sum_gens(self) -> list[list[tuple[int, ...]]]:
         """[k1][k2]: ``generators_of`` the sum of principal classes k1 and k2."""
-        k = range(len(self._principal_gens))
+        k = range(len(self.class_gens))
         return [[self.generators_of(self.sum_ideal_id(k1, k2)) for k2 in k] for k1 in k]
 
     def generators_of(self, ident: int) -> tuple[int, ...]:
         """Elements generating the ideal with this id (empty if not principal)."""
-        gens = self._principal_gens.get(ident)
-        if gens is None:
-            return ()
-        return gens
+        gens = self.class_gens
+        return gens[ident] if ident < len(gens) else ()
 
     # --- comaximality ----------------------------------------------------------
 
@@ -324,7 +318,7 @@ class EngineCache:
         that class, and k·n entries in all instead of n². Read it only.
         """
         cls, full = self.ideal_class, self.ideal_class[self.one]
-        k = len(self._principal_gens)
+        k = len(self.class_gens)
         rows = [[self.sum_ideal_id(c1, c2) == full for c2 in range(k)]
                 for c1 in range(k)]
         rows = [list(map(row.__getitem__, cls)) for row in rows]
@@ -343,7 +337,7 @@ class EngineCache:
         key = (i, self.ideal_class[j])
         x = self._comax_x_memo.get(key)
         if x is None:
-            ideal = self.pid[j]
+            ideal = self._ideal_sets[key[1]]
             for x in range(n):
                 if add[one_row + neg[mul[row + x]]] in ideal:
                     break
@@ -389,13 +383,18 @@ class EngineCache:
 
     @cached_property
     def nonunit_divisors(self) -> list[tuple[int, ...]]:
-        """Per element s: every non-unit t with s in tR, ascending."""
-        pid, units = self.pid, self.unit_set
+        """Per ideal class of s: every non-unit t with s in tR, ascending.
+
+        s is in tR iff sR is inside tR, so k² inclusions between class
+        sets decide it: index it by ``ideal_class[s]``.
+        """
+        cls, units = self.ideal_class, self.unit_set
+        sets = self._ideal_sets[:len(self.class_gens)]
+        nonunits = [t for t in range(self.n) if t not in units]
         out = []
-        for s in range(self.n):
-            out.append(
-                tuple(t for t in range(self.n) if t not in units and s in pid[t])
-            )
+        for low in sets:
+            over = [low <= high for high in sets]
+            out.append(tuple(t for t in nonunits if over[cls[t]]))
         return out
 
     def divides(self, i: int, j: int) -> int | None:

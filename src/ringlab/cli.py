@@ -81,11 +81,12 @@ EXIT_TABLE = (
 
 @contextmanager
 def _parsing():
-    """Turn an unreadable file, a missing key or a bad value (bad JSON
-    included) into a ParseError."""
+    """Turn an unreadable file, a missing key, a bad value (bad JSON
+    included) or JSON nested past the interpreter's recursion limit into
+    a ParseError."""
     try:
         yield
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, RecursionError) as exc:
         raise ParseError(str(exc)) from exc
 
 

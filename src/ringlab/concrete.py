@@ -44,6 +44,8 @@ TABLE_VERIFY_LIMIT = 128
 # The largest exponent a polynomial string may name: parsing allocates one
 # coefficient per power.
 POLY_DEGREE_LIMIT = 100_000
+# The deepest bracket nesting of a spec or element: make_ring recurses per level.
+SPEC_NESTING_LIMIT = 64
 # zloc primes are tested by trial division up to sqrt(p) < 46,341.
 ZLOC_PRIME_LIMIT = 2**31
 # polyq:n:f is refused (TooLarge) when deg(f) times the bit length of n
@@ -115,11 +117,15 @@ def format_int_poly(coeffs, descending: bool = False) -> str:
 
 
 def _split_top_level(s: str, sep: str) -> list[str]:
-    """Split on ``sep`` outside any (), {}, [] nesting."""
+    """Split on ``sep`` outside any (), {}, [] nesting. ``s`` is inside one
+    bracket pair, so nesting past ``SPEC_NESTING_LIMIT`` is a ParseError."""
     parts, depth, cur = [], 0, []
     for ch in s:
         if ch in "({[":
             depth += 1
+            if depth >= SPEC_NESTING_LIMIT:
+                raise ParseError(
+                    f"brackets nested deeper than the limit {SPEC_NESTING_LIMIT}")
         elif ch in ")}]":
             depth -= 1
             if depth < 0:
@@ -882,7 +888,7 @@ def load_table_ring(path: str) -> TableRing:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ParseError(f"cannot read table ring file {path!r}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge int, deep nesting
         raise ParseError(f"bad JSON in table ring file {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"table ring file {path!r} is not a JSON object")
@@ -946,23 +952,17 @@ def check_ideal(c: EngineCache, ideal: frozenset[int]) -> None:
             raise AxiomViolation("set is not closed under multiplication by the ring")
 
 
-def _generated_ideal(c: EngineCache, gens: list[int]) -> frozenset[int]:
-    """The set g1·R + ... + gk·R, as cache indices, for generator indices.
-
-    One generator gives its principal ideal, the cache's own ``pid`` set.
-    Each further generator g is added by pairwise sums with g·R, since the
-    sum of two additive subgroups is already a subgroup, unless the set
-    already holds g: a sum of right ideals is a right ideal, so it then
-    holds g·R too. ``quotient_ring`` checks that the result is an ideal.
-    """
-    if not gens:
-        return frozenset([c.zero])
-    n, add, pid = c.n, c.add, c.pid
-    ideal = pid[gens[0]]
-    for g in gens[1:]:
-        if g not in ideal:
-            ideal = frozenset(add[x * n + y] for x in ideal for y in pid[g])
-    return ideal
+def _generated_ideal(c: EngineCache, gens: list[int]) -> int:
+    """Id of the ideal g1·R + ... + gk·R, for generator indices: their
+    classes folded into the zero ideal through ``EngineCache.sum_ideal_id``.
+    A g the running ideal holds is skipped, as a sum of right ideals is a
+    right ideal and so holds g·R. ``quotient_ring`` checks it is an ideal."""
+    cls = c.ideal_class
+    ident = cls[c.zero]
+    for g in gens:
+        if g not in c.ideal_set(ident):
+            ident = c.sum_ideal_id(ident, cls[g])
+    return ident
 
 
 def quotient_ring(ring: Ring, gens: list[Element]
@@ -993,7 +993,7 @@ def quotient_ring(ring: Ring, gens: list[Element]
         raise UnsupportedSpec("quotients are supported for finite rings only")
     c: EngineCache = ring.cache()
     n, add, mul = c.n, c.add, c.mul
-    ideal = _generated_ideal(c, [c.index_of(g) for g in gens])
+    ideal = c.ideal_set(_generated_ideal(c, [c.index_of(g) for g in gens]))
     check_ideal(c, ideal)
     rep_of = [-1] * n
     reps = []

@@ -54,14 +54,17 @@ target): the target enters the search only through its comaximality row
 variants), and that row is a function of the principal ideal aR, so every
 target of one class has the same first (r, s) in enumeration order.
 Clause (3) itself is memoized per (ideal class of s, ideal class of its
-target): ``nonunit_divisors[s]`` lists the non-units t with s in tR,
-which depends only on sR. Both memos therefore return exactly what the
-unmemoized search would. By the same argument a targets row names r, s,
-j = c - r*s and x (the first one with 1 - r*x in tR) once per ideal class
-of the target t, and looks up only y, the multiplier of t, per target;
-and c is adequate against every target iff it is against one target per
-class (``_adequate_flags``). Element strings are formatted once per cache
-(``EngineCache.names``) and parsed once (``EngineCache.parsed``).
+target): the non-units t with s in tR depend only on sR, and the cache
+keeps them as one ``nonunit_divisors`` row per class. Both memos
+therefore return exactly what the unmemoized search would. By the same
+argument a targets row names r, s, j = c - r*s and x (the first one with
+1 - r*x in tR) once per ideal class of the target t, and looks up only y,
+the multiplier of t, per target; and c is adequate against every target
+iff it is against one target per class (``_adequate_flags``). Principal
+ideals come from the cache's class layer, which interns every ideal once,
+so the ``bezout`` check dR = aR + bR compares ideal ids, not sets.
+Element strings are formatted once per cache (``EngineCache.names``) and
+parsed once (``EngineCache.parsed``).
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def _anchored(c: EngineCache, s: int, target: int) -> bool:
     got = memo.get(key)
     if got is None:
         comax_t = c.comax[target]
-        got = all(not comax_t[sp] for sp in c.nonunit_divisors[s])
+        got = all(not comax_t[sp] for sp in c.nonunit_divisors[key[0]])
         memo[key] = got
     return got
 
@@ -225,7 +228,7 @@ def _adequate_flags(c: EngineCache, variant: str) -> list[bool]:
     key = ("adequate_flags", variant)
     got = c._ext.get(key)
     if got is None:
-        reps = [gens[0] for gens in c._principal_gens.values()]
+        reps = [gens[0] for gens in c.class_gens]
         got = c._ext[key] = [
             all(_adequate_pair_idx(c, cval, t, variant) is not None for t in reps)
             for cval in range(c.n)]
@@ -350,13 +353,13 @@ def _lifts(c: EngineCache) -> Callable:
 def _meet_in_radical(c: EngineCache) -> Callable:
     """meets(a, e): aR intersect eR lies in the radical (memoized per
     pair of ideal classes)."""
-    memo, cls, pid, jac = c._ext.setdefault("meet_radical", {}), c.ideal_class, c.pid, c.jac
+    memo, cls, jac = c._ext.setdefault("meet_radical", {}), c.ideal_class, c.jac
 
     def meets(a: int, e: int) -> bool:
         key = (cls[a], cls[e])
         got = memo.get(key)
         if got is None:
-            got = memo[key] = (pid[a] & pid[e]) <= jac
+            got = memo[key] = (c.ideal_set(key[0]) & c.ideal_set(key[1])) <= jac
         return got
     return meets
 
@@ -486,13 +489,13 @@ def _hermite_search(c: EngineCache) -> Callable:
 
 def _bezout(c: EngineCache) -> Callable:
     """dR = aR + bR."""
-    parsed, pid = c.parsed, c.pid
+    parsed, cls = c.parsed, c.ideal_class
 
     def holds(a, entries):
         bs = []
         for e in entries:
             b = parsed[e["b"]]
-            if pid[parsed[e["d"]]] != c.ideal_set(_sum_ideal_id(c, a, b)):
+            if cls[parsed[e["d"]]] != c.sum_ideal_id(cls[a], cls[b]):
                 return None
             bs.append(b)
         return bs
@@ -667,25 +670,20 @@ class _Pairs(NamedTuple):
 def _comax_rows(c: EngineCache) -> list[tuple[int, list[int]]]:
     """Each a with the b comaximal with it; one b list per ideal class."""
     n, cls, comax = c.n, c.ideal_class, c.comax
-    cols = {k: list(compress(range(n), comax[gens[0]]))
-            for k, gens in c._principal_gens.items()}
+    cols = [list(compress(range(n), comax[gens[0]])) for gens in c.class_gens]
     return [(a, cols[cls[a]]) for a in range(n)]
 
 
 def _class_rows(c: EngineCache) -> list[tuple[int, tuple[int, ...]]]:
     """The first generator of each principal-ideal class, paired with itself
     and every later one."""
-    gens = tuple(g[0] for g in c._principal_gens.values())
+    gens = tuple(g[0] for g in c.class_gens)
     return [(g, gens[i:]) for i, g in enumerate(gens)]
 
 
-def _sum_ideal_id(c: EngineCache, a: int, b: int) -> int:
-    cls = c.ideal_class
-    return c.sum_ideal_id(cls[a], cls[b])
-
-
 def _sum_ideal(c: EngineCache, a: int, b: int) -> list[int]:
-    return sorted(c.ideal_set(_sum_ideal_id(c, a, b)))
+    cls = c.ideal_class
+    return sorted(c.ideal_set(c.sum_ideal_id(cls[a], cls[b])))
 
 
 _ELEMENTS = _Domain(lambda c: range(c.n), lambda c: c.n,

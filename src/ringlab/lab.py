@@ -126,10 +126,9 @@ class _RingCtx:
     """One corpus ring with memoized, re-verified predicate results.
 
     ``_quotients`` holds the context of each quotient R/I by a nonzero
-    ideal that a check asks for, keyed by the ideal I as a frozenset of
-    cache indices, so every ideal is built and searched once however many
-    generators name it. It lives as long as the context: a ring task's
-    memo dies with the task.
+    ideal that a check asks for, keyed by the cache's id of I, so every
+    ideal is built and searched once however many generators name it. It
+    lives as long as the context: a ring task's memo dies with the task.
     """
 
     def __init__(self, spec: str, ring: Ring, config: CorpusConfig):
@@ -140,7 +139,7 @@ class _RingCtx:
         self.cache = (engine.build_cache(self.ring, config.size_bound)
                       if self.finite else None)
         self._preds: dict[str, engine.PropertyResult] = {}
-        self._quotients: dict[frozenset[int], _RingCtx] = {}
+        self._quotients: dict[int, _RingCtx] = {}
         self._matrix_entry = None
 
     def pred(self, predicate: str) -> engine.PropertyResult:
@@ -352,13 +351,14 @@ def _quotient_ctx(ctx: _RingCtx, gens: list[int]) -> _RingCtx:
     R/0 is R: its singleton cosets keep their indices, so its tables are
     R's. It gets ``ctx`` itself, kept out of the memo (a reference cycle).
     """
-    ideal = _generated_ideal(ctx.cache, gens)
-    if len(ideal) == 1:  # the zero ideal
+    cache = ctx.cache
+    ident = _generated_ideal(cache, gens)
+    if ident == cache.ideal_class[cache.zero]:
         return ctx
-    sub = ctx._quotients.get(ideal)
+    sub = ctx._quotients.get(ident)
     if sub is None:
-        q = quotient_ring(ctx.ring, [ctx.cache.element(g) for g in gens])[0]
-        sub = ctx._quotients[ideal] = _RingCtx.from_ring(q, ctx.config)
+        q = quotient_ring(ctx.ring, [cache.element(g) for g in gens])[0]
+        sub = ctx._quotients[ident] = _RingCtx.from_ring(q, ctx.config)
     return sub
 
 
@@ -384,16 +384,14 @@ def _check_c28(ctx: _RingCtx) -> dict:
 
 def _check_p213(ctx: _RingCtx) -> dict:
     cache = ctx.cache
-    classes = sorted(set(cache.ideal_class))
     bad = None
-    for cls in classes:
-        gen = cache.generators_of(cls)[0]
+    for gen, *_ in cache.class_gens:
         sub = _quotient_ctx(ctx, [gen])
         if not sub.verdict("feckly_zero_adequate"):
             bad = {"generator": cache.names[gen], "quotient_size": sub.cache.n}
             break
     return _entry(ctx.spec, bad is None,
-                  exercised={"principal_ideals": len(classes)},
+                  exercised={"principal_ideals": len(cache.class_gens)},
                   counterexample=bad)
 
 

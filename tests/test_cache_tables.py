@@ -5,23 +5,34 @@ additive group. The reference here is the pair-by-pair table written out
 from the ring's own raw ``_add``, ``_mul`` and ``_neg``, with no code from
 ``cache.py``. Quotients are checked against cosets formed by brute force
 from the same raw operations.
+
+The principal-ideal layer (``ideal_class``, the class sets, generators,
+ideal sums, ``nonunit_divisors`` and ``_generated_ideal``) is checked
+against the principal ideals aR = {a·t} read off the pairwise tables, and
+the engine's verdicts against the same ring with its indices permuted.
 """
 
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from math import isqrt
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from ringlab import engine
+from ringlab.cache import EngineCache
 from ringlab.concrete import (
     ModularRing,
     PolyQuotientRing,
     ProductRing,
+    TableRing,
+    _generated_ideal,
     builtin_table_path,
     check_ideal,
+    export_table_data,
     load_table_ring,
     make_ring,
     quotient_ring,
@@ -207,3 +218,107 @@ def test_comax_rows_equal_the_definition(name):
             assert c.comax[i][j] is want, (name, i, j)
         assert c.comax[i] is c.comax[min(k for k in range(n) if ideal[k] == ideal[i])]
     assert len({id(row) for row in c.comax}) == len(set(ideal))
+
+
+# Two rings that are not Bezout: in Z/4[x]/(x^2, 2x), 2R + xR is not principal.
+NON_BEZOUT_QUOTIENTS = ["quot(polyq:4:x^2,2x)", "prod(Zn:3,quot(polyq:4:x^2,2x))"]
+
+
+def assert_class_layer_matches(ring):
+    """The cache's principal-ideal layer against aR = {a·t} from the raw
+    pairwise tables, for every element, every pair of classes and every
+    two-generator ideal."""
+    vals, idx, add, mul, _ = pairwise_tables(ring)
+    n, zero, one = len(vals), idx[ring._zero_raw()], idx[ring._one_raw()]
+    ideal = [frozenset(mul[a * n:a * n + n]) for a in range(n)]
+    c = ring.cache()
+    spec = ring.spec_string()
+    cls = c.ideal_class
+    # Classes are the partition aR = bR, numbered by least generator.
+    firsts = {}
+    for a in range(n):
+        firsts.setdefault(ideal[a], len(firsts))
+    assert cls == [firsts[ideal[a]] for a in range(n)], spec
+    for a in range(n):
+        assert c.ideal_set(cls[a]) == ideal[a], (spec, a)
+        assert c.generators_of(cls[a]) == tuple(
+            b for b in range(n) if ideal[b] == ideal[a]), (spec, a)
+    assert len(c.class_gens) == len(firsts), spec
+    reps = [gens[0] for gens in c.class_gens]
+    # Sums of two principal ideals: {a·x + b·y}, and its generators if any.
+    sums = {}
+    for a in reps:
+        for b in reps:
+            want = frozenset(add[x * n + y] for x in ideal[a] for y in ideal[b])
+            got = c.sum_ideal_id(cls[a], cls[b])
+            assert c.ideal_set(got) == want, (spec, a, b)
+            assert c.generators_of(got) == tuple(
+                d for d in range(n) if ideal[d] == want), (spec, a, b)
+            sums[cls[a], cls[b]] = want
+    # Per class of s: the non-units t with s in tR.
+    for s in range(n):
+        assert c.nonunit_divisors[cls[s]] == tuple(
+            t for t in range(n) if one not in ideal[t] and s in ideal[t]), (spec, s)
+    # Generated ideals: none, J (the additive closure of every j·r), and
+    # every pair (a, b) with b a class representative.
+    assert c.ideal_set(_generated_ideal(c, [])) == {zero}, spec
+    jac = sorted(c.jac)
+    want = {zero} | {mul[j * n + r] for j in jac for r in range(n)}
+    while (grown := want | {add[x * n + y] for x in want for y in want}) != want:
+        want = grown
+    assert c.ideal_set(_generated_ideal(c, jac)) == want, spec
+    for a in range(n):
+        for b in reps:
+            got = c.ideal_set(_generated_ideal(c, [a, b]))
+            assert got == sums[cls[a], cls[b]], (spec, a, b)
+
+
+@pytest.mark.parametrize("name", list(RINGS) + NON_BEZOUT_QUOTIENTS)
+def test_class_layer_equals_the_definition(name):
+    assert_class_layer_matches(RINGS[name]() if name in RINGS else make_ring(name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_rings(limit=64))
+def test_class_layer_equals_the_definition_on_random_rings(ring):
+    assert_class_layer_matches(ring)
+
+
+@settings(max_examples=27, deadline=None)
+@given(st.data())
+def test_relabelled_ring_has_the_same_verdicts(data):
+    """The same ring with its indices permuted, loaded as a table ring, gets
+    the same verdict on every ring predicate, and each payload reverifies:
+    no verdict depends on how elements or ideal classes are numbered."""
+    ring = data.draw(small_rings(limit=32))
+    table = export_table_data(ring)
+    n = table["size"]
+    perm = data.draw(st.permutations(range(n)))
+    inv = sorted(range(n), key=perm.__getitem__)
+
+    def relabel(tab):
+        return [[perm[tab[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+
+    moved = TableRing(n, relabel(table["add"]), relabel(table["mul"]),
+                      perm[table["zero"]], perm[table["one"]])
+    before, after = ring.cache(), engine.build_cache(moved)
+    for name in engine.RING_PREDICATES:
+        want = engine.ring_predicate(before, name)
+        got = engine.ring_predicate(after, name)
+        assert got.verdict == want.verdict, (ring.spec_string(), perm, name)
+        assert engine.reverify(before, want) and engine.reverify(after, got), name
+
+
+def test_class_layer_memory_on_zn_1024():
+    """Classes, class sets and nonunit_divisors of Z/1024 take under 2 MB:
+    one set per class (11 of them), not one principal ideal per element."""
+    c = EngineCache(make_ring("Zn:1024"))
+    c.unit_set  # built before tracing: not part of the layer
+    tracemalloc.start()
+    try:
+        c.ideal_class, c.nonunit_divisors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(c.class_gens) == 11
+    assert peak < 2 * 2**20, peak

@@ -21,7 +21,9 @@ from pathlib import Path
 import pytest
 
 from ringlab import cli
-from ringlab.concrete import builtin_table_path, localized_residue_map, make_ring
+from ringlab.concrete import (SPEC_NESTING_LIMIT, builtin_table_path,
+                               localized_residue_map, make_ring)
+from ringlab.errors import ParseError
 
 TABLE = json.loads(Path(builtin_table_path()).read_text())
 
@@ -39,6 +41,10 @@ BAD_TABLES = {
                                        for row in TABLE["mul"]]},
     "rows_not_lists": {**TABLE, "mul": [5] * TABLE["size"]},
 }
+
+# Nested past make_ring's bracket limit, and past json's recursion limit.
+DEEP_SPEC = "prod(" * 1500 + "Zn:2" + ",Zn:2)" * 1500
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 # A 2-element table whose element 1 has no additive inverse.
 NOT_A_RING = {"size": 2, "add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]],
@@ -67,7 +73,10 @@ def files(tmp_path, monkeypatch):
         "INT_CORPUS": write("ints.json", [5]),
         "CORPUS": write("corpus.json", ["Zn:6"]),
         "UNWRITABLE": str(tmp_path / "no" / "such" / "dir" / "x.json"),
+        "DEEP_SPEC": DEEP_SPEC,
+        "DEEP_JSON": write("deep.json", DEEP_JSON),
     }
+    paths["DEEP_TABLE"] = "table:" + paths["DEEP_JSON"]
     for name, data in BAD_TABLES.items():
         paths[name] = write(f"{name}.json", data)
     return paths
@@ -81,6 +90,8 @@ CASES = [
     (["reduce", "TABLE_MATRIX"], 3, "reduction failed: "),
     (["reduce", "BIG_MATRIX"], 4, "too large: "),
     (["reduce", "DUALINT_MATRIX"], 5, "unsupported: "),
+    (["reduce", "DEEP_JSON"], 2, "parse error: "),
+    (["reduce", "Z_MATRIX", "--verify", "DEEP_JSON"], 2, "parse error: "),
     # classify
     (["classify", "Zn:0x"], 2, "parse error: "),
     (["classify", "polyq:2:x^100001"], 2, "parse error: exponent 100001 "),
@@ -90,6 +101,8 @@ CASES = [
      "unsupported: cannot export an infinite ring\n"),
     (["classify", "Zn:6", "--export-table", "UNWRITABLE"], 2, "error: "),
     (["classify", "NOT_A_RING"], 5, "error: element 1 has no additive"),
+    (["classify", "DEEP_SPEC"], 2, "parse error: brackets nested deeper "),
+    (["classify", "DEEP_TABLE"], 2, "parse error: bad JSON in table ring "),
     # adequate
     (["adequate", "Zn:12", "zzz", "5"], 2, "parse error: "),
     (["adequate", "Zn:12", "4", "6", "--size-bound", "5"], 4, "too large: "),
@@ -101,6 +114,7 @@ CASES = [
     (["adequate", "dualint", "0+1/2 x", "10"], 5, "unsupported input: "),
     # check-theorems and case-study
     (["check-theorems", "--corpus", "INT_CORPUS"], 2, "parse error: "),
+    (["check-theorems", "--corpus", "DEEP_JSON"], 2, "parse error: "),
     (["check-theorems", "--corpus", "CORPUS", "--checks", "NOPE"], 2,
      "parse error: "),
     (["check-theorems", "--corpus", "CORPUS", "--checks", "T2.5",
@@ -144,6 +158,30 @@ def test_malformed_table_file_is_a_parse_error(name, files, tmp_path, capsys):
     assert {ring: r["verdict"] for ring, r in rows.items()} == {
         spec: False, "Zn:6": True}
     assert rows[spec]["error"].startswith("table ring file ")
+
+
+def test_spec_nesting_limit():
+    """make_ring takes brackets nested SPEC_NESTING_LIMIT deep, and no deeper."""
+    def nested(depth):
+        return "prod(" * depth + "Zn:2" + ",Zn:2)" * depth
+
+    ring = make_ring(nested(SPEC_NESTING_LIMIT))
+    assert ring.cardinality == 2 ** (SPEC_NESTING_LIMIT + 1)
+    with pytest.raises(ParseError, match="nested deeper"):
+        make_ring(nested(SPEC_NESTING_LIMIT + 1))
+
+
+def test_deep_spec_in_a_corpus_is_an_error_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("RINGLAB_WORKERS", raising=False)
+    corpus, out = tmp_path / "c.json", tmp_path / "report.json"
+    corpus.write_text(json.dumps([DEEP_SPEC, "Zn:6"]))
+    assert cli.main(["check-theorems", "--corpus", str(corpus),
+                     "--checks", "T2.5", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rows = {r["ring"]: r for r in
+            json.loads(out.read_text())["results"][0]["rings"]}
+    assert rows[DEEP_SPEC]["error"].startswith("brackets nested deeper ")
+    assert not rows[DEEP_SPEC]["verdict"] and rows["Zn:6"]["verdict"]
 
 
 # Each child sets a 1 GiB address-space limit, runs cli.main in-process and

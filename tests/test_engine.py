@@ -156,7 +156,8 @@ def _clauses_hold(cache, wit, cval):
         return False
     si = cache.index_of(wit.s)
     ti = cache.index_of(wit.target)
-    return all(not cache.comax[sp][ti] for sp in cache.nonunit_divisors[si])
+    return all(not cache.comax[sp][ti]
+               for sp in cache.nonunit_divisors[cache.ideal_class[si]])
 
 
 def test_fza_witness_constructive_and_reverified(z12):

@@ -52,7 +52,7 @@ def test_quotient_memo_matches_fresh_quotients(spec):
     assert lab._quotient_ctx(ctx, [cache.zero]) is ctx
     jac = sorted(cache.jac)
     _same_quotient(lab._radical_quotient_ctx(ctx), _fresh(ctx, jac))
-    ideals = set(cache.pid) | {cache.jac}
+    ideals = set(map(cache.ideal_set, cache.ideal_class)) | {cache.jac}
     assert len(ctx._quotients) == len(ideals - {frozenset({cache.zero})})
 
 
