@@ -34,15 +34,21 @@ are kept per class: one pass (``ideal_class``) reads each mul row once as
 the set aR and interns it in a registry of one set per ideal, which
 ``ideal_set`` and ``generators_of`` read by id. ``sum_ideal_id`` is the
 one place that forms an ideal sum and interns it too, so equal ideals
-have equal ids. What depends on a only through aR is kept per class:
-``comax`` (k·n entries for k classes, not n²) and ``nonunit_divisors``.
+have equal ids. It forms I1 + I2, I1 the larger, as a union of I1-cosets
+I1 + y, one per y of I2 not yet in the union: a y already in it lies in
+a coset already added, so the union is exact, and it costs about
+|I2| + |I1 + I2| table reads instead of |I1|·|I2| sums. What depends on a
+only through aR is kept per class: ``comax`` (k·n entries for k classes,
+not n²) and ``nonunit_divisors``.
 ``bezout`` memoizes ``bezout_search`` per pair for the reducer only; the
-engine's exhaustive ``hermite`` search calls ``bezout_search`` and keeps
-nothing.
+engine's exhaustive ``hermite`` search runs ``bezout_row`` one row at a
+time and keeps nothing past the row. ``bezout_search`` is the row search
+on a row of one pair, so both give one witness order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from operator import add as _plus
 
@@ -282,7 +288,14 @@ class EngineCache:
         return self._ideal_sets[ident]
 
     def sum_ideal_id(self, id1: int, id2: int) -> int:
-        """Id of the ideal I1 + I2 (memoized on ideal ids)."""
+        """Id of the ideal I1 + I2 (memoized on ideal ids).
+
+        With I1 the larger of the two, I1 + I2 is the union of the cosets
+        I1 + y over y in I2. The union grown so far is always a union of
+        I1-cosets, so a y already in it lies in a coset already added and
+        is skipped. A sum then costs |I2| membership tests and |I1 + I2|
+        table reads (the cosets are disjoint), not |I1|·|I2| pairwise sums.
+        """
         if id1 > id2:
             id1, id2 = id2, id1
         key = (id1, id2)
@@ -290,9 +303,14 @@ class EngineCache:
         if got is not None:
             return got
         s1, s2 = self.ideal_set(id1), self.ideal_set(id2)
-        n, add = self.n, self.add
-        total = frozenset(add[x * n + y] for x in s1 for y in s2)
-        ident = self.ideal_id_of_set(total)
+        if len(s1) < len(s2):
+            s1, s2 = s2, s1
+        n, at = self.n, self.add.__getitem__
+        total: set[int] = set()
+        for y in s2:
+            if y not in total:
+                total.update(map(at, map((y * n).__add__, s1)))
+        ident = self.ideal_id_of_set(frozenset(total))
         self._sum_memo[key] = ident
         return ident
 
@@ -429,44 +447,71 @@ class EngineCache:
         return got
 
     def bezout_search(self, ia: int, ib: int) -> tuple[int, int, int, int, int, int, int]:
-        """Search a full Bezout witness (d, x, y, a1, b1, u, v) by indices.
+        """The Bezout witness of one pair: ``bezout_row`` on the row (ib,)."""
+        return next(self.bezout_row(ia, (ib,)))
+
+    def bezout_row(self, ia: int, ibs: Iterable[int]
+                   ) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+        """Yield a full Bezout witness (d, x, y, a1, b1, u, v) by indices for
+        each pair (ia, ib), ib in ``ibs`` in order; raise NotBezout at the
+        first pair that has none.
 
         d is the first element (in enumeration order) generating the ideal
-        iaR + ibR; the cofactor pair (a1, b1) is the first one admitting a
-        comaximality witness. The gcd coefficients reuse the comaximality
-        pair, so a*x + b*y = (a1*x + b1*y)*d = d holds by construction.
+        iaR + ibR; the cofactor pair (a1, b1) is the first one, over d,
+        then a1, then b1, admitting a comaximality witness. The gcd
+        coefficients reuse the comaximality pair, so
+        a*x + b*y = (a1*x + b1*y)*d = d holds by construction.
+
+        Apart from the preimages b1 of ib, the search reads ib only through
+        its ideal class, which fixes the generators d of iaR + ibR. What it
+        reads per d, d's preimage map and the preimages a1 of ia, is looked
+        up once per row, when the row first reaches d, and dies with the row.
         """
-        if ia == self.zero and ib == self.zero:
-            # Zero-ideal convention: cofactors (1, 0) keep a1R + b1R = R.
-            return (self.zero, self.zero, self.zero, self.one, self.zero,
-                    self.one, self.zero)
-        cls, comax, memo = self.ideal_class, self.comax, self._preimage_memo
-        gens = self.class_sum_gens[cls[ia]][cls[ib]]
-        if not gens:
-            raise NotBezout(
-                f"{self.ring.spec_string()}: ideal generated by "
-                f"{self.element(ia)} and {self.element(ib)} is not principal"
-            )
-        # ``comax_witness`` inlined on a hit of its x memo.
+        cls, comax, x_memo, pid_witness = (
+            self.ideal_class, self.comax, self._comax_x_memo, self.pid_witness)
         n, add, neg, mul = self.n, self.add, self.neg, self.mul
-        one_row, x_memo, pid_witness = self.one * n, self._comax_x_memo, self.pid_witness
-        for d in gens:
-            pre = memo.get(d) or self._preimages(d)
-            cof_b = pre.get(ib, ())
-            for a1 in pre.get(ia, ()):
-                comax_row, a1_row = comax[a1], a1 * n
-                for b1 in cof_b:
-                    if not comax_row[b1]:
+        one, one_row = self.one, self.one * n
+        sums = self.class_sum_gens[cls[ia]]
+        cofactors = {}  # d reached in the row -> (d's preimage map, its a1 list)
+        # Zero-ideal convention: cofactors (1, 0) keep a1R + b1R = R.
+        zero = self.zero if ia == self.zero else -1
+        for ib in ibs:
+            if ib == zero:
+                yield zero, zero, zero, one, zero, one, zero
+                continue
+            gens = sums[cls[ib]]
+            for d in gens:
+                got = cofactors.get(d)
+                if got is None:
+                    pre = self._preimages(d)
+                    got = cofactors[d] = pre, pre[ia]
+                pre, cof_a = got
+                cof_b = pre[ib]
+                for a1 in cof_a:
+                    comax_row = comax[a1]
+                    for b1 in cof_b:
+                        if comax_row[b1]:
+                            break
+                    else:
                         continue
-                    x = x_memo.get((a1, cls[b1]))
-                    wit = self.comax_witness(a1, b1) if x is None else (
-                        x, pid_witness[b1][add[one_row + neg[mul[a1_row + x]]]])
-                    if wit:
-                        return (d, *wit, a1, b1, *wit)
-        raise NotBezout(
-            f"{self.ring.spec_string()}: no comaximal cofactor pair for "
-            f"{self.element(ia)}, {self.element(ib)}"
-        )
+                    break
+                else:
+                    continue
+                break
+            else:
+                raise NotBezout(
+                    f"{self.ring.spec_string()}: no comaximal cofactor pair for "
+                    f"{self.element(ia)}, {self.element(ib)}" if gens else
+                    f"{self.ring.spec_string()}: ideal generated by "
+                    f"{self.element(ia)} and {self.element(ib)} is not principal"
+                )
+            # ``comax_witness`` inlined on a hit of its x memo.
+            x = x_memo.get((a1, cls[b1]))
+            if x is None:
+                x, y = self.comax_witness(a1, b1)
+            else:
+                y = pid_witness[b1][add[one_row + neg[mul[a1 * n + x]]]]
+            yield d, x, y, a1, b1, x, y
 
     def _preimages(self, d: int) -> dict[int, list[int]]:
         """Value v -> every t with d*t = v, ascending (memoized per d)."""

@@ -37,9 +37,10 @@ witnesses that meet a in the radical), so per entry only table lookups
 and one dict literal of ``EngineCache.names`` remain. A row's check
 parses its entries and tests each witness for pool membership and the
 identity; the domain then tests membership of each pair and that the
-rows cover the domain, each pair once. ``hermite`` calls
-``EngineCache.bezout_search``, so its n^2 results stay out of the
-reducer's memo.
+rows cover the domain, each pair once. ``hermite`` runs
+``EngineCache.bezout_row`` on each row, which builds its search state once
+per ideal class of b and whose single-pair case is ``bezout_search``; its
+n^2 results stay out of the reducer's memo.
 
 The adequacy predicates come in three variants. ``classic`` demands an
 exact factorization c = r*s; ``feckly`` only demands c - r*s to fall in
@@ -472,17 +473,16 @@ def _hermite(c: EngineCache) -> Callable:
 
 
 def _hermite_search(c: EngineCache) -> Callable:
-    names, search = c.names, c.bezout_search
+    names, row = c.names, c.bezout_row
 
     def fill(a, bs, out):
-        na = names[a]
-        for b in bs:
-            try:
-                d, _, _, a1, b1, u, v = search(a, b)
-            except NotBezout:
-                return b
-            out.append({"a": na, "b": names[b], "d": names[d], "a1": names[a1],
-                        "b1": names[b1], "u": names[u], "v": names[v]})
+        na, start = names[a], len(out)
+        try:
+            for b, (d, _, _, a1, b1, u, v) in zip(bs, row(a, bs)):
+                out.append({"a": na, "b": names[b], "d": names[d], "a1": names[a1],
+                            "b1": names[b1], "u": names[u], "v": names[v]})
+        except NotBezout:
+            return bs[len(out) - start]
         return None
     return fill
 

@@ -8,8 +8,9 @@ from the same raw operations.
 
 The principal-ideal layer (``ideal_class``, the class sets, generators,
 ideal sums, ``nonunit_divisors`` and ``_generated_ideal``) is checked
-against the principal ideals aR = {a·t} read off the pairwise tables, and
-the engine's verdicts against the same ring with its indices permuted.
+against the principal ideals aR = {a·t} read off the pairwise tables, the
+``hermite`` witnesses against a pair-by-pair search on the same tables,
+and the engine's verdicts against the same ring with its indices permuted.
 """
 
 import subprocess
@@ -282,6 +283,77 @@ def test_class_layer_equals_the_definition(name):
 @given(small_rings(limit=64))
 def test_class_layer_equals_the_definition_on_random_rings(ring):
     assert_class_layer_matches(ring)
+
+
+def hermite_oracle(ring):
+    """Every pair's Hermite witness, row by row, from the pairwise tables.
+
+    For each pair (a, b) in row order: aR + bR by brute force, its
+    generators ascending, then the first (d, a1, b1) with d·a1 = a,
+    d·b1 = b and a1R + b1R = R; x is the first one with 1 - a1·x in b1R
+    and y the first multiplier of b1 onto 1 - a1·x. The pair (0, 0) takes
+    the zero-ideal convention d = 0, (a1, b1) = (1, 0), (u, v) = (1, 0).
+    Returns the ``{"a", "b", "d", "a1", "b1", "u", "v"}`` entries found,
+    and the first pair without a witness (None if every pair has one).
+    """
+    vals, idx, add, mul, neg = pairwise_tables(ring)
+    n, zero, one = len(vals), idx[ring._zero_raw()], idx[ring._one_raw()]
+    names = [ring._format(v) for v in vals]
+    ideal = [frozenset(mul[a * n:a * n + n]) for a in range(n)]
+    sums = {}
+
+    def ideal_sum(a, b):
+        key = ideal[a], ideal[b]
+        if key not in sums:
+            sums[key] = frozenset(add[x * n + y] for x in key[0] for y in key[1])
+        return sums[key]
+
+    def one_minus(v):
+        return add[one * n + neg[v]]
+
+    entries = []
+    for a in range(n):
+        for b in range(n):
+            if a == b == zero:
+                d, a1, b1, u, v = zero, one, zero, one, zero
+            else:
+                total = ideal_sum(a, b)
+                found = next(((d, a1, b1) for d in range(n) if ideal[d] == total
+                              for a1 in range(n) if mul[d * n + a1] == a
+                              for b1 in range(n) if mul[d * n + b1] == b
+                              and one in ideal_sum(a1, b1)), None)
+                if found is None:
+                    return entries, (names[a], names[b])
+                d, a1, b1 = found
+                u = next(x for x in range(n) if one_minus(mul[a1 * n + x]) in ideal[b1])
+                v = mul[b1 * n:b1 * n + n].index(one_minus(mul[a1 * n + u]))
+            entries.append({"a": names[a], "b": names[b], "d": names[d],
+                            "a1": names[a1], "b1": names[b1],
+                            "u": names[u], "v": names[v]})
+    return entries, None
+
+
+def assert_hermite_matches_oracle(ring):
+    entries, failing = hermite_oracle(ring)
+    got = engine.ring_predicate(ring.cache(), "hermite")
+    spec = ring.spec_string()
+    assert got.verdict is (failing is None), spec
+    if failing is None:
+        assert got.witness["pairs"] == entries, spec
+    else:
+        bad = got.counterexample
+        assert (bad["a"], bad["b"]) == failing, spec
+
+
+@pytest.mark.parametrize("name", list(RINGS) + NON_BEZOUT_QUOTIENTS)
+def test_hermite_witnesses_equal_the_oracle(name):
+    assert_hermite_matches_oracle(RINGS[name]() if name in RINGS else make_ring(name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_rings(limit=32))
+def test_hermite_witnesses_equal_the_oracle_on_random_rings(ring):
+    assert_hermite_matches_oracle(ring)
 
 
 @settings(max_examples=27, deadline=None)

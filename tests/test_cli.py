@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,24 @@ def test_classify_finite_and_structural(tmp_path):
     rep = json.loads(res.stdout)
     assert rep["predicates"]["bezout"]["verdict"] is False
     assert rep["predicates"]["bezout"]["counterexample"]["ideal"]
+
+
+# sha256 of the stdout of ``ringlab classify SPEC``: every payload, verdict
+# and counterexample of the three rings that the classify benchmark runs.
+CLASSIFY_STDOUT_SHA256 = {
+    "Zn:96": "19df255c3b05b89e1fcc0442138197b71573464ba146442d803b0d67ec6f5927",
+    "polyq:2:x^6": "52bf85e8928bb4080735133ab7776e1090e821e0958af7d3caa6594047360243",
+    "prod(Zn:4,Zn:9)": "2774721ecaa3f431676c088400538809ad85e7a5f630e446bdad86b7ec8f5d8f",
+}
+
+
+@pytest.mark.parametrize("spec", list(CLASSIFY_STDOUT_SHA256))
+def test_classify_stdout_bytes_pinned(spec, capsys):
+    from ringlab import cli
+
+    assert cli.main(["classify", spec]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_STDOUT_SHA256[spec]
 
 
 def test_classify_exit_codes():
