@@ -40,6 +40,12 @@ a coset already added, so the union is exact, and it costs about
 |I2| + |I1 + I2| table reads instead of |I1|·|I2| sums. What depends on a
 only through aR is kept per class: ``comax`` (k·n entries for k classes,
 not n²) and ``nonunit_divisors``.
+``_preimages`` is the one preimage layer: per element d, the map from a
+value v to every t with d*t = v, or, keyed by the least element of a
+coset of the Jacobson radical J (``jac_cosets``), to every t with
+d*t in v + J; the t ascending in both. ``bezout_row`` and the reducer's
+``_comax_cofactors`` read the first form; the engine's adequacy search
+reads both, for its non-unit candidates r.
 ``bezout`` memoizes ``bezout_search`` per pair for the reducer only; the
 engine's exhaustive ``hermite`` search runs ``bezout_row`` one row at a
 time and keeps nothing past the row. ``bezout_search`` is the row search
@@ -220,6 +226,22 @@ class EngineCache:
         return frozenset(
             x for x in range(n)
             if all(map(unit_after.__getitem__, mul[x * n:x * n + n])))
+
+    @cached_property
+    def jac_cosets(self) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+        """(least, members): least[v] is the least element of the coset
+        v + J, and members maps each such least element to its coset,
+        ascending; n entries in each."""
+        n, add, jac = self.n, self.add, self.jac
+        least = [-1] * n
+        members = {}
+        for v in range(n):
+            if least[v] < 0:  # v is the least element of a new coset
+                row = v * n
+                coset = members[v] = tuple(sorted(add[row + j] for j in jac))
+                for m in coset:
+                    least[m] = v
+        return least, members
 
     @cached_property
     def idempotents(self) -> frozenset[int]:
@@ -513,13 +535,24 @@ class EngineCache:
                 y = pid_witness[b1][add[one_row + neg[mul[a1 * n + x]]]]
             yield d, x, y, a1, b1, x, y
 
-    def _preimages(self, d: int) -> dict[int, list[int]]:
-        """Value v -> every t with d*t = v, ascending (memoized per d)."""
-        got = self._preimage_memo.get(d)
+    def _preimages(self, d: int, mod_jac: bool = False) -> dict[int, list[int]]:
+        """Value v -> every t with d*t = v, ascending; with ``mod_jac``, the
+        least element of a coset v + J -> every t with d*t in v + J,
+        ascending.
+
+        One memo holds both forms, under keys d and n + d. The value-keyed
+        map serves ``bezout_row`` and the reducer's ``_comax_cofactors``,
+        and both serve the adequacy search for a non-unit d.
+        """
+        key = self.n + d if mod_jac else d
+        got = self._preimage_memo.get(key)
         if got is None:
             got = {}
             row = d * self.n
-            for t, v in enumerate(self.mul[row:row + self.n]):
+            values = self.mul[row:row + self.n]
+            if mod_jac:
+                values = map(self.jac_cosets[0].__getitem__, values)
+            for t, v in enumerate(values):
                 got.setdefault(v, []).append(t)
-            self._preimage_memo[d] = got
+            self._preimage_memo[key] = got
         return got

@@ -66,6 +66,18 @@ ideals come from the cache's class layer, which interns every ideal once,
 so the ``bezout`` check dR = aR + bR compares ideal ids, not sets.
 Element strings are formatted once per cache (``EngineCache.names``) and
 parsed once (``EngineCache.parsed``).
+
+The adequacy search looks its candidate s up instead of scanning r's mul
+row. The acceptable s for r are those with r*s in c + I, I = 0 (classic,
+cvariant) or J (feckly): the radical is closed under negation, so the
+products c - j with j in J are the coset c + J. For a unit r they are the
+coset r^-1*c + I, since r^-1*I = I: one element for I = 0, and for I = J
+one member list of the cache's ``jac_cosets``. Any other r reads its
+preimage map, keyed by value or by the least element of a J-coset
+(``EngineCache._preimages``). r still runs over ``comax[target]``
+ascending and each candidate list is ascending in s, so the first (r, s)
+is the one a scan of the rows would find. The classic variant builds no
+per-cache table; its unit candidates cost one multiplication each.
 """
 
 from __future__ import annotations
@@ -204,19 +216,32 @@ def _adequate_pair_idx(c: EngineCache, cval: int, target: int,
 
 def _first_adequate_pair(c: EngineCache, cval: int, target: int,
                          variant: str) -> tuple[int, int] | None:
-    n, add, mul, neg = c.n, c.add, c.mul, c.neg
-    # r*s is acceptable iff it equals cval (classic, cvariant) or
-    # cval - r*s = j lies in the radical (feckly), i.e. r*s = cval - j.
-    if variant == "feckly":
-        hits = {add[cval * n + neg[j]] for j in c.jac}
+    """r ascending over ``comax[target]``, then the s with r*s in cval + I
+    ascending, I = 0 or J: the first pair whose s passes clause (3). The s
+    are looked up, not scanned; see the module docstring."""
+    n, mul, inverse = c.n, c.mul, c.units
+    feckly = variant == "feckly"
+    if feckly:
+        least, members = c.jac_cosets
+        key = least[cval]
     else:
-        hits = {cval}
-    clause3_target = cval if variant == "cvariant" else target
-    is_hit = hits.__contains__
+        key = cval
+    anchor = cval if variant == "cvariant" else target
+    anchored, cls = c._ext.setdefault("anchored", {}), c.ideal_class
+    anchor_cls = cls[anchor]
     for r in compress(range(n), c.comax[target]):
-        row = r * n
-        for s in compress(range(n), map(is_hit, mul[row:row + n])):
-            if _anchored(c, s, clause3_target):
+        r_inv = inverse.get(r)
+        if r_inv is None:
+            candidates = c._preimages(r, feckly).get(key, ())
+        elif feckly:
+            candidates = members[least[mul[r_inv * n + cval]]]
+        else:
+            candidates = (mul[r_inv * n + cval],)
+        for s in candidates:
+            got = anchored.get((cls[s], anchor_cls))  # ``_anchored``'s memo hit
+            if got is None:
+                got = _anchored(c, s, anchor)
+            if got:
                 return r, s
     return None
 

@@ -575,7 +575,12 @@ class _RatioOps(_Adapter):
         return str(num) if den == 1 else f"{num}/{den}"
 
     def parse(self, text):
-        """Parser of one element string to a raw entry."""
+        """Parser of one element string to a raw entry. "0" and "1", most
+        of the entries of a certificate, skip the regular expression."""
+        if text == "0":
+            return self.zero
+        if text == "1":
+            return self.one
         ring = self.ring
         try:
             ratio = ring._ascii_ratio(text)

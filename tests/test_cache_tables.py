@@ -394,3 +394,20 @@ def test_class_layer_memory_on_zn_1024():
         tracemalloc.stop()
     assert len(c.class_gens) == 11
     assert peak < 2 * 2**20, peak
+
+
+def test_adequacy_memo_memory_on_zn_1024():
+    """The adequacy search of all three variants on Z/1024 keeps under
+    32 MB: a preimage map per non-unit r and one J-coset table. A unit r
+    reads its s from r^-1*c + I, so it needs no map (a map per r would
+    take about 58 MB)."""
+    c = engine.build_cache(make_ring("Zn:1024"))
+    c.comax, c.nonunit_divisors  # built before tracing: not part of the memo
+    tracemalloc.start()
+    try:
+        for variant in ("classic", "feckly", "cvariant"):
+            engine._adequate_flags(c, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak

@@ -15,13 +15,18 @@ from collections import Counter
 import pytest
 
 from ringlab import engine
-from ringlab.concrete import builtin_table_path, make_ring, quotient_ring
+from ringlab.concrete import (TableRing, builtin_table_path, export_table_data,
+                              make_ring, quotient_ring)
 from ringlab.errors import ParseError
 
 VARIANTS = ("classic", "feckly", "cvariant")
 
 ORACLE_SPECS = ("Zn:12", "Zn:30", "prod(Zn:4,Zn:9)", "polyq:9:x^2-1",
-                f"table:{builtin_table_path()}")
+                f"table:{builtin_table_path()}",
+                "polyq:2:x^6",  # |J| = 32 of 64: large feckly cosets
+                "polyq:3:x^3",
+                # not Bezout
+                "quot(polyq:4:x^2,2x)", "prod(Zn:3,quot(polyq:4:x^2,2x))")
 
 
 class BruteAdequacy:
@@ -98,9 +103,8 @@ class BruteAdequacy:
         return None
 
 
-@pytest.mark.parametrize("spec", ORACLE_SPECS)
-def test_adequacy_memo_matches_brute_force(spec):
-    ring = make_ring(spec)
+def assert_memo_matches_brute_force(ring):
+    spec = ring.spec_string()
     brute = BruteAdequacy(ring)
     cache = engine.build_cache(ring)
     assert [cache.element(i) for i in range(cache.n)] == brute.elems
@@ -118,6 +122,37 @@ def test_adequacy_memo_matches_brute_force(spec):
                     assert got == want, (spec, variant, str(c), str(a))
             flag = engine._adequate_flags(cache, variant)[ci]
             assert flag == (None not in expected.values()), (spec, variant, str(c))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_adequacy_memo_matches_brute_force(spec):
+    assert_memo_matches_brute_force(make_ring(spec))
+
+
+def test_adequacy_memo_matches_brute_force_with_a_unit_before_1():
+    """Z/10 as a table ring with 1 and 3 swapped in its enumeration, so
+    that its first unit, 3, is not its own inverse.
+
+    Every ring ``make_ring`` builds enumerates 1 as its first unit. There
+    a unit r after 1 is reached only when no s of r = 1 passes clause (3),
+    and then no s of r either: they are associates of those of 1, whether
+    read from r^-1*c + I or, wrongly, from r*c + I. Only an enumeration
+    like this one tells the two apart.
+    """
+    table = export_table_data(make_ring("Zn:10"))
+    n, one, u = table["size"], table["one"], 3
+    perm = list(range(n))
+    perm[one], perm[u] = u, one  # an involution: its own inverse
+
+    def relabel(tab):
+        return [[perm[tab[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
+
+    ring = TableRing(n, relabel(table["add"]), relabel(table["mul"]),
+                     perm[table["zero"]], perm[one], spec_str="Zn:10, 1 and 3 swapped")
+    cache = engine.build_cache(ring)
+    first = min(cache.units)
+    assert cache.units[first] != first
+    assert_memo_matches_brute_force(ring)
 
 
 NAME_SPECS = ("Zn:2", "Zn:12", "prod(Zn:4,Zn:9)", "prod(Zn:2,polyq:3:x^2-1)",

@@ -270,6 +270,21 @@ def test_parse_edge_cases():
             ops.parse(text)
 
 
+@pytest.mark.parametrize("spec", sorted(RINGS))
+def test_parse_of_zero_and_one_skips_the_regex_with_the_same_pairs(spec):
+    """"0" and "1" return before the regular expression, with the pairs
+    the ASCII path and the ``Fraction`` parser give; the ints 0 and 1 are
+    not strings, so they still raise."""
+    ring = RINGS[spec]
+    ops = _scalar_ops(ring)
+    for text, want in (("0", (0, 1)), ("1", (1, 1))):
+        assert ops.parse(text) == ring._local_pair(*ring._ascii_ratio(text)) == want
+        check_pair(ops, ops.parse(text), old_parse(ring, text))
+    for entry in (0, 1, 0.0, True):
+        with pytest.raises(ParseError):
+            ops.parse(entry)
+
+
 def cycle(ring, A):
     """The reduce benchmark's op: reduce, verify, JSON round trip, verify."""
     cert = diagonal_reduce(ring, A)
