@@ -32,15 +32,17 @@ rejected, never raised. ``semiregular`` is the conjunction of
 The domains of n^2 items run row by row: pair domains one first
 coordinate a at a time, adequacy targets one element c at a time. A pair
 predicate's search and check bind per row what depends on a alone (the
-offset a*n, flags such as "a + v is a unit" for every v, the pool
-witnesses that meet a in the radical), so per entry only table lookups
-and one dict literal of ``EngineCache.names`` remain. A row's check
-parses its entries and tests each witness for pool membership and the
-identity; the domain then tests membership of each pair and that the
-rows cover the domain, each pair once. ``hermite`` runs
-``EngineCache.bezout_row`` on each row, which builds its search state once
-per ideal class of b and whose single-pair case is ``bezout_search``; its
-n^2 results stay out of the reducer's memo.
+offset a*n, flags such as "a + v is a unit" for every v), and per ideal
+class of a what depends only on aR: the pool witnesses that meet a in the
+radical, as a list and as the set the check tests membership against.
+That is exact because the meet aR intersect wR is already memoized per
+pair of classes. So per entry only table lookups and one dict literal of
+``EngineCache.names`` remain. A row's check parses its entries and tests
+each witness for pool membership and the identity; the domain then tests
+membership of each pair and that the rows cover the domain, each pair
+once. ``hermite`` runs ``EngineCache.bezout_row`` on each row, which
+builds its search state once per ideal class of b and whose single-pair
+case is ``bezout_search``; its n^2 results stay out of the reducer's memo.
 
 The adequacy predicates come in three variants. ``classic`` demands an
 exact factorization c = r*s; ``feckly`` only demands c - r*s to fall in
@@ -61,11 +63,26 @@ therefore return exactly what the unmemoized search would. By the same
 argument a targets row names r, s, j = c - r*s and x (the first one with
 1 - r*x in tR) once per ideal class of the target t, and looks up only y,
 the multiplier of t, per target; and c is adequate against every target
-iff it is against one target per class (``_adequate_flags``). Principal
-ideals come from the cache's class layer, which interns every ideal once,
-so the ``bezout`` check dR = aR + bR compares ideal ids, not sets.
-Element strings are formatted once per cache (``EngineCache.names``) and
-parsed once (``EngineCache.parsed``).
+iff it is against one target per class. Principal ideals come from the
+cache's class layer, which interns every ideal once, so the ``bezout``
+check dR = aR + bR compares ideal ids, not sets. Element strings are
+formatted once per cache (``EngineCache.names``) and parsed once
+(``EngineCache.parsed``).
+
+``_adequate_flags`` also takes one c per class: the least generator of
+each class, against one target per class, k^2 searches for k classes
+instead of n*k, and copies the verdict to every element of the class. That
+is exact because aR = bR makes a and b associates. If b = a*x and
+a = b*y, then a = a*x*y, so a*(1 - x*y) = 0; and x*y + (1 - x*y) = 1, so
+xR + (1 - x*y)R = R. Every finite ring has stable range 1, so
+u = x + (1 - x*y)*t is a unit for some t, and then
+a*u = a*x + a*(1 - x*y)*t = b. Now if (r, s) witnesses adequacy of c
+against a target, then (u*r, s) witnesses it for u*c, in all three
+variants: u*c - (u*r)*s = u*(c - r*s) is 0, or in J when c - r*s is; u*r
+is comaximal with the target exactly when r is; and clause (3) reads only
+s and the class of the target, or of c, which u*c shares. The unit u^-1
+carries witnesses back, so every element of a class has the flag of its
+least generator.
 
 The adequacy search looks its candidate s up instead of scanning r's mul
 row. The acceptable s for r are those with r*s in c + I, I = 0 (classic,
@@ -249,15 +266,16 @@ def _first_adequate_pair(c: EngineCache, cval: int, target: int,
 def _adequate_flags(c: EngineCache, variant: str) -> list[bool]:
     """Per element: adequate against every target (memoized per variant).
 
-    One target per ideal class decides it; see the module docstring.
+    The least generator of each ideal class, against one target per class,
+    decides it for the whole class; see the module docstring.
     """
     key = ("adequate_flags", variant)
     got = c._ext.get(key)
     if got is None:
         reps = [gens[0] for gens in c.class_gens]
-        got = c._ext[key] = [
-            all(_adequate_pair_idx(c, cval, t, variant) is not None for t in reps)
-            for cval in range(c.n)]
+        per_class = [all(_adequate_pair_idx(c, g, t, variant) is not None for t in reps)
+                     for g in reps]
+        got = c._ext[key] = list(map(per_class.__getitem__, c.ideal_class))
     return got
 
 
@@ -444,14 +462,21 @@ def _range_kernels(letter: str, pool: str, flags: Callable, meet: bool = False) 
     also lies in the radical."""
     def bind(c):
         n, add, mul, names, parsed = c.n, c.add, c.mul, c.names, c.parsed
-        marked, wits, meets = flags(c), _pool(c, pool), _meet_in_radical(c)
+        marked, wits, cls = flags(c), _pool(c, pool), c.ideal_class
+        meets = _meet_in_radical(c) if meet else None
+        usable = {}  # ideal class of a (or None) -> the usable witnesses, list and set
 
         def row(a):  # good[v]: a + v is marked; the witnesses usable in row a
             good = list(map(marked.__getitem__, add[a * n:a * n + n]))
-            return good, [w for w in wits if meets(a, w)] if meet else wits
+            key = cls[a] if meet else None
+            got = usable.get(key)
+            if got is None:
+                cands = [w for w in wits if meets(a, w)] if meet else wits
+                got = usable[key] = cands, set(cands)
+            return good, got
 
         def fill(a, bs, out):
-            good, cands = row(a)
+            good, (cands, _) = row(a)
             na = names[a]
             for b in bs:
                 brow = b * n
@@ -464,8 +489,8 @@ def _range_kernels(letter: str, pool: str, flags: Callable, meet: bool = False) 
             return None
 
         def holds(a, entries):
-            good, cands = row(a)
-            allowed, bs = set(cands), []
+            good, (_, allowed) = row(a)
+            bs = []
             for e in entries:
                 b, w = parsed[e["b"]], parsed[e[letter]]
                 if w not in allowed or not good[mul[b * n + w]]:

@@ -41,6 +41,8 @@ from ringlab.concrete import (
 from ringlab.errors import AxiomViolation
 from ringlab.rings import Element
 
+from .test_engine_memos import unit_before_one_ring
+
 
 def pairwise_tables(ring):
     """Every entry from one raw ring call: (vals, idx, add, mul, neg)."""
@@ -283,6 +285,37 @@ def test_class_layer_equals_the_definition(name):
 @given(small_rings(limit=64))
 def test_class_layer_equals_the_definition_on_random_rings(ring):
     assert_class_layer_matches(ring)
+
+
+def assert_classes_are_unit_multiples(ring):
+    """Each class of ``class_gens`` is {u·g : u a unit}, g its least
+    generator: aR = bR makes a and b associates. ``_adequate_flags``
+    copies one verdict per class on this ground."""
+    vals, idx, _, mul, _ = pairwise_tables(ring)
+    n, one = len(vals), idx[ring._one_raw()]
+    units = [u for u in range(n) if one in mul[u * n:u * n + n]]
+    c = ring.cache()
+    assert c.vals == vals
+    for gens in c.class_gens:
+        g = gens[0]
+        assert g == min(gens)
+        assert set(gens) == {mul[u * n + g] for u in units}, (ring.spec_string(), g)
+
+
+UNIT_MULTIPLE_RINGS = {**RINGS, **{name: (lambda name=name: make_ring(name))
+                                    for name in NON_BEZOUT_QUOTIENTS},
+                       "Zn:10, 1 and 3 swapped": unit_before_one_ring}
+
+
+@pytest.mark.parametrize("name", list(UNIT_MULTIPLE_RINGS))
+def test_classes_are_unit_multiples(name):
+    assert_classes_are_unit_multiples(UNIT_MULTIPLE_RINGS[name]())
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings(limit=32))
+def test_classes_are_unit_multiples_on_random_rings(ring):
+    assert_classes_are_unit_multiples(ring)
 
 
 def hermite_oracle(ring):

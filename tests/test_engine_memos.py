@@ -129,16 +129,9 @@ def test_adequacy_memo_matches_brute_force(spec):
     assert_memo_matches_brute_force(make_ring(spec))
 
 
-def test_adequacy_memo_matches_brute_force_with_a_unit_before_1():
+def unit_before_one_ring():
     """Z/10 as a table ring with 1 and 3 swapped in its enumeration, so
-    that its first unit, 3, is not its own inverse.
-
-    Every ring ``make_ring`` builds enumerates 1 as its first unit. There
-    a unit r after 1 is reached only when no s of r = 1 passes clause (3),
-    and then no s of r either: they are associates of those of 1, whether
-    read from r^-1*c + I or, wrongly, from r*c + I. Only an enumeration
-    like this one tells the two apart.
-    """
+    that its first unit, 3, is not its own inverse."""
     table = export_table_data(make_ring("Zn:10"))
     n, one, u = table["size"], table["one"], 3
     perm = list(range(n))
@@ -147,8 +140,20 @@ def test_adequacy_memo_matches_brute_force_with_a_unit_before_1():
     def relabel(tab):
         return [[perm[tab[perm[i]][perm[j]]] for j in range(n)] for i in range(n)]
 
-    ring = TableRing(n, relabel(table["add"]), relabel(table["mul"]),
+    return TableRing(n, relabel(table["add"]), relabel(table["mul"]),
                      perm[table["zero"]], perm[one], spec_str="Zn:10, 1 and 3 swapped")
+
+
+def test_adequacy_memo_matches_brute_force_with_a_unit_before_1():
+    """The oracle on ``unit_before_one_ring``.
+
+    Every ring ``make_ring`` builds enumerates 1 as its first unit. There
+    a unit r after 1 is reached only when no s of r = 1 passes clause (3),
+    and then no s of r either: they are associates of those of 1, whether
+    read from r^-1*c + I or, wrongly, from r*c + I. Only an enumeration
+    like this one tells the two apart.
+    """
+    ring = unit_before_one_ring()
     cache = engine.build_cache(ring)
     first = min(cache.units)
     assert cache.units[first] != first
@@ -632,3 +637,73 @@ def test_semiregular_decides_its_parts_once(monkeypatch):
             got = {item: k for (name, item), k in searched.items() if name == part}
             assert got == dict.fromkeys(domain, 1), (spec, part)
         searched.clear()
+
+
+CLASSIFY_SPECS = ("Zn:96", "polyq:2:x^6", "prod(Zn:4,Zn:9)")
+
+
+@pytest.mark.parametrize("spec", CLASSIFY_SPECS)
+def test_class_invariants_are_computed_once_per_class(spec, monkeypatch):
+    """On a fresh cache, ``_adequate_flags`` searches only the least
+    generator of each ideal class against one target per class, at most
+    k^2 searches per variant for k classes; and each bound ``t216_cond2``
+    or ``c217_cond2`` kernel, search or check, evaluates at most k*|pool|
+    meets, one filter of its pool per class of a. The results themselves
+    are guarded by ``assert_memo_matches_brute_force``, the per-item
+    reference of ``tests/test_row_kernels.py`` and the payload pins."""
+    searched, meet_counts = [], []
+    real_pair, real_meet = engine._adequate_pair_idx, engine._meet_in_radical
+
+    def pair_spy(c, cval, target, variant):
+        searched.append((cval, target))
+        return real_pair(c, cval, target, variant)
+
+    def meet_spy(c):
+        meets, count = real_meet(c), [0]
+        meet_counts.append(count)
+
+        def counted(a, e):
+            count[0] += 1
+            return meets(a, e)
+        return counted
+
+    monkeypatch.setattr(engine, "_adequate_pair_idx", pair_spy)
+    monkeypatch.setattr(engine, "_meet_in_radical", meet_spy)
+    cache = engine.build_cache(make_ring(spec))
+    reps = {gens[0] for gens in cache.class_gens}
+    k = len(reps)
+    assert k < cache.n
+    for variant in VARIANTS:
+        searched.clear()
+        engine._adequate_flags(cache, variant)
+        assert 0 < len(searched) <= k * k, (variant, len(searched))
+        assert {x for pair in searched for x in pair} <= reps, variant
+    for pid, pool in (("t216_cond2", cache.quasi_idempotents),
+                      ("c217_cond2", cache.idempotents)):
+        meet_counts.clear()
+        res = engine.ring_predicate(cache, pid)
+        assert res.verdict and engine.reverify(cache, res), pid
+        assert len(meet_counts) == 2, pid  # one search, one check
+        assert all(0 < count <= k * len(pool) for count, in meet_counts), (
+            pid, meet_counts)
+
+
+@pytest.mark.parametrize("spec", CLASSIFY_SPECS + ("Zn:10, 1 and 3 swapped",))
+def test_adequate_flags_follow_the_ideal_class(spec, monkeypatch):
+    """Every finite commutative ring is a product of local rings, where
+    every element is adequate in all three variants, so the real flags are
+    all True and cannot tell how a verdict is spread. Here the spy reports
+    no witness for one class representative g at a time: the flags must
+    then be False on exactly the class of g, the associates of g."""
+    ring = unit_before_one_ring() if "swapped" in spec else make_ring(spec)
+    cache = engine.build_cache(ring)
+    real, cls = engine._adequate_pair_idx, cache.ideal_class
+    for g in (gens[0] for gens in cache.class_gens):
+        def spy(c, cval, target, variant, g=g):
+            return None if cval == g else real(c, cval, target, variant)
+
+        monkeypatch.setattr(engine, "_adequate_pair_idx", spy)
+        for variant in VARIANTS:
+            cache._ext.pop(("adequate_flags", variant), None)
+            want = [cls[a] != cls[g] for a in range(cache.n)]
+            assert engine._adequate_flags(cache, variant) == want, (spec, g, variant)
