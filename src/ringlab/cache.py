@@ -38,14 +38,17 @@ have equal ids. It forms I1 + I2, I1 the larger, as a union of I1-cosets
 I1 + y, one per y of I2 not yet in the union: a y already in it lies in
 a coset already added, so the union is exact, and it costs about
 |I2| + |I1 + I2| table reads instead of |I1|·|I2| sums. What depends on a
-only through aR is kept per class: ``comax`` (k·n entries for k classes,
-not n²) and ``nonunit_divisors``.
-``_preimages`` is the one preimage layer: per element d, the map from a
-value v to every t with d*t = v, or, keyed by the least element of a
-coset of the Jacobson radical J (``jac_cosets``), to every t with
-d*t in v + J; the t ascending in both. ``bezout_row`` and the reducer's
-``_comax_cofactors`` read the first form; the engine's adequacy search
-reads both, for its non-unit candidates r.
+only through aR is kept or decided per class: ``comax`` (k·n entries for
+k classes, not n²), ``nonunit_divisors``, the units (u is one iff 1 is in
+uR), the radical (x is in J iff 1 - v is a unit for every v in xR) and
+``associate_canon`` (the associates of a are the generators of aR, as the
+``engine`` module docstring proves, so the least is the least generator).
+``_preimages`` is the one preimage layer: per queried element d, the map
+from a value v to every t with d*t = v, or, keyed by the least element of
+a coset of the Jacobson radical J (``jac_cosets``), to every t with
+d*t in v + J; the t ascending in both. ``divides`` (the first such t, or
+d^-1*v for a unit d), ``bezout_row`` and the reducer's
+``_comax_cofactors`` read the first form, the adequacy search both.
 ``bezout`` memoizes ``bezout_search`` per pair for the reducer only; the
 engine's exhaustive ``hermite`` search runs ``bezout_row`` one row at a
 time and keeps nothing past the row. ``bezout_search`` is the row search
@@ -54,8 +57,9 @@ on a row of one pair, so both give one witness order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
+from itertools import compress
 from operator import add as _plus
 
 from .errors import AxiomViolation, NotBezout, ParseError, TooLarge
@@ -198,18 +202,18 @@ class EngineCache:
 
     # --- basic structure ------------------------------------------------------
 
+    def _members(self, holds: Callable) -> Iterator[int]:
+        """The elements a with holds(aR), ascending; one call per class."""
+        flags = list(map(holds, self._ideal_sets[:len(self.class_gens)]))
+        return compress(range(self.n), map(flags.__getitem__, self.ideal_class))
+
     @cached_property
     def units(self) -> dict[int, int]:
-        """Unit index -> inverse index."""
-        n, mul, one = self.n, self.mul, self.one
-        out = {}
-        for i in range(n):
-            row = i * n
-            for j in range(n):
-                if mul[row + j] == one:
-                    out[i] = j
-                    break
-        return out
+        """Unit index -> inverse index, ascending: u is a unit iff 1 is in
+        uR, and its inverse is the first position of 1 in its mul row."""
+        n, index, one = self.n, self.mul.index, self.one
+        return {u: index(one, u * n, u * n + n) - u * n
+                for u in self._members(lambda s: one in s)}
 
     @cached_property
     def unit_set(self) -> frozenset[int]:
@@ -217,15 +221,12 @@ class EngineCache:
 
     @cached_property
     def jac(self) -> frozenset[int]:
-        """Jacobson radical: x such that 1 - x*r is a unit for every r."""
-        n, add, neg, mul = self.n, self.add, self.neg, self.mul
-        units = self.unit_set
+        """Jacobson radical: x such that 1 - v is a unit for every v in xR."""
+        n, add, neg, units = self.n, self.add, self.neg, self.units
         one_row = self.one * n
         # unit_after[v]: 1 - v is a unit
         unit_after = [add[one_row + neg[v]] in units for v in range(n)]
-        return frozenset(
-            x for x in range(n)
-            if all(map(unit_after.__getitem__, mul[x * n:x * n + n])))
+        return frozenset(self._members(lambda s: all(map(unit_after.__getitem__, s))))
 
     @cached_property
     def jac_cosets(self) -> tuple[list[int], dict[int, tuple[int, ...]]]:
@@ -255,21 +256,6 @@ class EngineCache:
             i for i in range(n) if add[i * n + neg[mul[i * n + i]]] in jac)
 
     # --- principal ideals -------------------------------------------------------
-
-    @cached_property
-    def pid_witness(self) -> list[dict[int, int]]:
-        """Per element a: map value v -> first t with a*t = v."""
-        n, mul = self.n, self.mul
-        out = []
-        for i in range(n):
-            row = i * n
-            d: dict[int, int] = {}
-            for t in range(n):
-                v = mul[row + t]
-                if v not in d:
-                    d[v] = t
-            out.append(d)
-        return out
 
     @cached_property
     def ideal_class(self) -> list[int]:
@@ -384,7 +370,7 @@ class EngineCache:
             else:
                 return None
             self._comax_x_memo[key] = x
-        return x, self.pid_witness[j][add[one_row + neg[mul[row + x]]]]
+        return x, self.divides(j, add[one_row + neg[mul[row + x]]])
 
     def triple_sum_id(self, i: int, j: int, k: int) -> int:
         """Id of the ideal iR + jR + kR.
@@ -409,14 +395,22 @@ class EngineCache:
         if not self.triple_comax(i, j, k):
             return None
         n, add, neg, mul = self.n, self.add, self.neg, self.mul
-        one_row, i_row, j_row = self.one * n, i * n, j * n
-        wit_k = self.pid_witness[k]
+        one_row, i_row, j_row, divides = self.one * n, i * n, j * n, self.divides
         for x in range(n):
             r1_row = add[one_row + neg[mul[i_row + x]]] * n
             for y in range(n):
-                z = wit_k.get(add[r1_row + neg[mul[j_row + y]]])
+                z = divides(k, add[r1_row + neg[mul[j_row + y]]])
                 if z is not None:
                     return x, y, z
+        return None
+
+    def shift(self, a: int, b: int, c: int) -> int | None:
+        """First r with b + a*r comaximal with c, or None."""
+        n, add, mul, comax_c = self.n, self.add, self.mul, self.comax[c]
+        b_row, a_row = b * n, a * n
+        for r in range(n):
+            if comax_c[add[b_row + mul[a_row + r]]]:
+                return r
         return None
 
     # --- divisibility ------------------------------------------------------------
@@ -425,37 +419,38 @@ class EngineCache:
     def nonunit_divisors(self) -> list[tuple[int, ...]]:
         """Per ideal class of s: every non-unit t with s in tR, ascending.
 
-        s is in tR iff sR is inside tR, so k² inclusions between class
-        sets decide it: index it by ``ideal_class[s]``.
+        s is in tR iff sR is inside tR, and t is a unit iff 1 is in tR, so
+        k² tests on class sets decide it: index it by ``ideal_class[s]``.
         """
-        cls, units = self.ideal_class, self.unit_set
-        sets = self._ideal_sets[:len(self.class_gens)]
-        nonunits = [t for t in range(self.n) if t not in units]
-        out = []
-        for low in sets:
-            over = [low <= high for high in sets]
-            out.append(tuple(t for t in nonunits if over[cls[t]]))
-        return out
+        one = self.one
+        return [tuple(self._members(lambda high: low <= high and one not in high))
+                for low in self._ideal_sets[:len(self.class_gens)]]
 
     def divides(self, i: int, j: int) -> int | None:
-        """First t with i*t = j, or None."""
-        return self.pid_witness[i].get(j)
+        """First t with i*t = j, or None: the first of ``_preimages(i)[j]``,
+        or for a unit i whose map is not built, i^-1*j, the only one."""
+        pre = self._preimage_memo.get(i)  # ``_preimages``' memo hit, inline
+        if pre is None and i in self.units:
+            return self.mul[self.units[i] * self.n + j]
+        got = (pre or self._preimages(i)).get(j)
+        return got and got[0]
 
     # --- unit normalization ---------------------------------------------------
 
     @cached_property
     def associate_canon(self) -> list[tuple[int, int, int]]:
-        """Per element a: (c, u, u_inv) with c = u*a minimal among associates."""
-        n, mul = self.n, self.mul
-        units = self.units
-        out = []
-        for a in range(n):
-            best, best_u = a, self.one
-            for u in units:
-                c = mul[u * n + a]
-                if c < best:
-                    best, best_u = c, u
-            out.append((best, best_u, units[best_u]))
+        """Per element a: (c, u, u_inv), c = u*a the least generator of aR,
+        and u 1 if c = a, else the first unit t with a*t = c, i.e. with
+        a = t^-1*c: one pass over the units per class finds it."""
+        n, mul, one, units = self.n, self.mul, self.one, self.units
+        ts, inverses = list(units)[::-1], list(units.values())[::-1]
+        out: list = [None] * n
+        for c, *others in self.class_gens:
+            # Units walked downward: the last t written for a is the first.
+            first = dict(zip(map(mul.__getitem__, map((c * n).__add__, inverses)), ts))
+            out[c] = (c, one, one)
+            for a in others:
+                out[a] = (c, first[a], units[first[a]])
         return out
 
     # --- Bezout gcd -----------------------------------------------------------
@@ -489,8 +484,9 @@ class EngineCache:
         reads per d, d's preimage map and the preimages a1 of ia, is looked
         up once per row, when the row first reaches d, and dies with the row.
         """
-        cls, comax, x_memo, pid_witness = (
-            self.ideal_class, self.comax, self._comax_x_memo, self.pid_witness)
+        cls, comax, x_memo, units = (
+            self.ideal_class, self.comax, self._comax_x_memo, self.units)
+        pre_memo, preimages = self._preimage_memo, self._preimages
         n, add, neg, mul = self.n, self.add, self.neg, self.mul
         one, one_row = self.one, self.one * n
         sums = self.class_sum_gens[cls[ia]]
@@ -527,12 +523,14 @@ class EngineCache:
                     f"{self.ring.spec_string()}: ideal generated by "
                     f"{self.element(ia)} and {self.element(ib)} is not principal"
                 )
-            # ``comax_witness`` inlined on a hit of its x memo.
+            # ``comax_witness`` and its ``divides`` inlined on a hit of its x memo.
             x = x_memo.get((a1, cls[b1]))
             if x is None:
                 x, y = self.comax_witness(a1, b1)
             else:
-                y = pid_witness[b1][add[one_row + neg[mul[a1 * n + x]]]]
+                v, inv = add[one_row + neg[mul[a1 * n + x]]], units.get(b1)
+                y = ((pre_memo.get(b1) or preimages(b1))[v][0] if inv is None
+                     else mul[inv * n + v])
             yield d, x, y, a1, b1, x, y
 
     def _preimages(self, d: int, mod_jac: bool = False) -> dict[int, list[int]]:

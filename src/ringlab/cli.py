@@ -107,7 +107,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=1)
+    text = lab.report_to_json(payload)
     if out:
         _atomic_write(out, text + "\n")
     else:

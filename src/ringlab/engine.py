@@ -321,7 +321,8 @@ def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[dict, Any]
     target; see the module docstring for why that is exact.
     """
     n, add, mul, neg, names = c.n, c.add, c.mul, c.neg, c.names
-    cls, mult, per_class, out = c.ideal_class, c.pid_witness, {}, {}
+    cls, inverse, per_class, out = c.ideal_class, c.units, {}, {}
+    pre, pre_memo = c._preimages, c._preimage_memo
     for t in range(n):
         got = per_class.get(cls[t])
         if got is None:
@@ -334,7 +335,9 @@ def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[dict, Any]
             got = per_class[cls[t]] = (
                 {"r": names[r], "s": names[s], "j": names[j], "x": names[x]},
                 add[c.one * n + neg[mul[r * n + x]]])
-        out[names[t]] = {**got[0], "y": names[mult[t][got[1]]]}
+        t_inv, v = inverse.get(t), got[1]  # ``divides(t, v)`` inlined
+        y = (pre_memo.get(t) or pre(t))[v][0] if t_inv is None else mul[t_inv * n + v]
+        out[names[t]] = {**got[0], "y": names[y]}
     return out, None
 
 

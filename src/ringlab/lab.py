@@ -842,4 +842,5 @@ def run_corpus(config: CorpusConfig) -> dict:
 
 
 def report_to_json(report: dict) -> str:
+    """The JSON text of a report, and of everything the CLI writes."""
     return json.dumps(report, sort_keys=True, indent=1)

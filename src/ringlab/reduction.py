@@ -1141,14 +1141,11 @@ def _kernel_transforms(ops: _FiniteOps, a, b, c, d):
         raise ReductionFailed("no comaximal cofactor triple for the 2x2 block",
                               witness=_box(ops, [[ap, zero], [bp, cp]]))
     ta, tb, tc = trip
-    comax, tb_row, tc_row = cache.comax, tb * n, tc * n
-    for r in range(n):
-        w = add[tb_row + mul[tc_row + r]]
-        if comax[w][ta]:
-            break
-    else:
+    r = cache.shift(tc, tb, ta)
+    if r is None:
         raise ReductionFailed("no residue shift makes the block comaximal",
                               witness=_box(ops, [[cp, bp], [zero, ap]]))
+    w = add[tb * n + mul[tc * n + r]]
     x, y = cache.comax_witness(w, ta)
     s = neg[mul[tc * n + x]]
     rs1, ns, nr = add[one * n + mul[r * n + s]], neg[s], neg[r]
@@ -1272,7 +1269,7 @@ def solve_reduction_residue(ring: Ring, a: Element, b: Element, c: Element,
                             strategy: str = "search") -> Element:
     """Find r with (b + a*r) comaximal to c on a finite ring.
 
-    ``search`` scans r directly in enumeration order. ``quotient`` builds
+    ``search`` is ``EngineCache.shift``, the kernel's scan. ``quotient`` builds
     R/cR and scans for the first r whose image makes b + a*r invertible
     there, then returns that r; both strategies must agree on solvability.
     Raises NoResidue when the scan is exhausted.
@@ -1281,11 +1278,10 @@ def solve_reduction_residue(ring: Ring, a: Element, b: Element, c: Element,
     ia, ib, ic = (cache.index_of(v) for v in (a, b, c))
     n = cache.n
     if strategy == "search":
-        for r in range(n):
-            w = cache.add[ib * n + cache.mul[ia * n + r]]
-            if cache.comax[w][ic]:
-                return cache.element(r)
-        raise NoResidue("no residue shift exists for this triple")
+        r = cache.shift(ia, ib, ic)
+        if r is None:
+            raise NoResidue("no residue shift exists for this triple")
+        return cache.element(r)
     if strategy == "quotient":
         from .concrete import quotient_ring
 

@@ -11,6 +11,9 @@ ideal sums, ``nonunit_divisors`` and ``_generated_ideal``) is checked
 against the principal ideals aR = {a·t} read off the pairwise tables, the
 ``hermite`` witnesses against a pair-by-pair search on the same tables,
 and the engine's verdicts against the same ring with its indices permuted.
+``units``, ``jac``, the unit canon and ``divides``, which read the class
+layer and the preimage layer, are checked against their definitions on
+the public ``Element`` arithmetic.
 """
 
 import subprocess
@@ -39,8 +42,10 @@ from ringlab.concrete import (
     quotient_ring,
 )
 from ringlab.errors import AxiomViolation
-from ringlab.rings import Element
+from ringlab.reduction import RingMatrix, diagonal_reduce, verify_certificate
+from ringlab.rings import Element, _scalar_ops
 
+from .oracles import brute_radical, brute_units
 from .test_engine_memos import unit_before_one_ring
 
 
@@ -389,6 +394,19 @@ def test_hermite_witnesses_equal_the_oracle_on_random_rings(ring):
     assert_hermite_matches_oracle(ring)
 
 
+def relabelled(ring, perm):
+    """``ring`` as a table ring whose element of index i has index perm[i]."""
+    table = export_table_data(ring)
+    n = table["size"]
+    inv = sorted(range(n), key=perm.__getitem__)
+
+    def relabel(tab):
+        return [[perm[tab[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+
+    return TableRing(n, relabel(table["add"]), relabel(table["mul"]),
+                     perm[table["zero"]], perm[table["one"]])
+
+
 @settings(max_examples=27, deadline=None)
 @given(st.data())
 def test_relabelled_ring_has_the_same_verdicts(data):
@@ -396,16 +414,8 @@ def test_relabelled_ring_has_the_same_verdicts(data):
     the same verdict on every ring predicate, and each payload reverifies:
     no verdict depends on how elements or ideal classes are numbered."""
     ring = data.draw(small_rings(limit=32))
-    table = export_table_data(ring)
-    n = table["size"]
-    perm = data.draw(st.permutations(range(n)))
-    inv = sorted(range(n), key=perm.__getitem__)
-
-    def relabel(tab):
-        return [[perm[tab[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
-
-    moved = TableRing(n, relabel(table["add"]), relabel(table["mul"]),
-                      perm[table["zero"]], perm[table["one"]])
+    perm = data.draw(st.permutations(range(ring.cardinality)))
+    moved = relabelled(ring, perm)
     before, after = ring.cache(), engine.build_cache(moved)
     for name in engine.RING_PREDICATES:
         want = engine.ring_predicate(before, name)
@@ -415,10 +425,10 @@ def test_relabelled_ring_has_the_same_verdicts(data):
 
 
 def test_class_layer_memory_on_zn_1024():
-    """Classes, class sets and nonunit_divisors of Z/1024 take under 2 MB:
-    one set per class (11 of them), not one principal ideal per element."""
+    """Classes, class sets, units and nonunit_divisors of Z/1024 take
+    under 2 MB: one set per class (11 of them), not one principal ideal per
+    element. The units are read off the classes, so they are traced too."""
     c = EngineCache(make_ring("Zn:1024"))
-    c.unit_set  # built before tracing: not part of the layer
     tracemalloc.start()
     try:
         c.ideal_class, c.nonunit_divisors
@@ -444,3 +454,62 @@ def test_adequacy_memo_memory_on_zn_1024():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak
+
+
+def test_reduce_memory_on_zn_1024():
+    """One 2x2 reduction over Z/1024 and its verification keep under 4 MB
+    once the cache is built: preimage maps for the few elements queried and
+    one canon per element, no table of n rows."""
+    ring = make_ring("Zn:1024")
+    engine.build_cache(ring)
+    A = RingMatrix.from_strings(ring, [["12", "20"], ["28", "36"]])
+    tracemalloc.start()
+    try:
+        cert = diagonal_reduce(ring, A)
+        got = verify_certificate(ring, A, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.verdict, got.counterexample
+    assert peak < 4 * 2**20, peak
+
+
+def assert_units_radical_canon_divides(ring):
+    """``units``, ``jac``, ``unit_canon`` and ``divides`` against their
+    definitions on the public Element arithmetic: inverses, the radical,
+    the least associate by a scan of the units (start at (a, 1), replace on
+    a strictly smaller u*a), and the first t with a*t = b for every pair."""
+    elems = list(ring.elements())
+    pos = {e: k for k, e in enumerate(elems)}
+    prod = [[ring.mul(a, t) for t in elems] for a in elems]
+    units = brute_units(ring)
+    c = ring.cache()
+    spec = ring.spec_string()
+    assert {elems[u]: elems[v] for u, v in c.units.items()} == units, spec
+    assert {elems[x] for x in c.jac} == brute_radical(ring), spec
+    ops = _scalar_ops(ring)
+    for i, a in enumerate(elems):
+        best, best_u = a, ring.one
+        for u in elems:
+            if u in units and pos[prod[pos[u]][i]] < pos[best]:
+                best, best_u = prod[pos[u]][i], u
+        want = (pos[best], pos[best_u], pos[units[best_u]])
+        assert ops.unit_canon(i) == want, (spec, str(a))
+        first = {}
+        for t, v in enumerate(prod[i]):
+            first.setdefault(v, t)
+        for j, b in enumerate(elems):
+            assert c.divides(i, j) == first.get(b), (spec, str(a), str(b))
+
+
+@pytest.mark.parametrize("name", list(UNIT_MULTIPLE_RINGS))
+def test_units_radical_canon_divides_equal_the_definitions(name):
+    assert_units_radical_canon_divides(UNIT_MULTIPLE_RINGS[name]())
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_units_radical_canon_divides_on_relabelled_rings(data):
+    ring = data.draw(small_rings(limit=32))
+    perm = data.draw(st.permutations(range(ring.cardinality)))
+    assert_units_radical_canon_divides(relabelled(ring, perm))
