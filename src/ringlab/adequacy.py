@@ -8,6 +8,7 @@ bootstrap from that split and certify their own clauses exactly.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -114,6 +115,29 @@ def dual_comax_certificate_holds(wit: DualAdequacyWitness, h: Element) -> bool:
     combo = ring.add(ring.mul(k, wit.s), ring.mul(l, h))
     a, _ = ring._member(combo)
     return a == 1  # 1 + q*x is a unit for any rational q
+
+
+def dualint_witness_failures(ring: DualIntRing, seed: str, count: int,
+                             int_max: int, frac_max: int) -> int:
+    """How many of ``count`` seeded pairs (f, h) get an
+    ``adequate_witness_dualint`` whose product is not f or whose
+    comaximality certificate fails. f, then h, is drawn from
+    ``random.Random(seed)`` as (±randint(1, int_max),
+    randint(-frac_max, frac_max)/randint(1, frac_max)), in that order."""
+    rng = random.Random(seed)
+
+    def draw() -> Element:
+        return ring.make((rng.choice([-1, 1]) * rng.randint(1, int_max),
+                          Fraction(rng.randint(-frac_max, frac_max),
+                                   rng.randint(1, frac_max))))
+
+    failures = 0
+    for _ in range(count):
+        f, h = draw(), draw()
+        wit = adequate_witness_dualint(f, h)
+        if ring.mul(wit.s, wit.t) != f or not dual_comax_certificate_holds(wit, h):
+            failures += 1
+    return failures
 
 
 def adequate_witness_zloc(ring: LocalizedIntegerRing, c: Element,

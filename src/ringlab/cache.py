@@ -47,12 +47,15 @@ uR), the radical (x is in J iff 1 - v is a unit for every v in xR) and
 from a value v to every t with d*t = v, or, keyed by the least element of
 a coset of the Jacobson radical J (``jac_cosets``), to every t with
 d*t in v + J; the t ascending in both. ``divides`` (the first such t, or
-d^-1*v for a unit d), ``bezout_row`` and the reducer's
-``_comax_cofactors`` read the first form, the adequacy search both.
-``bezout`` memoizes ``bezout_search`` per pair for the reducer only; the
-engine's exhaustive ``hermite`` search runs ``bezout_row`` one row at a
-time and keeps nothing past the row. ``bezout_search`` is the row search
-on a row of one pair, so both give one witness order.
+d^-1*v for a unit d), ``bezout_row`` and ``cofactor_triple`` read the
+first form, the adequacy search both. ``bezout`` is ``bezout_row`` on a
+row of one pair, memoized per pair for the reducer; the engine's
+exhaustive ``hermite`` search runs ``bezout_row`` one row at a time and
+keeps nothing past the row, so both give one witness order.
+
+The reducer's 2x2 kernel reaches ``bezout``, ``cofactor_triple``, ``shift``
+and ``comax_witness`` through its scalar adapter. A ring handle gets its
+cache only from ``engine.build_cache``, which checks its structure first.
 """
 
 from __future__ import annotations
@@ -404,6 +407,31 @@ class EngineCache:
                     return x, y, z
         return None
 
+    def cofactor_triple(self, a: int, b: int, c: int):
+        """(g, (ta, tb, tc)): g the first generator of aR + bR + cR, and the
+        first triple, in nested order over the first t of each ideal class
+        with g*t = a, b and c (ascending), with taR + tbR + tcR = R. g is
+        None when that ideal is not principal, the triple None when no such
+        triple is comaximal."""
+        cls = self.ideal_class
+        gens = self.generators_of(self.triple_sum_id(a, b, c))
+        if not gens:
+            return None, None
+        pre, full = self._preimages(gens[0]), cls[self.one]
+        triple_sum_id, reps = self.triple_sum_id, []
+        for v in (a, b, c):
+            firsts = {}  # class -> its first t, in order of first t
+            for t in pre[v]:
+                firsts.setdefault(cls[t], t)
+            reps.append(firsts.values())
+        reps_a, reps_b, reps_c = reps
+        for ta in reps_a:
+            for tb in reps_b:
+                for tc in reps_c:
+                    if triple_sum_id(ta, tb, tc) == full:
+                        return gens[0], (ta, tb, tc)
+        return gens[0], None
+
     def shift(self, a: int, b: int, c: int) -> int | None:
         """First r with b + a*r comaximal with c, or None."""
         n, add, mul, comax_c = self.n, self.add, self.mul, self.comax[c]
@@ -456,16 +484,13 @@ class EngineCache:
     # --- Bezout gcd -----------------------------------------------------------
 
     def bezout(self, ia: int, ib: int) -> tuple[int, int, int, int, int, int, int]:
-        """``bezout_search``, memoized per pair for the reducer."""
+        """The Bezout witness of one pair, ``bezout_row`` on the row (ib,),
+        memoized per pair for the reducer."""
         key = (ia, ib)
         got = self._bezout_memo.get(key)
         if got is None:
-            got = self._bezout_memo[key] = self.bezout_search(ia, ib)
+            got = self._bezout_memo[key] = next(self.bezout_row(ia, (ib,)))
         return got
-
-    def bezout_search(self, ia: int, ib: int) -> tuple[int, int, int, int, int, int, int]:
-        """The Bezout witness of one pair: ``bezout_row`` on the row (ib,)."""
-        return next(self.bezout_row(ia, (ib,)))
 
     def bezout_row(self, ia: int, ibs: Iterable[int]
                    ) -> Iterator[tuple[int, int, int, int, int, int, int]]:
@@ -539,8 +564,8 @@ class EngineCache:
         ascending.
 
         One memo holds both forms, under keys d and n + d. The value-keyed
-        map serves ``bezout_row`` and the reducer's ``_comax_cofactors``,
-        and both serve the adequacy search for a non-unit d.
+        map serves ``bezout_row`` and ``cofactor_triple``, and both serve
+        the adequacy search for a non-unit d.
         """
         key = self.n + d if mod_jac else d
         got = self._preimage_memo.get(key)

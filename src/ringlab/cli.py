@@ -181,9 +181,8 @@ def _classify_finite(ring, bound: int) -> dict:
         "ring_spec": ring.spec_string(),
         "cardinality": cache.n,
         "units": len(cache.unit_set),
-        "radical": [ring._format(cache.vals[i]) for i in sorted(cache.jac)],
-        "idempotents": [ring._format(cache.vals[i])
-                        for i in sorted(cache.idempotents)],
+        "radical": [cache.names[i] for i in sorted(cache.jac)],
+        "idempotents": [cache.names[i] for i in sorted(cache.idempotents)],
         "predicates": preds,
     }
 
@@ -215,19 +214,8 @@ def _classify_dualint(ring: DualIntRing) -> dict:
     # comaximal with 2. Those two facts are checkable, and are recorded.
     three_divides = ring.divides(ring.make((3, Fraction(0))),
                                  ring.make((0, Fraction(7, 2)))) is not None
-    import random
-
-    rng = random.Random("classify-dualint")
-    verified = 0
-    for _ in range(50):
-        f = ring.make((rng.choice([-1, 1]) * rng.randint(1, 200),
-                       Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
-        h = ring.make((rng.choice([-1, 1]) * rng.randint(1, 200),
-                       Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
-        wit = adequacy.adequate_witness_dualint(f, h)
-        if (ring.mul(wit.s, wit.t) == f
-                and adequacy.dual_comax_certificate_holds(wit, h)):
-            verified += 1
+    verified = 50 - adequacy.dualint_witness_failures(
+        ring, "classify-dualint", 50, int_max=200, frac_max=9)
     return {
         "ring_spec": ring.spec_string(),
         "cardinality": "infinite",

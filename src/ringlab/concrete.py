@@ -31,7 +31,8 @@ from math import gcd, isqrt
 from pathlib import Path
 from typing import Callable
 
-from .cache import DEFAULT_SIZE_BOUND, EngineCache
+from .cache import EngineCache
+from .engine import build_cache
 from .errors import (
     AxiomViolation,
     ParseError,
@@ -579,19 +580,9 @@ class DualIntRing(Ring):
 
 
 class FiniteRingMixin:
-    """The handle's EngineCache, and element parsing and formatting served
-    from it. The witness operations run on the cache's scalar adapter."""
-
-    def cache(self, bound: int = DEFAULT_SIZE_BOUND) -> EngineCache:
-        c = getattr(self, "_cache_obj", None)
-        if c is None:
-            c = EngineCache(self, bound)
-            self._cache_obj = c
-        elif self.cardinality is not None and self.cardinality > bound:
-            raise TooLarge(
-                f"{self.spec_string()} exceeds requested bound {bound}"
-            )
-        return c
+    """Element parsing and formatting served from the handle's EngineCache,
+    once ``engine.build_cache`` has given it one. The witness operations run
+    on the cache's scalar adapter."""
 
     def parse_element(self, text: str) -> Element:
         """A string is parsed once per cache, once the handle holds one.
@@ -911,7 +902,7 @@ def load_table_ring(path: str) -> TableRing:
 
 def export_table_data(ring: Ring) -> dict:
     """Materialize any finite ring as table-ring JSON data."""
-    c = ring.cache() if hasattr(ring, "cache") else EngineCache(ring)
+    c = build_cache(ring)
     n = c.n
     return {
         "size": n,
@@ -991,7 +982,7 @@ def quotient_ring(ring: Ring, gens: list[Element]
     """
     if ring.cardinality is None:
         raise UnsupportedSpec("quotients are supported for finite rings only")
-    c: EngineCache = ring.cache()
+    c = build_cache(ring)
     n, add, mul = c.n, c.add, c.mul
     ideal = c.ideal_set(_generated_ideal(c, [c.index_of(g) for g in gens]))
     check_ideal(c, ideal)

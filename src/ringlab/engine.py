@@ -41,8 +41,8 @@ pair of classes. So per entry only table lookups and one dict literal of
 each witness for pool membership and the identity; the domain then tests
 membership of each pair and that the rows cover the domain, each pair
 once. ``hermite`` runs ``EngineCache.bezout_row`` on each row, which
-builds its search state once per ideal class of b and whose single-pair
-case is ``bezout_search``; its n^2 results stay out of the reducer's memo.
+builds its search state once per ideal class of b; its n^2 results stay
+out of the memo of ``EngineCache.bezout``, the reducer's single-pair case.
 
 The adequacy predicates come in three variants. ``classic`` demands an
 exact factorization c = r*s; ``feckly`` only demands c - r*s to fall in
@@ -107,7 +107,7 @@ from typing import Any, Callable, NamedTuple
 
 from .cache import DEFAULT_SIZE_BOUND, EngineCache
 from .errors import (AxiomViolation, NoDecomposition, NotBezout, NotFZA, ParseError,
-                     ReverifyFailed)
+                     ReverifyFailed, TooLarge)
 from .rings import Element, Ring
 
 _VARIANTS = ("classic", "feckly", "cvariant")
@@ -167,31 +167,33 @@ class PiRegularWitness:
 
 
 def build_cache(ring: Ring, bound: int = DEFAULT_SIZE_BOUND) -> EngineCache:
-    """Build (or fetch) the index cache and verify its structural claims.
+    """The ring handle's index cache, the only way a handle gets one.
 
-    Checks that the radical is an ideal and that the units are closed under
-    multiplication before handing the cache to callers.
+    The first call builds it (TooLarge past ``bound``) and keeps it on the
+    handle only once the radical is an ideal and the units are closed under
+    multiplication. A later call returns it, or raises TooLarge past ``bound``.
     """
-    if hasattr(ring, "cache"):
-        cache = ring.cache(bound)
-    else:
-        cache = EngineCache(ring, bound)
-    if not cache._ext.get("structure_verified"):
-        n, add, mul = cache.n, cache.add, cache.mul
-        jac, units = cache.jac, cache.unit_set
-        for x in jac:
-            row = x * n
-            if not all(add[row + y] in jac for y in jac):
-                raise AxiomViolation(
-                    f"{ring.spec_string()}: radical not closed under addition")
-            if not all(v in jac for v in mul[row:row + n]):
-                raise AxiomViolation(f"{ring.spec_string()}: radical not an ideal")
-        for u in units:
-            row = u * n
-            if not all(mul[row + v] in units for v in units):
-                raise AxiomViolation(
-                    f"{ring.spec_string()}: units not closed under product")
-        cache._ext["structure_verified"] = True
+    cache = getattr(ring, "_cache_obj", None)
+    if cache is not None:
+        if ring.cardinality > bound:
+            raise TooLarge(f"{ring.spec_string()} exceeds requested bound {bound}")
+        return cache
+    cache = EngineCache(ring, bound)
+    n, add, mul = cache.n, cache.add, cache.mul
+    jac, units = cache.jac, cache.unit_set
+    for x in jac:
+        row = x * n
+        if not all(add[row + y] in jac for y in jac):
+            raise AxiomViolation(
+                f"{ring.spec_string()}: radical not closed under addition")
+        if not all(v in jac for v in mul[row:row + n]):
+            raise AxiomViolation(f"{ring.spec_string()}: radical not an ideal")
+    for u in units:
+        row = u * n
+        if not all(mul[row + v] in units for v in units):
+            raise AxiomViolation(
+                f"{ring.spec_string()}: units not closed under product")
+    ring._cache_obj = cache
     return cache
 
 

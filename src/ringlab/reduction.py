@@ -77,6 +77,9 @@ The adapters are the one definition of the witness operations:
 ``is_unit``, ``divides``, ``bezout`` (the values of ``BezoutData``, in
 its order) and ``unit_canon``. ``Ring.is_unit``, ``divides`` and
 ``bezout_gcd`` unbox their arguments, call the adapter and box the result.
+On a finite ring these are the cache's own methods, bound once on the
+adapter with the 2x2 kernel's ``cofactor_triple``, ``shift`` and
+``comax_witness``, and the kernel reads its adapter only.
 ``_scalar_ops`` builds the adapter once per cache (or per ring handle for
 infinite rings), since every public call asks for it. The adapter also
 keeps one identity grid per size as a template: the reducer copies its
@@ -277,7 +280,10 @@ class _FiniteOps(_Adapter):
     """Scalar kernels on EngineCache indices (finite rings).
 
     The kernels index the cache's flat add/mul tables inline; no kernel
-    makes a call per entry.
+    makes a call per entry. The searches are the cache's own methods,
+    bound once: ``is_unit`` (the inverse, or None), ``divides``,
+    ``bezout``, and the 2x2 kernel's ``cofactor_triple``, ``shift`` and
+    ``comax_witness``. ``unit_canon`` stays a method, as the canon is lazy.
     """
 
     kernel = True
@@ -293,6 +299,12 @@ class _FiniteOps(_Adapter):
         self._mul = cache.mul
         self._neg = cache.neg
         self._parsed = cache.parsed
+        self.is_unit = cache.units.get
+        self.divides = cache.divides
+        self.bezout = cache.bezout
+        self.cofactor_triple = cache.cofactor_triple
+        self.shift = cache.shift
+        self.comax_witness = cache.comax_witness
 
     def from_elem(self, e: Element) -> int:
         return self.c.idx[self.ring._member(e)]
@@ -391,15 +403,6 @@ class _FiniteOps(_Adapter):
 
     def is_zero(self, x):
         return x == self.zero
-
-    def is_unit(self, x):
-        return self.c.units.get(x)
-
-    def divides(self, x, y):
-        return self.c.divides(x, y)
-
-    def bezout(self, x, y):
-        return self.c.bezout(x, y)
 
     def unit_canon(self, x):
         return self.c.associate_canon[x]
@@ -1069,29 +1072,6 @@ def _hermite_cols(ops, x, y, b1, a1):
     return ((x, neg(b1)), (y, a1)), ((a1, b1), (neg(y), x))
 
 
-def _comax_cofactors(cache: EngineCache, g: int, va: int, vb: int, vc: int):
-    """First cofactor triple (by ideal class) comaximal as a triple."""
-    pre, ideal_class = cache._preimages(g), cache.ideal_class
-    triple_sum_id, full = cache.triple_sum_id, ideal_class[cache.one]
-
-    def class_reps(target):
-        """The first t of each ideal class with g*t = target, ascending."""
-        reps, seen = [], set()
-        for t in pre.get(target, ()):
-            cls = ideal_class[t]
-            if cls not in seen:
-                seen.add(cls)
-                reps.append(t)
-        return reps
-
-    for ta in class_reps(va):
-        for tb in class_reps(vb):
-            for tc in class_reps(vc):
-                if triple_sum_id(ta, tb, tc) == full:
-                    return ta, tb, tc
-    return None
-
-
 def _kernel_transforms(ops: _FiniteOps, a, b, c, d):
     """Finite-ring kernel for the 2x2 block [[a, b], [c, d]].
 
@@ -1112,8 +1092,7 @@ def _kernel_transforms(ops: _FiniteOps, a, b, c, d):
     block as those steps leave it: after R1, and also after the swaps for
     a missing shift.
     """
-    cache: EngineCache = ops.c
-    n, add, mul, neg = cache.n, cache.add, cache.mul, cache.neg
+    n, add, mul, neg = ops.n, ops._add, ops._mul, ops._neg
     one, zero = ops.one, ops.zero
     if b == zero:
         R1 = None
@@ -1132,21 +1111,18 @@ def _kernel_transforms(ops: _FiniteOps, a, b, c, d):
         cp = add[mul[cn + m01] * n + mul[dn + m11]]
     if ap == bp == cp == zero:  # so b = 0, as R1 would make a' = gcd(a, b) != 0
         return (*([[one, zero], [zero, one]] for _ in range(4)), zero, zero)
-    gens = cache.generators_of(cache.triple_sum_id(ap, bp, cp))
-    if not gens:
-        raise ReductionFailed("entry ideal of the 2x2 block is not principal",
-                              witness=_box(ops, [[ap, zero], [bp, cp]]))
-    trip = _comax_cofactors(cache, gens[0], ap, bp, cp)
+    g, trip = ops.cofactor_triple(ap, bp, cp)
     if trip is None:
-        raise ReductionFailed("no comaximal cofactor triple for the 2x2 block",
+        raise ReductionFailed("entry ideal of the 2x2 block is not principal" if g is None
+                              else "no comaximal cofactor triple for the 2x2 block",
                               witness=_box(ops, [[ap, zero], [bp, cp]]))
     ta, tb, tc = trip
-    r = cache.shift(tc, tb, ta)
+    r = ops.shift(tc, tb, ta)
     if r is None:
         raise ReductionFailed("no residue shift makes the block comaximal",
                               witness=_box(ops, [[cp, bp], [zero, ap]]))
     w = add[tb * n + mul[tc * n + r]]
-    x, y = cache.comax_witness(w, ta)
+    x, y = ops.comax_witness(w, ta)
     s = neg[mul[tc * n + x]]
     rs1, ns, nr = add[one * n + mul[r * n + s]], neg[s], neg[r]
     L, Linv = [[y, x], [w, neg[ta]]], [[ta, x], [w, neg[y]]]
@@ -1160,7 +1136,7 @@ def _kernel_transforms(ops: _FiniteOps, a, b, c, d):
         Minv = [[add[mul[rs1n + f00] * n + mul[ns * n + f10]],
                  add[mul[rs1n + f01] * n + mul[ns * n + f11]]],
                 [add[mul[nrn + f00] * n + f10], add[mul[nrn + f01] * n + f11]]]
-    return L, Linv, M, Minv, gens[0], neg[mul[ap * n + tc]]  # g*ta = a'
+    return L, Linv, M, Minv, g, neg[mul[ap * n + tc]]  # g*ta = a'
 
 
 def _reduce_2x2(ops: _FiniteOps, a, b, c, d):
@@ -1169,14 +1145,14 @@ def _reduce_2x2(ops: _FiniteOps, a, b, c, d):
     u that ``normalize_units`` would use on a diagonal entry scales that
     row of P, and u^-1 that column of Pinv."""
     L, Linv, M, Minv, g, h = _kernel_transforms(ops, a, b, c, d)
-    n, one, mul, canon = ops.n, ops.one, ops._mul, ops.c.associate_canon
-    for i, v in enumerate((g, h)):
-        _, u, uinv = canon[v]
+    n, one, mul = ops.n, ops.one, ops._mul
+    canons = ops.unit_canon(g), ops.unit_canon(h)
+    for i, (_, u, uinv) in enumerate(canons):
         if u != one:
             L[i] = [mul[u * n + p] for p in L[i]]
             for row in Linv:
                 row[i] = mul[row[i] * n + uinv]
-    return L, Linv, [[canon[g][0], ops.zero], [ops.zero, canon[h][0]]], M, Minv
+    return L, Linv, [[canons[0][0], ops.zero], [ops.zero, canons[1][0]]], M, Minv
 
 
 def _reduce_raw(ops, grid):

@@ -61,7 +61,7 @@ def pairwise_tables(ring):
 
 def assert_tables_match(ring):
     vals, idx, add, mul, neg = pairwise_tables(ring)
-    c = ring.cache()
+    c = engine.build_cache(ring)
     spec = ring.spec_string()
     assert c.vals == vals, spec
     assert c.add == add, spec
@@ -177,12 +177,12 @@ def test_tables_equal_the_pairwise_tables_on_random_rings(ring):
 
 
 def test_ideal_check_rejects_planted_sets():
-    c = make_ring("prod(Zn:2,Zn:2)").cache()
+    c = engine.build_cache(make_ring("prod(Zn:2,Zn:2)"))
     zero, diagonal = c.idx[(0, 0)], c.idx[(1, 1)]
     # {0, (1|1)} is an additive subgroup, but (1|0)·(1|1) = (1|0).
     with pytest.raises(AxiomViolation, match="multiplication"):
         check_ideal(c, frozenset([zero, diagonal]))
-    c = make_ring("Zn:4").cache()
+    c = engine.build_cache(make_ring("Zn:4"))
     with pytest.raises(AxiomViolation, match="addition"):
         check_ideal(c, frozenset([0, 1]))
     check_ideal(c, frozenset([0, 2]))
@@ -191,24 +191,43 @@ def test_ideal_check_rejects_planted_sets():
 def test_structural_checks_survive_python_O():
     # A Z/4 addition with 1*2 = 3: its units {1, 3} are not closed under
     # product (1*3 = 2), and the given table is the one the build derives.
+    # Every path that gives a handle its cache runs the check: a matrix
+    # made after a refused quotient still finds no cache on the handle.
     code = textwrap.dedent("""
         from ringlab import engine
-        from ringlab.concrete import TableRing
+        from ringlab.concrete import TableRing, export_table_data, quotient_ring
         from ringlab.errors import AxiomViolation
+        from ringlab.reduction import RingMatrix
         add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
         mul = [[0, 0, 0, 0], [0, 1, 3, 2], [0, 2, 2, 0], [0, 3, 1, 2]]
-        ring = TableRing(4, add, mul, 0, 1, verify=False)
         assert False, "asserts must be off"
-        try:
-            engine.build_cache(ring)
-        except AxiomViolation as exc:
-            print("AxiomViolation:", exc)
+
+        def matrix_after_quotient(ring):
+            try:
+                quotient_ring(ring, [ring.zero])
+            except AxiomViolation:
+                pass
+            RingMatrix.from_strings(ring, [["1", "2"], ["3", "1"]])
+
+        calls = {"build_cache": engine.build_cache,
+                 "quotient_ring": lambda ring: quotient_ring(ring, [ring.zero]),
+                 "export_table_data": export_table_data,
+                 "from_strings": matrix_after_quotient}
+        for name, call in calls.items():
+            try:
+                call(TableRing(4, add, mul, 0, 1, verify=False))
+                print(name, "returned")
+            except AxiomViolation as exc:
+                print(name, "AxiomViolation:", exc)
     """)
     res = subprocess.run([sys.executable, "-O", "-c", code],
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert "AxiomViolation: " in res.stdout
-    assert "units not closed under product" in res.stdout
+    lines = res.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "build_cache", "quotient_ring", "export_table_data", "from_strings"]
+    for line in lines:
+        assert "AxiomViolation: " in line and "units not closed under product" in line
 
 
 @pytest.mark.parametrize("name", list(RINGS))
@@ -219,7 +238,7 @@ def test_comax_rows_equal_the_definition(name):
     vals, idx, add, mul, _ = pairwise_tables(ring)
     n, one = len(vals), idx[ring._one_raw()]
     ideal = [frozenset(mul[i * n:i * n + n]) for i in range(n)]
-    c = ring.cache()
+    c = engine.build_cache(ring)
     for i in range(n):
         for j in range(n):
             want = any(add[x * n + y] == one for x in ideal[i] for y in ideal[j])
@@ -239,7 +258,7 @@ def assert_class_layer_matches(ring):
     vals, idx, add, mul, _ = pairwise_tables(ring)
     n, zero, one = len(vals), idx[ring._zero_raw()], idx[ring._one_raw()]
     ideal = [frozenset(mul[a * n:a * n + n]) for a in range(n)]
-    c = ring.cache()
+    c = engine.build_cache(ring)
     spec = ring.spec_string()
     cls = c.ideal_class
     # Classes are the partition aR = bR, numbered by least generator.
@@ -299,7 +318,7 @@ def assert_classes_are_unit_multiples(ring):
     vals, idx, _, mul, _ = pairwise_tables(ring)
     n, one = len(vals), idx[ring._one_raw()]
     units = [u for u in range(n) if one in mul[u * n:u * n + n]]
-    c = ring.cache()
+    c = engine.build_cache(ring)
     assert c.vals == vals
     for gens in c.class_gens:
         g = gens[0]
@@ -373,7 +392,7 @@ def hermite_oracle(ring):
 
 def assert_hermite_matches_oracle(ring):
     entries, failing = hermite_oracle(ring)
-    got = engine.ring_predicate(ring.cache(), "hermite")
+    got = engine.ring_predicate(engine.build_cache(ring), "hermite")
     spec = ring.spec_string()
     assert got.verdict is (failing is None), spec
     if failing is None:
@@ -416,7 +435,7 @@ def test_relabelled_ring_has_the_same_verdicts(data):
     ring = data.draw(small_rings(limit=32))
     perm = data.draw(st.permutations(range(ring.cardinality)))
     moved = relabelled(ring, perm)
-    before, after = ring.cache(), engine.build_cache(moved)
+    before, after = engine.build_cache(ring), engine.build_cache(moved)
     for name in engine.RING_PREDICATES:
         want = engine.ring_predicate(before, name)
         got = engine.ring_predicate(after, name)
@@ -483,7 +502,7 @@ def assert_units_radical_canon_divides(ring):
     pos = {e: k for k, e in enumerate(elems)}
     prod = [[ring.mul(a, t) for t in elems] for a in elems]
     units = brute_units(ring)
-    c = ring.cache()
+    c = engine.build_cache(ring)
     spec = ring.spec_string()
     assert {elems[u]: elems[v] for u, v in c.units.items()} == units, spec
     assert {elems[x] for x in c.jac} == brute_radical(ring), spec

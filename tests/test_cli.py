@@ -177,6 +177,7 @@ CLASSIFY_STDOUT_SHA256 = {
     "Zn:96": "19df255c3b05b89e1fcc0442138197b71573464ba146442d803b0d67ec6f5927",
     "polyq:2:x^6": "52bf85e8928bb4080735133ab7776e1090e821e0958af7d3caa6594047360243",
     "prod(Zn:4,Zn:9)": "2774721ecaa3f431676c088400538809ad85e7a5f630e446bdad86b7ec8f5d8f",
+    "dualint": "93297d9d0330f1bf1fb71f34a68acfcad9614ee5bf6c6fdb8d6bdccbff5cf90d",
 }
 
 

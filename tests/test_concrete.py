@@ -12,6 +12,7 @@ from ringlab.concrete import (
     parse_int_poly,
     quotient_ring,
 )
+from ringlab.engine import build_cache
 from ringlab.errors import AxiomViolation, ParseError, TooLarge, UnsupportedSpec
 
 
@@ -135,4 +136,4 @@ def test_export_table_data_roundtrip(tmp_path):
 def test_cache_too_large():
     big = make_ring("Zn:5000")
     with pytest.raises(TooLarge):
-        big.cache()
+        build_cache(big)

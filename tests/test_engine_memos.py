@@ -210,7 +210,7 @@ def test_parse_element_rejects_on_every_call(spec):
         for _ in range(3):
             with pytest.raises(ParseError):
                 ring.parse_element(bad)
-        assert bad not in ring.cache().parsed
+        assert bad not in engine.build_cache(ring).parsed
 
 
 @pytest.mark.parametrize("spec", NAME_SPECS)

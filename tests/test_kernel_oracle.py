@@ -11,8 +11,14 @@ swap, each applied on its own with the elementary row and column
 operations, which are kept here as they were too. Both must give the
 same (P, Pinv, D, Q, Qinv) index for index, and the same
 ``ReductionFailed`` reason and witness.
+
+The reference kernel makes its own searches (``RawSearches``) on the
+ring's raw add and mul tables, sharing no code with the cache's class
+layer: the gcd generator, the cofactor triple, the shift r and the
+comaximality witness.
 """
 
+import functools
 import itertools
 import random
 
@@ -23,15 +29,89 @@ from hypothesis import given, settings
 from ringlab.concrete import builtin_table_path, make_ring
 from ringlab import reduction
 from ringlab.errors import NotBezout, ReductionFailed
+from ringlab.engine import build_cache
 from ringlab.reduction import (
     _box,
     _cache_ops,
-    _comax_cofactors,
     _reduce_raw,
     _Reducer,
 )
 
 TABLE = f"table:{builtin_table_path()}"
+
+
+class RawSearches:
+    """The 2x2 kernel's searches by brute force on raw index tables.
+
+    The principal ideal tR is the set of t's mul row, a sum of ideals is
+    the set of pairwise sums, and each search scans indices ascending.
+    """
+
+    def __init__(self, ops):
+        n, mul = ops.n, ops._mul
+        self.n, self.add, self.mul, self.neg = n, ops._add, mul, ops._neg
+        self.one = ops.one
+        self.ideal = [frozenset(mul[t * n:t * n + n]) for t in range(n)]
+        self._sums = {}
+
+    def plus(self, first, *rest):
+        """The sum of the principal ideals of the given elements."""
+        total = self.ideal[first]
+        for t in rest:
+            key = total, self.ideal[t]
+            got = self._sums.get(key)
+            if got is None:
+                n, add = self.n, self.add
+                got = self._sums[key] = frozenset(
+                    add[x * n + y] for x in total for y in self.ideal[t])
+            total = got
+        return total
+
+    def comaximal(self, *ts):
+        return self.one in self.plus(*ts)
+
+    def gcd_generator(self, a, b, c):
+        """The first g with gR = aR + bR + cR, or None."""
+        want = self.plus(a, b, c)
+        return next((g for g in range(self.n) if self.ideal[g] == want), None)
+
+    def cofactor_triple(self, g, a, b, c):
+        """The first comaximal (ta, tb, tc), in nested order, over the first
+        t of each class with g*t = a, b and c, ascending; or None."""
+        n, mul = self.n, self.mul
+        reps = []
+        for target in (a, b, c):
+            firsts, seen = [], set()
+            for t in range(n):
+                if mul[g * n + t] == target and self.ideal[t] not in seen:
+                    seen.add(self.ideal[t])
+                    firsts.append(t)
+            reps.append(firsts)
+        return next((trip for trip in itertools.product(*reps)
+                     if self.comaximal(*trip)), None)
+
+    def shifted(self, tb, tc, r):
+        """tb + tc*r."""
+        return self.add[tb * self.n + self.mul[tc * self.n + r]]
+
+    def shift(self, ta, tb, tc):
+        """The first r with tb + tc*r comaximal with ta, or None."""
+        return next((r for r in range(self.n)
+                     if self.comaximal(self.shifted(tb, tc, r), ta)), None)
+
+    def comax_witness(self, w, ta):
+        """The first x with 1 - w*x in taR, and the first y with ta*y = 1 - w*x."""
+        n, add, mul, neg = self.n, self.add, self.mul, self.neg
+        for x in range(n):
+            v = add[self.one * n + neg[mul[w * n + x]]]
+            if v in self.ideal[ta]:
+                return x, next(y for y in range(n) if mul[ta * n + y] == v)
+        raise AssertionError("w and ta are comaximal")
+
+
+@functools.cache
+def raw_searches(ops):
+    return RawSearches(ops)
 
 
 class StepwiseReducer(_Reducer):
@@ -67,7 +147,7 @@ class StepwiseReducer(_Reducer):
 
     def kernel_2x2(self, k):
         ops = self.ops
-        cache = ops.c
+        raw = raw_searches(ops)
         A = self.A
         j = k + 1
         if not ops.is_zero(A[k][j]):
@@ -80,14 +160,12 @@ class StepwiseReducer(_Reducer):
         ap, bp, cp = A[k][k], A[j][k], A[j][j]
         if ops.is_zero(ap) and ops.is_zero(bp) and ops.is_zero(cp):
             return
-        cls = cache.ideal_class
-        sum_id = cache.sum_ideal_id(cache.sum_ideal_id(cls[ap], cls[bp]), cls[cp])
-        gens = cache.generators_of(sum_id)
-        if not gens:
+        g = raw.gcd_generator(ap, bp, cp)
+        if g is None:
             raise ReductionFailed(
                 "entry ideal of the 2x2 block is not principal",
                 witness=self.block(k))
-        trip = _comax_cofactors(cache, gens[0], ap, bp, cp)
+        trip = raw.cofactor_triple(g, ap, bp, cp)
         if trip is None:
             raise ReductionFailed(
                 "no comaximal cofactor triple for the 2x2 block",
@@ -95,17 +173,13 @@ class StepwiseReducer(_Reducer):
         ta, tb, tc = trip
         self.row_swap(k, j)
         self.col_swap(k, j)
-        r = None
-        for cand in range(cache.n):
-            if cache.comax[cache.add[tb * cache.n + cache.mul[tc * cache.n + cand]]][ta]:
-                r = cand
-                break
+        r = raw.shift(ta, tb, tc)
         if r is None:
             raise ReductionFailed(
                 "no residue shift makes the block comaximal",
                 witness=self.block(k))
-        w = cache.add[tb * cache.n + cache.mul[tc * cache.n + r]]
-        x, y = cache.comax_witness(w, ta)
+        w = raw.shifted(tb, tc, r)
+        x, y = raw.comax_witness(w, ta)
         self.col_add(j, k, r)
         self.row_combine(k, j, x, y, ta, w)
         self.col_add(k, j, ops.neg(ops.mul(tc, x)))
@@ -155,7 +229,7 @@ def whole_2x2_calls(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["Zn:6", TABLE])
 def test_every_2x2_matrix_matches_the_stepwise_kernel(spec, whole_2x2_calls):
-    ops = _cache_ops(make_ring(spec).cache())
+    ops = _cache_ops(build_cache(make_ring(spec)))
     failures = 0
     grids = [[[a, b], [c, d]]
              for a, b, c, d in itertools.product(range(ops.n), repeat=4)]
@@ -168,7 +242,7 @@ def test_every_2x2_matrix_matches_the_stepwise_kernel(spec, whole_2x2_calls):
 
 @pytest.mark.parametrize("spec", ["Zn:60", "prod(Zn:4,Zn:9)", "polyq:9:x^2-1"])
 def test_seeded_matrices_match_the_stepwise_kernel(spec, whole_2x2_calls):
-    ops = _cache_ops(make_ring(spec).cache())
+    ops = _cache_ops(build_cache(make_ring(spec)))
     rng = random.Random(f"kernel-oracle-{spec}")
     grids = [[[rng.randrange(ops.n) for _ in range(size)] for _ in range(size)]
              for size in (2, 3, 4) for _ in range(60)]
@@ -194,7 +268,7 @@ class RecordingReducer(_Reducer):
 
 
 KERNEL_RINGS = ("Zn:12", "prod(Zn:4,Zn:3)", "polyq:3:x^2-1", TABLE)
-KERNEL_OPS = {spec: _cache_ops(make_ring(spec).cache()) for spec in KERNEL_RINGS}
+KERNEL_OPS = {spec: _cache_ops(build_cache(make_ring(spec))) for spec in KERNEL_RINGS}
 
 
 @st.composite

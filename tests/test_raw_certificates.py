@@ -20,6 +20,7 @@ from functools import reduce
 import pytest
 
 from ringlab.concrete import builtin_table_path, make_ring
+from ringlab.engine import build_cache
 from ringlab.errors import MixedRings, ReductionFailed, TooLarge
 from ringlab.reduction import (
     ReductionCertificate,
@@ -223,7 +224,7 @@ def test_matrix_past_the_bound_on_a_cached_handle():
     Zn:4097 is the smallest ring past the default bound of 4096, so its
     tables are the cheapest to build."""
     ring = make_ring("Zn:4097")
-    ring.cache(bound=8192)
+    build_cache(ring, 8192)
     A = RingMatrix(ring, [[ring.make(2), ring.make(3)],
                           [ring.make(4), ring.make(4096)]])
     assert A.to_strings() == [["2", "3"], ["4", "4096"]]

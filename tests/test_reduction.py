@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from ringlab.concrete import builtin_table_path, make_ring
+from ringlab.engine import build_cache
 from ringlab.errors import (
     MixedRings,
     NoResidue,
@@ -361,8 +362,6 @@ def test_diagonal_reduce_is_deterministic():
 @pytest.mark.parametrize("spec", ["Zn:12", "Zn:8", "prod(Zn:2,Zn:3)",
                                   "polyq:3:x^2"])
 def test_kernel_identity_sampled_finite(spec):
-    from ringlab.engine import build_cache
-
     ring = make_ring(spec)
     cache = build_cache(ring)
     n = cache.n
@@ -393,7 +392,7 @@ def test_whole_matrix_kernel_certificates(spec):
     adapter's identity templates, from which the reducer copies its
     starting transforms, are left as they were.
     """
-    ops = _cache_ops(make_ring(spec).cache())
+    ops = _cache_ops(build_cache(make_ring(spec)))
     identity = [[ops.one, ops.zero], [ops.zero, ops.one]]
     rng = random.Random(f"whole-kernel-{spec}")
     grids = [[[ops.zero] * 2, [ops.zero] * 2]]  # the early return

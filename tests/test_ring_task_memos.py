@@ -12,6 +12,7 @@ import pytest
 
 from ringlab import lab
 from ringlab.concrete import builtin_table_path, make_ring, quotient_ring
+from ringlab.engine import build_cache
 from ringlab.errors import ReductionFailed
 from ringlab.reduction import RingMatrix, diagonal_reduce, verify_certificate
 
@@ -98,7 +99,7 @@ def _reference_battery(spec, cfg):
     """The battery's entry, by reducing and verifying every matrix it
     draws through the public diagonal_reduce and verify_certificate."""
     ring = make_ring(spec)
-    names = ring.cache().names
+    names = build_cache(ring).names
     n = len(names)
     grids = []
     if n <= cfg.exhaustive_2x2_max:
