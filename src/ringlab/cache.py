@@ -183,11 +183,7 @@ class EngineCache:
         return Element(self.ring, self.vals[i])
 
     def index_of(self, a: Element) -> int:
-        if a.ring is not self.ring:
-            from .errors import MixedRings
-
-            raise MixedRings(f"{a!r} does not belong to {self.ring.spec_string()}")
-        return self.idx[a.value]
+        return self.idx[self.ring._member(a)]
 
     def sub(self, i: int, j: int) -> int:
         return self.add[i * self.n + self.neg[j]]
@@ -217,10 +213,6 @@ class EngineCache:
         n, index, one = self.n, self.mul.index, self.one
         return {u: index(one, u * n, u * n + n) - u * n
                 for u in self._members(lambda s: one in s)}
-
-    @cached_property
-    def unit_set(self) -> frozenset[int]:
-        return frozenset(self.units)
 
     @cached_property
     def jac(self) -> frozenset[int]:

@@ -180,7 +180,7 @@ def _classify_finite(ring, bound: int) -> dict:
     return {
         "ring_spec": ring.spec_string(),
         "cardinality": cache.n,
-        "units": len(cache.unit_set),
+        "units": len(cache.units),
         "radical": [cache.names[i] for i in sorted(cache.jac)],
         "idempotents": [cache.names[i] for i in sorted(cache.idempotents)],
         "predicates": preds,

@@ -413,10 +413,6 @@ class LocalizedIntegerRing(Ring):
             v += 1
         return v
 
-    def prime_part(self, value: Fraction) -> int:
-        """Product of p^v_p over the localized primes (1 for units, 0 for 0)."""
-        return self._int_prime_part(value.numerator)
-
     def _int_prime_part(self, m: int) -> int:
         """Product of p^v_p(m) over the localized primes for an int m; 0 for
         0. The prime part of a value is that of its numerator."""
@@ -579,32 +575,7 @@ class DualIntRing(Ring):
 # ---------------------------------------------------------------------------
 
 
-class FiniteRingMixin:
-    """Element parsing and formatting served from the handle's EngineCache,
-    once ``engine.build_cache`` has given it one. The witness operations run
-    on the cache's scalar adapter."""
-
-    def parse_element(self, text: str) -> Element:
-        """A string is parsed once per cache, once the handle holds one.
-
-        A handle without a cache is not given one here (a ring past the
-        size bound would raise TooLarge), and input that is not a str
-        takes the generic path, so both keep their results and errors.
-        """
-        c = getattr(self, "_cache_obj", None)
-        if c is None or not isinstance(text, str):
-            return super().parse_element(text)
-        return c.element(c.parsed[text])
-
-    def format_element(self, a: Element) -> str:
-        """Served from the cache's list of names once the handle holds one."""
-        c = getattr(self, "_cache_obj", None)
-        if c is None:
-            return super().format_element(a)
-        return c.names[c.idx[self._member(a)]]
-
-
-class ModularRing(FiniteRingMixin, Ring):
+class ModularRing(Ring):
     """Z/nZ with canonical representatives 0..n-1."""
 
     kind = "Zn"
@@ -650,7 +621,7 @@ class ModularRing(FiniteRingMixin, Ring):
         return f"Zn:{self.n}"
 
 
-class ProductRing(FiniteRingMixin, Ring):
+class ProductRing(Ring):
     """Finite direct product with componentwise operations."""
 
     kind = "prod"
@@ -714,7 +685,7 @@ class ProductRing(FiniteRingMixin, Ring):
         return "prod(" + ",".join(f.spec_string() for f in self.factors) + ")"
 
 
-class PolyQuotientRing(FiniteRingMixin, Ring):
+class PolyQuotientRing(Ring):
     """Z[x]/(n, f) for n >= 2 and monic f: tuples of residue coefficients."""
 
     kind = "polyq"
@@ -792,7 +763,7 @@ class PolyQuotientRing(FiniteRingMixin, Ring):
         return f"polyq:{self.n}:{format_int_poly(self.f, descending=True)}"
 
 
-class TableRing(FiniteRingMixin, Ring):
+class TableRing(Ring):
     """Finite ring given by explicit operation tables over element indices."""
 
     kind = "table"

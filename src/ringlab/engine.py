@@ -106,7 +106,7 @@ from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
 from .cache import DEFAULT_SIZE_BOUND, EngineCache
-from .errors import (AxiomViolation, NoDecomposition, NotBezout, NotFZA, ParseError,
+from .errors import (AxiomViolation, NoDecomposition, NotBezout, ParseError,
                      ReverifyFailed, TooLarge)
 from .rings import Element, Ring
 
@@ -180,7 +180,7 @@ def build_cache(ring: Ring, bound: int = DEFAULT_SIZE_BOUND) -> EngineCache:
         return cache
     cache = EngineCache(ring, bound)
     n, add, mul = cache.n, cache.add, cache.mul
-    jac, units = cache.jac, cache.unit_set
+    jac, units = cache.jac, cache.units
     for x in jac:
         row = x * n
         if not all(add[row + y] in jac for y in jac):
@@ -383,13 +383,13 @@ def _on_power(check: Callable) -> Callable:
 
 def _unit_difference(c: EngineCache) -> Callable:
     """a - e is a unit."""
-    sub, units = c.sub, c.unit_set
+    sub, units = c.sub, c.units
     return lambda a, e: sub(a, e) in units
 
 
 def _clean_meet(c: EngineCache) -> Callable:
     """a - e is a unit and aR intersect eR lies in the radical."""
-    sub, units, meets = c.sub, c.unit_set, _meet_in_radical(c)
+    sub, units, meets = c.sub, c.units, _meet_in_radical(c)
     return lambda a, e: sub(a, e) in units and meets(a, e)
 
 
@@ -507,7 +507,7 @@ def _range_kernels(letter: str, pool: str, flags: Callable, meet: bool = False) 
 
 
 def _units(c: EngineCache) -> list[bool]:
-    return list(map(c.unit_set.__contains__, range(c.n)))
+    return list(map(c.units.__contains__, range(c.n)))
 
 
 def _hermite(c: EngineCache) -> Callable:
@@ -1001,7 +1001,7 @@ def pi_regular_decomposition(cache: EngineCache, a: Element) -> PiRegularWitness
     e = c.mul[power * n + b]
     u = c.add[c.sub(c.one, e) * n + power]
     w = c.sub(power, c.mul[e * n + u])
-    if u not in c.unit_set:
+    if u not in c.units:
         raise NoDecomposition("derived u is not a unit")
     # These hold in every commutative ring, so a failure is a broken ring.
     if c.sub(e, c.mul[e * n + e]) not in c.jac:
@@ -1015,38 +1015,35 @@ def pi_regular_decomposition(cache: EngineCache, a: Element) -> PiRegularWitness
 
 
 def fza_witness(cache: EngineCache, a: Element) -> AdequateWitness:
-    """Feckly-adequacy witness for c = 0 against target ``a``.
+    """Feckly-adequacy witness of c = 0 against the target ``a``: r = 1 - e
+    and s = e, with e = a^n*b from ``pi_regular_decomposition``.
 
-    Built constructively from the pi-regular decomposition of ``a``
-    (r = 1 - e, s = e) and taken when the ``feckly_zero_adequate`` check
-    accepts it; otherwise found by the definition search. Raises NotFZA
-    when no witness exists at all.
+    It passes the check in every finite commutative ring, where R/J is a
+    product of fields (Atiyah-Macdonald, Thm 8.7). There a^n - a^n*b*a^n in
+    J makes e, mod J, 1 where a is nonzero and 0 elsewhere. So (1) r*s =
+    e - e^2 lies in J; (2) r + a*(a^(n-1)*b) = 1; (3) a divisor t of s that
+    is comaximal with a is nonzero mod J where a is nonzero (t divides e)
+    and where a is zero (tR + aR = R): a unit mod J, and so a unit. The
+    same argument shows that u = 1 - e + a^n is a unit. The witness is
+    re-checked all the same: a rejected one raises ReverifyFailed, as in
+    ``adequate_witness_single``.
     """
     c = cache
     i = c.index_of(a)
-    try:
-        e = c.index_of(pi_regular_decomposition(c, a).e)
-        w = _adequacy_witness(c, c.zero, i, c.sub(c.one, e), e)
-        if w is not None and _adequate("feckly", c.zero, c)(i, w):
-            return _adequate_witness(c, i, "feckly", w)
-    except NoDecomposition:
-        pass
-    fallback = adequate_witness_single(c, c.element(c.zero), a, "feckly")
-    if fallback is None:
-        raise NotFZA(
-            f"{c.ring.spec_string()}: 0 is not feckly adequate against "
-            f"{c.ring.format_element(a)}")
-    return fallback
+    e = c.index_of(pi_regular_decomposition(c, a).e)
+    w = _adequacy_witness(c, c.zero, i, c.sub(c.one, e), e)
+    if w is None or not _adequate("feckly", c.zero, c)(i, w):
+        raise ReverifyFailed(
+            f"{c.ring.spec_string()}: feckly zero-adequacy witness against "
+            f"{c.names[i]} failed re-verification")
+    return _adequate_witness(c, i, "feckly", w)
 
 
 def j_characterization_check(cache: EngineCache) -> PropertyResult:
     """Compare J(R) with the set of x whose difference with every unit is a unit."""
     c = cache
-    units = sorted(c.unit_set)
-    alt = frozenset(
-        x for x in range(c.n)
-        if all(c.sub(x, u) in c.unit_set for u in units)
-    )
+    units = c.units
+    alt = frozenset(x for x in range(c.n) if all(c.sub(x, u) in units for u in units))
     if alt == c.jac:
         return PropertyResult("j_characterization", True,
                               witness={"radical": [c.names[x]

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``cli.EXIT_TABLE`` maps each to an exit code. A witness the package builds
+is checked again before it is returned; ``ReverifyFailed`` means the check
+rejected it, a defect in the search and not a negative answer.
+"""
 
 
 class RinglabError(Exception):
@@ -47,16 +52,12 @@ class ZeroIntegerPart(RinglabError):
     """Dual-integer adequacy asked for an element with zero integer part."""
 
 
-class NotFZA(RinglabError):
-    """Requested a feckly-zero-adequate witness in a ring that has none."""
-
-
 class NoDecomposition(RinglabError):
     """No pi-regular decomposition exists for the element."""
 
 
 class ReverifyFailed(RinglabError):
-    """A predicate payload failed its independent re-verification."""
+    """A predicate payload or a witness the package built failed its re-check."""
 
 
 class NoResidue(RinglabError):

@@ -36,7 +36,6 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from . import adequacy, engine
 from .concrete import (
@@ -191,18 +190,6 @@ def _entry(spec: str, verdict: bool, exercised=None, detail=None,
 # ---------------------------------------------------------------------------
 
 
-def _is_domain(cache) -> bool:
-    n = cache.n
-    for a in range(n):
-        if a == cache.zero:
-            continue
-        row = a * n
-        for b in range(n):
-            if b != cache.zero and cache.mul[row + b] == cache.zero:
-                return False
-    return True
-
-
 def _nonradical_elements_fa(ctx: _RingCtx) -> bool:
     """Every element outside the Jacobson radical is feckly adequate."""
     fa = engine._adequate_flags(ctx.cache, "feckly")
@@ -213,8 +200,11 @@ _FINITE = ("infinite ring", lambda ctx: ctx.finite)
 _BEZOUT = ("not Bezout", _RingCtx.is_bezout)
 _FZA = ("not a feckly zero-adequate ring", _RingCtx.is_fza_ring)
 _PRODUCT = ("not a product ring", lambda ctx: isinstance(ctx.ring, ProductRing))
+# A finite domain is a field: 1 != 0, and multiplying by a nonzero element
+# that is not a zero divisor permutes the ring, so it is a unit.
 _DOMAIN = ("not a finite Bezout domain",
-           lambda ctx: ctx.finite and ctx.is_bezout() and _is_domain(ctx.cache))
+           lambda ctx: ctx.finite and ctx.is_bezout() and ctx.cache.one != ctx.cache.zero
+           and len(ctx.cache.units) == ctx.cache.n - 1)
 _SMALL = ("beyond the exhaustive size bound",
           lambda ctx: ctx.cache.n <= ctx.config.exhaustive_2x2_max)
 _FAR1 = ("no feckly adequate range 1",
@@ -415,29 +405,23 @@ def _check_c215(ctx: _RingCtx) -> dict:
 
 def _check_t31(ctx: _RingCtx) -> dict:
     cache = ctx.cache
-    fa = list(compress(range(cache.n), engine._adequate_flags(cache, "feckly")))
-    ideals = {}
-    for i in fa:
-        ideals.setdefault(cache.ideal_class[i], i)
+    fa = engine._adequate_flags(cache, "feckly")
+    # Flags are per ideal class, and class ids number the classes by least
+    # generator: one generator per feckly adequate class, in id order.
+    gens = [g for g, *_ in cache.class_gens if fa[g]]
     bad = None
     per_ideal = {}
-    for cls, gen in sorted(ideals.items()):
+    for gen in gens:
         sub = _quotient_ctx(ctx, [gen])
         ok = sub.verdict("feckly_zero_adequate")
         per_ideal[cache.names[gen]] = ok
         if not ok and bad is None:
             bad = {"element": cache.names[gen], "quotient_size": sub.cache.n}
     return _entry(ctx.spec, bad is None,
-                  exercised={"elements": cache.n, "feckly_adequate": len(fa),
-                             "ideals_tested": len(ideals)},
+                  exercised={"elements": cache.n, "feckly_adequate": sum(fa),
+                             "ideals_tested": len(gens)},
                   detail={"quotients_by_generator": per_ideal},
                   counterexample=bad)
-
-
-def _is_local(cache) -> bool:
-    nonunits = [i for i in range(cache.n) if i not in cache.unit_set]
-    return all(cache.add[x * cache.n + y] not in cache.unit_set
-               for x in nonunits for y in nonunits)
 
 
 def _check_c32_info(ctx: _RingCtx) -> dict:
@@ -456,10 +440,13 @@ def _check_c32_info(ctx: _RingCtx) -> dict:
 
 
 def _check_p33_info(ctx: _RingCtx) -> dict:
+    c = ctx.cache
     return _agree(ctx, {
         "zero_adequate": ctx.verdict("zero_adequate"),
         "everywhere_adequate": ctx.verdict("everywhere_adequate"),
-        "local": _is_local(ctx.cache),
+        # Local: every non-unit lies in J. A unit lies in J only if 1 = 0,
+        # so that is: the units and J together have n elements.
+        "local": len(c.units) + len(c.jac) == c.n,
     })
 
 

@@ -269,6 +269,9 @@ class _Adapter:
                 [o if i == j else z for j in range(n)] for i in range(n)]
         return grid
 
+    def is_zero(self, x):
+        return x == self.zero
+
     def matmul(self, X, Y):
         """The product of two raw grids, one ``dot`` per entry."""
         cols = list(zip(*Y))
@@ -401,9 +404,6 @@ class _FiniteOps(_Adapter):
              add[mul[q10 + j00] * n + mul[q11 + j10]],
              add[mul[q10 + j01] * n + mul[q11 + j11]])
 
-    def is_zero(self, x):
-        return x == self.zero
-
     def unit_canon(self, x):
         return self.c.associate_canon[x]
 
@@ -457,9 +457,6 @@ class _ValueOps(_Adapter):
     def dot(self, xs, ys):
         """Sum of the products x*y over the paired entries."""
         return reduce(self.add, map(self.mul, xs, ys), self.zero)
-
-    def is_zero(self, x):
-        return x == self.zero
 
     def is_unit(self, x):
         return self.ring._is_unit_raw(x)
@@ -743,26 +740,28 @@ def _matrix_ops(ring: Ring):
     return _scalar_ops(ring) if cache is None else _cache_ops(cache)
 
 
+_STRATEGIES = {  # strategy -> (does it reduce over a ring, the error if not)
+    "finite_search": (lambda r: r.cardinality is not None,
+                      "finite_search needs a finite ring"),
+    "euclidean_Z": (lambda r: r.kind == "Z", "euclidean_Z reduces integer matrices only"),
+    "zloc_structural": (lambda r: r.kind == "zloc",
+                        "zloc_structural reduces zloc matrices only"),
+}
+
+
 def _ops_for(ring: Ring, strategy: str | None):
-    finite = ring.cardinality is not None
+    """The scalar adapter of ``ring``, once ``strategy`` (by default the
+    first that reduces over the ring) is checked against it."""
     if strategy is None:
-        strategy = ("finite_search" if finite
-                    else {"Z": "euclidean_Z", "zloc": "zloc_structural"}.get(ring.kind))
+        strategy = next((s for s, (fits, _) in _STRATEGIES.items() if fits(ring)), None)
         if strategy is None:
-            raise UnsupportedSpec(
-                f"no reduction strategy for ring kind {ring.kind!r}")
-    if strategy == "finite_search":
-        if not finite:
-            raise UnsupportedSpec("finite_search needs a finite ring")
-    elif strategy == "euclidean_Z":
-        if ring.kind != "Z":
-            raise UnsupportedSpec("euclidean_Z reduces integer matrices only")
-    elif strategy == "zloc_structural":
-        if ring.kind != "zloc":
-            raise UnsupportedSpec("zloc_structural reduces zloc matrices only")
-    else:
+            raise UnsupportedSpec(f"no reduction strategy for ring kind {ring.kind!r}")
+    if strategy not in _STRATEGIES:
         raise UnsupportedSpec(f"unknown strategy {strategy!r}")
-    return _scalar_ops(ring), strategy
+    fits, error = _STRATEGIES[strategy]
+    if not fits(ring):
+        raise UnsupportedSpec(error)
+    return _scalar_ops(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -1282,7 +1281,7 @@ def diagonal_reduce(ring: Ring, A: RingMatrix,
     """
     if A.ring is not ring:
         raise ValueError("matrix does not belong to the ring")
-    ops, strategy = _ops_for(ring, strategy)
+    ops = _ops_for(ring, strategy)
     return _certificate(ops, _reduce_raw(ops, _unbox(ops, A)))
 
 

@@ -94,3 +94,42 @@ def brute_radical(ring) -> set:
 
 def brute_idempotents(ring) -> set:
     return {e for e in ring.elements() if ring.mul(e, e) == e}
+
+
+def brute_is_domain(ring) -> bool:
+    """1 != 0 and no two nonzero elements multiply to 0: an n^2 scan."""
+    zero = ring.zero
+    nonzero = [a for a in ring.elements() if a != zero]
+    return ring.one != zero and all(
+        ring.mul(a, b) != zero for a in nonzero for b in nonzero)
+
+
+def brute_is_local(ring) -> bool:
+    """1 != 0 and the non-units are closed under addition, so that they are
+    the one maximal ideal: an n^2 scan."""
+    units = brute_units(ring)
+    nonunits = [a for a in ring.elements() if a not in units]
+    return ring.one != ring.zero and all(
+        ring.add(x, y) not in units for x in nonunits for y in nonunits)
+
+
+def feckly_adequacy_checker(ring):
+    """holds(c, a, r, s, x, y): the three feckly adequacy clauses of (r, s)
+    for c against a, from the definitions: c - r*s lies in J(R),
+    r*x + a*y = 1, and no non-unit t with s in tR has tR + aR = R."""
+    elems = list(ring.elements())
+    units, radical = set(brute_units(ring)), brute_radical(ring)
+
+    def holds(c, a, r, s, x, y):
+        if ring.sub(c, ring.mul(r, s)) not in radical:
+            return False
+        if ring.add(ring.mul(r, x), ring.mul(a, y)) != ring.one:
+            return False
+        ideal_a = {ring.mul(a, v) for v in elems}
+        for t in elems:
+            if t in units or all(ring.mul(t, v) != s for v in elems):
+                continue
+            if any(ring.sub(ring.one, ring.mul(t, v)) in ideal_a for v in elems):
+                return False  # 1 = t*v + a*w: t is comaximal with a
+        return True
+    return holds

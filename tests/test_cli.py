@@ -178,6 +178,7 @@ CLASSIFY_STDOUT_SHA256 = {
     "polyq:2:x^6": "52bf85e8928bb4080735133ab7776e1090e821e0958af7d3caa6594047360243",
     "prod(Zn:4,Zn:9)": "2774721ecaa3f431676c088400538809ad85e7a5f630e446bdad86b7ec8f5d8f",
     "dualint": "93297d9d0330f1bf1fb71f34a68acfcad9614ee5bf6c6fdb8d6bdccbff5cf90d",
+    "polyq:0:x^2-1": "a22388e2f24fcf34072b2d6c3c7ef79631da5ec611458d4bf877fe4abfeb377b",
 }
 
 
@@ -188,6 +189,15 @@ def test_classify_stdout_bytes_pinned(spec, capsys):
     assert cli.main(["classify", spec]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_STDOUT_SHA256[spec]
+
+
+def test_adequate_command_on_zloc(capsys):
+    from ringlab import cli
+
+    assert cli.main(["adequate", "zloc:{3,5}", "45/2", "3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["ring"], rep["r"], rep["s"]) == ("zloc:{3,5}", "5/2", "9")
+    assert rep["clauses_hold"] is True
 
 
 def test_classify_exit_codes():
@@ -230,6 +240,26 @@ def test_check_theorems_small_corpus(tmp_path):
     assert [r["id"] for r in rep["results"]] == ["T2.5", "E2.10", "ZALPHA"]
     assert rep["summary"]["fail"] == 0
     assert "summary:" in res.stderr
+
+
+QUOTIENT_CORPUS = os.path.join(os.path.dirname(__file__), "quotient_corpus.json")
+QUOTIENT_CORPUS_REPORT_SHA256 = (
+    "55a8909a4a04265220a5274c247a541ccd446641e537950c5a5a289ed5ef52e2")
+
+
+def test_quotient_corpus_report_pinned(tmp_path, capsys):
+    """Non-Bezout quotients and the zero ring quot(Zn:4,1), which is not a
+    domain, so the domain-gated info checks skip it as vacuous."""
+    from ringlab import cli
+
+    out = tmp_path / "report.json"
+    assert cli.main(["check-theorems", "--corpus", QUOTIENT_CORPUS,
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == QUOTIENT_CORPUS_REPORT_SHA256
+    rows = {r["id"]: r["rings"] for r in json.loads(out.read_text())["results"]}
+    for cid in ("C3.2-info", "P3.3-info"):
+        zero_ring = next(row for row in rows[cid] if row["ring"] == "quot(Zn:4,1)")
+        assert zero_ring["vacuous"] and zero_ring["reason"] == "not a finite Bezout domain"
 
 
 @pytest.mark.parametrize("content", ["[5]", '{"a": 1}', '"Zn:6"', "[null]"])

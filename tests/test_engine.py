@@ -20,7 +20,7 @@ def _idx_set(cache, indices):
 def test_build_cache_z12_sets(z12):
     ring, cache = z12
     assert _idx_set(cache, cache.jac) == {0, 6}
-    assert _idx_set(cache, cache.unit_set) == {1, 5, 7, 11}
+    assert _idx_set(cache, cache.units) == {1, 5, 7, 11}
     assert _idx_set(cache, cache.idempotents) == {0, 1, 4, 9}
 
 
@@ -28,7 +28,7 @@ def test_build_cache_matches_brute_force_oracles():
     for spec in ("Zn:12", "Zn:4", "prod(Zn:2,Zn:2)", "polyq:2:x^2"):
         ring = make_ring(spec)
         cache = engine.build_cache(ring)
-        assert _idx_set(cache, cache.unit_set) == \
+        assert _idx_set(cache, cache.units) == \
             {u.value for u in brute_units(ring)}
         assert _idx_set(cache, cache.jac) == {x.value for x in brute_radical(ring)}
         assert _idx_set(cache, cache.idempotents) == \
@@ -39,7 +39,7 @@ def test_build_cache_z4_and_product():
     ring = make_ring("Zn:4")
     cache = engine.build_cache(ring)
     assert _idx_set(cache, cache.jac) == {0, 2}
-    assert _idx_set(cache, cache.unit_set) == {1, 3}
+    assert _idx_set(cache, cache.units) == {1, 3}
     assert _idx_set(cache, cache.idempotents) == {0, 1}
     prod = make_ring("prod(Zn:2,Zn:2)")
     pcache = engine.build_cache(prod)
@@ -134,7 +134,7 @@ def test_pi_regular_decomposition_identities(z12):
         assert ring.add(ring.mul(wit.e, wit.u), wit.w) == power
         assert cache.index_of(ring.sub(wit.e, ring.mul(wit.e, wit.e))) in cache.jac
         assert cache.index_of(wit.w) in cache.jac
-        assert cache.index_of(wit.u) in cache.unit_set
+        assert cache.index_of(wit.u) in cache.units
 
 
 def test_pi_regular_decomposition_trivial_cases(z12):

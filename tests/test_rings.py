@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ringlab import rings
 from ringlab.concrete import make_ring
 from ringlab.errors import MixedRings, NotBezout, ParseError
 from ringlab.rings import arith, check_ring_axioms, int_xgcd, verify_bezout
@@ -27,6 +28,42 @@ def test_arith_examples(Z, Z12):
     du = make_ring("dualint")
     got = arith(du, "mul", du.parse_element("3+1/2 x"), du.parse_element("4-1/2 x"))
     assert du.format_element(got) == "12+1/2 x"
+
+
+MODULE_LEVEL_SAMPLES = {
+    "Z": ("6", "-4", "0", "1"),
+    "Zn:12": ("4", "9", "0", "5"),
+    "zloc:{2,3}": ("6", "1/5", "0", "4/7"),
+    "dualint": ("3+1/2 x", "4-1/2 x", "0+1/2 x", "1"),
+    "polyq:0:x^2-1": ("1+x", "-x", "3", "0"),
+}
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except NotBezout as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("spec", list(MODULE_LEVEL_SAMPLES))
+def test_module_level_functions_match_the_methods(spec):
+    ring = make_ring(spec)
+    elems = [ring.parse_element(t) for t in MODULE_LEVEL_SAMPLES[spec]]
+    for a in elems:
+        inv = rings.is_unit(ring, a)
+        assert inv == ring.is_unit(a)
+        assert inv is None or ring.mul(a, inv) == ring.one
+        assert arith(ring, "neg", a) == ring.neg(a)
+        for b in elems:
+            t = rings.divides(ring, a, b)
+            assert t == ring.divides(a, b)
+            assert t is None or ring.mul(a, t) == b
+            assert arith(ring, "sub", a, b) == ring.sub(a, b)
+            assert (_outcome(rings.bezout_gcd, ring, a, b)
+                    == _outcome(ring.bezout_gcd, a, b))
+    with pytest.raises(ValueError, match="unknown arith op"):
+        arith(ring, "div", elems[0], elems[1])
 
 
 def test_mixed_rings_rejected(Z12):
@@ -234,3 +271,33 @@ def test_zloc_parse_matches_fraction_parse(text):
     else:
         got = zl._parse(text)
         assert got == want and type(got) is Fraction
+
+
+def test_intquad_units_are_plus_minus_one_and_x():
+    ring = make_ring("polyq:0:x^2-1")
+    units = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            x = ring.make((a, b))
+            inv = ring.is_unit(x)
+            assert (inv is not None) == ((a, b) in units), (a, b)
+            if inv is not None:
+                assert ring.mul(x, inv) == ring.one
+
+
+@pytest.mark.parametrize("x, y, quotient", [
+    ("0+1/2 x", "0+3/2 x", "3"),
+    ("0+1/2 x", "0+1/3 x", None),   # 2/3 is not an integer part
+    ("0+1/2 x", "1", None),         # a nonzero integer part is not reached
+    ("0+2 x", "0", "0"),
+    ("0", "0", "0"),
+    ("0", "0+1/2 x", None),
+])
+def test_dualint_divides_with_a_zero_integer_part(x, y, quotient):
+    du = make_ring("dualint")
+    a, b = du.parse_element(x), du.parse_element(y)
+    t = du.divides(a, b)
+    if quotient is None:
+        assert t is None
+    else:
+        assert t == du.parse_element(quotient) and du.mul(a, t) == b
