@@ -55,7 +55,9 @@ keeps nothing past the row, so both give one witness order.
 
 The reducer's 2x2 kernel reaches ``bezout``, ``cofactor_triple``, ``shift``
 and ``comax_witness`` through its scalar adapter. A ring handle gets its
-cache only from ``engine.build_cache``, which checks its structure first.
+cache only from ``engine.build_cache``, which compares the ring's size
+with a bound before the tables are built and checks their structure
+after; ``EngineCache`` itself takes no bound.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from functools import cached_property
 from itertools import compress
 from operator import add as _plus
 
-from .errors import AxiomViolation, NotBezout, ParseError, TooLarge
+from .errors import AxiomViolation, NotBezout, ParseError
 from .rings import Element, Ring
 
 DEFAULT_SIZE_BOUND = 4096
@@ -133,27 +135,10 @@ class _ParseMemo(dict):
         return got
 
 
-def _count(n: int) -> str:
-    """``n`` in decimal, or the largest power of two at most ``n`` when
-    ``n`` has more digits than ``sys.get_int_max_str_digits()`` allows to
-    print."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"at least 2^{n.bit_length() - 1}"
-
-
 class EngineCache:
     """Exhaustive index tables for one finite ring handle."""
 
-    def __init__(self, ring: Ring, bound: int = DEFAULT_SIZE_BOUND):
-        if ring.cardinality is None:
-            raise TooLarge(f"{ring.spec_string()} is infinite")
-        if ring.cardinality > bound:
-            raise TooLarge(
-                f"{ring.spec_string()} has {_count(ring.cardinality)} elements, "
-                f"bound is {bound}"
-            )
+    def __init__(self, ring: Ring):
         self.ring = ring
         self.vals = list(ring._values())
         n = len(self.vals)

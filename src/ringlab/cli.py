@@ -164,9 +164,6 @@ def cmd_reduce(args) -> int:
 # classify
 # ---------------------------------------------------------------------------
 
-_STRUCTURAL_NOTE = {"verdict": False, "status": "asserted_untested",
-                    "note": "infinite ring, not machine-checkable"}
-
 
 def _classify_finite(ring, bound: int) -> dict:
     cache = engine.build_cache(ring, bound)
@@ -201,7 +198,7 @@ def _classify_zloc(ring: LocalizedIntegerRing) -> dict:
                 "verdict": bool(image_regular),
                 "note": "via the residue image " + target.spec_string(),
             },
-            "zero_adequate": dict(_STRUCTURAL_NOTE),
+            "zero_adequate": dict(lab.STRUCTURAL_NOTE),
         },
         "residue_image": target.spec_string(),
         "residue_image_regular": image_regular,

@@ -804,8 +804,7 @@ class TableRing(Ring):
                     f"table ring of size {size} exceeds the exhaustive "
                     f"verification limit {TABLE_VERIFY_LIMIT}"
                 )
-            check_ring_axioms(self, list(self.elements()),
-                              exhaustive_limit=TABLE_VERIFY_LIMIT)
+            check_ring_axioms(self, list(self.elements()))
 
     def _canon(self, value):
         v = int(value)

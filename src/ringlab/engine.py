@@ -106,8 +106,8 @@ from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
 from .cache import DEFAULT_SIZE_BOUND, EngineCache
-from .errors import (AxiomViolation, NoDecomposition, NotBezout, ParseError,
-                     ReverifyFailed, TooLarge)
+from .errors import (AxiomViolation, NotBezout, ParseError, ReverifyFailed,
+                     TooLarge)
 from .rings import Element, Ring
 
 _VARIANTS = ("classic", "feckly", "cvariant")
@@ -166,19 +166,36 @@ class PiRegularWitness:
     w: Element
 
 
+def _count(n: int) -> str:
+    """``n`` in decimal, or the largest power of two at most ``n`` when
+    ``n`` has more digits than ``sys.get_int_max_str_digits()`` allows to
+    print."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 def build_cache(ring: Ring, bound: int = DEFAULT_SIZE_BOUND) -> EngineCache:
     """The ring handle's index cache, the only way a handle gets one.
 
-    The first call builds it (TooLarge past ``bound``) and keeps it on the
-    handle only once the radical is an ideal and the units are closed under
-    multiplication. A later call returns it, or raises TooLarge past ``bound``.
+    This is the one place that compares a ring's size with a bound. The
+    first call refuses an infinite ring, or one past ``bound``, with
+    TooLarge, builds the tables, and keeps the cache on the handle only
+    once the radical is an ideal and the units are closed under
+    multiplication. A later call returns the held cache as it is, whatever
+    ``bound`` it passes: the tables exist, and the run that built them
+    chose their bound.
     """
     cache = getattr(ring, "_cache_obj", None)
     if cache is not None:
-        if ring.cardinality > bound:
-            raise TooLarge(f"{ring.spec_string()} exceeds requested bound {bound}")
         return cache
-    cache = EngineCache(ring, bound)
+    if ring.cardinality is None:
+        raise TooLarge(f"{ring.spec_string()} is infinite")
+    if ring.cardinality > bound:
+        raise TooLarge(f"{ring.spec_string()} has {_count(ring.cardinality)} "
+                       f"elements, bound is {bound}")
+    cache = EngineCache(ring)
     n, add, mul = cache.n, cache.add, cache.mul
     jac, units = cache.jac, cache.units
     for x in jac:
@@ -966,16 +983,18 @@ def adequate_witness_single(cache: EngineCache, cval: Element, target: Element,
     pair = _adequate_pair_idx(c, ic, it, variant)
     if pair is None:
         return None
-    w = _adequacy_witness(c, ic, it, *pair)
-    if not _adequate(variant, ic, c)(it, w):
-        raise ReverifyFailed(
-            f"{c.ring.spec_string()}: adequacy witness of {c.names[ic]} against "
-            f"{c.names[it]} failed re-verification")
-    return _adequate_witness(c, it, variant, w)
+    return _checked_witness(c, variant, ic, it, *pair,
+                            what=f"adequacy witness of {c.names[ic]}")
 
 
-def _adequate_witness(c: EngineCache, target: int, variant: str,
-                      w: tuple) -> AdequateWitness:
+def _checked_witness(c: EngineCache, variant: str, cval: int, target: int,
+                     r: int, s: int, what: str) -> AdequateWitness:
+    """The AdequateWitness (r, s) of cval against target, once the
+    variant's adequacy check passes it; ReverifyFailed names ``what``."""
+    w = _adequacy_witness(c, cval, target, r, s)
+    if w is None or not _adequate(variant, cval, c)(target, w):
+        raise ReverifyFailed(f"{c.ring.spec_string()}: {what} against "
+                             f"{c.names[target]} failed re-verification")
     r, s, j, x, y = map(c.element, w)
     return AdequateWitness(target=c.element(target), r=r, s=s, variant=variant,
                            j=j, comax_x=x, comax_y=y)
@@ -984,32 +1003,28 @@ def _adequate_witness(c: EngineCache, target: int, variant: str,
 def pi_regular_decomposition(cache: EngineCache, a: Element) -> PiRegularWitness:
     """Decompose a^n = e*u + w with e = a^n*b and u = 1 - a^n*b + a^n.
 
-    Searches the least exponent n and multiplier b with a^n - a^n*b*a^n in
-    the radical, then applies the closed formulas and re-verifies every
-    identity. Raises NoDecomposition when the search is exhausted.
+    Takes the least exponent n and multiplier b with a^n - a^n*b*a^n in
+    the radical, then applies the closed formulas. The search always finds
+    one. It walks the powers a, a^2, ... until one repeats, so it visits
+    every member of their cycle {a^m, ..., a^(m+p-1)}. The cycle is closed
+    under multiplication and is a cyclic group whose identity is an
+    idempotent a^k; its member a^m has an inverse b in it, and then
+    a^m*b*a^m = a^m exactly. The decomposition is re-checked all the
+    same (u a unit; e - e^2, w in the radical; a^n = e*u + w), and a
+    rejected one raises ReverifyFailed.
     """
     c = cache
     i = c.index_of(a)
-    res = _searcher(_REGISTRY["pi_regular_mod_J"], c)(i)
-    if res is None:
-        raise NoDecomposition(
-            f"{c.ring.spec_string()}: no pi-regular decomposition for "
-            f"{c.ring.format_element(a)}")
-    n_exp, b = res
+    n_exp, b = _searcher(_REGISTRY["pi_regular_mod_J"], c)(i)
     n = c.n
     power = _power(c, i, n_exp)
     e = c.mul[power * n + b]
     u = c.add[c.sub(c.one, e) * n + power]
     w = c.sub(power, c.mul[e * n + u])
-    if u not in c.units:
-        raise NoDecomposition("derived u is not a unit")
-    # These hold in every commutative ring, so a failure is a broken ring.
-    if c.sub(e, c.mul[e * n + e]) not in c.jac:
-        raise AxiomViolation("e - e^2 not in radical")
-    if w not in c.jac:
-        raise AxiomViolation("w not in radical")
-    if c.add[c.mul[e * n + u] * n + w] != power:
-        raise AxiomViolation("a^n != e*u + w")
+    if not (u in c.units and c.sub(e, c.mul[e * n + e]) in c.jac and w in c.jac
+            and c.add[c.mul[e * n + u] * n + w] == power):
+        raise ReverifyFailed(f"{c.ring.spec_string()}: pi-regular decomposition "
+                             f"of {c.names[i]} failed re-verification")
     mk = c.element
     return PiRegularWitness(n=n_exp, b=mk(b), e=mk(e), u=mk(u), w=mk(w))
 
@@ -1031,12 +1046,8 @@ def fza_witness(cache: EngineCache, a: Element) -> AdequateWitness:
     c = cache
     i = c.index_of(a)
     e = c.index_of(pi_regular_decomposition(c, a).e)
-    w = _adequacy_witness(c, c.zero, i, c.sub(c.one, e), e)
-    if w is None or not _adequate("feckly", c.zero, c)(i, w):
-        raise ReverifyFailed(
-            f"{c.ring.spec_string()}: feckly zero-adequacy witness against "
-            f"{c.names[i]} failed re-verification")
-    return _adequate_witness(c, i, "feckly", w)
+    return _checked_witness(c, "feckly", c.zero, i, c.sub(c.one, e), e,
+                            what="feckly zero-adequacy witness")
 
 
 def j_characterization_check(cache: EngineCache) -> PropertyResult:

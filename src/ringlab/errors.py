@@ -27,8 +27,7 @@ class AxiomViolation(RinglabError):
 
     Raised by the exhaustive axiom check of a table ring at load time, by
     the ideal check of a quotient, and by the structural checks on a
-    finite ring's cache (enumeration, radical, units, pi-regular
-    identities).
+    finite ring's cache (enumeration, radical, units).
     """
 
 
@@ -50,10 +49,6 @@ class ZeroInput(RinglabError):
 
 class ZeroIntegerPart(RinglabError):
     """Dual-integer adequacy asked for an element with zero integer part."""
-
-
-class NoDecomposition(RinglabError):
-    """No pi-regular decomposition exists for the element."""
 
 
 class ReverifyFailed(RinglabError):

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import adequacy, engine
+from .cache import DEFAULT_SIZE_BOUND
 from .concrete import (
     LocalizedIntegerRing,
     ProductRing,
@@ -60,6 +61,9 @@ from .reduction import (
 from .rings import Ring, int_xgcd
 
 DEFAULT_SEED = 1729
+# The zero-adequacy verdict on an infinite ring: stated, not searched.
+STRUCTURAL_NOTE = {"verdict": False, "status": "asserted_untested",
+                   "note": "infinite ring, not machine-checkable"}
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class CorpusConfig:
     """Configuration of one corpus run; equal configs give identical reports."""
 
     ring_specs: tuple[str, ...]
-    size_bound: int = 4096
+    size_bound: int = DEFAULT_SIZE_BOUND
     seed: int = DEFAULT_SEED
     checks: tuple[str, ...] | None = None
     exhaustive_2x2_max: int = 8
@@ -591,8 +595,7 @@ def check_example_2_11(seed: int = DEFAULT_SEED, samples: int = 1200) -> dict:
             "kernel_is_15_divisibility": kernel_ok,
             "residue_image_regular": image_regular,
             "radical_witnesses_verified": witness_ok,
-            "zero_adequate": {"verdict": False, "status": "asserted_untested",
-                              "note": "infinite ring, not machine-checkable"},
+            "zero_adequate": dict(STRUCTURAL_NOTE),
         },
         "exercised": {"samples": len(elems)},
     }

@@ -44,6 +44,11 @@ string with ParseError. ``_unbox`` hands the grid back as it
 is, and a matrix of another ring handle raises MixedRings. On a finite
 ring the adapter needs the cache, so a matrix over a ring past the size
 bound, with no cache on its handle, raises TooLarge when it is built.
+``engine.build_cache`` checks the bound once, when it builds the
+tables, so a handle that holds a cache built under a larger bound makes
+its matrices with it. Reducing, verifying and the witness methods go
+through ``_scalar_ops``, which still refuses a ring past the default
+bound.
 A kept grid is never written to: the reducer copies its input.
 The corpus runner calls the raw core directly and formats a
 matrix only when it reports a failure.
@@ -102,7 +107,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .cache import EngineCache
+from .cache import DEFAULT_SIZE_BOUND, EngineCache
 from .engine import PropertyResult, build_cache
 from .errors import (
     MixedRings,
@@ -111,6 +116,7 @@ from .errors import (
     NotComaximal,
     ParseError,
     ReductionFailed,
+    TooLarge,
     UnsupportedSpec,
 )
 from .rings import Element, Ring, int_xgcd
@@ -719,12 +725,19 @@ def _cache_ops(cache: EngineCache) -> _FiniteOps:
 def _scalar_ops(ring: Ring):
     """The ring's scalar adapter, built once and memoized.
 
-    Index kernels on finite rings, memoized on the EngineCache (a finite
-    ring past the default size bound raises TooLarge); payload kernels on
-    the others, memoized on the ring handle.
+    Index kernels on finite rings, memoized on the EngineCache; payload
+    kernels on the others, memoized on the ring handle. A finite ring past
+    the default size bound raises TooLarge: ``build_cache`` refuses it
+    with no cache on its handle, and this check refuses it with one, so
+    reducing, verifying and the witness methods answer only within the
+    default bound.
     """
     if ring.cardinality is not None:
-        return _cache_ops(build_cache(ring))
+        cache = build_cache(ring)
+        if ring.cardinality > DEFAULT_SIZE_BOUND:
+            raise TooLarge(f"{ring.spec_string()} exceeds requested bound "
+                           f"{DEFAULT_SIZE_BOUND}")
+        return _cache_ops(cache)
     ops = getattr(ring, "_scalar_ops_obj", None)
     if ops is None:
         cls = _PAYLOAD_OPS.get(ring.kind, _ValueOps)
@@ -733,11 +746,12 @@ def _scalar_ops(ring: Ring):
 
 
 def _matrix_ops(ring: Ring):
-    """The adapter a RingMatrix over ``ring`` keeps: the handle's own
-    cache adapter if the handle holds a cache (whatever bound it was
-    built under), else ``_scalar_ops(ring)``."""
-    cache = getattr(ring, "_cache_obj", None)
-    return _scalar_ops(ring) if cache is None else _cache_ops(cache)
+    """The adapter a RingMatrix over ``ring`` keeps: the cache adapter of
+    a finite ring, whatever bound its cache was built under, else
+    ``_scalar_ops(ring)``."""
+    if ring.cardinality is not None:
+        return _cache_ops(build_cache(ring))
+    return _scalar_ops(ring)
 
 
 _STRATEGIES = {  # strategy -> (does it reduce over a ring, the error if not)

@@ -273,18 +273,12 @@ def bezout_gcd(ring: Ring, a: Element, b: Element) -> BezoutData:
     return ring.bezout_gcd(a, b)
 
 
-def check_ring_axioms(ring: Ring, sample: list[Element] | None = None,
-                      exhaustive_limit: int = 64) -> None:
-    """Verify the commutative-ring axioms, raising AxiomViolation on failure.
-
-    Finite rings up to ``exhaustive_limit`` elements are checked exhaustively
-    (all triples for associativity and distributivity). Larger or infinite
-    rings are checked on the provided ``sample`` of elements.
+def check_ring_axioms(ring: Ring, sample: list[Element]) -> None:
+    """Verify the commutative-ring axioms on ``sample``, raising
+    AxiomViolation on failure: all pairs for commutativity and all triples
+    for associativity and distributivity. A finite ring's full element
+    list makes the check exhaustive.
     """
-    if sample is None:
-        if ring.cardinality is None or ring.cardinality > exhaustive_limit:
-            raise ValueError("sample required for large or infinite rings")
-        sample = list(ring.elements())
     zero, one = ring.zero, ring.one
 
     for a in sample:

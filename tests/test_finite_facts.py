@@ -4,8 +4,9 @@ their definitions on drawn rings.
 ``fza_witness`` builds r = 1 - e, s = e from the pi-regular decomposition,
 with no search behind it: every witness it returns must meet the feckly
 adequacy clauses, recomputed from the definitions in ``tests/oracles.py``.
-The lab's domain and local hypotheses count units and radical elements;
-here they are compared with n^2 scans of the ring's arithmetic.
+``pi_regular_decomposition`` must meet its four identities on every
+element. The lab's domain and local hypotheses count units and radical
+elements; here they are compared with n^2 scans of the ring's arithmetic.
 
 The drawn rings have at most 32 elements. Z/4[x]/(x^2) is not Bezout, so
 polyq draws and their quotients, such as quot(polyq:9:x^2,3x), give
@@ -115,6 +116,36 @@ def test_fza_witness_rechecks_what_it_builds(monkeypatch, value):
     monkeypatch.setattr(engine, "pi_regular_decomposition", flipped)
     with pytest.raises(ReverifyFailed, match="failed re-verification"):
         engine.fza_witness(cache, ring.make(value))
+
+
+@settings(max_examples=50, deadline=None)
+@given(finite_rings())
+@with_named_rings
+def test_pi_regular_decomposition_meets_its_identities(ring):
+    """Every element decomposes: the search is never empty, and a^n =
+    e*u + w with e = a^n*b, u = 1 - e + a^n a unit, and e - e^2 and w in
+    the radical, recomputed from the definitions."""
+    cache = engine.build_cache(ring)
+    units, radical = oracles.brute_units(ring), oracles.brute_radical(ring)
+    for a in ring.elements():
+        d = engine.pi_regular_decomposition(cache, a)
+        power = ring.one
+        for _ in range(d.n):
+            power = ring.mul(power, a)
+        assert d.e == ring.mul(power, d.b)
+        assert d.u == ring.add(ring.sub(ring.one, d.e), power) and d.u in units
+        assert ring.sub(d.e, ring.mul(d.e, d.e)) in radical and d.w in radical
+        assert ring.add(ring.mul(d.e, d.u), d.w) == power, (ring, a)
+
+
+def test_pi_regular_decomposition_rechecks_what_it_builds(monkeypatch):
+    """With the search planted to answer (1, 0), the decomposition of 2
+    in Z/7 is e = 0, u = 3 and w = 2, and w is not in the radical 0."""
+    ring = make_ring("Zn:7")
+    cache = engine.build_cache(ring)
+    monkeypatch.setattr(engine, "_searcher", lambda p, c: lambda i: (1, c.zero))
+    with pytest.raises(ReverifyFailed, match="pi-regular decomposition of 2"):
+        engine.pi_regular_decomposition(cache, ring.make(2))
 
 
 @settings(max_examples=50, deadline=None)

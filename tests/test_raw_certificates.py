@@ -19,7 +19,8 @@ from functools import reduce
 
 import pytest
 
-from ringlab.concrete import builtin_table_path, make_ring
+from ringlab import lab
+from ringlab.concrete import builtin_table_path, make_ring, quotient_ring
 from ringlab.engine import build_cache
 from ringlab.errors import MixedRings, ReductionFailed, TooLarge
 from ringlab.reduction import (
@@ -217,14 +218,30 @@ def test_matrix_past_the_bound_is_too_large_without_a_cache():
     assert getattr(ring, "_cache_obj", None) is None
 
 
-def test_matrix_past_the_bound_on_a_cached_handle():
-    """A handle that holds a cache built under a larger bound makes its
-    matrices with that cache; reducing and the witness methods still
-    need the default bound.
+@pytest.fixture(scope="module")
+def past_the_bound():
+    """A Zn:4097 handle holding a cache built under a bound of 8192.
     Zn:4097 is the smallest ring past the default bound of 4096, so its
-    tables are the cheapest to build."""
+    tables are the cheapest to build; the tests share one handle."""
     ring = make_ring("Zn:4097")
     build_cache(ring, 8192)
+    return ring
+
+
+def test_a_held_cache_is_returned_whatever_the_bound():
+    """The bound is checked when the tables are built, and only then."""
+    with pytest.raises(TooLarge, match="Zn:50 has 50 elements, bound is 10"):
+        build_cache(make_ring("Zn:50"), bound=10)
+    ring = make_ring("Zn:50")
+    cache = build_cache(ring)
+    assert build_cache(ring, bound=10) is cache
+
+
+def test_matrix_past_the_bound_on_a_cached_handle(past_the_bound):
+    """A handle that holds a cache built under a larger bound makes its
+    matrices with that cache; reducing and the witness methods still
+    need the default bound."""
+    ring = past_the_bound
     A = RingMatrix(ring, [[ring.make(2), ring.make(3)],
                           [ring.make(4), ring.make(4096)]])
     assert A.to_strings() == [["2", "3"], ["4", "4096"]]
@@ -242,3 +259,18 @@ def test_matrix_past_the_bound_on_a_cached_handle():
                     lambda: ring.bezout_gcd(two, three)):
         with pytest.raises(TooLarge):
             witness()
+
+
+def test_quotients_of_a_handle_held_past_the_bound(past_the_bound):
+    """Quotients read the cache the handle holds: R/17R is built, and the
+    corpus checks that build quotients (P2.13, T3.1) give rows with no
+    ``error`` under the bound the run's cache was built with."""
+    ring = past_the_bound
+    q, _ = quotient_ring(ring, [ring.make(17)])
+    assert q.cardinality == 17
+    ctx = lab._RingCtx("Zn:4097", ring,
+                       lab.CorpusConfig(ring_specs=("Zn:4097",), size_bound=8192))
+    assert ctx.cache is build_cache(ring)
+    for cid in ("P2.13", "T3.1"):
+        row = lab._run_check(lab._CHECKS[cid], ctx)
+        assert "error" not in row and row["verdict"] is True, (cid, row)
