@@ -15,9 +15,12 @@ Supported kinds (spec syntax in parentheses):
 
 Table-ring files are JSON objects ``{size, add, mul, zero, one}`` with
 row-major integer index tables (``size``, ``zero``, ``one`` and every
-entry a JSON integer); the ring axioms are verified exhaustively at load
-time. Quotient rings are materialized as table rings whose elements
-are coset representatives of least enumeration index.
+entry a JSON integer) of at most ``TABLE_VERIFY_LIMIT`` elements. The ring
+axioms are decided over the whole table at load time, on the index tables,
+in O(n²·|G|) lookups for an additive generating set G of at most log2 n
+elements (``_check_table_axioms``). Quotient rings are materialized as
+table rings whose elements are coset representatives of least enumeration
+index.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (
     TooLarge,
     UnsupportedSpec,
 )
-from .rings import Element, Ring, check_ring_axioms, int_xgcd
+from .rings import Element, Ring, int_xgcd
 
 TABLE_VERIFY_LIMIT = 128
 # The largest exponent a polynomial string may name: parsing allocates one
@@ -763,6 +766,67 @@ class PolyQuotientRing(Ring):
         return f"polyq:{self.n}:{format_int_poly(self.f, descending=True)}"
 
 
+def _additive_generators(add, zero) -> list[int]:
+    """Greedy G: the least index not yet reached joins G, and the reached
+    set is the closure of {0} under x ↦ x + g, g in G, until it is all.
+    In a group each g at least doubles the subgroup reached: |G| <= log2 n."""
+    gens, reached = [], {zero}
+    for g in range(len(add)):
+        if g not in reached:
+            gens.append(g)
+            todo = list(reached)
+            while todo:
+                row = add[todo.pop()]
+                for y in (row[h] for h in gens if row[h] not in reached):
+                    reached.add(y)
+                    todo.append(y)
+    return gens
+
+
+def _check_table_axioms(add, mul, zero, one) -> None:
+    """Decide the commutative-ring axioms on index tables whose rows all
+    hold ``zero``, in O(n²·|G|) lookups; raise AxiomViolation at a failing
+    element, pair or triple. A set that holds 0 and is closed under x ↦ x
+    + g for each g of ``_additive_generators`` is the whole ring, so:
+
+    1. a + 0 = a and a·1 = a for each a; + and · commute on all pairs.
+    2. (a + g) + b = a + (g + b) for all a, b (Light's test). The m with
+       (a + m) + b = a + (m + b) for all a, b hold 0, and m + m' with m,
+       m': (a + (m + m')) + b = ((a + m) + m') + b = (a + m) + (m' + b) =
+       a + (m + (m' + b)) = a + ((m + m') + b). So + is a group.
+    3. a(b + g) = ab + ag for all a, b. At b = 0 it gives a·0 = 0 (G is
+       empty only if n = 1). The c with a(b + c) = ab + ac for all a, b
+       hold 0, and c + g with c: a(b + c + g) = ab + ac + ag = ab + a(c + g).
+    4. (ab)g = a(bg) for all a, b. The c with (ab)c = a(bc) for all a, b
+       hold 0, and c + g with c: (ab)(c + g) = a(bc) + a(bg) = a(b(c + g)).
+    """
+    n = len(add)
+    for a in range(n):
+        if add[a][zero] != a:
+            raise AxiomViolation(f"a + 0 != a at {a}")
+        if mul[a][one] != a:
+            raise AxiomViolation(f"a * 1 != a at {a}")
+    for a in range(n):
+        for b in range(a + 1, n):
+            if add[a][b] != add[b][a]:
+                raise AxiomViolation(f"addition not commutative at {a}, {b}")
+            if mul[a][b] != mul[b][a]:
+                raise AxiomViolation(f"multiplication not commutative at {a}, {b}")
+    for g in _additive_generators(add, zero):
+        for a in range(n):
+            add_a, mul_a = add[a], mul[a]  # each law as two rows over b
+            for message, left, right in (
+                    ("addition not associative at {a}, {g}, {b}",
+                     add[add_a[g]], [add_a[v] for v in add[g]]),
+                    ("distributivity fails at {a}, {b}, {g}",
+                     [mul_a[v] for v in add[g]], [add[mul_a[g]][u] for u in mul_a]),
+                    ("multiplication not associative at {a}, {b}, {g}",
+                     [mul[g][u] for u in mul_a], [mul_a[v] for v in mul[g]])):
+                if left != right:
+                    b = next(b for b in range(n) if left[b] != right[b])
+                    raise AxiomViolation(message.format(a=a, b=b, g=g))
+
+
 class TableRing(Ring):
     """Finite ring given by explicit operation tables over element indices."""
 
@@ -790,21 +854,17 @@ class TableRing(Ring):
         self.cardinality = size
         self._spec_str = spec_str
         # Additive inverses must exist for this to be a ring at all.
-        negs = []
-        for i in range(size):
-            row = add_table[i]
-            try:
-                negs.append(row.index(self.zero_idx))
-            except ValueError:
+        for i, row in enumerate(add_table):
+            if self.zero_idx not in row:
                 raise AxiomViolation(f"element {i} has no additive inverse")
-        self._negs = negs
+        self._negs = [row.index(self.zero_idx) for row in add_table]
         if verify:
             if size > TABLE_VERIFY_LIMIT:
                 raise TooLarge(
                     f"table ring of size {size} exceeds the exhaustive "
                     f"verification limit {TABLE_VERIFY_LIMIT}"
                 )
-            check_ring_axioms(self, list(self.elements()))
+            _check_table_axioms(add_table, mul_table, self.zero_idx, self.one_idx)
 
     def _canon(self, value):
         v = int(value)

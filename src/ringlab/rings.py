@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from .errors import MixedRings, AxiomViolation
+from .errors import MixedRings
 
 
 def int_xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -271,39 +271,3 @@ def divides(ring: Ring, a: Element, b: Element) -> Element | None:
 
 def bezout_gcd(ring: Ring, a: Element, b: Element) -> BezoutData:
     return ring.bezout_gcd(a, b)
-
-
-def check_ring_axioms(ring: Ring, sample: list[Element]) -> None:
-    """Verify the commutative-ring axioms on ``sample``, raising
-    AxiomViolation on failure: all pairs for commutativity and all triples
-    for associativity and distributivity. A finite ring's full element
-    list makes the check exhaustive.
-    """
-    zero, one = ring.zero, ring.one
-
-    for a in sample:
-        if ring.add(a, zero) != a:
-            raise AxiomViolation(f"a + 0 != a at {a}")
-        if ring.mul(a, one) != a:
-            raise AxiomViolation(f"a * 1 != a at {a}")
-        if ring.add(a, ring.neg(a)) != zero:
-            raise AxiomViolation(f"a + (-a) != 0 at {a}")
-    for a in sample:
-        for b in sample:
-            if ring.add(a, b) != ring.add(b, a):
-                raise AxiomViolation(f"addition not commutative at {a}, {b}")
-            if ring.mul(a, b) != ring.mul(b, a):
-                raise AxiomViolation(f"multiplication not commutative at {a}, {b}")
-    for a in sample:
-        for b in sample:
-            for c in sample:
-                if ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c)):
-                    raise AxiomViolation(f"addition not associative at {a}, {b}, {c}")
-                if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
-                    raise AxiomViolation(
-                        f"multiplication not associative at {a}, {b}, {c}"
-                    )
-                lhs = ring.mul(a, ring.add(b, c))
-                rhs = ring.add(ring.mul(a, b), ring.mul(a, c))
-                if lhs != rhs:
-                    raise AxiomViolation(f"distributivity fails at {a}, {b}, {c}")

@@ -8,7 +8,9 @@ import pytest
 from ringlab import rings
 from ringlab.concrete import make_ring
 from ringlab.errors import MixedRings, NotBezout, ParseError
-from ringlab.rings import arith, check_ring_axioms, int_xgcd, verify_bezout
+from ringlab.rings import arith, int_xgcd, verify_bezout
+
+from .oracles import check_ring_axioms
 
 
 @pytest.fixture
