@@ -19,6 +19,7 @@ human-readable summary goes to stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -33,6 +34,7 @@ from .concrete import (
     IntegerRing,
     IntQuadRing,
     LocalizedIntegerRing,
+    TABLE_VERIFY_LIMIT,
     export_table_data,
     localized_residue_map,
     make_ring,
@@ -282,15 +284,23 @@ _CLASSIFY_INFINITE = {
 
 def cmd_classify(args) -> int:
     ring = make_ring(args.ring)
+    if args.export_table:  # refused before any classify work: nothing is written
+        if ring.cardinality is None:
+            raise UnsupportedSpec("cannot export an infinite ring")
+        if ring.cardinality > TABLE_VERIFY_LIMIT:
+            raise TooLarge(f"cannot export {ring.spec_string()}: a table ring file "
+                           f"holds at most {TABLE_VERIFY_LIMIT} elements")
     if ring.cardinality is not None:
         report = _classify_finite(ring, args.size_bound)
     else:  # make_ring builds no other infinite kind
         report = _CLASSIFY_INFINITE[type(ring)](ring)
     if args.export_table:
-        if ring.cardinality is None:
-            raise UnsupportedSpec("cannot export an infinite ring")
         _atomic_write(args.export_table,
                       json.dumps(export_table_data(ring), sort_keys=True) + "\n")
+    # A handle and its cache form a cycle: collect them before the report
+    # is encoded, so that the encoder reuses the tables' memory.
+    del ring
+    gc.collect()
     _emit(report, args.out)
     return EXIT_OK
 

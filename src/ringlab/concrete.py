@@ -44,7 +44,7 @@ from .errors import (
 )
 from .rings import Element, Ring, int_xgcd
 
-TABLE_VERIFY_LIMIT = 128
+TABLE_VERIFY_LIMIT = 512
 # The largest exponent a polynomial string may name: parsing allocates one
 # coefficient per power.
 POLY_DEGREE_LIMIT = 100_000

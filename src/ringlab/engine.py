@@ -8,15 +8,16 @@ one from outside it. The search finds witnesses: by default the first
 candidate, in enumeration order, that the check accepts, so repeated runs
 produce identical reports.
 
-The domain is the predicate's quantifier. There are six:
+The domain is the predicate's quantifier. There are six, each with a
+named payload and rows of cache indices:
 
-* every element: ``{"map": {a: w}}``, counterexample ``{"a"}``;
-* the quasi-idempotents: ``{"map": {x: w}}``, counterexample ``{"x"}``;
-* the comaximal pairs: ``{"pairs": [{"a", "b", "y" or "e"}]}``;
+* every element: ``{"map": {a: w}}``, rows (a, w), counterexample ``{"a"}``;
+* the quasi-idempotents: ``{"map": {x: w}}``, the same, counterexample ``{"x"}``;
+* the comaximal pairs: ``{"pairs": [{"a", "b", "y" or "e"}]}``, rows (a, b, w);
 * all n^2 pairs (``hermite``), listed the same way;
 * one pair per two principal-ideal classes (``bezout``), the same way;
-* adequacy targets: ``{"targets": {t: {r, s, j, x, y}}}``, which
-  ``everywhere_adequate`` nests per element.
+* adequacy targets: ``{"targets": {t: {r, s, j, x, y}}}``, rows
+  (t, r, s, j, x, y), which ``everywhere_adequate`` nests per element.
 
 Each domain states once the payload and counterexample shapes, the
 ``exercised`` counts, membership and coverage. ``ring_predicate``,
@@ -29,6 +30,20 @@ re-search is the test that no witness exists. Malformed payloads are
 rejected, never raised. ``semiregular`` is the conjunction of
 ``regular_mod_J`` and ``idempotents_lift_mod_J``, decided once per cache.
 
+A positive payload lives in two forms. The search emits rows, and the
+``PropertyResult`` keeps them with its cache's ``names`` list. The first
+read of ``witness`` (or ``to_json``) formats the named payload, which is
+the public form, and drops the rows, so that a later ``reverify`` sees the
+payload as the caller holds it, edits included; a copy or a pickle takes
+the named payload too. The check runs on rows only. ``reverify`` hands it
+the kept rows when they are rows of the cache it is given (``names is
+c.names``), and otherwise the named payload parsed on that cache by the
+domain's one parser; a payload that does not parse is rejected. So rows
+never meet another cache's tables, and the search's own names are never
+parsed back in process: the name bijection (``EngineCache.parsed`` inverts
+``EngineCache.names``) is what the tests check for that. Counterexamples
+name one item and stay in named form.
+
 The domains of n^2 items run row by row: pair domains one first
 coordinate a at a time, adequacy targets one element c at a time. A pair
 predicate's search and check bind per row what depends on a alone (the
@@ -36,13 +51,13 @@ offset a*n, flags such as "a + v is a unit" for every v), and per ideal
 class of a what depends only on aR: the pool witnesses that meet a in the
 radical, as a list and as the set the check tests membership against.
 That is exact because the meet aR intersect wR is already memoized per
-pair of classes. So per entry only table lookups and one dict literal of
-``EngineCache.names`` remain. A row's check parses its entries and tests
-each witness for pool membership and the identity; the domain then tests
-membership of each pair and that the rows cover the domain, each pair
-once. ``hermite`` runs ``EngineCache.bezout_row`` on each row, which
-builds its search state once per ideal class of b; its n^2 results stay
-out of the memo of ``EngineCache.bezout``, the reducer's single-pair case.
+pair of classes. So per entry only table lookups and one tuple remain. A
+row's check tests each witness for pool membership and the identity; the
+domain then tests membership of each pair and that the rows cover the
+domain, each pair once. ``hermite`` runs ``EngineCache.bezout_row`` on
+each row, which builds its search state once per ideal class of b; its
+n^2 results stay out of the memo of ``EngineCache.bezout``, the reducer's
+single-pair case.
 
 The adequacy predicates come in three variants. ``classic`` demands an
 exact factorization c = r*s; ``feckly`` only demands c - r*s to fall in
@@ -65,9 +80,7 @@ argument a targets row names r, s, j = c - r*s and x (the first one with
 the multiplier of t, per target; and c is adequate against every target
 iff it is against one target per class. Principal ideals come from the
 cache's class layer, which interns every ideal once, so the ``bezout``
-check dR = aR + bR compares ideal ids, not sets. Element strings are
-formatted once per cache (``EngineCache.names``) and parsed once
-(``EngineCache.parsed``).
+check dR = aR + bR compares ideal ids, not sets.
 
 ``_adequate_flags`` also takes one c per class: the least generator of
 each class, against one target per class, k^2 searches for k classes
@@ -99,11 +112,11 @@ per-cache table; its unit candidates cost one multiplication each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import compress, groupby
 from operator import itemgetter
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .cache import DEFAULT_SIZE_BOUND, EngineCache
 from .errors import (AxiomViolation, NotBezout, ParseError, ReverifyFailed,
@@ -113,15 +126,50 @@ from .rings import Element, Ring
 _VARIANTS = ("classic", "feckly", "cvariant")
 
 
-@dataclass
 class PropertyResult:
-    """Verdict plus re-verifiable payload for one predicate on one ring."""
+    """Verdict plus re-verifiable payload for one predicate on one ring.
 
-    predicate: str
-    verdict: bool
-    witness: Any = None
-    counterexample: Any = None
-    exercised: dict = field(default_factory=dict)
+    A positive result of ``ring_predicate`` or ``element_predicate`` keeps
+    its witness as index rows with its cache's ``names`` until the first
+    read of ``witness`` (or ``to_json``) formats the named payload; see the
+    module docstring.
+    """
+
+    _kept = None  # (names, rows, element level), until the witness is read
+
+    def __init__(self, predicate: str, verdict: bool, witness: Any = None,
+                 counterexample: Any = None, exercised: dict | None = None):
+        self.predicate, self.verdict, self._witness = predicate, verdict, witness
+        self.counterexample = counterexample
+        self.exercised = {} if exercised is None else exercised
+
+    @property
+    def witness(self) -> Any:
+        if self._kept is not None:
+            names, rows, element = self._kept
+            p = _REGISTRY[self.predicate]
+            self._witness, self._kept = p.domain.format(p, names, rows, element), None
+        return self._witness
+
+    @witness.setter
+    def witness(self, value: Any) -> None:
+        self._witness, self._kept = value, None
+
+    def _fields(self) -> tuple:
+        return (self.predicate, self.verdict, self.witness, self.counterexample,
+                self.exercised)
+
+    def __getstate__(self) -> dict:
+        self.witness  # a copy or a pickle takes the named payload, never the rows
+        return self.__dict__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PropertyResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return f"PropertyResult{self._fields()!r}"
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"verdict": self.verdict}
@@ -309,7 +357,7 @@ def _adequacy_witness(c: EngineCache, cval: int, target: int, r: int,
 
 
 def _adequate(variant: str, cval: int, c: EngineCache) -> Callable:
-    """holds(target, (r, s, j, x, y)): the adequacy of cval against a target.
+    """holds(target, r, s, j, x, y): the adequacy of cval against a target.
 
     (1) cval - r*s = j, with j = 0 (classic, cvariant) or j in J (feckly);
     (2) r*x + target*y = 1; (3) every non-unit divisor of s is
@@ -321,8 +369,7 @@ def _adequate(variant: str, cval: int, c: EngineCache) -> Callable:
     fixed = cval if variant == "cvariant" else None
     anchored, cls = c._ext.setdefault("anchored", {}), c.ideal_class
 
-    def holds(t: int, w: tuple) -> bool:
-        r, s, j, x, y = w
+    def holds(t: int, r: int, s: int, j: int, x: int, y: int) -> bool:
         if not (add[crow + neg[mul[r * n + s]]] == j and j in allowed_j
                 and add[mul[r * n + x] * n + mul[t * n + y]] == one):
             return False
@@ -332,17 +379,17 @@ def _adequate(variant: str, cval: int, c: EngineCache) -> Callable:
     return holds
 
 
-def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[dict, Any]:
-    """The targets row of cval: ({target name: {r, s, j, x, y}}, None), or
-    (None, the first target without a witness).
+def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[list, Any]:
+    """The targets table of cval: ([(t, r, s, j, x, y)] for every target t,
+    None), or (None, the first target without a witness).
 
-    r, s, j and x are named once per ideal class of the target, y per
+    r, s, j and x are found once per ideal class of the target, y per
     target; see the module docstring for why that is exact.
     """
-    n, add, mul, neg, names = c.n, c.add, c.mul, c.neg, c.names
-    cls, inverse, per_class, out = c.ideal_class, c.units, {}, {}
+    n, add, mul, neg = c.n, c.add, c.mul, c.neg
+    cls, inverse, per_class, out = c.ideal_class, c.units, {}, []
     pre, pre_memo = c._preimages, c._preimage_memo
-    for t in range(n):
+    for t in _indices(c):
         got = per_class.get(cls[t])
         if got is None:
             pair = _adequate_pair_idx(c, cval, t, variant)
@@ -350,27 +397,31 @@ def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[dict, Any]
                 return None, t
             r, s = pair
             x = c.comax_witness(r, t)[0]
-            j = add[cval * n + neg[mul[r * n + s]]]
-            got = per_class[cls[t]] = (
-                {"r": names[r], "s": names[s], "j": names[j], "x": names[x]},
-                add[c.one * n + neg[mul[r * n + x]]])
-        t_inv, v = inverse.get(t), got[1]  # ``divides(t, v)`` inlined
+            got = per_class[cls[t]] = (r, s, add[cval * n + neg[mul[r * n + s]]], x,
+                                       add[c.one * n + neg[mul[r * n + x]]])
+        r, s, j, x, v = got
+        t_inv = inverse.get(t)  # ``divides(t, v)`` inlined
         y = (pre_memo.get(t) or pre(t))[v][0] if t_inv is None else mul[t_inv * n + v]
-        out[names[t]] = {**got[0], "y": names[y]}
+        out.append((t, r, s, j, x, y))
     return out, None
 
 
 def _adequacy_table_holds(c: EngineCache, variant: str, cval: int,
-                          table: dict) -> bool:
-    """Every entry of a targets row holds, and they are the n targets, each once."""
-    parsed, holds, targets = c.parsed, _adequate(variant, cval, c), []
-    for name, w in table.items():
-        t = parsed[name]
-        if not holds(t, (parsed[w["r"]], parsed[w["s"]], parsed[w["j"]],
-                         parsed[w["x"]], parsed[w["y"]])):
-            return False
-        targets.append(t)
-    return _covers(targets, c.n)
+                          table: list) -> bool:
+    """Every row of a targets table holds, and they are the n targets, each once."""
+    holds = _adequate(variant, cval, c)
+    return (all(holds(*row) for row in table)
+            and _covers([row[0] for row in table], c.n))
+
+
+def _named_targets(names: list[str], table: list) -> dict:
+    return {names[t]: {"r": names[r], "s": names[s], "j": names[j], "x": names[x],
+                       "y": names[y]} for t, r, s, j, x, y in _drain(table)}
+
+
+def _parsed_targets(parsed, named: dict) -> list:
+    return [(parsed[t], *map(parsed.__getitem__, map(w.__getitem__, "rsjxy")))
+            for t, w in named.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +524,10 @@ def _power_values(parsed, rec) -> tuple[int, int]:
 
 
 # Row kernels of the pair domains: search(c) binds fill(a, bs, out), which
-# appends the entry of each b in bs to out and returns the first b without
-# a witness (None if there is none); check(c) binds holds(a, entries), the
-# b of each entry, or None if a witness is outside the pool or fails.
+# appends the index row (a, b, *witness) of each b in bs to out and returns
+# the first b without a witness (None if there is none); check(c) binds
+# holds(a, rows), the b of each row, or None if a witness is outside the
+# pool or fails. ``field`` names the witness values of a row after a and b.
 
 
 def _range_kernels(letter: str, pool: str, flags: Callable, meet: bool = False) -> dict:
@@ -483,7 +535,7 @@ def _range_kernels(letter: str, pool: str, flags: Callable, meet: bool = False) 
     adequate elements), for w from ``pool``; with ``meet``, aR intersect wR
     also lies in the radical."""
     def bind(c):
-        n, add, mul, names, parsed = c.n, c.add, c.mul, c.names, c.parsed
+        n, add, mul = c.n, c.add, c.mul
         marked, wits, cls = flags(c), _pool(c, pool), c.ideal_class
         meets = _meet_in_radical(c) if meet else None
         usable = {}  # ideal class of a (or None) -> the usable witnesses, list and set
@@ -499,7 +551,6 @@ def _range_kernels(letter: str, pool: str, flags: Callable, meet: bool = False) 
 
         def fill(a, bs, out):
             good, (cands, _) = row(a)
-            na = names[a]
             for b in bs:
                 brow = b * n
                 for w in cands:
@@ -507,20 +558,20 @@ def _range_kernels(letter: str, pool: str, flags: Callable, meet: bool = False) 
                         break
                 else:
                     return b
-                out.append({"a": na, "b": names[b], letter: names[w]})
+                out.append((a, b, w))
             return None
 
-        def holds(a, entries):
+        def holds(a, rows):
             good, (_, allowed) = row(a)
             bs = []
-            for e in entries:
-                b, w = parsed[e["b"]], parsed[e[letter]]
+            for _, b, w in rows:
                 if w not in allowed or not good[mul[b * n + w]]:
                     return None
                 bs.append(b)
             return bs
         return holds, fill
-    return {"check": lambda c: bind(c)[0], "search": lambda c: bind(c)[1]}
+    return {"check": lambda c: bind(c)[0], "search": lambda c: bind(c)[1],
+            "field": (letter,)}
 
 
 def _units(c: EngineCache) -> list[bool]:
@@ -529,15 +580,13 @@ def _units(c: EngineCache) -> list[bool]:
 
 def _hermite(c: EngineCache) -> Callable:
     """a = a1*d, b = b1*d and a1*u + b1*v = 1."""
-    n, add, mul, one, parsed = c.n, c.add, c.mul, c.one, c.parsed
+    n, add, mul, one = c.n, c.add, c.mul, c.one
 
-    def holds(a, entries):
+    def holds(a, rows):
         bs = []
-        for e in entries:
-            b, d, a1, b1 = parsed[e["b"]], parsed[e["d"]], parsed[e["a1"]], parsed[e["b1"]]
+        for _, b, d, a1, b1, u, v in rows:
             if not (mul[a1 * n + d] == a and mul[b1 * n + d] == b
-                    and add[mul[a1 * n + parsed[e["u"]]] * n
-                            + mul[b1 * n + parsed[e["v"]]]] == one):
+                    and add[mul[a1 * n + u] * n + mul[b1 * n + v]] == one):
                 return None
             bs.append(b)
         return bs
@@ -545,14 +594,13 @@ def _hermite(c: EngineCache) -> Callable:
 
 
 def _hermite_search(c: EngineCache) -> Callable:
-    names, row = c.names, c.bezout_row
+    row = c.bezout_row
 
     def fill(a, bs, out):
-        na, start = names[a], len(out)
+        start = len(out)
         try:
             for b, (d, _, _, a1, b1, u, v) in zip(bs, row(a, bs)):
-                out.append({"a": na, "b": names[b], "d": names[d], "a1": names[a1],
-                            "b1": names[b1], "u": names[u], "v": names[v]})
+                out.append((a, b, d, a1, b1, u, v))
         except NotBezout:
             return bs[len(out) - start]
         return None
@@ -561,13 +609,12 @@ def _hermite_search(c: EngineCache) -> Callable:
 
 def _bezout(c: EngineCache) -> Callable:
     """dR = aR + bR."""
-    parsed, cls = c.parsed, c.ideal_class
+    cls = c.ideal_class
 
-    def holds(a, entries):
+    def holds(a, rows):
         bs = []
-        for e in entries:
-            b = parsed[e["b"]]
-            if cls[parsed[e["d"]]] != c.sum_ideal_id(cls[a], cls[b]):
+        for _, b, d in rows:
+            if cls[d] != c.sum_ideal_id(cls[a], cls[b]):
                 return None
             bs.append(b)
         return bs
@@ -575,14 +622,14 @@ def _bezout(c: EngineCache) -> Callable:
 
 
 def _bezout_search(c: EngineCache) -> Callable:
-    names, cls, sums = c.names, c.ideal_class, c.class_sum_gens
+    cls, sums = c.ideal_class, c.class_sum_gens
 
     def fill(a, bs, out):
         for b in bs:
             gens = sums[cls[a]][cls[b]]
             if not gens:
                 return b
-            out.append({"a": names[a], "b": names[b], "d": names[gens[0]]})
+            out.append((a, b, gens[0]))
         return None
     return fill
 
@@ -590,6 +637,12 @@ def _bezout_search(c: EngineCache) -> Callable:
 # ---------------------------------------------------------------------------
 # domains: search, check, payload and coverage
 # ---------------------------------------------------------------------------
+
+
+def _indices(c: EngineCache) -> list[int]:
+    """0, ..., n-1 as the int objects of the add table's zero row, so that
+    index rows share them instead of holding n^2 new ints past 256."""
+    return c.add[c.zero * c.n:(c.zero + 1) * c.n]
 
 
 def _pool(c: EngineCache, name: str):
@@ -612,32 +665,39 @@ def _searcher(p: _Predicate, c: EngineCache) -> Callable:
     return partial(_first, p.check(c), _pool(c, p.pool))
 
 
-def _checker(p: _Predicate, c: EngineCache) -> Callable:
-    """holds(item, value) on one cache: a payload value (an element name, or
-    the fields of a several-value witness) is a witness from the pool that
-    the check accepts."""
-    check, parsed = p.check(c), c.parsed
-    if not p.field:
-        return lambda item, value: check(item, p.values(parsed, value))
-    if p.pool == "elements":
-        return lambda item, value: check(item, parsed[value])
-    pool = getattr(c, p.pool)
-
-    def holds(item, value) -> bool:
-        w = parsed[value]
-        return w in pool and check(item, w)
-    return holds
-
-
 def _covers(keys: list, size: int) -> bool:
     """True iff ``keys`` are pairwise distinct and exactly ``size`` many."""
     return len(keys) == size and len(set(keys)) == size
 
 
-class _Domain(NamedTuple):
-    """Elements that each carry one witness: ``{"map": {a: witness}}``.
+def _drain(rows: list) -> Iterator:
+    """The rows in order, each removed from the list as it is read, so that
+    the payload formatted from them reuses their memory."""
+    rows.reverse()
+    rows.insert(0, None)
+    return iter(rows.pop, None)
 
-    A counterexample names one item, ``{letter: name}``.
+
+def _keep(p: _Predicate, c: EngineCache, rows: Any, exercised: dict,
+          element: bool = False) -> PropertyResult:
+    """A positive result holding its witness as index rows of ``c``."""
+    res = PropertyResult(p.name, True, exercised=exercised)
+    res._kept = (c.names, rows, element)
+    return res
+
+
+def _rows(p: _Predicate, c: EngineCache, result: PropertyResult, element: bool):
+    """The index rows of a positive result: the kept ones if ``c`` made
+    them, else its named payload parsed on ``c``."""
+    kept = result._kept
+    if kept is not None and kept[0] is c.names:
+        return kept[1]
+    return p.domain.parse(p, c, result.witness, element)
+
+
+class _Domain(NamedTuple):
+    """Elements that each carry one witness: ``{"map": {a: witness}}``, rows
+    (a, w). A counterexample names one item, ``{letter: name}``.
     """
 
     items: Callable                 # c -> the items, in enumeration order
@@ -647,58 +707,63 @@ class _Domain(NamedTuple):
     member: Callable | None = None  # (c, item) -> bool, if not every item
 
     def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
-        names, f, search = c.names, p.field, _searcher(p, c)
-        out = {}
+        search, rows = _searcher(p, c), []
         for count, item in enumerate(self.items(c), 1):
             w = search(item)
             if w is None:
                 return PropertyResult(p.name, False,
-                                      counterexample={self.letter: names[item]},
+                                      counterexample={self.letter: c.names[item]},
                                       exercised=self.exercised(c, count, False))
-            out[names[item]] = names[w] if f else p.fields(names, w)
-        return PropertyResult(p.name, True, witness={"map": out},
-                              exercised=self.exercised(c, len(out), True))
-
-    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
-        parsed, member = c.parsed, self.member
-        if not result.verdict:
-            item = parsed[result.counterexample[self.letter]]
-            return (member is None or member(c, item)) and _searcher(p, c)(item) is None
-        holds, items = _checker(p, c), []
-        for name, value in result.witness["map"].items():
-            item = parsed[name]
-            if not ((member is None or member(c, item)) and holds(item, value)):
-                return False
-            items.append(item)
-        return _covers(items, self.size(c))
+            rows.append((item, w))
+        return _keep(p, c, rows, self.exercised(c, len(rows), True))
 
     def element(self, p: _Predicate, c: EngineCache, a: int) -> PropertyResult:
-        """One element: ``{"element", **witness fields}`` or a counterexample."""
-        names = c.names
+        """One element: ``{"element", **witness fields}``, the row (a, w), or
+        a counterexample."""
         w = _searcher(p, c)(a)
         tally = p.tally(c, w) if p.tally else {}
         if w is None:
             return PropertyResult(p.name, False, exercised=tally,
-                                  counterexample={self.letter: names[a]})
-        fields = {p.field: names[w]} if p.field else p.fields(names, w)
-        return PropertyResult(p.name, True, witness={"element": names[a], **fields},
-                              exercised=tally)
+                                  counterexample={self.letter: c.names[a]})
+        return _keep(p, c, [(a, w)], tally, element=True)
 
-    def verify_element(self, p: _Predicate, c: EngineCache,
-                       result: PropertyResult) -> bool:
+    def format(self, p: _Predicate, names: list[str], rows: list, element: bool) -> dict:
+        value = names.__getitem__ if p.field else partial(p.fields, names)
+        if element:
+            (a, w), = rows
+            return {"element": names[a], **({p.field: value(w)} if p.field else value(w))}
+        return {"map": {names[a]: value(w) for a, w in _drain(rows)}}
+
+    def parse(self, p: _Predicate, c: EngineCache, witness: dict, element: bool) -> list:
+        parsed = c.parsed
+        value = parsed.__getitem__ if p.field else partial(p.values, parsed)
+        if element:
+            return [(parsed[witness["element"]],
+                     value(witness[p.field] if p.field else witness))]
+        return [(parsed[a], value(w)) for a, w in witness["map"].items()]
+
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult,
+               element: bool = False) -> bool:
+        member = self.member
         if not result.verdict:
-            return self.verify(p, c, result)
-        w = result.witness
-        return _checker(p, c)(c.parsed[w["element"]], w[p.field] if p.field else w)
+            item = c.parsed[result.counterexample[self.letter]]
+            return (member is None or member(c, item)) and _searcher(p, c)(item) is None
+        check, rows = p.check(c), _rows(p, c, result, element)
+        pool = None if p.pool == "elements" else getattr(c, p.pool)
+        for item, w in rows:
+            if not ((member is None or member(c, item)) and (pool is None or w in pool)
+                    and check(item, w)):
+                return False
+        return element or _covers([item for item, _ in rows], self.size(c))
 
 
 class _Pairs(NamedTuple):
     """Pairs (a, b), decided and re-verified one row a at a time.
 
-    A payload lists ``{"a", "b", **witness fields}``, row by row; a
-    counterexample names one pair plus ``extra`` fields, which ``refutes``
-    re-checks. The rows must cover the domain, each ``key`` once: the pair
-    itself unless the domain says otherwise.
+    A payload lists ``{"a", "b", **witness fields}``, rows (a, b, *w), in
+    row order; a counterexample names one pair plus ``extra`` fields, which
+    ``refutes`` re-checks. The rows must cover the domain, each ``key``
+    once: the pair itself unless the domain says otherwise.
     """
 
     rows: Callable                  # c -> [(a, the b of row a)], in enumeration order
@@ -709,19 +774,35 @@ class _Pairs(NamedTuple):
     refutes: Callable = lambda c, a, b, bad: True
 
     def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
-        names, fill, out, rows = c.names, p.search(c), [], self.rows(c)
+        fill, out, rows = p.search(c), [], self.rows(c)
         total = sum(len(bs) for _, bs in rows)
         for a, bs in rows:
             b = fill(a, bs, out)
             if b is not None:
+                names = c.names
                 return PropertyResult(
                     p.name, False,
                     counterexample={"a": names[a], "b": names[b], **self.extra(c, a, b)},
                     exercised=self.exercised(c, len(out) + 1, total, False))
-        return PropertyResult(p.name, True, witness={"pairs": out},
-                              exercised=self.exercised(c, total, total, True))
+        return _keep(p, c, out, self.exercised(c, total, total, True))
 
-    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
+    def format(self, p: _Predicate, names: list[str], rows: list, element: bool) -> dict:
+        # dict displays for one or five values: ``dict(zip(...))`` is 5x slower
+        if len(p.field) == 1:
+            k, = p.field
+            return {"pairs": [{"a": names[a], "b": names[b], k: names[w]}
+                              for a, b, w in _drain(rows)]}
+        kd, ka1, kb1, ku, kv = p.field
+        return {"pairs": [{"a": names[a], "b": names[b], kd: names[d], ka1: names[a1],
+                           kb1: names[b1], ku: names[u], kv: names[v]}
+                          for a, b, d, a1, b1, u, v in _drain(rows)]}
+
+    def parse(self, p: _Predicate, c: EngineCache, witness: dict, element: bool) -> list:
+        get, keys = c.parsed.__getitem__, ("a", "b", *p.field)
+        return [tuple(map(get, map(e.__getitem__, keys))) for e in witness["pairs"]]
+
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult,
+               element: bool = False) -> bool:
         parsed = c.parsed
         if not result.verdict:
             bad = result.counterexample
@@ -729,9 +810,8 @@ class _Pairs(NamedTuple):
             return (self.member(c, a, [b]) and p.search(c)(a, [b], []) is not None
                     and self.refutes(c, a, b, bad))
         holds, keys, count = p.check(c), set(), 0
-        for name, entries in groupby(result.witness["pairs"], itemgetter("a")):
-            a = parsed[name]
-            bs = holds(a, entries)
+        for a, rows in groupby(_rows(p, c, result, element), itemgetter(0)):
+            bs = holds(a, rows)
             if bs is None or not self.member(c, a, bs):
                 return False
             keys.update(self.key(c, a, bs))
@@ -766,7 +846,7 @@ _QUASI_IDEMPOTENTS = _Domain(
     letter="x", member=lambda c, x: x in c.quasi_idempotents)
 _COMAX_PAIRS = _Pairs(_comax_rows, lambda c, count, total, ok: {"comax_pairs": count},
                       member=lambda c, a, bs: all(map(c.comax[a].__getitem__, bs)))
-_ALL_PAIRS = _Pairs(lambda c: [(a, range(c.n)) for a in range(c.n)],
+_ALL_PAIRS = _Pairs(lambda c: [(a, ids) for ids in [_indices(c)] for a in ids],
                     lambda c, count, total, ok: {"pairs": total},
                     extra=lambda c, a, b: {"note": "no comaximal cofactor witness"})
 _CLASS_PAIRS = _Pairs(
@@ -782,62 +862,78 @@ _CLASS_PAIRS = _Pairs(
 
 
 class _Targets:
-    """Adequacy of one element c against every target t, one targets row:
-    ``{"targets": {t: {r, s, j, x, y}}}``, counterexample ``{"target"}``.
-    Ring level c is 0; element level the payload names c first.
+    """Adequacy of one element c against every target t, one targets table:
+    ``{"targets": {t: {r, s, j, x, y}}}``, rows (c, [(t, r, s, j, x, y)]),
+    counterexample ``{"target"}``. Ring level c is 0; element level the
+    payload names c first.
     """
 
     def decide(self, p: _Predicate, c: EngineCache, cval: int | None = None
                ) -> PropertyResult:
-        head = {} if cval is None else {"element": c.names[cval]}
-        table, bad = _adequacy_table(c, p.variant, c.zero if cval is None else cval)
+        element, cval = cval is not None, c.zero if cval is None else cval
+        table, bad = _adequacy_table(c, p.variant, cval)
         if bad is None:
-            return PropertyResult(p.name, True, witness={**head, "targets": table},
-                                  exercised={"targets": c.n})
+            return _keep(p, c, (cval, table), {"targets": c.n}, element)
+        head = {"element": c.names[cval]} if element else {}
         return PropertyResult(p.name, False, exercised={"targets": bad + 1},
                               counterexample={**head, "target": c.names[bad],
                                               "pairs_searched": c.n * c.n})
 
     element = decide
 
-    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult,
-               cval: int | None = None) -> bool:
-        cval = c.zero if cval is None else cval
-        if result.verdict:
-            return _adequacy_table_holds(c, p.variant, cval, result.witness["targets"])
-        target = c.parsed[result.counterexample["target"]]
-        return _adequate_pair_idx(c, cval, target, p.variant) is None
+    def format(self, p: _Predicate, names: list[str], rows: tuple, element: bool) -> dict:
+        cval, table = rows
+        head = {"element": names[cval]} if element else {}
+        return {**head, "targets": _named_targets(names, table)}
 
-    def verify_element(self, p: _Predicate, c: EngineCache,
-                       result: PropertyResult) -> bool:
-        named = result.witness if result.verdict else result.counterexample
-        return self.verify(p, c, result, c.parsed[named["element"]])
+    def parse(self, p: _Predicate, c: EngineCache, witness: dict, element: bool) -> tuple:
+        cval = c.parsed[witness["element"]] if element else c.zero
+        return cval, _parsed_targets(c.parsed, witness["targets"])
+
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult,
+               element: bool = False) -> bool:
+        if result.verdict:
+            return _adequacy_table_holds(c, p.variant, *_rows(p, c, result, element))
+        bad = result.counterexample
+        cval = c.parsed[bad["element"]] if element else c.zero
+        return _adequate_pair_idx(c, cval, c.parsed[bad["target"]], p.variant) is None
 
 
 class _EveryElement:
-    """The targets row of every element c: ``{"elements": {c: {t: ...}}}``."""
+    """The targets table of every element c: ``{"elements": {c: {t: ...}}}``,
+    rows [(c, table)]."""
 
     def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
-        names, tables = c.names, {}
+        rows = []
         for cval in range(c.n):
-            tables[names[cval]], bad = _adequacy_table(c, p.variant, cval)
+            table, bad = _adequacy_table(c, p.variant, cval)
             if bad is not None:
                 return PropertyResult(
                     p.name, False, exercised={"elements": cval + 1},
-                    counterexample={"c": names[cval], "target": names[bad]})
-        return PropertyResult(p.name, True, witness={"elements": tables},
-                              exercised={"elements": c.n})
+                    counterexample={"c": c.names[cval], "target": c.names[bad]})
+            rows.append((cval, table))
+        return _keep(p, c, rows, {"elements": c.n})
 
-    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
+    def format(self, p: _Predicate, names: list[str], rows: list, element: bool) -> dict:
+        return {"elements": {names[cval]: _named_targets(names, table)
+                             for cval, table in _drain(rows)}}
+
+    def parse(self, p: _Predicate, c: EngineCache, witness: dict, element: bool) -> list:
+        parsed = c.parsed
+        return [(parsed[cval], _parsed_targets(parsed, table))
+                for cval, table in witness["elements"].items()]
+
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult,
+               element: bool = False) -> bool:
         parsed = c.parsed
         if not result.verdict:
             bad = result.counterexample
             return _adequate_pair_idx(c, parsed[bad["c"]], parsed[bad["target"]],
                                       p.variant) is None
-        tables = result.witness["elements"]
-        return (all(_adequacy_table_holds(c, p.variant, parsed[name], table)
-                    for name, table in tables.items())
-                and _covers([parsed[name] for name in tables], c.n))
+        rows = _rows(p, c, result, element)
+        return (all(_adequacy_table_holds(c, p.variant, cval, table)
+                    for cval, table in rows)
+                and _covers([cval for cval, _ in rows], c.n))
 
 
 class _Semiregular:
@@ -860,7 +956,8 @@ class _Semiregular:
         return PropertyResult(p.name, True, witness=dict.fromkeys(self.PARTS, True),
                               exercised={"elements": c.n})
 
-    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult) -> bool:
+    def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult,
+               element: bool = False) -> bool:
         return (all(_verify(c, part) for part in self.parts(c))
                 and _same_result(result, self.decide(p, c)))
 
@@ -900,8 +997,9 @@ class _Predicate(NamedTuple):
 _TARGETS = _Targets()
 
 _REGISTRY = {p.name: p for p in (
-    _Predicate("bezout", _CLASS_PAIRS, _bezout, search=_bezout_search),
-    _Predicate("hermite", _ALL_PAIRS, _hermite, search=_hermite_search),
+    _Predicate("bezout", _CLASS_PAIRS, _bezout, ("d",), search=_bezout_search),
+    _Predicate("hermite", _ALL_PAIRS, _hermite, ("d", "a1", "b1", "u", "v"),
+               search=_hermite_search),
     _Predicate("regular", _ELEMENTS, _regular, "b", element=True,
                tally=lambda c, b: {"candidates": c.n if b is None else b + 1}),
     _Predicate("pi_regular", _ELEMENTS, _on_power(_regular),
@@ -992,7 +1090,7 @@ def _checked_witness(c: EngineCache, variant: str, cval: int, target: int,
     """The AdequateWitness (r, s) of cval against target, once the
     variant's adequacy check passes it; ReverifyFailed names ``what``."""
     w = _adequacy_witness(c, cval, target, r, s)
-    if w is None or not _adequate(variant, cval, c)(target, w):
+    if w is None or not _adequate(variant, cval, c)(target, *w):
         raise ReverifyFailed(f"{c.ring.spec_string()}: {what} against "
                              f"{c.names[target]} failed re-verification")
     r, s, j, x, y = map(c.element, w)
@@ -1098,7 +1196,9 @@ def _verify(c: EngineCache, result: PropertyResult) -> bool:
     if result.predicate == "j_characterization":
         return _same_result(result, j_characterization_check(c))
     p = _REGISTRY[result.predicate]
-    named = result.witness if result.verdict else result.counterexample
-    if p.element and (not p.ring or "element" in named):
-        return p.domain.verify_element(p, c, result)
-    return p.ring and p.domain.verify(p, c, result)
+    if result._kept is not None:
+        element = result._kept[2]
+    else:
+        named = result.witness if result.verdict else result.counterexample
+        element = p.element and (not p.ring or "element" in named)
+    return (p.ring or element) and p.domain.verify(p, c, result, element)

@@ -361,7 +361,7 @@ def test_adequate_reverify_failure_exits_3(monkeypatch, capsys):
     from ringlab import cli, engine
 
     monkeypatch.setattr(engine, "_adequate",
-                        lambda variant, cval, cache: lambda target, w: False)
+                        lambda variant, cval, cache: lambda target, *w: False)
     assert cli.main(["adequate", "Zn:12", "0", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.err == ("error: Zn:12: adequacy witness of 0 against 5 "

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringlab import cli
+from ringlab import cli, engine
 from ringlab.concrete import (TableRing, _additive_generators, builtin_table_path,
                               export_table_data, make_ring)
 from ringlab.errors import AxiomViolation
@@ -277,8 +277,39 @@ def test_a_table_at_the_verification_limit(tmp_path, capsys):
 
 
 def test_a_table_past_the_verification_limit_exits_4(tmp_path, capsys):
-    path = tmp_path / "zn129.json"
-    path.write_text(json.dumps(export_table_data(make_ring("Zn:129"))))
+    path = tmp_path / "zn513.json"
+    path.write_text(json.dumps(export_table_data(make_ring("Zn:513"))))
     assert cli.main(["classify", f"table:{path}"]) == 4
     assert capsys.readouterr().err.startswith(
-        "too large: table ring of size 129 exceeds the exhaustive verification limit 128")
+        "too large: table ring of size 513 exceeds the exhaustive verification limit 512")
+
+
+def test_a_256_element_export_reads_back_with_equal_verdicts(tmp_path):
+    """The file ``classify Zn:256 --export-table`` writes loads as a table
+    ring, and each ring predicate has the same verdict, re-verified, on both."""
+    path = tmp_path / "zn256.json"
+    path.write_text(json.dumps(export_table_data(make_ring("Zn:256")), sort_keys=True))
+
+    def verdicts(spec):
+        cache = engine.build_cache(make_ring(spec))
+        results = {pid: engine.ring_predicate(cache, pid)
+                   for pid in engine.RING_PREDICATES}
+        assert all(engine.reverify(cache, res) for res in results.values()), spec
+        return {pid: res.verdict for pid, res in results.items()}
+
+    ring = verdicts("Zn:256")
+    assert verdicts(f"table:{path}") == ring
+    assert ring["hermite"] and not ring["regular"]
+
+
+def test_an_export_past_the_limit_exits_4_and_writes_nothing(tmp_path, capsys,
+                                                             monkeypatch):
+    """It is refused before the ring is classified."""
+    monkeypatch.setattr(cli, "_classify_finite", None)  # a call would raise
+    path = tmp_path / "zn600.json"
+    assert cli.main(["classify", "Zn:600", "--export-table", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ("too large: cannot export Zn:600: a table ring file "
+                            "holds at most 512 elements\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
