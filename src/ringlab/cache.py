@@ -7,12 +7,16 @@ Jacobson radical, idempotents, principal ideals with multiplier witnesses,
 comaximality, Bezout gcd search) is then pure integer-index arithmetic.
 
 The tables come from the additive structure, not from n² calls of the
-ring's own ``_add`` and ``_mul`` (``_build_tables``). Scanning the indices
-upward, each element that is not yet in the subgroup spanned by the
-earlier picks becomes a generator g, and that subgroup is closed by a
-breadth-first search along y = g + x. This picks one generator for Zn, at
-most two for a product of two cyclic rings and ``deg`` for polyq. Every
-element y other than 0 then has a parent x and a generator g with
+ring's own ``_add`` and ``_mul`` (``_build_tables``), by the library's one
+additive generating set G, ``additive_generators``, which the table-file
+axiom check (``concrete._check_table_axioms``) also uses. Scanning the
+indices upward, each element not yet in the subgroup H spanned by the
+earlier picks becomes a generator g, and a breadth-first walk along
+y = g' + x, g' in G, closes the reached set again. It then holds H and
+the coset g + H, disjoint from H, so each pick at least doubles it and
+|G| <= log2 n: one generator for Zn, at most two for a product of two
+cyclic rings and ``deg`` for polyq. Every element y other than 0 is
+reached once, from a parent x reached before it and a generator g with
 y = g + x, and its rows follow from its parent's:
 
 * add[y][a] = (g + x) + a = g + add[x][a], a lookup in the column g + ·;
@@ -73,6 +77,33 @@ from .rings import Element, Ring
 DEFAULT_SIZE_BOUND = 4096
 
 
+def additive_generators(n: int, zero: int, plus: Callable[[int], list[int]]
+                        ) -> tuple[list[int], list[list[int]], list[tuple]]:
+    """(G, rows, steps) of the module docstring's walk on indices 0..n-1,
+    ``plus(g)[x]`` the index of g + x: rows[k] is ``plus(G[k])``, and steps
+    holds each index y but ``zero`` once, in walk order, as (y, x, k) with
+    y = G[k] + x and x reached before y."""
+    seen = bytearray(n)
+    seen[zero] = 1
+    order = [zero]
+    gens: list[int] = []
+    rows: list[list[int]] = []
+    steps = []
+    for g in range(n):
+        if seen[g]:
+            continue
+        gens.append(g)
+        rows.append(plus(g))
+        for x in order:  # the reached set grows while it is walked
+            for k, row in enumerate(rows):
+                y = row[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    order.append(y)
+                    steps.append((y, x, k))
+    return gens, rows, steps
+
+
 def _build_tables(ring: Ring, vals: list, idx: dict, zero: int
                   ) -> tuple[list[int], list[int]]:
     """Flat add and mul tables from a generating set of the additive group.
@@ -81,26 +112,10 @@ def _build_tables(ring: Ring, vals: list, idx: dict, zero: int
     """
     n = len(vals)
     _add, _mul = ring._add, ring._mul
-    seen = bytearray(n)
-    seen[zero] = 1
-    order = [zero]
-    steps = []  # (y, x, k): y = g_k + x, in breadth-first order
-    plus = []   # per generator g: index of g + a for every a
-    times = []  # per generator g: n * (index of g·a) for every a
-    for g in range(n):
-        if seen[g]:
-            continue
-        gv = vals[g]
-        plus_g = [idx[_add(gv, v)] for v in vals]
-        k = len(plus)
-        plus.append(plus_g)
-        times.append([n * idx[_mul(gv, v)] for v in vals])
-        for x in order:  # the subgroup grows while it is walked
-            y = plus_g[x]
-            if not seen[y]:
-                seen[y] = 1
-                order.append(y)
-                steps.append((y, x, k))
+    gens, plus, steps = additive_generators(
+        n, zero, lambda g: [idx[_add(vals[g], v)] for v in vals])
+    # per generator g: n * (index of g·a) for every a
+    times = [[n * idx[_mul(vals[g], v)] for v in vals] for g in gens]
     add = [0] * (n * n)
     mul = [0] * (n * n)
     add[zero * n:zero * n + n] = range(n)
@@ -208,21 +223,30 @@ class EngineCache:
         unit_after = [add[one_row + neg[v]] in units for v in range(n)]
         return frozenset(self._members(lambda s: all(map(unit_after.__getitem__, s))))
 
-    @cached_property
-    def jac_cosets(self) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-        """(least, members): least[v] is the least element of the coset
-        v + J, and members maps each such least element to its coset,
-        ascending; n entries in each."""
-        n, add, jac = self.n, self.add, self.jac
+    def cosets(self, subgroup: Iterable[int]
+               ) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+        """(least, members) for an additive subgroup I: least[v] is the
+        least element of the coset v + I, and members maps each such least
+        element to its coset, ascending, in ascending order of keys.
+
+        Cosets partition the ring, so one upward scan finds them all: the
+        first index no coset holds yet is the least element of its own.
+        """
+        n, add = self.n, self.add
         least = [-1] * n
         members = {}
         for v in range(n):
             if least[v] < 0:  # v is the least element of a new coset
                 row = v * n
-                coset = members[v] = tuple(sorted(add[row + j] for j in jac))
+                coset = members[v] = tuple(sorted([add[row + j] for j in subgroup]))
                 for m in coset:
                     least[m] = v
         return least, members
+
+    @cached_property
+    def jac_cosets(self) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+        """``cosets`` of the Jacobson radical J."""
+        return self.cosets(self.jac)
 
     @cached_property
     def idempotents(self) -> frozenset[int]:

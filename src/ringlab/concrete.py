@@ -17,10 +17,10 @@ Table-ring files are JSON objects ``{size, add, mul, zero, one}`` with
 row-major integer index tables (``size``, ``zero``, ``one`` and every
 entry a JSON integer) of at most ``TABLE_VERIFY_LIMIT`` elements. The ring
 axioms are decided over the whole table at load time, on the index tables,
-in O(n²·|G|) lookups for an additive generating set G of at most log2 n
-elements (``_check_table_axioms``). Quotient rings are materialized as
-table rings whose elements are coset representatives of least enumeration
-index.
+in O(n²·|G|) lookups (``_check_table_axioms``), for the additive generating
+set G that the ``cache`` module docstring describes, of at most log2 n
+elements. Quotient rings are materialized as table rings whose elements are
+coset representatives of least enumeration index.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from math import gcd, isqrt
 from pathlib import Path
 from typing import Callable
 
-from .cache import EngineCache
+from .cache import EngineCache, additive_generators
 from .engine import build_cache
 from .errors import (
     AxiomViolation,
@@ -766,28 +766,16 @@ class PolyQuotientRing(Ring):
         return f"polyq:{self.n}:{format_int_poly(self.f, descending=True)}"
 
 
-def _additive_generators(add, zero) -> list[int]:
-    """Greedy G: the least index not yet reached joins G, and the reached
-    set is the closure of {0} under x ↦ x + g, g in G, until it is all.
-    In a group each g at least doubles the subgroup reached: |G| <= log2 n."""
-    gens, reached = [], {zero}
-    for g in range(len(add)):
-        if g not in reached:
-            gens.append(g)
-            todo = list(reached)
-            while todo:
-                row = add[todo.pop()]
-                for y in (row[h] for h in gens if row[h] not in reached):
-                    reached.add(y)
-                    todo.append(y)
-    return gens
-
-
 def _check_table_axioms(add, mul, zero, one) -> None:
     """Decide the commutative-ring axioms on index tables whose rows all
     hold ``zero``, in O(n²·|G|) lookups; raise AxiomViolation at a failing
-    element, pair or triple. A set that holds 0 and is closed under x ↦ x
-    + g for each g of ``_additive_generators`` is the whole ring, so:
+    element, pair or triple. G is the generating set of the ``cache``
+    module docstring, ``additive_generators`` on the table's own add rows,
+    taken only once + is known to commute, so g + x = x + g. Its walk
+    reaches every index, each as g + x with g in G and x reached before it,
+    from 0. So a set that holds 0 and is closed under x ↦ x + g for each g
+    in G holds every index, in the order of the walk: it is the whole ring,
+    and:
 
     1. a + 0 = a and a·1 = a for each a; + and · commute on all pairs.
     2. (a + g) + b = a + (g + b) for all a, b (Light's test). The m with
@@ -812,7 +800,7 @@ def _check_table_axioms(add, mul, zero, one) -> None:
                 raise AxiomViolation(f"addition not commutative at {a}, {b}")
             if mul[a][b] != mul[b][a]:
                 raise AxiomViolation(f"multiplication not commutative at {a}, {b}")
-    for g in _additive_generators(add, zero):
+    for g in additive_generators(n, zero, add.__getitem__)[0]:
         for a in range(n):
             add_a, mul_a = add[a], mul[a]  # each law as two rows over b
             for message, left, right in (
@@ -1006,9 +994,8 @@ def quotient_ring(ring: Ring, gens: list[Element]
     And a nonempty set closed under + is a subgroup of the finite
     additive group. Raises AxiomViolation when the check fails.
 
-    Cosets partition the ring, so one upward scan assigns every element
-    its representative in O(n): the first index not yet assigned is the
-    least element of its coset.
+    The representatives, and each element's, come from the one coset
+    scan, ``EngineCache.cosets``.
     """
     if ring.cardinality is None:
         raise UnsupportedSpec("quotients are supported for finite rings only")
@@ -1016,14 +1003,8 @@ def quotient_ring(ring: Ring, gens: list[Element]
     n, add, mul = c.n, c.add, c.mul
     ideal = c.ideal_set(_generated_ideal(c, [c.index_of(g) for g in gens]))
     check_ideal(c, ideal)
-    rep_of = [-1] * n
-    reps = []
-    for r in range(n):
-        if rep_of[r] < 0:
-            reps.append(r)
-            row = r * n
-            for y in ideal:
-                rep_of[add[row + y]] = r
+    rep_of, cosets = c.cosets(ideal)
+    reps = list(cosets)
     m = len(reps)
     if m * len(ideal) != n:
         raise AxiomViolation(

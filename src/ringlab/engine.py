@@ -66,19 +66,20 @@ the Jacobson radical. Both test clause (3) against the running target a.
 itself; it is kept separate because the two readings genuinely differ and
 callers must choose explicitly.
 
-The adequacy search is memoized per (variant, c, ideal class of the
-target): the target enters the search only through its comaximality row
-``comax[target]`` (clause (2), and clause (3) for the classic and feckly
-variants), and that row is a function of the principal ideal aR, so every
-target of one class has the same first (r, s) in enumeration order.
-Clause (3) itself is memoized per (ideal class of s, ideal class of its
-target): the non-units t with s in tR depend only on sR, and the cache
-keeps them as one ``nonunit_divisors`` row per class. Both memos
-therefore return exactly what the unmemoized search would. By the same
-argument a targets row names r, s, j = c - r*s and x (the first one with
-1 - r*x in tR) once per ideal class of the target t, and looks up only y,
-the multiplier of t, per target; and c is adequate against every target
-iff it is against one target per class. Principal ideals come from the
+The adequacy search (``_first_adequate_pair``) reads the target only
+through its comaximality row ``comax[target]`` (clause (2), and clause
+(3) for the classic and feckly variants), and that row is a function of
+the principal ideal aR, so every target of one class has the same first
+(r, s) in enumeration order. The search keeps no memo: a targets row
+and ``_adequate_flags`` search once per ideal class of the target, and
+every other caller searches once. Clause (3) is memoized per (ideal class
+of s, ideal class of its target): the non-units t with s in tR depend
+only on sR, and the cache keeps them as one ``nonunit_divisors`` row per
+class, so the memo returns exactly what the unmemoized test would. A
+targets row names r, s, j = c - r*s and x (the first one with 1 - r*x
+in tR) once per ideal class of the target t, and looks up only y, the
+multiplier of t, per target; and c is adequate against every target iff
+it is against one target per class. Principal ideals come from the
 cache's class layer, which interns every ideal once, so the ``bezout``
 check dR = aR + bR compares ideal ids, not sets.
 
@@ -284,25 +285,12 @@ def _anchored(c: EngineCache, s: int, target: int) -> bool:
     return got
 
 
-def _adequate_pair_idx(c: EngineCache, cval: int, target: int,
-                       variant: str) -> tuple[int, int] | None:
-    """First (r, s) in enumeration order witnessing adequacy of cval.
-
-    Memoized per (variant, cval, ideal class of target); see the module
-    docstring for why that is exact.
-    """
-    memo = c._ext.setdefault("adequate_pair", {})
-    key = (variant, cval, c.ideal_class[target])
-    if key not in memo:
-        memo[key] = _first_adequate_pair(c, cval, target, variant)
-    return memo[key]
-
-
 def _first_adequate_pair(c: EngineCache, cval: int, target: int,
                          variant: str) -> tuple[int, int] | None:
-    """r ascending over ``comax[target]``, then the s with r*s in cval + I
-    ascending, I = 0 or J: the first pair whose s passes clause (3). The s
-    are looked up, not scanned; see the module docstring."""
+    """The first (r, s) in enumeration order witnessing adequacy of cval
+    against target, or None: r ascending over ``comax[target]``, then the
+    s with r*s in cval + I ascending, I = 0 or J, until an s passes clause
+    (3). The s are looked up, not scanned; see the module docstring."""
     n, mul, inverse = c.n, c.mul, c.units
     feckly = variant == "feckly"
     if feckly:
@@ -340,8 +328,8 @@ def _adequate_flags(c: EngineCache, variant: str) -> list[bool]:
     got = c._ext.get(key)
     if got is None:
         reps = [gens[0] for gens in c.class_gens]
-        per_class = [all(_adequate_pair_idx(c, g, t, variant) is not None for t in reps)
-                     for g in reps]
+        per_class = [all(_first_adequate_pair(c, g, t, variant) is not None
+                         for t in reps) for g in reps]
         got = c._ext[key] = list(map(per_class.__getitem__, c.ideal_class))
     return got
 
@@ -392,7 +380,7 @@ def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[list, Any]
     for t in _indices(c):
         got = per_class.get(cls[t])
         if got is None:
-            pair = _adequate_pair_idx(c, cval, t, variant)
+            pair = _first_adequate_pair(c, cval, t, variant)
             if pair is None:
                 return None, t
             r, s = pair
@@ -896,7 +884,7 @@ class _Targets:
             return _adequacy_table_holds(c, p.variant, *_rows(p, c, result, element))
         bad = result.counterexample
         cval = c.parsed[bad["element"]] if element else c.zero
-        return _adequate_pair_idx(c, cval, c.parsed[bad["target"]], p.variant) is None
+        return _first_adequate_pair(c, cval, c.parsed[bad["target"]], p.variant) is None
 
 
 class _EveryElement:
@@ -928,8 +916,8 @@ class _EveryElement:
         parsed = c.parsed
         if not result.verdict:
             bad = result.counterexample
-            return _adequate_pair_idx(c, parsed[bad["c"]], parsed[bad["target"]],
-                                      p.variant) is None
+            return _first_adequate_pair(c, parsed[bad["c"]], parsed[bad["target"]],
+                                        p.variant) is None
         rows = _rows(p, c, result, element)
         return (all(_adequacy_table_holds(c, p.variant, cval, table)
                     for cval, table in rows)
@@ -1078,7 +1066,7 @@ def adequate_witness_single(cache: EngineCache, cval: Element, target: Element,
         raise ValueError(f"unknown adequacy variant {variant!r}")
     c = cache
     ic, it = c.index_of(cval), c.index_of(target)
-    pair = _adequate_pair_idx(c, ic, it, variant)
+    pair = _first_adequate_pair(c, ic, it, variant)
     if pair is None:
         return None
     return _checked_witness(c, variant, ic, it, *pair,

@@ -1064,10 +1064,10 @@ class _Reducer:
             if u != ops.one:
                 self.row_scale_unit(i, u, uinv)
 
-    def run(self, use_kernel: bool):
+    def run(self):
         k = 0
         while k < min(self.rows, self.cols):
-            if use_kernel and self.rows - k == 2 and self.cols - k == 2:
+            if self.ops.kernel and self.rows - k == 2 and self.cols - k == 2:
                 self.kernel_2x2(k)
                 break
             if not self.select_pivot(k):
@@ -1179,7 +1179,7 @@ def _reduce_raw(ops, grid):
         if ops.kernel and rows == cols == 2:
             return _reduce_2x2(ops, *grid[0], *grid[1])
         red = _Reducer(ops, [list(row) for row in grid], rows, cols)
-        red.run(use_kernel=ops.kernel)
+        red.run()
     except NotBezout as exc:
         raise ReductionFailed(str(exc), witness=_box(ops, grid)) from exc
     return red.P, red.Pinv, red.A, red.Q, red.Qinv

@@ -652,7 +652,7 @@ def test_class_invariants_are_computed_once_per_class(spec, monkeypatch):
     are guarded by ``assert_memo_matches_brute_force``, the per-item
     reference of ``tests/test_row_kernels.py`` and the payload pins."""
     searched, meet_counts = [], []
-    real_pair, real_meet = engine._adequate_pair_idx, engine._meet_in_radical
+    real_pair, real_meet = engine._first_adequate_pair, engine._meet_in_radical
 
     def pair_spy(c, cval, target, variant):
         searched.append((cval, target))
@@ -667,7 +667,7 @@ def test_class_invariants_are_computed_once_per_class(spec, monkeypatch):
             return meets(a, e)
         return counted
 
-    monkeypatch.setattr(engine, "_adequate_pair_idx", pair_spy)
+    monkeypatch.setattr(engine, "_first_adequate_pair", pair_spy)
     monkeypatch.setattr(engine, "_meet_in_radical", meet_spy)
     cache = engine.build_cache(make_ring(spec))
     reps = {gens[0] for gens in cache.class_gens}
@@ -697,12 +697,12 @@ def test_adequate_flags_follow_the_ideal_class(spec, monkeypatch):
     then be False on exactly the class of g, the associates of g."""
     ring = unit_before_one_ring() if "swapped" in spec else make_ring(spec)
     cache = engine.build_cache(ring)
-    real, cls = engine._adequate_pair_idx, cache.ideal_class
+    real, cls = engine._first_adequate_pair, cache.ideal_class
     for g in (gens[0] for gens in cache.class_gens):
         def spy(c, cval, target, variant, g=g):
             return None if cval == g else real(c, cval, target, variant)
 
-        monkeypatch.setattr(engine, "_adequate_pair_idx", spy)
+        monkeypatch.setattr(engine, "_first_adequate_pair", spy)
         for variant in VARIANTS:
             cache._ext.pop(("adequate_flags", variant), None)
             want = [cls[a] != cls[g] for a in range(cache.n)]

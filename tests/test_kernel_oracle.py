@@ -193,7 +193,7 @@ def stepwise_reduce(ops, grid):
     """``_reduce_raw`` with the stepwise reducer for every shape."""
     red = StepwiseReducer(ops, [list(row) for row in grid], len(grid), len(grid[0]))
     try:
-        red.run(use_kernel=True)
+        red.run()
     except NotBezout as exc:
         raise ReductionFailed(str(exc), witness=_box(ops, grid)) from exc
     return red.P, red.Pinv, red.A, red.Q, red.Qinv

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab import cli, engine
-from ringlab.concrete import (TableRing, _additive_generators, builtin_table_path,
+from ringlab.cache import additive_generators
+from ringlab.concrete import (TABLE_VERIFY_LIMIT, TableRing, builtin_table_path,
                               export_table_data, make_ring)
 from ringlab.errors import AxiomViolation
 
@@ -182,7 +183,7 @@ def test_relabelled_rings_are_accepted(name, draw):
     # The generators span the group, and each one at least doubles the span.
     add, zero = data["add"], data["zero"]
     span = {zero}
-    for g in _additive_generators(add, zero):
+    for g in additive_generators(len(add), zero, add.__getitem__)[0]:
         assert g not in span
         grown = span
         while True:
@@ -196,10 +197,10 @@ def test_relabelled_rings_are_accepted(name, draw):
 
 
 def test_generators_of_cyclic_and_elementary_groups():
-    assert _additive_generators(table("Zn:27")["add"], 0) == [1]
+    assert additive_generators(27, 0, table("Zn:27")["add"].__getitem__)[0] == [1]
     data = table("prod(Zn:2,Zn:2,Zn:2,Zn:2)")
-    assert len(_additive_generators(data["add"], data["zero"])) == 4
-    assert _additive_generators(ZERO_RING["add"], 0) == []
+    assert len(additive_generators(16, data["zero"], data["add"].__getitem__)[0]) == 4
+    assert additive_generators(1, 0, ZERO_RING["add"].__getitem__)[0] == []
 
 
 def test_a_noncommutative_ring_is_refused():
@@ -265,7 +266,16 @@ def test_an_exported_table_classifies_as_its_ring(tmp_path, capsys):
     assert classify([f"table:{path}"], capsys) == report
 
 
-def test_a_table_at_the_verification_limit(tmp_path, capsys):
+def test_a_table_of_exactly_the_verification_limit_loads(tmp_path):
+    path = tmp_path / "zn512.json"
+    path.write_text(json.dumps(
+        export_table_data(make_ring(f"Zn:{TABLE_VERIFY_LIMIT}"))))
+    ring = make_ring(f"table:{path}")
+    assert ring.cardinality == TABLE_VERIFY_LIMIT == 512
+    assert ring.spec_string() == f"table:{path}"
+
+
+def test_a_128_element_polyq_export_classifies_as_its_ring(tmp_path, capsys):
     path = tmp_path / "x7.json"
     report = classify(["polyq:2:x^7", "--export-table", str(path)], capsys)
     table_report = classify([f"table:{path}"], capsys)
