@@ -224,27 +224,31 @@ class EngineCache:
         return frozenset(self._members(lambda s: all(map(unit_after.__getitem__, s))))
 
     def cosets(self, subgroup: Iterable[int]
-               ) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+               ) -> tuple[list[int], dict[int, list[int]]]:
         """(least, members) for an additive subgroup I: least[v] is the
         least element of the coset v + I, and members maps each such least
         element to its coset, ascending, in ascending order of keys.
 
         Cosets partition the ring, so one upward scan finds them all: the
-        first index no coset holds yet is the least element of its own.
+        first index no coset holds yet is the least element of its own, and
+        every later index joins the coset marked for it, in ascending order.
         """
         n, add = self.n, self.add
         least = [-1] * n
         members = {}
         for v in range(n):
-            if least[v] < 0:  # v is the least element of a new coset
+            key = least[v]
+            if key < 0:  # v is the least element of a new coset
                 row = v * n
-                coset = members[v] = tuple(sorted([add[row + j] for j in subgroup]))
-                for m in coset:
-                    least[m] = v
+                for j in subgroup:
+                    least[add[row + j]] = v
+                members[v] = [v]
+            else:
+                members[key].append(v)
         return least, members
 
     @cached_property
-    def jac_cosets(self) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    def jac_cosets(self) -> tuple[list[int], dict[int, list[int]]]:
         """``cosets`` of the Jacobson radical J."""
         return self.cosets(self.jac)
 

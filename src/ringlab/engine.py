@@ -11,13 +11,14 @@ produce identical reports.
 The domain is the predicate's quantifier. There are six, each with a
 named payload and rows of cache indices:
 
-* every element: ``{"map": {a: w}}``, rows (a, w), counterexample ``{"a"}``;
+* every element: ``{"map": {a: w}}``, rows a, w, counterexample ``{"a"}``;
 * the quasi-idempotents: ``{"map": {x: w}}``, the same, counterexample ``{"x"}``;
-* the comaximal pairs: ``{"pairs": [{"a", "b", "y" or "e"}]}``, rows (a, b, w);
+* the comaximal pairs: ``{"pairs": [{"a", "b", "y" or "e"}]}``, rows a, b, w;
 * all n^2 pairs (``hermite``), listed the same way;
 * one pair per two principal-ideal classes (``bezout``), the same way;
 * adequacy targets: ``{"targets": {t: {r, s, j, x, y}}}``, rows
-  (t, r, s, j, x, y), which ``everywhere_adequate`` nests per element.
+  t, r, s, j, x, y, one table of which ``everywhere_adequate`` keeps per
+  element.
 
 Each domain states once the payload and counterexample shapes, the
 ``exercised`` counts, membership and coverage. ``ring_predicate``,
@@ -30,34 +31,37 @@ re-search is the test that no witness exists. Malformed payloads are
 rejected, never raised. ``semiregular`` is the conjunction of
 ``regular_mod_J`` and ``idempotents_lift_mod_J``, decided once per cache.
 
-A positive payload lives in two forms. The search emits rows, and the
-``PropertyResult`` keeps them with its cache's ``names`` list. The first
-read of ``witness`` (or ``to_json``) formats the named payload, which is
-the public form, and drops the rows, so that a later ``reverify`` sees the
-payload as the caller holds it, edits included; a copy or a pickle takes
-the named payload too. The check runs on rows only. ``reverify`` hands it
-the kept rows when they are rows of the cache it is given (``names is
-c.names``), and otherwise the named payload parsed on that cache by the
-domain's one parser; a payload that does not parse is rejected. So rows
-never meet another cache's tables, and the search's own names are never
-parsed back in process: the name bijection (``EngineCache.parsed`` inverts
+A positive payload lives in two forms. The search appends its rows to
+one flat list of cache indices per table, a column payload with no tuple
+per row, and the ``PropertyResult`` keeps it with its cache's ``names``
+list. The first read of ``witness`` (or ``to_json``) formats the named
+payload, which is the public form, and empties the list as it goes, so
+that a later ``reverify`` sees the payload as the caller holds it, edits
+included; a copy or a pickle takes the named payload too. The check runs
+on index rows only. ``reverify`` hands it the kept list when it is one of
+the cache it is given (``names is c.names``), and otherwise the named
+payload parsed on that cache by the domain's one parser, rows sorted into
+domain order; a payload that does not parse is rejected. So rows never
+meet another cache's tables, and the search's own names are never parsed
+back in process: the name bijection (``EngineCache.parsed`` inverts
 ``EngineCache.names``) is what the tests check for that. Counterexamples
 name one item and stay in named form.
 
-The domains of n^2 items run row by row: pair domains one first
-coordinate a at a time, adequacy targets one element c at a time. A pair
-predicate's search and check bind per row what depends on a alone (the
-offset a*n, flags such as "a + v is a unit" for every v), and per ideal
-class of a what depends only on aR: the pool witnesses that meet a in the
-radical, as a list and as the set the check tests membership against.
-That is exact because the meet aR intersect wR is already memoized per
-pair of classes. So per entry only table lookups and one tuple remain. A
-row's check tests each witness for pool membership and the identity; the
-domain then tests membership of each pair and that the rows cover the
-domain, each pair once. ``hermite`` runs ``EngineCache.bezout_row`` on
-each row, which builds its search state once per ideal class of b; its
-n^2 results stay out of the memo of ``EngineCache.bezout``, the reducer's
-single-pair case.
+``reverify`` reads a flat list as strided columns. The key columns (a, or
+a and b, or t) must equal the domain's enumeration, a list comparison
+that tests membership and coverage, each item once, at C speed; the pool
+is a superset test; and each identity runs in one loop over ``zip`` of
+the columns. The domains of n^2 items are searched row by row: pair
+domains one first coordinate a at a time, adequacy targets one element c
+at a time. A pair predicate's search and check bind per row what depends
+on a alone (the offset a*n, flags such as "a + v is a unit" for every v),
+and per ideal class of a what depends only on aR: the pool witnesses that
+meet a in the radical, as a list and as the set the check tests
+membership against. That is exact because the meet aR intersect wR is
+already memoized per pair of classes. So per entry only table lookups
+remain. ``hermite`` runs ``EngineCache.bezout_row`` on each row, which
+builds its search state once per ideal class of b; its n^2 results stay
+out of the memo of ``EngineCache.bezout``, the reducer's single-pair case.
 
 The adequacy predicates come in three variants. ``classic`` demands an
 exact factorization c = r*s; ``feckly`` only demands c - r*s to fall in
@@ -115,8 +119,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, groupby
-from operator import itemgetter
+from itertools import chain, compress, repeat
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .cache import DEFAULT_SIZE_BOUND, EngineCache
@@ -131,12 +134,12 @@ class PropertyResult:
     """Verdict plus re-verifiable payload for one predicate on one ring.
 
     A positive result of ``ring_predicate`` or ``element_predicate`` keeps
-    its witness as index rows with its cache's ``names`` until the first
-    read of ``witness`` (or ``to_json``) formats the named payload; see the
-    module docstring.
+    its witness as one flat list of cache indices per table, with its
+    cache's ``names``, until the first read of ``witness`` (or ``to_json``)
+    formats the named payload and empties the list; see the module docstring.
     """
 
-    _kept = None  # (names, rows, element level), until the witness is read
+    _kept = None  # (names, flat rows, element level), until the witness is read
 
     def __init__(self, predicate: str, verdict: bool, witness: Any = None,
                  counterexample: Any = None, exercised: dict | None = None):
@@ -345,11 +348,12 @@ def _adequacy_witness(c: EngineCache, cval: int, target: int, r: int,
 
 
 def _adequate(variant: str, cval: int, c: EngineCache) -> Callable:
-    """holds(target, r, s, j, x, y): the adequacy of cval against a target.
+    """holds(ts, rs, ss, js, xs, ys): the adequacy of cval against each
+    target t, on the columns of a targets table.
 
     (1) cval - r*s = j, with j = 0 (classic, cvariant) or j in J (feckly);
-    (2) r*x + target*y = 1; (3) every non-unit divisor of s is
-    non-comaximal with the target (with cval for the cvariant).
+    (2) r*x + t*y = 1; (3) every non-unit divisor of s is non-comaximal
+    with t (with cval for the cvariant).
     """
     n, add, mul, neg, one = c.n, c.add, c.mul, c.neg, c.one
     crow = cval * n
@@ -357,19 +361,24 @@ def _adequate(variant: str, cval: int, c: EngineCache) -> Callable:
     fixed = cval if variant == "cvariant" else None
     anchored, cls = c._ext.setdefault("anchored", {}), c.ideal_class
 
-    def holds(t: int, r: int, s: int, j: int, x: int, y: int) -> bool:
-        if not (add[crow + neg[mul[r * n + s]]] == j and j in allowed_j
-                and add[mul[r * n + x] * n + mul[t * n + y]] == one):
+    def holds(ts, rs, ss, js, xs, ys) -> bool:
+        if not allowed_j.issuperset(js):
             return False
-        anchor = t if fixed is None else fixed
-        got = anchored.get((cls[s], cls[anchor]))  # ``_anchored``'s memo hit
-        return _anchored(c, s, anchor) if got is None else got
+        for t, r, s, j, x, y in zip(ts, rs, ss, js, xs, ys):
+            if not (add[crow + neg[mul[r * n + s]]] == j
+                    and add[mul[r * n + x] * n + mul[t * n + y]] == one):
+                return False
+            anchor = t if fixed is None else fixed
+            got = anchored.get((cls[s], cls[anchor]))  # ``_anchored``'s memo hit
+            if not (_anchored(c, s, anchor) if got is None else got):
+                return False
+        return True
     return holds
 
 
 def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[list, Any]:
-    """The targets table of cval: ([(t, r, s, j, x, y)] for every target t,
-    None), or (None, the first target without a witness).
+    """The targets table of cval: (the flat rows t, r, s, j, x, y of every
+    target t, None), or (None, the first target without a witness).
 
     r, s, j and x are found once per ideal class of the target, y per
     target; see the module docstring for why that is exact.
@@ -390,26 +399,26 @@ def _adequacy_table(c: EngineCache, variant: str, cval: int) -> tuple[list, Any]
         r, s, j, x, v = got
         t_inv = inverse.get(t)  # ``divides(t, v)`` inlined
         y = (pre_memo.get(t) or pre(t))[v][0] if t_inv is None else mul[t_inv * n + v]
-        out.append((t, r, s, j, x, y))
+        out += t, r, s, j, x, y
     return out, None
 
 
 def _adequacy_table_holds(c: EngineCache, variant: str, cval: int,
                           table: list) -> bool:
-    """Every row of a targets table holds, and they are the n targets, each once."""
-    holds = _adequate(variant, cval, c)
-    return (all(holds(*row) for row in table)
-            and _covers([row[0] for row in table], c.n))
+    """The target column of a targets table is every target in order, and
+    every row holds."""
+    cols = _columns(table, 6)
+    return cols[0] == _indices(c) and _adequate(variant, cval, c)(*cols)
 
 
 def _named_targets(names: list[str], table: list) -> dict:
     return {names[t]: {"r": names[r], "s": names[s], "j": names[j], "x": names[x],
-                       "y": names[y]} for t, r, s, j, x, y in _drain(table)}
+                       "y": names[y]} for t, r, s, j, x, y in _drained(table, 6)}
 
 
 def _parsed_targets(parsed, named: dict) -> list:
-    return [(parsed[t], *map(parsed.__getitem__, map(w.__getitem__, "rsjxy")))
-            for t, w in named.items()]
+    return _flat((parsed[t], *map(parsed.__getitem__, map(w.__getitem__, "rsjxy")))
+                 for t, w in named.items())
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +442,7 @@ def _on_power(check: Callable) -> Callable:
     """``check`` for a^k, on the witness (k, b)."""
     def bind(c: EngineCache) -> Callable:
         holds = check(c)
-        return lambda a, w: holds(_power(c, a, w[0]), w[1])
+        return lambda a, k, b: holds(_power(c, a, k), b)
     return bind
 
 
@@ -500,8 +509,8 @@ def _power(c: EngineCache, a: int, e: int) -> int:
     return out
 
 
-def _power_fields(names, w) -> dict:
-    return {"n": w[0], "b": names[w[1]]}
+def _power_fields(names, k, b) -> dict:
+    return {"n": k, "b": names[b]}
 
 
 def _power_values(parsed, rec) -> tuple[int, int]:
@@ -511,11 +520,11 @@ def _power_values(parsed, rec) -> tuple[int, int]:
     return k, parsed[rec["b"]]
 
 
-# Row kernels of the pair domains: search(c) binds fill(a, bs, out), which
-# appends the index row (a, b, *witness) of each b in bs to out and returns
-# the first b without a witness (None if there is none); check(c) binds
-# holds(a, rows), the b of each row, or None if a witness is outside the
-# pool or fails. ``field`` names the witness values of a row after a and b.
+# Kernels of the pair domains: search(c) binds fill(a, bs, out), which
+# appends the flat row a, b, *witness of each b in bs to the index list out
+# and returns the first b without a witness (None if there is none);
+# check(c) binds holds(a column, b column, *witness columns), True iff every
+# witness is in the pool and passes. ``field`` names the witness values after a and b.
 
 
 def _range_kernels(letter: str, pool: str, flags: Callable, meet: bool = False) -> dict:
@@ -546,17 +555,17 @@ def _range_kernels(letter: str, pool: str, flags: Callable, meet: bool = False) 
                         break
                 else:
                     return b
-                out.append((a, b, w))
+                out += a, b, w
             return None
 
-        def holds(a, rows):
-            good, (_, allowed) = row(a)
-            bs = []
-            for _, b, w in rows:
+        def holds(acol, bcol, wcol):
+            last = None
+            for a, b, w in zip(acol, bcol, wcol):
+                if a != last:
+                    last, (good, (_, allowed)) = a, row(a)
                 if w not in allowed or not good[mul[b * n + w]]:
-                    return None
-                bs.append(b)
-            return bs
+                    return False
+            return True
         return holds, fill
     return {"check": lambda c: bind(c)[0], "search": lambda c: bind(c)[1],
             "field": (letter,)}
@@ -569,16 +578,10 @@ def _units(c: EngineCache) -> list[bool]:
 def _hermite(c: EngineCache) -> Callable:
     """a = a1*d, b = b1*d and a1*u + b1*v = 1."""
     n, add, mul, one = c.n, c.add, c.mul, c.one
-
-    def holds(a, rows):
-        bs = []
-        for _, b, d, a1, b1, u, v in rows:
-            if not (mul[a1 * n + d] == a and mul[b1 * n + d] == b
-                    and add[mul[a1 * n + u] * n + mul[b1 * n + v]] == one):
-                return None
-            bs.append(b)
-        return bs
-    return holds
+    return lambda *cols: all(
+        mul[a1 * n + d] == a and mul[b1 * n + d] == b
+        and add[mul[a1 * n + u] * n + mul[b1 * n + v]] == one
+        for a, b, d, a1, b1, u, v in zip(*cols))
 
 
 def _hermite_search(c: EngineCache) -> Callable:
@@ -588,25 +591,18 @@ def _hermite_search(c: EngineCache) -> Callable:
         start = len(out)
         try:
             for b, (d, _, _, a1, b1, u, v) in zip(bs, row(a, bs)):
-                out.append((a, b, d, a1, b1, u, v))
+                out += a, b, d, a1, b1, u, v
         except NotBezout:
-            return bs[len(out) - start]
+            return bs[(len(out) - start) // 7]
         return None
     return fill
 
 
 def _bezout(c: EngineCache) -> Callable:
     """dR = aR + bR."""
-    cls = c.ideal_class
-
-    def holds(a, rows):
-        bs = []
-        for _, b, d in rows:
-            if cls[d] != c.sum_ideal_id(cls[a], cls[b]):
-                return None
-            bs.append(b)
-        return bs
-    return holds
+    cls, sum_id = c.ideal_class, c.sum_ideal_id
+    return lambda *cols: all(cls[d] == sum_id(cls[a], cls[b])
+                             for a, b, d in zip(*cols))
 
 
 def _bezout_search(c: EngineCache) -> Callable:
@@ -617,7 +613,7 @@ def _bezout_search(c: EngineCache) -> Callable:
             gens = sums[cls[a]][cls[b]]
             if not gens:
                 return b
-            out.append((a, b, gens[0]))
+            out += a, b, gens[0]
         return None
     return fill
 
@@ -653,17 +649,23 @@ def _searcher(p: _Predicate, c: EngineCache) -> Callable:
     return partial(_first, p.check(c), _pool(c, p.pool))
 
 
-def _covers(keys: list, size: int) -> bool:
-    """True iff ``keys`` are pairwise distinct and exactly ``size`` many."""
-    return len(keys) == size and len(set(keys)) == size
+def _columns(flat: list, width: int) -> list[list]:
+    """The columns of a flat index list of rows ``width`` values wide."""
+    return [flat[k::width] for k in range(width)]
 
 
-def _drain(rows: list) -> Iterator:
-    """The rows in order, each removed from the list as it is read, so that
-    the payload formatted from them reuses their memory."""
-    rows.reverse()
-    rows.insert(0, None)
-    return iter(rows.pop, None)
+def _flat(rows) -> list:
+    """Rows as one flat list, sorted into domain order (ascending items)."""
+    return list(chain.from_iterable(sorted(rows)))
+
+
+def _drained(flat: list, width: int) -> Iterator:
+    """The rows of a flat index list in order, each value removed from the
+    list as it is read, so that the payload formatted from them reuses its
+    memory."""
+    flat.reverse()
+    flat.insert(0, None)
+    return zip(*[iter(flat.pop, None)] * width)
 
 
 def _keep(p: _Predicate, c: EngineCache, rows: Any, exercised: dict,
@@ -684,80 +686,76 @@ def _rows(p: _Predicate, c: EngineCache, result: PropertyResult, element: bool):
 
 
 class _Domain(NamedTuple):
-    """Elements that each carry one witness: ``{"map": {a: witness}}``, rows
-    (a, w). A counterexample names one item, ``{letter: name}``.
+    """Elements that each carry one witness: ``{"map": {a: witness}}``, the
+    flat rows a, *w. A counterexample names one item, ``{letter: name}``.
     """
 
     items: Callable                 # c -> the items, in enumeration order
-    size: Callable                  # c -> the number of items
-    exercised: Callable             # (c, items searched, verdict) -> dict
+    exercised: Callable             # c -> dict
     letter: str = "a"
-    member: Callable | None = None  # (c, item) -> bool, if not every item
 
     def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
         search, rows = _searcher(p, c), []
-        for count, item in enumerate(self.items(c), 1):
+        for item in self.items(c):
             w = search(item)
             if w is None:
                 return PropertyResult(p.name, False,
                                       counterexample={self.letter: c.names[item]},
-                                      exercised=self.exercised(c, count, False))
-            rows.append((item, w))
-        return _keep(p, c, rows, self.exercised(c, len(rows), True))
+                                      exercised=self.exercised(c))
+            rows += (item, w) if p.field else (item, *w)
+        return _keep(p, c, rows, self.exercised(c))
 
     def element(self, p: _Predicate, c: EngineCache, a: int) -> PropertyResult:
-        """One element: ``{"element", **witness fields}``, the row (a, w), or
+        """One element: ``{"element", **witness fields}``, the row a, *w, or
         a counterexample."""
         w = _searcher(p, c)(a)
         tally = p.tally(c, w) if p.tally else {}
         if w is None:
             return PropertyResult(p.name, False, exercised=tally,
                                   counterexample={self.letter: c.names[a]})
-        return _keep(p, c, [(a, w)], tally, element=True)
+        return _keep(p, c, [a, w] if p.field else [a, *w], tally, element=True)
 
     def format(self, p: _Predicate, names: list[str], rows: list, element: bool) -> dict:
-        value = names.__getitem__ if p.field else partial(p.fields, names)
+        if p.field:
+            named = {names[a]: names[w] for a, w in _drained(rows, 2)}
+        else:
+            named = {names[a]: p.fields(names, k, b) for a, k, b in _drained(rows, 3)}
         if element:
-            (a, w), = rows
-            return {"element": names[a], **({p.field: value(w)} if p.field else value(w))}
-        return {"map": {names[a]: value(w) for a, w in _drain(rows)}}
+            (a, w), = named.items()
+            return {"element": a, **({p.field: w} if p.field else w)}
+        return {"map": named}
 
     def parse(self, p: _Predicate, c: EngineCache, witness: dict, element: bool) -> list:
         parsed = c.parsed
-        value = parsed.__getitem__ if p.field else partial(p.values, parsed)
+        value = (lambda w: (parsed[w],)) if p.field else partial(p.values, parsed)
         if element:
-            return [(parsed[witness["element"]],
-                     value(witness[p.field] if p.field else witness))]
-        return [(parsed[a], value(w)) for a, w in witness["map"].items()]
+            return [parsed[witness["element"]],
+                    *value(witness[p.field] if p.field else witness)]
+        return _flat((parsed[a], *value(w)) for a, w in witness["map"].items())
 
     def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult,
                element: bool = False) -> bool:
-        member = self.member
+        items = self.items(c)
         if not result.verdict:
             item = c.parsed[result.counterexample[self.letter]]
-            return (member is None or member(c, item)) and _searcher(p, c)(item) is None
-        check, rows = p.check(c), _rows(p, c, result, element)
-        pool = None if p.pool == "elements" else getattr(c, p.pool)
-        for item, w in rows:
-            if not ((member is None or member(c, item)) and (pool is None or w in pool)
-                    and check(item, w)):
-                return False
-        return element or _covers([item for item, _ in rows], self.size(c))
+            return item in items and _searcher(p, c)(item) is None
+        cols = _columns(_rows(p, c, result, element), 2 if p.field else 3)
+        return ((len(cols[0]) == 1 and cols[0][0] in items if element
+                 else cols[0] == list(items))
+                and (p.pool == "elements" or getattr(c, p.pool).issuperset(cols[1]))
+                and all(map(p.check(c), *cols)))
 
 
 class _Pairs(NamedTuple):
-    """Pairs (a, b), decided and re-verified one row a at a time.
+    """Pairs (a, b), searched one row a at a time and re-verified by columns.
 
-    A payload lists ``{"a", "b", **witness fields}``, rows (a, b, *w), in
-    row order; a counterexample names one pair plus ``extra`` fields, which
-    ``refutes`` re-checks. The rows must cover the domain, each ``key``
-    once: the pair itself unless the domain says otherwise.
+    A payload lists ``{"a", "b", **witness fields}``, the flat rows
+    a, b, *w, in row order; a counterexample names one pair of the domain
+    plus ``extra`` fields, which ``refutes`` re-checks.
     """
 
     rows: Callable                  # c -> [(a, the b of row a)], in enumeration order
     exercised: Callable             # (c, pairs searched, pairs in all, verdict) -> dict
-    member: Callable = lambda c, a, bs: True
-    key: Callable = lambda c, a, bs: map((a * c.n).__add__, bs)
     extra: Callable = lambda c, a, b: {}
     refutes: Callable = lambda c, a, b, bad: True
 
@@ -771,7 +769,8 @@ class _Pairs(NamedTuple):
                 return PropertyResult(
                     p.name, False,
                     counterexample={"a": names[a], "b": names[b], **self.extra(c, a, b)},
-                    exercised=self.exercised(c, len(out) + 1, total, False))
+                    exercised=self.exercised(c, len(out) // (2 + len(p.field)) + 1,
+                                             total, False))
         return _keep(p, c, out, self.exercised(c, total, total, True))
 
     def format(self, p: _Predicate, names: list[str], rows: list, element: bool) -> dict:
@@ -779,32 +778,28 @@ class _Pairs(NamedTuple):
         if len(p.field) == 1:
             k, = p.field
             return {"pairs": [{"a": names[a], "b": names[b], k: names[w]}
-                              for a, b, w in _drain(rows)]}
+                              for a, b, w in _drained(rows, 3)]}
         kd, ka1, kb1, ku, kv = p.field
         return {"pairs": [{"a": names[a], "b": names[b], kd: names[d], ka1: names[a1],
                            kb1: names[b1], ku: names[u], kv: names[v]}
-                          for a, b, d, a1, b1, u, v in _drain(rows)]}
+                          for a, b, d, a1, b1, u, v in _drained(rows, 7)]}
 
     def parse(self, p: _Predicate, c: EngineCache, witness: dict, element: bool) -> list:
         get, keys = c.parsed.__getitem__, ("a", "b", *p.field)
-        return [tuple(map(get, map(e.__getitem__, keys))) for e in witness["pairs"]]
+        return _flat(tuple(map(get, map(e.__getitem__, keys))) for e in witness["pairs"])
 
     def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult,
                element: bool = False) -> bool:
-        parsed = c.parsed
+        rows = self.rows(c)
         if not result.verdict:
-            bad = result.counterexample
+            bad, parsed = result.counterexample, c.parsed
             a, b = parsed[bad["a"]], parsed[bad["b"]]
-            return (self.member(c, a, [b]) and p.search(c)(a, [b], []) is not None
+            return (b in dict(rows).get(a, ()) and p.search(c)(a, [b], []) is not None
                     and self.refutes(c, a, b, bad))
-        holds, keys, count = p.check(c), set(), 0
-        for a, rows in groupby(_rows(p, c, result, element), itemgetter(0)):
-            bs = holds(a, rows)
-            if bs is None or not self.member(c, a, bs):
-                return False
-            keys.update(self.key(c, a, bs))
-            count += len(bs)
-        return count == len(keys) == sum(len(bs) for _, bs in self.rows(c))
+        cols = _columns(_rows(p, c, result, element), 2 + len(p.field))
+        return (cols[0] == list(chain.from_iterable(repeat(a, len(bs)) for a, bs in rows))
+                and cols[1] == list(chain.from_iterable(bs for _, bs in rows))
+                and p.check(c)(*cols))
 
 
 def _comax_rows(c: EngineCache) -> list[tuple[int, list[int]]]:
@@ -826,14 +821,11 @@ def _sum_ideal(c: EngineCache, a: int, b: int) -> list[int]:
     return sorted(c.ideal_set(c.sum_ideal_id(cls[a], cls[b])))
 
 
-_ELEMENTS = _Domain(lambda c: range(c.n), lambda c: c.n,
-                    lambda c, count, ok: {"elements": c.n})
+_ELEMENTS = _Domain(lambda c: range(c.n), lambda c: {"elements": c.n})
 _QUASI_IDEMPOTENTS = _Domain(
-    lambda c: _pool(c, "quasi_idempotents"), lambda c: len(c.quasi_idempotents),
-    lambda c, count, ok: {"quasi_idempotents": len(c.quasi_idempotents)},
-    letter="x", member=lambda c, x: x in c.quasi_idempotents)
-_COMAX_PAIRS = _Pairs(_comax_rows, lambda c, count, total, ok: {"comax_pairs": count},
-                      member=lambda c, a, bs: all(map(c.comax[a].__getitem__, bs)))
+    lambda c: _pool(c, "quasi_idempotents"),
+    lambda c: {"quasi_idempotents": len(c.quasi_idempotents)}, letter="x")
+_COMAX_PAIRS = _Pairs(_comax_rows, lambda c, count, total, ok: {"comax_pairs": count})
 _ALL_PAIRS = _Pairs(lambda c: [(a, ids) for ids in [_indices(c)] for a in ids],
                     lambda c, count, total, ok: {"pairs": total},
                     extra=lambda c, a, b: {"note": "no comaximal cofactor witness"})
@@ -841,8 +833,6 @@ _CLASS_PAIRS = _Pairs(
     _class_rows,
     lambda c, count, total, ok: ({"ideal_pairs": total, "element_pairs": c.n * c.n}
                                  if ok else {"ideal_pairs": total}),
-    key=lambda c, a, bs: [tuple(sorted((c.ideal_class[a], c.ideal_class[b])))
-                          for b in bs],
     extra=lambda c, a, b: {"ideal": [c.names[i] for i in _sum_ideal(c, a, b)],
                            "note": "no element generates this ideal"},
     refutes=lambda c, a, b, bad: sorted(map(c.parsed.__getitem__, bad["ideal"]))
@@ -851,9 +841,9 @@ _CLASS_PAIRS = _Pairs(
 
 class _Targets:
     """Adequacy of one element c against every target t, one targets table:
-    ``{"targets": {t: {r, s, j, x, y}}}``, rows (c, [(t, r, s, j, x, y)]),
-    counterexample ``{"target"}``. Ring level c is 0; element level the
-    payload names c first.
+    ``{"targets": {t: {r, s, j, x, y}}}``, rows (c, the flat rows
+    t, r, s, j, x, y), counterexample ``{"target"}``. Ring level c is 0;
+    element level the payload names c first.
     """
 
     def decide(self, p: _Predicate, c: EngineCache, cval: int | None = None
@@ -889,27 +879,28 @@ class _Targets:
 
 class _EveryElement:
     """The targets table of every element c: ``{"elements": {c: {t: ...}}}``,
-    rows [(c, table)]."""
+    rows (the c in order, their tables)."""
 
     def decide(self, p: _Predicate, c: EngineCache) -> PropertyResult:
-        rows = []
+        tables = []
         for cval in range(c.n):
             table, bad = _adequacy_table(c, p.variant, cval)
             if bad is not None:
                 return PropertyResult(
                     p.name, False, exercised={"elements": cval + 1},
                     counterexample={"c": c.names[cval], "target": c.names[bad]})
-            rows.append((cval, table))
-        return _keep(p, c, rows, {"elements": c.n})
+            tables.append(table)
+        return _keep(p, c, (_indices(c), tables), {"elements": c.n})
 
-    def format(self, p: _Predicate, names: list[str], rows: list, element: bool) -> dict:
+    def format(self, p: _Predicate, names: list[str], rows: tuple, element: bool) -> dict:
         return {"elements": {names[cval]: _named_targets(names, table)
-                             for cval, table in _drain(rows)}}
+                             for cval, table in zip(*rows)}}
 
-    def parse(self, p: _Predicate, c: EngineCache, witness: dict, element: bool) -> list:
+    def parse(self, p: _Predicate, c: EngineCache, witness: dict, element: bool) -> tuple:
         parsed = c.parsed
-        return [(parsed[cval], _parsed_targets(parsed, table))
-                for cval, table in witness["elements"].items()]
+        rows = sorted((parsed[cval], _parsed_targets(parsed, table))
+                      for cval, table in witness["elements"].items())
+        return [cval for cval, _ in rows], [table for _, table in rows]
 
     def verify(self, p: _Predicate, c: EngineCache, result: PropertyResult,
                element: bool = False) -> bool:
@@ -918,10 +909,10 @@ class _EveryElement:
             bad = result.counterexample
             return _first_adequate_pair(c, parsed[bad["c"]], parsed[bad["target"]],
                                         p.variant) is None
-        rows = _rows(p, c, result, element)
-        return (all(_adequacy_table_holds(c, p.variant, cval, table)
-                    for cval, table in rows)
-                and _covers([cval for cval, _ in rows], c.n))
+        cvals, tables = _rows(p, c, result, element)
+        return cvals == _indices(c) and all(
+            _adequacy_table_holds(c, p.variant, cval, table)
+            for cval, table in zip(cvals, tables))
 
 
 class _Semiregular:
@@ -963,8 +954,8 @@ class _Predicate(NamedTuple):
     binds find(item), a witness or None; by default the first candidate of
     ``pool`` the check accepts. A one-value witness is an element named
     ``field`` in a payload; ``fields`` and ``values`` convert a witness of
-    several values. On the pair domains both are row kernels (see
-    ``_range_kernels``); the adequacy domains need only the ``variant``.
+    several values. On the pair domains both are kernels over flat rows
+    (see ``_range_kernels``); the adequacy domains need only the ``variant``.
     ``tally`` gives the ``exercised`` counts of an element-level result.
     """
 
@@ -1078,7 +1069,8 @@ def _checked_witness(c: EngineCache, variant: str, cval: int, target: int,
     """The AdequateWitness (r, s) of cval against target, once the
     variant's adequacy check passes it; ReverifyFailed names ``what``."""
     w = _adequacy_witness(c, cval, target, r, s)
-    if w is None or not _adequate(variant, cval, c)(target, *w):
+    # zip of one row: its columns, one value each
+    if w is None or not _adequate(variant, cval, c)(*zip((target, *w))):
         raise ReverifyFailed(f"{c.ring.spec_string()}: {what} against "
                              f"{c.names[target]} failed re-verification")
     r, s, j, x, y = map(c.element, w)
@@ -1167,7 +1159,11 @@ def reverify(cache: EngineCache, result: PropertyResult) -> bool:
     """Re-check a PropertyResult payload by direct ring arithmetic.
 
     Positive verdicts are accepted only if the stored witnesses cover the
-    predicate's whole domain and each satisfies its defining identity;
+    predicate's whole domain and each satisfies its defining identity. Row
+    order does not matter, by one rule: a named payload is parsed into
+    domain order (a JSON file written with ``sort_keys`` lists its dicts in
+    name order), kept rows are in it already, and the key columns are then
+    compared with the domain's enumeration;
     negative verdicts only if the counterexample is in the domain and a
     re-run of its exhaustive search finds no witness. ``semiregular``
     re-checks its parts, and ``j_characterization`` is decided again and

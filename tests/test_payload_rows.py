@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 
 from ringlab import engine, lab
-from ringlab.concrete import PolyQuotientRing, make_ring
+from ringlab.concrete import PolyQuotientRing, builtin_table_path, make_ring
 from ringlab.engine import PropertyResult
 
 from .test_reverify import FORGERIES, RING_FOR
@@ -32,6 +32,7 @@ from .test_reverify import FORGERIES, RING_FOR
 QUOTIENT_CORPUS = json.loads(
     (Path(__file__).parent / "quotient_corpus.json").read_text())
 CORPUS = tuple(lab.default_corpus_specs()) + tuple(QUOTIENT_CORPUS)
+CONTROL = f"table:{builtin_table_path()}"
 
 
 def _spec_id(spec):
@@ -216,3 +217,123 @@ def test_kept_rows_and_their_named_payload_both_verify(spec):
         assert engine.reverify(c, res), (spec, pid)
         assert engine.reverify(c, _rebuilt(res)), (spec, pid)
         assert engine.reverify(c, res), (spec, pid)  # now from the named payload
+
+
+# ---------------------------------------------------------------------------
+# flat column payloads and the order rule
+# ---------------------------------------------------------------------------
+
+# Values per row of each positive payload: the item(s), then the witness.
+WIDTH = {"bezout": 3, "hermite": 7, "regular": 2, "regular_mod_J": 2,
+         "pi_regular_mod_J": 3, "clean": 2, "feckly_clean": 2, "zero_adequate": 6,
+         "feckly_zero_adequate": 6, "stable_range_1": 3, "idempotents_lift_mod_J": 2,
+         "t216_cond2": 3, "t216_cond3": 2, "c217_cond2": 3, "c217_cond3": 2,
+         "feckly_adequate_range_1": 3, "everywhere_adequate": 6}
+BENCH_RINGS = ("Zn:96", "polyq:2:x^6", "prod(Zn:4,Zn:9)", CONTROL)
+
+
+def _tables(res):
+    """The flat index lists a kept result holds, one per table."""
+    rows = res._kept[1]
+    if res.predicate == "everywhere_adequate":
+        return rows[1]
+    return [rows[1]] if res.predicate.endswith("zero_adequate") else [rows]
+
+
+@pytest.mark.parametrize("spec", ("Zn:12", "prod(Zn:4,Zn:9)", CONTROL), ids=_spec_id)
+def test_a_kept_payload_is_one_flat_index_list_per_table(spec):
+    c = _cache(spec)
+    for pid in WIDTH:
+        res = _fresh(spec, pid)
+        if not res.verdict:
+            continue
+        size = next(iter(res.exercised.values()))  # items of the domain
+        tables = _tables(res)
+        assert len(tables) == (c.n if pid == "everywhere_adequate" else 1), pid
+        for table in tables:
+            assert type(table) is list and len(table) == WIDTH[pid] * size, pid
+            assert all(type(v) is int for v in table), pid
+
+
+@pytest.mark.parametrize("spec", ["Zn:12", "prod(Zn:4,Zn:9)", "polyq:3:x^2-1"])
+def test_a_negative_pair_result_counts_the_pairs_searched(spec):
+    """stable_range_1 with "a + b*y is a unit other than 1": the comaximal
+    pairs are searched in order up to (1, 0), which has no witness, and
+    ``exercised`` counts them, (1, 0) included."""
+    c = _cache(spec)
+    marked = [i in c.units and i != c.one for i in range(c.n)]
+    p = engine._Predicate("stable_range_1", engine._COMAX_PAIRS,
+                          **engine._range_kernels("y", "elements", lambda c: marked))
+    res = p.domain.decide(p, c)
+    pairs = [(a, b) for a in range(c.n) for b in range(c.n) if c.comax[a][b]]
+    assert res.counterexample == {"a": c.names[c.one], "b": c.names[c.zero]}
+    assert res.exercised == {"comax_pairs": pairs.index((c.one, c.zero)) + 1}
+
+
+def _named_round_trip(res):
+    """The result read back from the JSON text the CLI writes."""
+    back = json.loads(lab.report_to_json({"predicates": {res.predicate: res.to_json()}}))
+    out = back["predicates"][res.predicate]
+    return PropertyResult(res.predicate, out["verdict"], witness=out.get("witness"),
+                          counterexample=out.get("counterexample"),
+                          exercised=out.get("exercised"))
+
+
+@pytest.mark.parametrize("spec", BENCH_RINGS, ids=_spec_id)
+def test_payloads_verify_in_any_row_order(spec):
+    """Dict payloads come back from the CLI's file in name order, and a
+    pairs list may come in any order: both are sorted into domain order."""
+    c = _cache(spec)
+    for pid in engine.RING_PREDICATES:
+        back = _named_round_trip(engine.ring_predicate(c, pid))
+        assert engine.reverify(c, back), (spec, pid)
+        if back.verdict and "pairs" in back.witness:
+            back.witness["pairs"].reverse()
+            assert engine.reverify(c, back), (spec, pid)
+
+
+def _row_edits(width):
+    """Edits of a flat index list: its last row dropped, or its first row
+    replaced by a copy of its last, of its second (in a pair domain, a row
+    of the same a) or of the next with the same second value (a row of
+    the same b)."""
+    def dropped(flat):
+        del flat[-width:]
+
+    def copied(flat):
+        flat[:width] = flat[-width:]
+
+    def copied_next(flat):
+        flat[:width] = flat[width:2 * width]
+
+    def copied_same_second(flat):
+        k = next((k for k in range(width, len(flat), width) if flat[k + 1] == flat[1]),
+                 len(flat) - width)
+        flat[:width] = flat[k:k + width]
+    return dropped, copied, copied_next, copied_same_second
+
+
+@pytest.mark.parametrize("spec", BENCH_RINGS, ids=_spec_id)
+def test_a_dropped_or_copied_row_is_refused(spec):
+    """In the kept index rows of every table, and in a pairs list read back
+    from the CLI's JSON; a dict payload cannot repeat a key, so there the
+    row is dropped only."""
+    c = _cache(spec)
+    for pid in WIDTH:
+        if not engine.ring_predicate(c, pid).verdict:
+            continue
+        for edit in _row_edits(WIDTH[pid]):
+            res = engine.ring_predicate(c, pid)
+            edit(_tables(res)[-1])
+            assert not engine.reverify(c, res), (spec, pid, edit.__name__)
+        named = _named_round_trip(engine.ring_predicate(c, pid)).witness
+        key = next(k for k in ("map", "pairs", "targets", "elements") if k in named)
+        forged = copy.deepcopy(named)
+        if key == "pairs":
+            forged[key][0] = copy.deepcopy(forged[key][-1])
+            assert not engine.reverify(c, PropertyResult(pid, True, witness=forged)), pid
+            forged = copy.deepcopy(named)
+            del forged[key][len(forged[key]) // 2]
+        else:
+            del forged[key][sorted(forged[key])[len(forged[key]) // 2]]
+        assert not engine.reverify(c, PropertyResult(pid, True, witness=forged)), pid
