@@ -494,14 +494,19 @@ class EngineCache:
         key = (ia, ib)
         got = self._bezout_memo.get(key)
         if got is None:
-            got = self._bezout_memo[key] = next(self.bezout_row(ia, (ib,)))
+            row: list[int] = []
+            self.bezout_row(ia, (ib,), row)
+            _, _, d, a1, b1, x, y = row
+            # The zero pair's gcd coefficients are 0, as on Z and zloc.
+            got = self._bezout_memo[key] = (
+                (d, x, y, a1, b1, x, y) if d != self.zero else (d, d, d, a1, b1, x, y))
         return got
 
-    def bezout_row(self, ia: int, ibs: Iterable[int]
-                   ) -> Iterator[tuple[int, int, int, int, int, int, int]]:
-        """Yield a full Bezout witness (d, x, y, a1, b1, u, v) by indices for
-        each pair (ia, ib), ib in ``ibs`` in order; raise NotBezout at the
-        first pair that has none.
+    def bezout_row(self, ia: int, ibs: Iterable[int], out: list[int]) -> None:
+        """Append the flat row ia, ib, d, a1, b1, x, y to ``out`` for each
+        pair (ia, ib), ib in ``ibs`` in order, where a*x + b*y = d with
+        a = a1*d, b = b1*d and a1*x + b1*y = 1; raise NotBezout at the
+        first pair that has none, after the rows of the pairs before it.
 
         d is the first element (in enumeration order) generating the ideal
         iaR + ibR; the cofactor pair (a1, b1) is the first one, over d,
@@ -525,7 +530,7 @@ class EngineCache:
         zero = self.zero if ia == self.zero else -1
         for ib in ibs:
             if ib == zero:
-                yield zero, zero, zero, one, zero, one, zero
+                out += ia, ib, zero, one, zero, one, zero
                 continue
             gens = sums[cls[ib]]
             for d in gens:
@@ -561,7 +566,7 @@ class EngineCache:
                 v, inv = add[one_row + neg[mul[a1 * n + x]]], units.get(b1)
                 y = ((pre_memo.get(b1) or preimages(b1))[v][0] if inv is None
                      else mul[inv * n + v])
-            yield d, x, y, a1, b1, x, y
+            out += ia, ib, d, a1, b1, x, y
 
     def _preimages(self, d: int, mod_jac: bool = False) -> dict[int, list[int]]:
         """Value v -> every t with d*t = v, ascending; with ``mod_jac``, the

@@ -60,7 +60,8 @@ meet a in the radical, as a list and as the set the check tests
 membership against. That is exact because the meet aR intersect wR is
 already memoized per pair of classes. So per entry only table lookups
 remain. ``hermite`` runs ``EngineCache.bezout_row`` on each row, which
-builds its search state once per ideal class of b; its n^2 results stay
+builds its search state once per ideal class of b and appends each
+pair's payload row to the kept list itself; its n^2 results stay
 out of the memo of ``EngineCache.bezout``, the reducer's single-pair case.
 
 The adequacy predicates come in three variants. ``classic`` demands an
@@ -590,8 +591,7 @@ def _hermite_search(c: EngineCache) -> Callable:
     def fill(a, bs, out):
         start = len(out)
         try:
-            for b, (d, _, _, a1, b1, u, v) in zip(bs, row(a, bs)):
-                out += a, b, d, a1, b1, u, v
+            row(a, bs, out)
         except NotBezout:
             return bs[(len(out) - start) // 7]
         return None

@@ -65,19 +65,31 @@ inline (no second copy of the tables: they are n^2 entries each), and a
 product's accumulator starts at its first term. The finite and Z
 adapters also write out the three products that check a 2x2 certificate
 (``products_2x2``), and the verifier then checks that shape in one
-straight-line pass. On Z the raw add and mul
-are the + and * of int, so its kernels use the operators directly. On
-zloc a raw entry is ``(num, den)``, the ints in lowest terms with
-den > 0 that ``Fraction.as_integer_ratio()`` gives, so equal values are
-equal tuples and the verifier's comparisons are tuple comparisons. An
-output entry such as x*p + y*q is worked out as one numerator over one
-common denominator with one ``math.gcd``, where the Fraction operators
-would normalise each product and the sum. Units, divisibility, the
-Bezout data and the unit canon come from the ring's integer prime part
-(``_int_prime_part``). A ``Fraction`` is made only at the boundary:
-boxing an entry (``Element.value`` stays a Fraction), and parsing a
-string other than the ASCII ``m`` and ``m/n`` forms that ``fmt`` writes.
-dualint and ``polyq:0`` go through the ring's raw methods.
+straight-line pass. Certificates of other shapes with every dimension up
+to ``_UNROLL_CAP`` (6) are checked by compiled code: ``_kernel`` writes
+each entry out as straight-line source once per process and (kind,
+shape), "table" on the cache's tables, summed in the loops' order, or
+"int". On the finite and Z adapters the verifier gets P*A*Q, P*Pinv and
+Q*Qinv from one fused kernel (``products``); zloc's ``matmul`` runs the
+int kernel. Past the cap the loops run: compiling costs about k^3. The
+finite and Z ``matmul`` stay loops at every shape, as nothing but
+``RingMatrix.mat_mul`` calls them. The 2x2 check keeps its hand-written
+form, which needs no dispatch on shape for the thousands of 2x2
+certificates a corpus check verifies. On Z the
+raw add and mul are the + and * of int, so its kernels use the operators
+directly. On zloc a raw entry is ``(num, den)``, the ints in lowest
+terms with den > 0 that ``Fraction.as_integer_ratio()`` gives, so equal
+values are equal tuples and the verifier's comparisons are tuple
+comparisons. An output entry such as x*p + y*q is worked out as one
+numerator over one common denominator with one ``math.gcd``, where the
+Fraction operators would normalise each product and the sum; a compiled
+``matmul`` scales each grid to integers over the lcm of its
+denominators instead. Units, divisibility, the Bezout data and the unit
+canon come from the ring's integer prime part (``_int_prime_part``). A
+``Fraction`` is made only at the boundary: boxing an entry
+(``Element.value`` stays a Fraction), and parsing a string other than
+the ASCII ``m`` and ``m/n`` forms that ``fmt`` writes. dualint and
+``polyq:0`` go through the ring's raw methods.
 The adapters are the one definition of the witness operations:
 ``is_unit``, ``divides``, ``bezout`` (the values of ``BezoutData``, in
 its order) and ``unit_canon``. ``Ring.is_unit``, ``divides`` and
@@ -102,10 +114,11 @@ a wrong transform, is rejected as before.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 from .cache import DEFAULT_SIZE_BOUND, EngineCache
 from .engine import PropertyResult, build_cache
@@ -249,6 +262,109 @@ class ReductionCertificate:
 
 
 # ---------------------------------------------------------------------------
+# compiled product kernels
+# ---------------------------------------------------------------------------
+
+# The largest dimension whose products are written out. Compiling grows as
+# k^3, and a one-shot verify pays it in full: a k x k "table" certificate
+# kernel took 1.9 ms at k = 3, 6.8 at 5, 11.5 at 6, 28 at 8 and 530 ms at
+# 20 (Python 3.11, 2-core Xeon), where a 20x20 integer verify takes 0.01 s.
+_UNROLL_CAP = 6
+
+_KERNELS: dict[tuple, Callable] = {}  # (kind, what, shape) -> kernel
+
+
+def _kernel(kind: str, what: str, shape: tuple[int, ...]) -> Callable:
+    """The straight-line product kernel of one (kind, what, shape).
+
+    Kind "table" reads the cache's flat add and mul tables, which the
+    caller passes as ``n, add, mul``, with each left factor scaled by n
+    and each sum taken left to right from its first product, as the loop
+    ``_FiniteOps.matmul`` does; kind "int" uses + and *. What
+    "certificate" of shape (rows, cols) is ``kernel(*tables, A, P, Pinv,
+    Q, Qinv)``, the grids P*A*Q, P*Pinv and Q*Qinv; what "matmul", of
+    kind "int" only (zloc's ``matmul`` is its one user), of shape (rows,
+    inner, cols) is ``kernel(X, Y)``, the product grid. The grids are
+    lists of rows, as the loops return them.
+
+    Each kernel is compiled once per process and shared by every adapter,
+    which passes its tables in, so adapters stay picklable. The source is
+    built from the shape's integers and fixed names only, the way the
+    standard library's ``dataclasses`` writes methods: the shapes are
+    ``len()`` of grids that ``_check_shape`` refuses when empty, no
+    entry or other input text reaches ``exec``, and a dimension past
+    ``_UNROLL_CAP`` is refused here.
+    """
+    key = (kind, what, shape)
+    fn = _KERNELS.get(key)
+    if fn is None:
+        if not all(type(d) is int and 1 <= d <= _UNROLL_CAP for d in shape):
+            raise ValueError(f"no compiled kernel for shape {shape!r}")
+        if (kind, what) == ("table", "matmul"):
+            raise ValueError("no compiled table matmul: the loops are its one path")
+        source = _kernel_source(kind, what, shape)
+        namespace: dict = {}
+        exec(compile(source, f"<ringlab {kind} {what} {shape}>", "exec"), namespace)
+        fn = _KERNELS[key] = namespace["kernel"]
+    return fn
+
+
+def _kernel_source(kind: str, what: str, shape: tuple[int, ...]) -> str:
+    """The source of ``_kernel(kind, what, shape)``: one ``def kernel``."""
+    table = kind == "table"
+
+    def names(letter, rows, cols):
+        return [[f"{letter}{i}_{j}" for j in range(cols)] for i in range(rows)]
+
+    def unpack(grid, arg):
+        return ", ".join(f"({', '.join(row)},)" for row in grid) + f", = {arg}"
+
+    def scale(grid):
+        flat = [e for row in grid for e in row]
+        return f"{', '.join(flat)}, = {', '.join(e + ' * n' for e in flat)},"
+
+    def entry(left, right):
+        if not table:
+            return " + ".join(f"{x} * {y}" for x, y in zip(left, right))
+        acc = f"mul[{left[0]} + {right[0]}]"
+        for x, y in zip(left[1:], right[1:]):
+            acc = f"add[{acc} * n + mul[{x} + {y}]]"
+        return acc
+
+    def product(L, R):
+        cols = list(zip(*R))
+        return [[entry(row, col) for col in cols] for row in L]
+
+    def grid(entries):
+        return "[" + ", ".join(f"[{', '.join(row)}]" for row in entries) + "]"
+
+    if what == "matmul":
+        rows, inner, cols = shape
+        X, Y = names("x", rows, inner), names("y", inner, cols)
+        args = "X, Y"
+        body = [unpack(X, "X"), unpack(Y, "Y"), f"return {grid(product(X, Y))}"]
+    else:  # "certificate"
+        rows, cols = shape
+        A, B = names("a", rows, cols), names("b", rows, cols)
+        P, Pinv = names("p", rows, rows), names("i", rows, rows)
+        Q, Qinv = names("q", cols, cols), names("j", cols, cols)
+        args = "A, P, Pinv, Q, Qinv"
+        body = [unpack(M, arg) for M, arg in
+                ((A, "A"), (P, "P"), (Pinv, "Pinv"), (Q, "Q"), (Qinv, "Qinv"))]
+        if table:
+            body.append(scale(P))
+        PA = [e + " * n" if table else e for row in product(P, A) for e in row]
+        body.append(f"{', '.join(e for row in B for e in row)}, = {', '.join(PA)},")
+        body.append(f"prod = {grid(product(B, Q))}")
+        if table:
+            body.append(scale(Q))
+        body.append(f"return prod, {grid(product(P, Pinv))}, {grid(product(Q, Qinv))}")
+    if table:
+        args = "n, add, mul, " + args
+    return f"def kernel({args}):\n" + "".join(f"    {line}\n" for line in body)
+
+
+# ---------------------------------------------------------------------------
 # scalar adapters
 # ---------------------------------------------------------------------------
 
@@ -256,13 +372,15 @@ class ReductionCertificate:
 class _Adapter:
     """What every scalar adapter shares: identity grids made once per size,
     and a matrix product of one ``dot`` per entry, which the finite and Z
-    adapters replace with their own loops.
+    adapters replace with their own loops and zloc with a compiled kernel
+    up to ``_UNROLL_CAP``.
 
     ``identity(n)`` is a template: callers copy its rows before writing
     to them, and compare other grids with it as a whole.
     """
 
     products_2x2 = None  # set where a 2x2 certificate has a written-out check
+    products = None  # set where a certificate's products have compiled kernels
 
     def __init__(self):
         self._identities: dict[int, list[list]] = {}
@@ -383,6 +501,11 @@ class _FiniteOps(_Adapter):
                 out_row.append(acc)
             out.append(out_row)
         return out
+
+    def products(self, A, P, Pinv, Q, Qinv):
+        """P*A*Q, P*Pinv and Q*Qinv by the compiled certificate kernel."""
+        return _kernel("table", "certificate", (len(A), len(A[0])))(
+            self.n, self._add, self._mul, A, P, Pinv, Q, Qinv)
 
     def products_2x2(self, A, P, Pinv, Q, Qinv):
         """P*A*Q, P*Pinv and Q*Qinv of a 2x2 certificate, written out."""
@@ -530,6 +653,12 @@ class _NativeOps(_ValueOps):
             out.append(out_row)
         return out
 
+    @staticmethod
+    def products(A, P, Pinv, Q, Qinv):
+        """P*A*Q, P*Pinv and Q*Qinv by the compiled certificate kernel."""
+        return _kernel("int", "certificate", (len(A), len(A[0])))(
+            A, P, Pinv, Q, Qinv)
+
     def products_2x2(self, A, P, Pinv, Q, Qinv):
         """P*A*Q, P*Pinv and Q*Qinv of a 2x2 certificate, written out."""
         (a00, a01), (a10, a11) = A
@@ -648,6 +777,24 @@ class _RatioOps(_Adapter):
                 num, den = num * bd + a * c * den, den * bd
         g = gcd(num, den)
         return (num // g, den // g) if g != 1 else (num, den)
+
+    def matmul(self, X, Y):
+        """The product of two raw grids. Up to ``_UNROLL_CAP`` each grid is
+        scaled to integers over the lcm of its denominators, the compiled
+        int kernel multiplies them, and each entry is put in lowest terms:
+        the pairs ``dot`` gives, as lowest terms with den > 0 are unique.
+        Past the cap, one ``dot`` per entry."""
+        shape = len(X), len(Y), len(Y[0])
+        if max(shape) > _UNROLL_CAP:
+            return super().matmul(X, Y)
+        dx = lcm(*[den for row in X for _, den in row])
+        dy = lcm(*[den for row in Y for _, den in row])
+        den = dx * dy
+        Z = _kernel("int", "matmul", shape)(
+            [[num * (dx // d) for num, d in row] for row in X],
+            [[num * (dy // d) for num, d in row] for row in Y])
+        return [[(z // g, den // g) if (g := gcd(z, den)) != 1 else (z, den)
+                 for z in row] for row in Z]
 
     @staticmethod
     def is_zero(x):
@@ -831,8 +978,11 @@ def _verify_raw(ops, A, P, Pinv, D, Q, Qinv):
         if pp != (o, z, z, o):
             return "P_invertible", None
         return None if qq == (o, z, z, o) else ("Q_invertible", None)
-    matmul = ops.matmul
-    prod = matmul(matmul(P, A), Q)
+    if ops.products is not None and max(rows, cols) <= _UNROLL_CAP:
+        prod, pp, qq = ops.products(A, P, Pinv, Q, Qinv)
+    else:
+        matmul = ops.matmul
+        prod, pp, qq = matmul(matmul(P, A), Q), matmul(P, Pinv), matmul(Q, Qinv)
     if prod != D:  # equal grids skip the entrywise search
         for i in range(rows):
             got, want = prod[i], D[i]
@@ -847,9 +997,9 @@ def _verify_raw(ops, A, P, Pinv, D, Q, Qinv):
     for i in range(min(rows, cols) - 1):
         if ops.divides(D[i][i], D[i + 1][i + 1]) is None:
             return "divisibility_chain", i
-    if not _is_identity(ops, matmul(P, Pinv)):
+    if not _is_identity(ops, pp):
         return "P_invertible", None
-    if not _is_identity(ops, matmul(Q, Qinv)):
+    if not _is_identity(ops, qq):
         return "Q_invertible", None
     return None
 

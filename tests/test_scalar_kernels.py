@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from ringlab.concrete import builtin_table_path, make_ring
 from ringlab.errors import NotBezout, NotComaximal, ReductionFailed
 from ringlab.reduction import (
+    _KERNELS,
+    _UNROLL_CAP,
     ReductionCertificate,
     RingMatrix,
     _FiniteOps,
@@ -28,6 +30,7 @@ from ringlab.reduction import (
     _ValueOps,
     _scalar_ops,
     _unbox,
+    _kernel,
     _verify_raw,
     comax_triangular_reduce,
     diagonal_reduce,
@@ -312,3 +315,30 @@ def test_certificates_keep_their_bytes(name):
                 assert out["verified"] and verify_certificate(ring, A, back).verdict
             digest.update(json.dumps(out, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == PINNED_CERTIFICATES[name]
+
+
+def test_no_kernel_is_compiled_past_the_cap():
+    """6x6 certificates verify by compiled kernels, 7x7 and 8x8 ones, and
+    their products, by the loops: no compiled kernel has a dimension past
+    ``_UNROLL_CAP`` (nor has any kernel compiled so far in this process),
+    and asking for one raises, as does asking for a table matmul, which
+    has only the loops."""
+    rng = random.Random("past-the-cap")
+    for spec in ("Z", "zloc:{2,3}", "Zn:12"):
+        ring = RINGS[spec]
+        pool = FINITE_ELEMENTS.get(spec) or [
+            ring.make(Fraction(v, rng.choice((1, 5, 7))) if ring.kind == "zloc" else v)
+            for v in range(-40, 41)]
+        for k in (_UNROLL_CAP, _UNROLL_CAP + 1, _UNROLL_CAP + 2):
+            A = RingMatrix(ring, [[rng.choice(pool) for _ in range(k)]
+                                  for _ in range(k)])
+            cert = diagonal_reduce(ring, A)
+            assert verify_certificate(ring, A, cert).verdict
+            assert cert.P.mat_mul(A).mat_mul(cert.Q) == cert.D
+    cap = (_UNROLL_CAP, _UNROLL_CAP)
+    assert {("int", "certificate", cap), ("table", "certificate", cap)} <= set(_KERNELS)
+    assert all(max(shape) <= _UNROLL_CAP for _, _, shape in _KERNELS)
+    for kind, shape in (("int", (_UNROLL_CAP + 1, 1, 1)), ("int", (1, 0, 1)),
+                        ("int", (2, 2, "2")), ("table", (2, 2, 2))):
+        with pytest.raises(ValueError):
+            _kernel(kind, "matmul", shape)
